@@ -17,7 +17,6 @@ import sys
 from fractions import Fraction
 
 from .construct import (
-    VVPair,
     lambda2_fwd,
     lambda2_inv,
     lambda_star_fwd,
@@ -29,6 +28,7 @@ from .construct import (
     xi_pair_hat,
 )
 from .jacobi import JacobiSeries, d2_hat, restrict_z0, theta_decompose, theta_j
+from .numeric import ORACLE_TAU, ORACLE_Z, SnapFailed, fit_scalar
 from .series import PuiseuxSeries
 from .sl2 import GroupWord
 from .verify import SUITES
@@ -76,10 +76,6 @@ def _read_json(path: str | None):
         return json.load(sys.stdin)
     with open(path) as fh:
         return json.load(fh)
-
-
-def _load_pair(obj) -> VVPair:
-    return VVPair.from_json(obj)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,9 +149,13 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--gamma", type=_gamma,
                        help="integer matrix a,b,c,d (decomposed into S, T)")
     sp.add_argument("--resolve", action="store_true",
-                    help="fit and snap the projective scalar")
-    sp.add_argument("--tau", type=_complex_pair, default=complex(0.11, 1.21))
-    sp.add_argument("--z", type=_complex_pair, default=complex(0.07, 0.13))
+                    help="multiply in the exact sign from the square-root branch cocycle")
+    sp.add_argument("--tau", type=_complex_pair, default=None,
+                    help="oracle point x,y (default 0.11,1.21 when only --z is given): "
+                         "also fit the scalar numerically there and fail (exit 1) "
+                         "unless it equals the exact one")
+    sp.add_argument("--z", type=_complex_pair, default=None,
+                    help="z of the oracle point (default 0.07,0.13)")
     sp.add_argument("--format", choices=("text", "json"), default="json")
 
     sp = sub.add_parser("verify", help="run a verification suite")
@@ -288,19 +288,28 @@ def _dispatch(args, out) -> int:
             from .sl2 import sl2_word
 
             word = sl2_word(args.gamma)
-        if args.resolve:
-            U, sigma = resolve_scalar(args.m, word, None, args.tau, args.z)
-            payload = U.to_json()
-            payload["snapped_scalar"] = sigma.to_json()
-        else:
-            payload = word_product(args.m, word).to_json()
+        product = word_product(args.m, word)
+        resolved, sigma = resolve_scalar(args.m, word, product)
+        if args.tau is not None or args.z is not None:
+            tau = ORACLE_TAU if args.tau is None else args.tau
+            z = ORACLE_Z if args.z is None else args.z
+            try:
+                fitted = fit_scalar(args.m, word, product, tau, z)
+            except SnapFailed as exc:
+                print(f"check failed: numeric fit at tau={tau}, z={z}: {exc}", file=sys.stderr)
+                return 1
+            if fitted != sigma:
+                print(f"check failed: exact scalar {sigma} differs from the numeric fit "
+                      f"{fitted} at tau={tau}, z={z}", file=sys.stderr)
+                return 1
+        U = resolved if args.resolve else product
         if args.format == "json":
+            payload = U.to_json()
+            if args.resolve:
+                payload["snapped_scalar"] = sigma.to_json()
             out.write(_dump(payload) + "\n")
         else:
-            U = resolve_scalar(args.m, word, None, args.tau, args.z)[0] if args.resolve \
-                else word_product(args.m, word)
-            Uc = U.canonical()
-            for row in Uc.rows:
+            for row in U.canonical().rows:
                 out.write("  ".join(str(x) for x in row) + "\n")
         return 0
 

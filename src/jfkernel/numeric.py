@@ -19,6 +19,8 @@ from __future__ import annotations
 import cmath
 import math
 
+from .cyclotomic import CYC24
+
 TWO_PI = 2 * math.pi
 
 # terms are summed until the exponent bound pushes |term| below e^{-TAIL_LOG}
@@ -27,6 +29,10 @@ TAIL_LOG = 46.0  # e^-46 ~ 1e-20
 
 class TailTooLarge(ValueError):
     """The truncation tail of a series is too large at the requested point."""
+
+
+class SnapFailed(ArithmeticError):
+    """No root of unity within tolerance of the fitted projective scalar."""
 
 
 def principal_sqrt(w: complex) -> complex:
@@ -147,6 +153,48 @@ def xi2_hat_num(tau: complex) -> complex:
 
 def xi_star_hat_num(m: int, tau: complex) -> complex:
     return theta_num(m, m, tau) * dtheta_num(m, 0, tau) - theta_num(m, 0, tau) * dtheta_num(m, m, tau)
+
+
+# -- the theta transformation law, and the numeric scalar oracle ---------------
+
+ORACLE_TAU = 0.11 + 1.21j
+ORACLE_Z = 0.07 + 0.13j
+
+
+def transform_rhs(m: int, gamma, U_complex, tau: complex, z: complex):
+    """e^{2 pi i m c z^2/(c tau+d)} (c tau+d)^{1/2} U Theta(tau, z)."""
+    den = gamma.c * tau + gamma.d
+    fac = cmath.exp(2j * cmath.pi * m * gamma.c * z * z / den) * principal_sqrt(den)
+    theta = theta_vector_num(m, tau, z)
+    return [fac * sum(U_complex[i][j] * theta[j] for j in range(2 * m)) for i in range(2 * m)]
+
+
+def fit_scalar(m: int, word, U, tau: complex = ORACLE_TAU, z: complex = ORACLE_Z):
+    """Fit the scalar s with true multiplier matrix = s * U, numerically.
+
+    An oracle for the exact scalar of :func:`jfkernel.weil.resolve_scalar`:
+    evaluates both sides of the transformation law of ``word`` at one point
+    (Im tau >= 0.5 required), least-squares fits the ratio and snaps it to
+    the nearest 24th root of unity in Q(zeta_24), with tolerance 1e-6
+    (SnapFailed beyond it).  The cost grows with the lower-left entry c of
+    the word's matrix, since the image point has height about 1/c^2.
+    """
+    if tau.imag < 0.5:
+        raise ValueError("resolution point needs Im tau >= 0.5")
+    gamma = word.to_matrix()
+    lhs = theta_vector_num(m, *gamma.act_jacobi(tau, z))
+    rhs = transform_rhs(m, gamma, U.to_complex(), tau, z)
+    num = sum(l * r.conjugate() for l, r in zip(lhs, rhs))
+    den = sum(abs(r) ** 2 for r in rhs)
+    sigma = num / den
+    best_k, best_err = None, 1.0
+    for k in range(24):
+        err = abs(sigma - cmath.exp(2j * cmath.pi * k / 24))
+        if err < best_err:
+            best_k, best_err = k, err
+    if best_err > 1e-6:
+        raise SnapFailed(f"scalar {sigma} is no 24th root of unity (err {best_err:.2e})")
+    return CYC24.zeta(best_k)
 
 
 class NumericForm:

@@ -136,8 +136,36 @@ class GroupWord:
             out = out @ (g ** power)
         return out
 
-    def in_alphabet(self, alphabet) -> bool:
-        return all(name in alphabet for name, _ in self.letters)
+
+def _arg_range(g: SL2Mat) -> tuple[int, int]:
+    """The values of Arg(c tau + d) over the upper half-plane, in units of pi.
+
+    (lo, lo + 1) is an open interval; (lo, lo) is the single point lo.
+    """
+    if g.c:
+        return (0, 1) if g.c > 0 else (-1, 0)
+    return (0, 0) if g.d > 0 else (1, 1)
+
+
+def sqrt_cocycle(A: SL2Mat, B: SL2Mat) -> int:
+    """The square-root branch cocycle of the principal branch, a sign:
+
+        sigma(A, B) = sqrt j(A, B tau) sqrt j(B, tau) / sqrt j(AB, tau),
+
+    with j(g, tau) = c tau + d.  Since j(A, B tau) j(B, tau) = j(AB, tau),
+    the three principal arguments sum to 2 pi k, and sigma = (-1)^k.  The
+    sum lies in the interval sum of their ranges over the upper half-plane,
+    which holds exactly one even multiple of pi, so the signs of the integer
+    entries decide sigma for every tau at once.
+    """
+    (a0, a1), (b0, b1), (p0, p1) = _arg_range(A), _arg_range(B), _arg_range(A @ B)
+    lo, hi = a0 + b0 - p1, a1 + b1 - p0
+    # the interval is closed only when all three ranges are points
+    ks = range(lo, hi + 1) if lo == hi else range(lo + 1, hi)
+    evens = [k for k in ks if k % 2 == 0]
+    if len(evens) != 1:
+        raise ArithmeticError(f"branch cocycle of {A} and {B} is not determined")
+    return -1 if evens[0] % 4 else 1
 
 
 def sl2_word(gamma: SL2Mat) -> GroupWord:

@@ -15,7 +15,6 @@ JSON serialisation omits wall-clock timings unless asked for them.
 
 from __future__ import annotations
 
-import cmath
 import random
 import time
 from dataclasses import dataclass
@@ -49,9 +48,10 @@ from .numeric import (
     XI0_HAT,
     XI2_HAT,
     eval_series,
-    principal_sqrt,
+    fit_scalar,
     sample_points,
     theta_vector_num,
+    transform_rhs,
     xi_star_form,
 )
 from .series import PuiseuxSeries, dilate, eta_power
@@ -335,10 +335,7 @@ def check_theta_transform(m: int, word: GroupWord, samples) -> CheckReport:
         worst = 0.0
         for tau, z in samples:
             lhs = theta_vector_num(m, *gamma.act_jacobi(tau, z))
-            den = gamma.c * tau + gamma.d
-            fac = cmath.exp(2j * cmath.pi * m * gamma.c * z * z / den) * principal_sqrt(den)
-            theta = theta_vector_num(m, tau, z)
-            rhs = [fac * sum(Uc[i][j] * theta[j] for j in range(2 * m)) for i in range(2 * m)]
+            rhs = transform_rhs(m, gamma, Uc, tau, z)
             worst = max(worst, _residual(lhs, rhs))
         return worst < NUMERIC_TOL, f"max residual {worst:.3e}"
 
@@ -543,12 +540,14 @@ def suite_weil(seed: int = 7, words: int = 200):
     reports.append(_timed("weil-generator-displays", None, displays))
 
     def resolution_consistency():
+        # the exact scalar against the numeric fit at two points
         for _ in range(10):
             w = random_gamma0_2_word(rng, 8)
-            _, s1 = resolve_scalar(2, w, tau=0.11 + 1.21j, z=0.07 + 0.13j)
-            _, s2 = resolve_scalar(2, w, tau=-0.19 + 0.93j, z=0.12 - 0.04j)
-            if s1 != s2:
-                return False, f"scalar depends on the sample point for {w}"
+            U = word_product(2, w)
+            _, exact = resolve_scalar(2, w, U)
+            for tau, z in ((0.11 + 1.21j, 0.07 + 0.13j), (-0.19 + 0.93j, 0.12 - 0.04j)):
+                if fit_scalar(2, w, U, tau, z) != exact:
+                    return False, f"scalar depends on the sample point for {w}"
         return True, None
 
     reports.append(_timed("weil-resolve-point-independence", None, resolution_consistency))

@@ -12,27 +12,30 @@ by the verify module.  Entries live in Q(zeta_n) with n = lcm(24, 4m); the
 word products stay integral.
 
 A word product of generator matrices equals the true multiplier matrix of
-the evaluated group element only up to a root-of-unity scalar (the square
-root branch in the transformation law is a cocycle, not a homomorphism).
-``resolve`` fits that scalar at one numeric point and snaps it to an exact
-24th root of unity, after which all assertions are exact.
+the evaluated group element only up to a sign: the square root branch in the
+transformation law is a cocycle, not a homomorphism.  ``resolve`` computes
+that sign exactly from the word's letters and integer matrices (see
+:func:`word_scalar`), so all assertions are exact.  The numeric fit in
+:func:`jfkernel.numeric.fit_scalar` is kept only as an independent oracle.
 
 All matrices here are unitary, so inverses are conjugate transposes.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import lru_cache
 
 from .cyclotomic import CYC24, CycNumber, cyclotomic_field
-from .numeric import principal_sqrt, theta_vector_num
-from .sl2 import GroupWord, SL2Mat, gamma_dilate, sl2_word
-
-
-class SnapFailed(ArithmeticError):
-    """No root of unity within tolerance of the fitted projective scalar."""
+from .sl2 import (
+    GENERATOR_MATRICES,
+    I2,
+    GroupWord,
+    SL2Mat,
+    gamma_dilate,
+    sl2_word,
+    sqrt_cocycle,
+)
 
 
 class NotInX(ValueError):
@@ -58,7 +61,7 @@ class UMatrix:
             raise ValueError("radicand must be positive")
         s, radicand = _square_part(radicand)
         if s != 1:
-            rows = [[c / s for c in row] for row in rows]
+            rows = [[field.element(c.num, c.den * s) for c in row] for row in rows]
         self.field = field
         self.rows = tuple(tuple(c for c in row) for row in rows)
         self.radicand = radicand
@@ -125,8 +128,9 @@ class UMatrix:
         while e:
             if e & 1:
                 out = out @ base
-            base = base @ base
             e >>= 1
+            if e:
+                base = base @ base
         return out
 
     def conj(self) -> "UMatrix":
@@ -314,55 +318,55 @@ def word_product(m: int, word: GroupWord) -> UMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Scalar resolution against the transformation law
+# Exact scalar resolution by the square-root branch cocycle
 
 
-RESOLVE_TAU = 0.11 + 1.21j
-RESOLVE_Z = 0.07 + 0.13j
+def word_scalar(word: GroupWord) -> int:
+    """The sign s with true multiplier matrix = s * word_product(m, word).
 
-
-def transform_rhs(m: int, gamma: SL2Mat, U_complex, tau: complex, z: complex):
-    """e^{2 pi i m c z^2/(c tau+d)} (c tau+d)^{1/2} U Theta(tau, z)."""
-    den = gamma.c * tau + gamma.d
-    fac = cmath.exp(2j * cmath.pi * m * gamma.c * z * z / den) * principal_sqrt(den)
-    theta = theta_vector_num(m, tau, z)
-    return [fac * sum(U_complex[i][j] * theta[j] for j in range(2 * m)) for i in range(2 * m)]
-
-
-def resolve_scalar(m: int, word: GroupWord, U: UMatrix | None = None,
-                   tau: complex = RESOLVE_TAU, z: complex = RESOLVE_Z):
-    """Fit the scalar between a word product and the true multiplier matrix.
-
-    Evaluates both sides of the transformation law at one point (Im tau >=
-    0.5 required), least-squares fits the ratio, snaps it to the nearest
-    24th root of unity (tolerance 1e-6), and returns (resolved matrix,
-    exact scalar).
+    Every letter matrix is the true multiplier of its letter, so walking the
+    word P <- P h one step at a time multiplies in sigma(P, h) per step, the
+    branch cocycle of :func:`jfkernel.sl2.sqrt_cocycle`.  A letter with power
+    p counts as |p| steps; for p < 0 each step also counts sigma(g, g^-1),
+    because the stored inverse M(g)^-1 is sigma(g, g^-1) M(g^-1).  T^p
+    letters contribute nothing, since j(T^p, tau) = 1.  The sign does not
+    depend on the index m.
     """
-    if tau.imag < 0.5:
-        raise ValueError("resolution point needs Im tau >= 0.5")
+    sign = 1
+    P = I2
+    for name, power in word:
+        g = GENERATOR_MATRICES[name]
+        if name == "T":
+            P = P @ g ** power
+            continue
+        h = g if power > 0 else g.inv()
+        inverse_sign = sqrt_cocycle(g, h) if power < 0 else 1
+        for _ in range(abs(power)):
+            sign *= inverse_sign * sqrt_cocycle(P, h)
+            P = P @ h
+    return sign
+
+
+def resolve_scalar(m: int, word: GroupWord, U: UMatrix | None = None):
+    """The true multiplier matrix of a word, and its scalar against the product.
+
+    Returns (resolved matrix, scalar), where the scalar is the exact sign
+    :func:`word_scalar` as an element of Q(zeta_24) and ``U``, the word
+    product, is computed when not given.
+    """
     if U is None:
         U = word_product(m, word)
-    gamma = word.to_matrix()
-    lhs = theta_vector_num(m, *gamma.act_jacobi(tau, z))
-    rhs = transform_rhs(m, gamma, U.to_complex(), tau, z)
-    num = sum(l * r.conjugate() for l, r in zip(lhs, rhs))
-    den = sum(abs(r) ** 2 for r in rhs)
-    sigma = num / den
-    best_k, best_err = None, 1.0
-    for k in range(24):
-        err = abs(sigma - cmath.exp(2j * cmath.pi * k / 24))
-        if err < best_err:
-            best_k, best_err = k, err
-    if best_err > 1e-6:
-        raise SnapFailed(f"scalar {sigma} is no 24th root of unity (err {best_err:.2e})")
-    exact = U.field.zeta((U.field.n // 24) * best_k)
-    out = U.scale(exact)
-    return UMatrix(out.field, out.rows, out.radicand, True, m), CYC24.zeta(best_k)
+    rows = U.rows
+    if word_scalar(word) == 1:
+        scalar = CYC24.one
+    else:
+        scalar = -CYC24.one
+        rows = [[-c for c in row] for row in rows]
+    return UMatrix(U.field, rows, U.radicand, True, m), scalar
 
 
-def resolve(m: int, word: GroupWord, tau: complex = RESOLVE_TAU,
-            z: complex = RESOLVE_Z) -> UMatrix:
-    return resolve_scalar(m, word, None, tau, z)[0]
+def resolve(m: int, word: GroupWord) -> UMatrix:
+    return resolve_scalar(m, word)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -389,25 +393,24 @@ def r_char(V: UMatrix) -> CycNumber:
     return Vc.rows[1][1] + Vc.rows[1][3]
 
 
-def rho2(word: GroupWord, tau: complex = RESOLVE_TAU, z: complex = RESOLVE_Z) -> UMatrix:
+def rho2(word: GroupWord) -> UMatrix:
     """The 2-dimensional representation r(U_2(g))^{-1} conj(U_1(g_2)) on the
     level-2 subgroup."""
     gamma = word.to_matrix()
     if gamma.c % 2:
         raise ValueError("word does not evaluate into the level-2 subgroup")
-    U2 = resolve(2, word, tau, z)
+    U2 = resolve(2, word)
     r = r_char(U2)
     gamma2 = gamma_dilate(gamma, 2)
-    U1 = resolve(1, sl2_word(gamma2), tau, z)
+    U1 = resolve(1, sl2_word(gamma2))
     out = U1.conj().canonical().scale(r.inverse())
     return UMatrix(out.field, out.rows, out.radicand, True, 2)
 
 
-def omega_m(gamma: SL2Mat, m: int, tau: complex = RESOLVE_TAU,
-            z: complex = RESOLVE_Z) -> CycNumber:
+def omega_m(gamma: SL2Mat, m: int) -> CycNumber:
     """The determinant character det U_1(gamma_m) on the level-m subgroup."""
     gm = gamma_dilate(gamma, m)
-    U1 = resolve(1, sl2_word(gm), tau, z)
+    U1 = resolve(1, sl2_word(gm))
     return U1.det2()
 
 

@@ -77,6 +77,29 @@ def test_weil_resolved_json():
     assert obj["entries"] == [c.to_json() for row in disp.rows for c in row]
 
 
+def test_weil_oracle_failure_exit_1(monkeypatch, capsys):
+    import jfkernel.weil as weil
+
+    argv = ["weil", "--m", "1", "--word", "S T^-1 S^2", "--resolve", "--z", "0.05,0.1"]
+    assert invoke(argv)[0] == 0
+    exact = weil.word_scalar
+    monkeypatch.setattr(weil, "word_scalar", lambda w: -exact(w))
+    code, out = invoke(argv)
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("check failed: exact scalar") and err.count("\n") == 1
+    monkeypatch.setattr(weil, "word_scalar", exact)
+    import jfkernel.cli as cli
+    from jfkernel.numeric import SnapFailed
+
+    def no_snap(*args):
+        raise SnapFailed("no root of unity")
+
+    monkeypatch.setattr(cli, "fit_scalar", no_snap)
+    assert invoke(argv)[0] == 1
+    assert capsys.readouterr().err.startswith("check failed: numeric fit")
+
+
 def test_weil_gamma_flag():
     code, out = invoke(["weil", "--m", "1", "--gamma", "1,1,0,1", "--resolve"])
     assert code == 0
@@ -180,10 +203,11 @@ def test_verify_deterministic_bytes():
 
 
 def test_installed_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "jfkernel.cli", "theta", "--m", "1", "--r", "1",
-         "--order", "3", "--at-z0"],
-        capture_output=True, text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == "2*q^(1/4) + 2*q^(9/4)\n"
+    for module in ("jfkernel.cli", "jfkernel"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "theta", "--m", "1", "--r", "1",
+             "--order", "3", "--at-z0"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, module
+        assert proc.stdout == "2*q^(1/4) + 2*q^(9/4)\n"

@@ -14,7 +14,9 @@ from jfkernel.sl2 import (
     gamma_dilate,
     random_gamma0_2_word,
     random_gamma0_m_word,
+    random_sl2_word,
     sl2_word,
+    sqrt_cocycle,
 )
 
 
@@ -90,3 +92,22 @@ def test_gamma0_m_word_dilation():
             g = w.to_matrix()
             assert g.c % m == 0
             assert gamma_dilate(g, m) == wm.to_matrix()
+
+
+def test_sqrt_cocycle_matches_principal_square_roots():
+    import cmath
+
+    def j(g, tau):
+        return g.c * tau + g.d
+
+    rng = random.Random(41)
+    mats = [I2, MINUS_I2, S, S.inv(), T, ST2S, ST2S.inv()]
+    mats += [random_sl2_word(rng, 8).to_matrix() for _ in range(30)]
+    for A in mats:
+        for B in mats[:12]:
+            for tau in (0.3 + 0.8j, -1.7 + 0.2j):
+                val = (cmath.sqrt(j(A, B.act(tau))) * cmath.sqrt(j(B, tau))
+                       / cmath.sqrt(j(A @ B, tau)))
+                assert abs(val - sqrt_cocycle(A, B)) < 1e-9, (A, B, tau)
+    assert sqrt_cocycle(S, S) == 1
+    assert sqrt_cocycle(MINUS_I2, MINUS_I2) == -1

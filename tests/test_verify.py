@@ -23,6 +23,7 @@ from jfkernel.verify import (
     cusp_bound_sample,
     run_identity,
     suite_identities,
+    suite_weil,
 )
 from jfkernel.weil import omega_m
 
@@ -171,3 +172,14 @@ def test_report_json_shape():
     assert obj["ms"] is None
     obj2 = rep.to_json(with_ms=True)
     assert obj2["ms"] is not None
+
+
+def test_resolve_point_independence_fails_on_flipped_scalar(monkeypatch):
+    import jfkernel.weil as weil
+
+    exact = weil.word_scalar
+    monkeypatch.setattr(weil, "word_scalar", lambda w: -exact(w))
+    (report,) = [r for r in suite_weil(7, words=2)
+                 if r.name == "weil-resolve-point-independence"]
+    assert report.status == "fail"
+    assert report.witness.startswith("scalar depends on the sample point for ")

@@ -1,19 +1,24 @@
 import random
+import time
 
 import pytest
 
-from jfkernel.cyclotomic import CYC24, from_rational, imag_unit
+from jfkernel.cyclotomic import CYC24, cyclotomic_field, from_rational, imag_unit
+from jfkernel.numeric import SnapFailed, fit_scalar
 from jfkernel.sl2 import (
     GroupWord,
     S,
+    SL2Mat,
     T,
     random_gamma0_2_word,
     random_gamma0_m_word,
+    random_sl2_word,
     sl2_word,
 )
 from jfkernel.weil import (
     NotInX,
     UMatrix,
+    _letter_matrix,
     block_rows_vanish,
     cusp_entry_values,
     field_order,
@@ -123,12 +128,10 @@ def test_resolve_ss_m1():
 
 
 def test_snap_failure_on_corrupted_matrix():
-    from jfkernel.weil import SnapFailed
-
     w = GroupWord.of(("T", 1))
     bad = u_gen(1, "T").scale(from_rational(2))
     with pytest.raises(SnapFailed):
-        resolve_scalar(1, w, bad)
+        fit_scalar(1, w, bad)
 
 
 def test_s_squared_matches_st_cubed_up_to_scalar():
@@ -153,9 +156,82 @@ def test_resolve_sample_point_independence():
     rng = random.Random(11)
     for _ in range(10):
         w = random_gamma0_2_word(rng, 8)
-        _, s1 = resolve_scalar(2, w, tau=0.11 + 1.21j, z=0.07 + 0.13j)
-        _, s2 = resolve_scalar(2, w, tau=-0.23 + 0.87j, z=0.11 - 0.05j)
-        assert s1 == s2
+        U = word_product(2, w)
+        _, exact = resolve_scalar(2, w, U)
+        s1 = fit_scalar(2, w, U, 0.11 + 1.21j, 0.07 + 0.13j)
+        s2 = fit_scalar(2, w, U, -0.23 + 0.87j, 0.11 - 0.05j)
+        assert s1 == exact and s2 == exact
+
+
+def test_exact_scalar_matches_numeric_fit():
+    # single letters with small powers, then seeded words over both
+    # alphabets; the fit runs at the default oracle point
+    rng = random.Random(31)
+    words = [(m, GroupWord.of((name, p)))
+             for m in (1, 2, 3)
+             for name in ("S", "T", "-I", "ST2S")
+             for p in (-2, -1, 1, 2, 3)]
+    for m in (1, 2, 3, 5):
+        for i in range(24):
+            if i % 3 == 0:
+                w = random_sl2_word(rng, 10)
+            elif i % 3 == 1:
+                w = random_gamma0_2_word(rng, 10)
+            else:
+                w, _ = random_gamma0_m_word(rng, m)
+            words.append((m, w))
+    assert len(words) >= 100
+    assert any(w.to_matrix().c < 0 for _, w in words)
+    for m, w in words:
+        U = word_product(m, w)
+        assert fit_scalar(m, w, U) == resolve_scalar(m, w, U)[1], (m, str(w))
+
+
+def test_letter_matrices_are_true_multipliers():
+    for m in (1, 2, 3, 5):
+        for name in ("S", "T", "-I", "ST2S"):
+            w = GroupWord.of((name, 1))
+            assert fit_scalar(m, w, _letter_matrix(m, name)) == 1, (m, name)
+    # the displayed index-2 matrix is the product S T^2 S exactly
+    s, t = u_gen_general(2, "S"), u_gen_general(2, "T")
+    assert u_gen(2, "ST2S") == s @ t @ t @ s
+
+
+def test_word_product_is_left_to_right_letter_product():
+    rng = random.Random(37)
+    for m in (1, 2, 3, 5):
+        for _ in range(3):
+            w = GroupWord.of(*((rng.choice(("S", "T", "-I", "ST2S")), rng.choice((-3, -2, -1, 1, 2, 3)))
+                               for _ in range(5)))
+            out = UMatrix.identity(cyclotomic_field(field_order(m)), 2 * m)
+            for name, power in w:
+                g = _letter_matrix(m, name)
+                if power < 0:
+                    g = g.conj_transpose()
+                for _ in range(abs(power)):
+                    out = out @ g
+            assert word_product(m, w) == out, (m, str(w))
+
+
+def test_umatrix_folds_square_part_of_radicand():
+    f = CYC24
+    rows = [[f.zeta(k), f.zeta(k + 5)] for k in (1, 7)]
+    U = UMatrix(f, rows, 18)
+    assert U.radicand == 2
+    assert U.rows == tuple(tuple(c / 3 for c in row) for row in rows)
+
+
+@pytest.mark.parametrize("m, gamma", [
+    (2, SL2Mat(200001, -1, 200002, -1)),
+    (1, SL2Mat(-114287, -4, -200002, -7)),
+    (2, SL2Mat(1, 0, 2 * 10 ** 6, 1)),
+])
+def test_resolve_extreme_entries(m, gamma):
+    start = time.perf_counter()
+    U, sigma = resolve_scalar(m, sl2_word(gamma))
+    assert time.perf_counter() - start < 1.0
+    assert sigma == 1 or sigma == -1
+    assert m != 2 or in_X(U)
 
 
 def test_resolved_scalars_are_signs_for_true_generator_words():
