@@ -71,11 +71,22 @@ def _emit_series(series, fmt: str, out):
         out.write(series.to_text() + "\n")
 
 
+def _part(data, key):
+    """data[key] from an input JSON array or object; a usage error when absent."""
+    try:
+        return data[key]
+    except (IndexError, KeyError, TypeError):
+        raise ValueError(f"input JSON has no entry {key!r}") from None
+
+
 def _read_json(path: str | None):
-    if path is None or path == "-":
-        return json.load(sys.stdin)
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        if path is None or path == "-":
+            return json.load(sys.stdin)
+        with open(path) as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError("input JSON is nested too deeply") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,30 +248,30 @@ def _dispatch(args, out) -> int:
     if cmd == "lambda2":
         data = _read_json(args.input)
         if isinstance(data, list):  # decompose output: take the 0 and 2 components
-            h0 = PuiseuxSeries.from_json(data[0])
-            h2 = PuiseuxSeries.from_json(data[2])
+            h0 = PuiseuxSeries.from_json(_part(data, 0))
+            h2 = PuiseuxSeries.from_json(_part(data, 2))
         else:
-            h0 = PuiseuxSeries.from_json(data["h0"])
-            h2 = PuiseuxSeries.from_json(data["h2"])
+            h0 = PuiseuxSeries.from_json(_part(data, "h0"))
+            h2 = PuiseuxSeries.from_json(_part(data, "h2"))
         pair = lambda2_fwd(h0, h2)
         out.write(_dump({"phi0": pair.comp0.to_json(), "phi2": pair.comp2.to_json()}) + "\n")
         return 0
 
     if cmd == "lambda2-inv":
         data = _read_json(args.input)
-        phi0 = PuiseuxSeries.from_json(data["phi0"])
-        phi2 = PuiseuxSeries.from_json(data["phi2"])
+        phi0 = PuiseuxSeries.from_json(_part(data, "phi0"))
+        phi2 = PuiseuxSeries.from_json(_part(data, "phi2"))
         _emit_series(lambda2_inv(phi0, phi2, args.order), "json", out)
         return 0
 
     if cmd == "lambdastar":
         data = _read_json(args.input)
         if isinstance(data, list):
-            h0 = PuiseuxSeries.from_json(data[0])
-            hm = PuiseuxSeries.from_json(data[args.m])
+            h0 = PuiseuxSeries.from_json(_part(data, 0))
+            hm = PuiseuxSeries.from_json(_part(data, args.m))
         else:
-            h0 = PuiseuxSeries.from_json(data["h0"])
-            hm = PuiseuxSeries.from_json(data["hm"])
+            h0 = PuiseuxSeries.from_json(_part(data, "h0"))
+            hm = PuiseuxSeries.from_json(_part(data, "hm"))
         _emit_series(lambda_star_fwd(h0, hm, args.m), "json", out)
         return 0
 
@@ -271,8 +282,8 @@ def _dispatch(args, out) -> int:
 
     if cmd == "psi":
         data = _read_json(args.input)
-        phi0 = PuiseuxSeries.from_json(data["phi0"])
-        phi2 = PuiseuxSeries.from_json(data["phi2"])
+        phi0 = PuiseuxSeries.from_json(_part(data, "phi0"))
+        phi2 = PuiseuxSeries.from_json(_part(data, "phi2"))
         _emit_series(psi_form(phi0, phi2), args.format, out)
         return 0
 

@@ -11,6 +11,11 @@ machinery attached to an index m:
   well defined doubling as a validity check.
 
 zeta-powers are integers throughout; only the q-exponents are rational.
+``terms`` maps (Fraction q-exponent, int zeta-power) to the coefficient.
+Products share the one-variable kernel of :mod:`jfkernel.series`, and the
+restriction and heat operator share :func:`_collapse`: inside both the
+q-exponents are ints on a common grid and coefficients add up as unreduced
+integer coordinates, normalised once per output term.
 """
 
 from __future__ import annotations
@@ -19,8 +24,21 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclotomic import CYC24, CycNumber, coerce24
-from .series import FormMeta, PuiseuxSeries, _frac_str
+from .cyclotomic import CYC24, CycNumber, _is_int, coerce24
+from .series import (
+    FormMeta,
+    PuiseuxSeries,
+    _assemble,
+    _coords,
+    _entry,
+    _frac_str,
+    _grid,
+    _json_rational,
+    _product,
+    _scaled,
+    _sum_terms,
+    _terms_json,
+)
 
 
 class DecompositionInconsistent(ValueError):
@@ -66,7 +84,7 @@ class JacobiSeries:
 
     @staticmethod
     def from_puiseux(a: PuiseuxSeries) -> "JacobiSeries":
-        return JacobiSeries({(e, 0): c for e, c in a.terms.items()}, a.valid_below, a.meta)
+        return _assemble(JacobiSeries, {(e, 0): c for e, c in a.terms.items()}, a.valid_below, a.meta)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -81,11 +99,7 @@ class JacobiSeries:
         return sorted(self.terms.items(), key=lambda t: (t[0][0], t[0][1]))
 
     def with_meta(self, meta) -> "JacobiSeries":
-        out = JacobiSeries.__new__(JacobiSeries)
-        out.terms = self.terms
-        out.valid_below = self.valid_below
-        out.meta = meta
-        return out
+        return _assemble(JacobiSeries, self.terms, self.valid_below, meta)
 
     # -- equality ---------------------------------------------------------
 
@@ -118,44 +132,27 @@ class JacobiSeries:
         if not isinstance(other, JacobiSeries):
             return NotImplemented
         vb = min(self.valid_below, other.valid_below)
-        out = {k: c for k, c in self.terms.items() if k[0] < vb}
-        for k, c in other.terms.items():
-            if k[0] < vb:
-                s = out.get(k)
-                out[k] = c if s is None else s + c
-        return JacobiSeries(out, vb)
+        return _assemble(JacobiSeries, _sum_terms(self, other, vb, lambda k: k[0]), vb, None)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        out = JacobiSeries.__new__(JacobiSeries)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        out.valid_below = self.valid_below
-        out.meta = self.meta
-        return out
+        return _assemble(JacobiSeries, {k: -c for k, c in self.terms.items()},
+                         self.valid_below, self.meta)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycNumber)):
-            c0 = coerce24(other)
-            return JacobiSeries(
-                {k: c * c0 for k, c in self.terms.items()}, self.valid_below, self.meta
-            )
+            return _assemble(JacobiSeries, _scaled(self.terms, other), self.valid_below, self.meta)
         if isinstance(other, PuiseuxSeries):
             other = JacobiSeries.from_puiseux(other)
         if not isinstance(other, JacobiSeries):
             return NotImplemented
         vb = min(self.valid_below + other.q_val(), other.valid_below + self.q_val())
-        out = {}
-        for (n1, r1), c1 in self.terms.items():
-            for (n2, r2), c2 in other.terms.items():
-                n = n1 + n2
-                if n < vb:
-                    k = (n, r1 + r2)
-                    p = c1 * c2
-                    s = out.get(k)
-                    out[k] = p if s is None else s + p
-        return JacobiSeries(out, vb, _mul_meta(self.meta, other.meta))
+        out = _product([(n, r, c) for (n, r), c in self.terms.items()],
+                       [(n, r, c) for (n, r), c in other.terms.items()], vb)
+        return _assemble(JacobiSeries, {(n, r): c for n, r, c in out}, vb,
+                         _mul_meta(self.meta, other.meta))
 
     __rmul__ = __mul__
 
@@ -208,11 +205,16 @@ class JacobiSeries:
 
     @staticmethod
     def from_json(obj) -> "JacobiSeries":
-        terms = {
-            (Fraction(t["n"]), int(t["r"])): CycNumber.from_json(t["coeff"])
-            for t in obj["terms"]
-        }
-        return JacobiSeries(terms, Fraction(obj["valid_below"]), FormMeta.from_json(obj.get("meta")))
+        """Decode :meth:`to_json` output; malformed input raises ValueError."""
+        items, vb, meta = _terms_json(obj, "two-variable series")
+        terms = {}
+        for t in items:
+            r = _entry(t, "r", "series term")
+            if not _is_int(r):
+                raise ValueError(f"term r must be an integer, got {r!r}")
+            n = _json_rational(_entry(t, "n", "series term"), "term n")
+            terms[(n, r)] = CycNumber.from_json(_entry(t, "coeff", "series term"))
+        return JacobiSeries(terms, vb, meta)
 
 
 def _mul_meta(a: FormMeta | None, b: FormMeta | None) -> FormMeta | None:
@@ -227,6 +229,23 @@ def _mul_meta(a: FormMeta | None, b: FormMeta | None) -> FormMeta | None:
 # Theta functions
 
 
+def _theta_lattice(m: int, r: int, order: Fraction):
+    """The (q-exponent, zeta-power) pairs of theta_j(m, r) below ``order``:
+    (2mn + r)^2/4m and 2mn + r for integers n."""
+    n = 0
+    while True:
+        added = False
+        for s in {n, -n}:
+            z = 2 * m * s + r
+            e = Fraction(z * z, 4 * m)
+            if e < order:
+                yield e, z
+                added = True
+        if not added and m * (n - 1) ** 2 > order:
+            break
+        n += 1
+
+
 def theta_j(m: int, r: int, order) -> JacobiSeries:
     """The index-m theta function with residue r, truncated below ``order``.
 
@@ -235,40 +254,18 @@ def theta_j(m: int, r: int, order) -> JacobiSeries:
     if m < 1:
         raise ValueError("index must be a positive integer")
     order = Fraction(order)
-    terms = {}
-    n = 0
-    while True:
-        added = False
-        for s in {n, -n}:
-            x = s + Fraction(r, 2 * m)
-            e = m * x * x
-            if e < order:
-                terms[(e, 2 * m * s + r)] = 1
-                added = True
-        if not added and Fraction(m) * (n - 1) ** 2 > order:
-            break
-        n += 1
+    terms = {key: CYC24.one for key in _theta_lattice(m, r, order)}
     meta = FormMeta(weight=Fraction(1, 2), index=m, kind="theta-component",
                     source=f"theta_j({m},{r})")
-    return JacobiSeries(terms, order, meta)
+    return _assemble(JacobiSeries, terms, order, meta)
 
 
 @lru_cache(maxsize=None)
 def _theta_component_terms(m: int, r: int, order: Fraction):
     acc = {}
-    n = 0
-    while True:
-        added = False
-        for s in {n, -n}:
-            x = s + Fraction(r, 2 * m)
-            e = m * x * x
-            if e < order:
-                acc[e] = acc.get(e, 0) + 1
-                added = True
-        if not added and Fraction(m) * (n - 1) ** 2 > order:
-            break
-        n += 1
-    return tuple(sorted(acc.items()))
+    for e, _z in _theta_lattice(m, r, order):
+        acc[e] = acc.get(e, 0) + 1
+    return tuple((e, coerce24(c)) for e, c in sorted(acc.items()))
 
 
 def theta_component(m: int, r: int, order) -> PuiseuxSeries:
@@ -277,24 +274,54 @@ def theta_component(m: int, r: int, order) -> PuiseuxSeries:
     terms = dict(_theta_component_terms(m, r % (2 * m), order))
     meta = FormMeta(weight=Fraction(1, 2), index=m, kind="theta-component",
                     source=f"theta({m},{r})")
-    return PuiseuxSeries(terms, order, meta)
+    return _assemble(PuiseuxSeries, terms, order, meta)
 
 
 # ---------------------------------------------------------------------------
 # Operators
 
 
+def _collapse(phi: JacobiSeries, k=None) -> dict:
+    """Sum each q-exponent's coefficients over the zeta-powers, weighted by
+    the heat factor k r^2 - 4n when ``k`` is given.
+
+    On the grid n = N/L of phi's exponents, the factor is the int
+    k_num r^2 L - 4 N k_den over k_den L, so the sums stay unreduced integer
+    coordinates and each exponent is normalised once.  Keys come in order of
+    first occurrence, from phi's own Fraction keys.
+    """
+    f, ((den, coords),) = _coords(phi.terms.values())
+    L = math.lcm(*(n.denominator for n, _r in phi.terms))
+    if k is None:
+        a, b, c, scale = 0, 0, 1, 1
+    else:
+        a, b, c, scale = k.numerator * L, -4 * k.denominator, 0, k.denominator * L
+    sums = {}
+    for (n, r), xs in zip(phi.terms, coords):
+        N = _grid(n, L)
+        w = a * r * r + b * N + c
+        if w:
+            slot = sums.get(N)
+            if slot is None:
+                slot = sums[N] = (n, [0] * f.degree)
+            acc = slot[1]
+            for i, x in xs:
+                acc[i] += w * x
+    out = {}
+    for n, acc in sums.values():
+        v = f.element(acc, den * scale)
+        if not v.is_zero():
+            out[n] = v
+    return out
+
+
 def restrict_z0(phi: JacobiSeries) -> PuiseuxSeries:
     """The restriction z = 0: collapse zeta-powers, keeping the q-exponent."""
-    out = {}
-    for (n, _r), c in phi.terms.items():
-        s = out.get(n)
-        out[n] = c if s is None else s + c
     meta = None
     if phi.meta is not None:
         meta = FormMeta(weight=phi.meta.weight, level=phi.meta.level,
                         character=phi.meta.character, source="restrict_z0")
-    return PuiseuxSeries(out, phi.valid_below, meta)
+    return _assemble(PuiseuxSeries, _collapse(phi), phi.valid_below, meta)
 
 
 def d2_hat(phi: JacobiSeries, k) -> PuiseuxSeries:
@@ -304,15 +331,8 @@ def d2_hat(phi: JacobiSeries, k) -> PuiseuxSeries:
     be applied at any weight.
     """
     k = Fraction(k)
-    out = {}
-    for (n, r), c in phi.terms.items():
-        factor = k * r * r - 4 * n
-        if factor:
-            v = c * factor
-            s = out.get(n)
-            out[n] = v if s is None else s + v
     meta = FormMeta(weight=k + 2, kind="unchecked", source="d2_hat")
-    return PuiseuxSeries(out, phi.valid_below, meta)
+    return _assemble(PuiseuxSeries, _collapse(phi, k), phi.valid_below, meta)
 
 
 def heat_check(m: int, r: int, order) -> bool:
@@ -332,15 +352,17 @@ def theta_decompose(phi: JacobiSeries, m: int) -> list[PuiseuxSeries]:
     if m < 1:
         raise ValueError("index must be a positive integer")
     two_m = 2 * m
-    slots = {}
+    # exponents n - r^2/4m as ints on the grid 1/L
+    L = math.lcm(4 * m, phi.valid_below.denominator, *(n.denominator for n, _r in phi.terms))
+    step = L // (4 * m)
+    slots = [{} for _ in range(two_m)]
     violations = []
     for (n, r), c in phi.terms.items():
-        rr = r % two_m
-        e = n - Fraction(r * r, 4 * m)
-        key = (rr, e)
-        prev = slots.get(key)
+        comp = slots[r % two_m]
+        e = _grid(n, L) - r * r * step
+        prev = comp.get(e)
         if prev is None:
-            slots[key] = (c, (n, r))
+            comp[e] = (c, (n, r))
         elif prev[0] != c:
             violations.append((prev[1], (n, r)))
     if violations:
@@ -349,15 +371,14 @@ def theta_decompose(phi: JacobiSeries, m: int) -> list[PuiseuxSeries]:
     for r in range(two_m):
         rmin = min(r, two_m - r) if r else 0
         bound = phi.valid_below - Fraction(rmin * rmin, 4 * m)
-        terms = {
-            e: c for (rr, e), (c, _) in slots.items() if rr == r and e < bound
-        }
+        top = _grid(bound, L)
+        terms = {Fraction(e, L): c for e, (c, _) in slots[r].items() if e < top}
         meta = FormMeta(index=m, source=f"component({r})")
         if phi.meta is not None and phi.meta.weight is not None:
             meta = FormMeta(weight=phi.meta.weight - Fraction(1, 2), index=m,
                             level=phi.meta.level, character=phi.meta.character,
                             source=f"component({r})")
-        comps.append(PuiseuxSeries(terms, bound, meta))
+        comps.append(_assemble(PuiseuxSeries, terms, bound, meta))
     return comps
 
 

@@ -4,6 +4,10 @@ import subprocess
 import sys
 from fractions import Fraction as F
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from jfkernel.cli import run
 from jfkernel.cyclotomic import imag_unit
 from jfkernel.series import PuiseuxSeries
@@ -211,3 +215,71 @@ def test_installed_entry_point_runs():
         )
         assert proc.returncode == 0, module
         assert proc.stdout == "2*q^(1/4) + 2*q^(9/4)\n"
+
+
+# -- malformed JSON input ----------------------------------------------------------
+
+_TERM = '{"n":"0","r":%s,"coeff":{"num":%s,"den":1}}'
+MALFORMED = {
+    "terms not a list": ("d0", '{"terms": 5, "valid_below": "3"}'),
+    "num longer than the degree": (
+        "d0", '{"terms":[%s],"valid_below":"3"}' % (_TERM % ("0", [0] * 24 + [1]))),
+    "num entry not an integer": ("d0", '{"terms":[%s],"valid_below":"3"}' % (_TERM % ("0", '["a"]'))),
+    "fractional r": ("d0", '{"terms":[%s],"valid_below":"3"}' % (_TERM % ("0.5", "[1]"))),
+    "zero denominator in an exponent": (
+        "d0", '{"terms":[{"n":"1/0","r":0,"coeff":{"num":[1],"den":1}}],"valid_below":"3"}'),
+    "zero coefficient denominator": (
+        "d0", '{"terms":[{"n":"0","r":0,"coeff":{"num":[1],"den":0}}],"valid_below":"3"}'),
+    "pair input not an object": ("lambda2", "5"),
+    "missing component": ("lambda2", "[1]"),
+    "nested too deeply": ("d0", "[" * 100000 + "]" * 100000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_json_exit_2_with_one_line(case, monkeypatch, capsys):
+    command, text = MALFORMED[case]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out = invoke([command, "--in", "-"])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+_KEYS = ["terms", "valid_below", "meta", "exp", "coeff", "n", "r", "num", "den", "order",
+         "weight", "index", "level", "character", "kind", "source"]
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+           | st.text(max_size=6) | st.sampled_from(["1/2", "-7/24", "3", "1/0", "1e5", " 2"]))
+_JSON = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=3), inner, max_size=6),
+    max_leaves=24,
+)
+# near-valid shapes, so that the deeper checks are reached as well
+_SMALL = st.integers(-3, 3)
+_RAT = st.sampled_from(["0", "1/2", "-7/24", "3"]) | _SMALL
+_COEFF = st.fixed_dictionaries(
+    {"num": st.lists(_SMALL, max_size=9) | st.lists(_LEAVES, max_size=3), "den": _SMALL | _LEAVES},
+    optional={"order": st.sampled_from([24, 8, 40]) | _LEAVES})
+_SERIES = st.fixed_dictionaries(
+    {"terms": st.lists(st.fixed_dictionaries(
+        {"exp": _RAT | _LEAVES, "n": _RAT | _LEAVES, "r": _SMALL | _LEAVES, "coeff": _COEFF}),
+        max_size=4),
+     "valid_below": _RAT | _LEAVES},
+    optional={"meta": st.dictionaries(st.sampled_from(_KEYS[10:]), _RAT | _LEAVES)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON | _COEFF | _SERIES)
+def test_decoders_accept_or_raise_value_error(obj):
+    from jfkernel.cyclotomic import CycNumber
+    from jfkernel.jacobi import JacobiSeries
+    from jfkernel.series import FormMeta
+
+    for decode in (CycNumber.from_json, PuiseuxSeries.from_json, JacobiSeries.from_json,
+                   FormMeta.from_json):
+        try:
+            decode(obj)
+        except ValueError:
+            pass

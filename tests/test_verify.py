@@ -183,3 +183,61 @@ def test_resolve_point_independence_fails_on_flipped_scalar(monkeypatch):
                  if r.name == "weil-resolve-point-independence"]
     assert report.status == "fail"
     assert report.witness.startswith("scalar depends on the sample point for ")
+
+
+# -- every identity the series kernels feed can fail ----------------------------
+
+
+def _fails(name, order=6):
+    report = run_identity(name, order, seed=3)
+    assert report.status == "fail", (name, report.witness)
+    assert report.witness, name
+    return report.witness
+
+
+def test_xi_eta6_fails_on_a_wrong_eta_power(monkeypatch):
+    import jfkernel.verify as verify
+
+    monkeypatch.setattr(verify, "eta_power", lambda e, order: -eta_power(e, order))
+    assert _fails("xi-eta6").startswith("first difference at q^1/4: -1/2 vs 1/2")
+
+
+def test_d2_lambda2_fails_when_the_heat_operator_returns_zero(monkeypatch):
+    import jfkernel.verify as verify
+
+    monkeypatch.setattr(verify, "d2_hat", lambda phi, k: PuiseuxSeries.zero(phi.valid_below))
+    assert _fails("d2-lambda2").startswith("pair 0, k=2: first difference at q^")
+
+
+def test_d2_lambdastar_fails_on_a_wrong_wronskian(monkeypatch):
+    import jfkernel.verify as verify
+
+    exact = verify.xi_m_star_hat
+    monkeypatch.setattr(verify, "xi_m_star_hat", lambda m, order: exact(m, order) * 2)
+    assert _fails("d2-lambdastar").startswith("phi 0, m=1, k=2: first difference at q^")
+
+
+def test_lambda2_roundtrip_fails_on_a_wrong_constant(monkeypatch):
+    import jfkernel.verify as verify
+    from jfkernel.jacobi import theta_j
+
+    # lambda2_inv with the middle coefficient -1/2 doubled: the z = 0
+    # restriction no longer cancels
+    exact = verify.lambda2_inv
+
+    def wrong(phi0, phi2, order):
+        t0 = theta_component(2, 0, order)
+        t2 = theta_component(2, 2, order)
+        extra = (phi0 * t0 + phi2 * t2) * F(-1, 2)
+        return exact(phi0, phi2, order) + extra * (theta_j(2, 1, order) + theta_j(2, 3, order))
+
+    monkeypatch.setattr(verify, "lambda2_inv", wrong)
+    assert _fails("lambda2-roundtrip") == "pair 0: restriction does not vanish"
+
+
+def test_lambdastar_roundtrip_fails_on_a_wrong_quotient(monkeypatch):
+    import jfkernel.verify as verify
+
+    exact = verify.lambda_star_fwd
+    monkeypatch.setattr(verify, "lambda_star_fwd", lambda h0, hm, m: exact(h0, hm, m) * 2)
+    assert _fails("lambdastar-roundtrip") == "phi 0, m=1: round trip differs"
