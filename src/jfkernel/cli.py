@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .construct import (
     lambda2_fwd,
@@ -89,7 +90,9 @@ def _read_json(path: str | None):
         raise ValueError("input JSON is nested too deeply") from None
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused by every run."""
     p = argparse.ArgumentParser(
         prog="jfkernel",
         description="Exact theta-decomposition machinery for Jacobi forms.",

@@ -406,13 +406,8 @@ def _coords(*groups):
         for c in g:
             if c.field is not f and f.n % c.field.n:
                 f = cyclotomic_field(lcm(f.n, c.field.n))
-    out = []
-    for g in groups:
-        g = [c if c.field is f else f.embed(c) for c in g]
-        den = lcm(*(c.den for c in g))
-        out.append((den, [[(i, v * (den // c.den)) for i, v in enumerate(c.num) if v]
-                          for c in g]))
-    return f, out
+    return f, [f.sparse_coords([c if c.field is f else f.embed(c) for c in g])
+               for g in groups]
 
 
 def _grid(e: Fraction, L: int) -> int:

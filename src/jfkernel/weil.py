@@ -96,25 +96,42 @@ class UMatrix:
         return UMatrix(self.field, rows, 1, self.resolved, self.index)
 
     def __matmul__(self, other: "UMatrix") -> "UMatrix":
+        """The product, normalised once per entry.
+
+        The entries of ``other``, and those of each row of ``self``, are
+        scaled to one denominator and kept as sparse nonzero coordinates;
+        every k-term of entry (i, j) adds its coordinate convolution into one
+        unreduced int list, so the field reduces and normalises once per
+        entry.  Zero entries cost nothing, so a diagonal or permutation
+        factor costs one convolution per nonzero entry of the result.
+        """
         a, b = self, other
         if a.field is not b.field:
             n = a.field.n * b.field.n // math.gcd(a.field.n, b.field.n)
             big = cyclotomic_field(n)
             a, b = a.embed(big), b.embed(big)
-        size = a.size
+        f, size = a.field, a.size
+        db, cb = f.sparse_coords([c for row in b.rows for c in row])
+        brows = [cb[k * size:(k + 1) * size] for k in range(size)]
+        width = 2 * f.degree - 1
         rows = []
-        for i in range(size):
-            arow = a.rows[i]
-            row = []
-            for j in range(size):
-                acc = a.field.zero
-                for k in range(size):
-                    if not arow[k].is_zero() and not b.rows[k][j].is_zero():
-                        acc = acc + arow[k] * b.rows[k][j]
-                row.append(acc)
-            rows.append(row)
-        return UMatrix(a.field, rows, a.radicand * b.radicand,
-                       resolved=False, index=a.index)
+        for arow in a.rows:
+            da, ca = f.sparse_coords(arow)
+            den = da * db
+            sums = [None] * size
+            for xs, brow in zip(ca, brows):
+                if not xs:
+                    continue
+                for j, ys in enumerate(brow):
+                    if ys:
+                        acc = sums[j]
+                        if acc is None:
+                            acc = sums[j] = [0] * width
+                        for p, x in xs:
+                            for q, y in ys:
+                                acc[p + q] += x * y
+            rows.append([f.zero if acc is None else f.element(acc, den) for acc in sums])
+        return UMatrix(f, rows, a.radicand * b.radicand, resolved=False, index=a.index)
 
     def scale(self, c) -> "UMatrix":
         return UMatrix(self.field, [[x * c for x in row] for row in self.rows],
@@ -308,12 +325,35 @@ def _letter_matrix(m: int, name: str) -> UMatrix:
     raise ValueError(f"unsupported generator letter {name!r}")
 
 
+def _letter_order(m: int, name: str) -> int:
+    """A period of the letter matrix: U(T)^{4m} = U(-I)^4 = U(S)^8 =
+    U(ST2S)^{4m} = 1.
+
+    The first three are exact orders.  U(ST2S)^k = U(S) U(T)^{2k} U(S)
+    U(-I)^{k-1} and U(-I)^2 = -1, so U(ST2S) has order 4m for odd m and 2m
+    for even m.
+    """
+    orders = {"T": 4 * m, "-I": 4, "S": 8, "ST2S": 4 * m}
+    if name not in orders:
+        raise ValueError(f"unsupported generator letter {name!r}")
+    return orders[name]
+
+
+@lru_cache(maxsize=None)
+def _letter_power(m: int, name: str, power: int) -> UMatrix:
+    """U(letter)^power for 0 <= power < _letter_order(m, name)."""
+    return _letter_matrix(m, name) ** power
+
+
 def word_product(m: int, word: GroupWord) -> UMatrix:
-    """Product of generator matrices; unresolved (true matrix up to a scalar)."""
+    """Product of generator matrices; unresolved (true matrix up to a scalar).
+
+    Letter powers are reduced modulo the letter periods, so a negative or
+    huge power costs one cached power of bounded exponent.
+    """
     out = UMatrix.identity(cyclotomic_field(field_order(m)), 2 * m, index=m)
     for name, power in word:
-        g = _letter_matrix(m, name)
-        out = out @ (g ** power)
+        out = out @ _letter_power(m, name, power % _letter_order(m, name))
     return out
 
 

@@ -65,6 +65,36 @@ def test_usage_error_exit_2():
     assert code == 2
 
 
+def test_one_parser_serves_every_run(capsys):
+    # theta (text by default), weil (json by default), a malformed call and
+    # theta again, in one process: each gives what a fresh parser gives
+    from jfkernel.cli import build_parser
+
+    calls = [
+        ["theta", "--m", "2", "--r", "1", "--order", "5", "--at-z0"],
+        ["weil", "--m", "2", "--word", "S T^-3 ST2S"],
+        ["weil", "--m", "2", "--format", "xml", "--word", "S"],
+        ["theta", "--m", "1", "--r", "1", "--order", "4"],
+    ]
+
+    def result(argv):
+        code, out = invoke(argv)
+        return code, out, capsys.readouterr().err
+
+    build_parser.cache_clear()
+    shared = [result(argv) for argv in calls]
+    assert build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(result(argv))
+    assert shared == fresh
+    assert [code for code, _out, _err in shared] == [0, 0, 2, 0]
+    assert shared[0][1] == "q^(1/8) + q^(9/8) + q^(25/8)\n"
+    assert json.loads(shared[1][1])["size"] == 4
+    assert shared[2][1] == "" and "invalid choice: 'xml'" in shared[2][2]
+
+
 def test_weil_resolved_json():
     code, out = invoke([
         "weil", "--m", "2", "--word", "S T T S", "--resolve",

@@ -241,3 +241,73 @@ def test_lambdastar_roundtrip_fails_on_a_wrong_quotient(monkeypatch):
     exact = verify.lambda_star_fwd
     monkeypatch.setattr(verify, "lambda_star_fwd", lambda h0, hm, m: exact(h0, hm, m) * 2)
     assert _fails("lambdastar-roundtrip") == "phi 0, m=1: round trip differs"
+
+
+def _shifted_components(monkeypatch):
+    # theta_{m,r} replaced by theta_{m,r+1}
+    import jfkernel.verify as verify
+
+    exact = verify.theta_component
+    monkeypatch.setattr(verify, "theta_component",
+                        lambda m, r, order: exact(m, (r + 1) % (2 * m), order))
+
+
+def test_eta3_fails_on_a_wrong_eta_power(monkeypatch):
+    import jfkernel.verify as verify
+
+    monkeypatch.setattr(verify, "eta_power", lambda e, order: -eta_power(e, order))
+    assert _fails("eta3") == "first difference at q^1/4: -1 vs 1"
+
+
+def test_theta23_fails_on_shifted_components(monkeypatch):
+    _shifted_components(monkeypatch)
+    assert _fails("theta23") == "first difference at q^0: 0 vs 1"
+
+
+def test_theta12_fails_on_shifted_components(monkeypatch):
+    _shifted_components(monkeypatch)
+    assert _fails("theta12") == "first difference at q^0: 1 vs 0"
+
+
+def test_heat_fails_on_a_theta_function_of_the_wrong_index(monkeypatch):
+    import jfkernel.jacobi as jacobi
+
+    exact = jacobi.theta_j
+    monkeypatch.setattr(jacobi, "theta_j",
+                        lambda m, r, order: exact(m + 1 if m == 3 else m, r, order))
+    assert _fails("heat") == "failing (m, r): [(3, 0), (3, 1), (3, 2), (3, 3), (3, 4), (3, 5)]"
+
+
+def test_xi_bridge_fails_on_a_wrong_constant(monkeypatch):
+    import jfkernel.verify as verify
+
+    exact = verify.derive_bridge_constant
+    monkeypatch.setattr(verify, "derive_bridge_constant", lambda order: exact(order) * 2)
+    assert _fails("xi-bridge") == "first difference at q^5/8: -1 vs -2; resolved constant c = 2"
+
+
+def test_xistar_dilate_fails_on_a_wrong_xi(monkeypatch):
+    import jfkernel.verify as verify
+
+    exact = verify.xi_hat
+    monkeypatch.setattr(verify, "xi_hat", lambda order: -exact(order))
+    assert _fails("xistar-dilate") == "m=1: first difference at q^1/4: -1/2 vs 1/2"
+
+
+def test_block_structure_fails_on_a_wrong_word_product(monkeypatch):
+    # every T^p letter multiplies in U(T)^(p+1): the products leave the
+    # level-m subgroup and the zero pattern breaks; no 24th root of unity
+    # fits the wrong level-2 products, which is a failed check, not an error
+    import jfkernel.weil as weil
+
+    exact = weil._letter_power
+    monkeypatch.setattr(
+        weil, "_letter_power",
+        lambda m, name, p: exact(m, name, (p + 1) % weil._letter_order(m, name) if name == "T" else p))
+    reports = {r.name: r for r in suite_weil(7, words=2)}
+    blocks = reports["weil-block-structure[m=2,3,5]"]
+    assert blocks.status == "fail"
+    assert blocks.witness == "m=2, word T^-1 S T^2 S: zero pattern fails"
+    point = reports["weil-resolve-point-independence"]
+    assert point.status == "fail"
+    assert point.witness.startswith("no scalar fits at tau=(0.11+1.21j) for ")

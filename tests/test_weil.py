@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -19,6 +20,7 @@ from jfkernel.weil import (
     NotInX,
     UMatrix,
     _letter_matrix,
+    _letter_order,
     block_rows_vanish,
     cusp_entry_values,
     field_order,
@@ -36,6 +38,47 @@ from jfkernel.weil import (
 
 I = imag_unit()
 Z8 = CYC24.zeta(3)
+LETTERS = ("S", "T", "-I", "ST2S")
+
+
+def _matmul_reference(a, b):
+    """The entry-by-entry triple loop over CycNumber products and sums."""
+    if a.field is not b.field:
+        n = a.field.n * b.field.n // math.gcd(a.field.n, b.field.n)
+        big = cyclotomic_field(n)
+        a, b = a.embed(big), b.embed(big)
+    size = a.size
+    rows = []
+    for i in range(size):
+        arow = a.rows[i]
+        row = []
+        for j in range(size):
+            acc = a.field.zero
+            for k in range(size):
+                if not arow[k].is_zero() and not b.rows[k][j].is_zero():
+                    acc = acc + arow[k] * b.rows[k][j]
+            row.append(acc)
+        rows.append(row)
+    return UMatrix(a.field, rows, a.radicand * b.radicand,
+                   resolved=False, index=a.index)
+
+
+def _reference_word_product(m, word):
+    """Left to right, one letter (or its conjugate transpose) at a time."""
+    out = UMatrix.identity(cyclotomic_field(field_order(m)), 2 * m, index=m)
+    for name, power in word:
+        g = _letter_matrix(m, name)
+        if power < 0:
+            g = g.conj_transpose()
+        for _ in range(abs(power)):
+            out = _matmul_reference(out, g)
+    return out
+
+
+def _assert_same_product(a, b):
+    got, want = a @ b, _matmul_reference(a, b)
+    assert got.field is want.field
+    assert got.rows == want.rows and got.radicand == want.radicand
 
 
 def test_displayed_generators():
@@ -199,10 +242,10 @@ def test_letter_matrices_are_true_multipliers():
 
 def test_word_product_is_left_to_right_letter_product():
     rng = random.Random(37)
-    for m in (1, 2, 3, 5):
+    small, large = (-3, -2, -1, 1, 2, 3), (-9, -8, -7, -6, -5, -4, 4, 5, 6, 7, 8, 9)
+    for m, powers in [(1, small), (2, small), (3, small), (5, small), (7, large)]:
         for _ in range(3):
-            w = GroupWord.of(*((rng.choice(("S", "T", "-I", "ST2S")), rng.choice((-3, -2, -1, 1, 2, 3)))
-                               for _ in range(5)))
+            w = GroupWord.of(*((rng.choice(LETTERS), rng.choice(powers)) for _ in range(5)))
             out = UMatrix.identity(cyclotomic_field(field_order(m)), 2 * m)
             for name, power in w:
                 g = _letter_matrix(m, name)
@@ -211,6 +254,89 @@ def test_word_product_is_left_to_right_letter_product():
                 for _ in range(abs(power)):
                     out = out @ g
             assert word_product(m, w) == out, (m, str(w))
+
+
+def test_matmul_matches_reference_on_letters_and_words():
+    rng = random.Random(41)
+    for m in (1, 2, 3, 5, 7):
+        letters = [_letter_matrix(m, name) for name in LETTERS]
+        for a in letters:
+            for b in letters:
+                _assert_same_product(a, b)
+        words = [word_product(m, GroupWord.of(*((rng.choice(LETTERS), rng.choice((-2, -1, 1, 2, 3)))
+                                                 for _ in range(4))))
+                 for _ in range(20)]
+        for a, b in zip(words, words[1:] + words[:1]):
+            _assert_same_product(a, b)
+        for a, b in zip(words, letters * 5):
+            _assert_same_product(a, b)
+        for a, b in zip(letters, words):
+            _assert_same_product(a, b)
+
+
+def test_matmul_matches_reference_on_special_entries():
+    st2s = u_gen(2, "ST2S")
+    assert {c.den for row in st2s.rows for c in row} == {1, 2}
+    _assert_same_product(st2s, st2s)
+    _assert_same_product(st2s, u_gen(2, "S"))
+    # radicand-2m factors: the radicand product folds its square part
+    for m in (1, 3, 5, 7):
+        s = u_gen_general(m, "S")
+        assert s.radicand == 2 * m
+        _assert_same_product(s, s)
+        _assert_same_product(s, s @ u_gen_general(m, "T"))
+    zero = UMatrix(CYC24, [[CYC24.zero] * 4 for _ in range(4)])
+    _assert_same_product(zero, u_gen(2, "S"))
+    _assert_same_product(u_gen(2, "T"), zero)
+    assert (zero @ zero).rows == zero.rows
+    # Q(zeta_24) x Q(zeta_120): both operands embed into Q(zeta_120)
+    rng = random.Random(43)
+    f120 = cyclotomic_field(120)
+    mixed = UMatrix(f120, [[f120.element([rng.randint(-3, 3) for _ in range(32)], rng.randint(1, 6))
+                            for _ in range(4)] for _ in range(4)], 3)
+    _assert_same_product(u_gen(2, "S"), mixed)
+    _assert_same_product(mixed, u_gen(2, "ST2S"))
+    assert (u_gen(2, "S") @ mixed).field is f120
+
+
+def test_letter_orders():
+    for m in range(1, 8):
+        for name in LETTERS:
+            g = _letter_matrix(m, name)
+            assert g ** _letter_order(m, name) == UMatrix.identity(g.field, 2 * m), (m, name)
+
+
+def test_word_product_reduces_letter_powers_by_their_orders():
+    for m in (1, 2, 3, 5):
+        for k in (-3, -1, 0, 1, 2, 5):
+            for name, period in (("T", 4 * m), ("S", 8), ("-I", 4), ("ST2S", 8 * m)):
+                base = word_product(m, GroupWord.of(("S", 1), (name, k), ("T", 1)))
+                for shift in (period, -period, 10 ** 6 * period, -10 ** 6 * period):
+                    shifted = word_product(m, GroupWord.of(("S", 1), (name, k + shift), ("T", 1)))
+                    assert shifted.rows == base.rows and shifted.radicand == base.radicand, \
+                        (m, name, k, shift)
+
+
+def test_word_product_m7_matches_reference():
+    # Q(zeta_168), degree 48, 14 x 14 matrices
+    rng = random.Random(47)
+    w = GroupWord.of(*((("S", "T")[i % 2], rng.choice((-3, -2, -1, 1, 2, 3))) for i in range(12)))
+    start = time.perf_counter()
+    W = word_product(7, w)
+    assert time.perf_counter() - start < 2.0
+    assert W.field.n == 168 and W.field.degree == 48 and W.size == 14
+    ref = _reference_word_product(7, w)
+    assert W.rows == ref.rows and W.radicand == ref.radicand
+
+
+def test_resolve_m7_with_entries_near_a_million_is_unitary():
+    c, d = 1000003, 314159
+    a = pow(d, -1, c)
+    gamma = SL2Mat(a, (a * d - 1) // c, c, d)
+    start = time.perf_counter()
+    U = resolve(7, sl2_word(gamma))
+    assert time.perf_counter() - start < 2.0
+    assert U @ U.conj_transpose() == UMatrix.identity(U.field, 14)
 
 
 def test_umatrix_folds_square_part_of_radicand():
