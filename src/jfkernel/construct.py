@@ -181,6 +181,18 @@ def lambda2_inv(phi0: PuiseuxSeries, phi2: PuiseuxSeries, order) -> JacobiSeries
 # Squarefree index: the scalar quotient and its inverse
 
 
+def _common_quotient(a1, b1, a2, b2, error):
+    """a1/b1, checked term-exactly against a2/b2 below the lesser of the two
+    quotient bounds and truncated there; ``error(q1, q2, bound)`` is the
+    exception raised when the quotients differ."""
+    q1 = div_exact(a1, b1)
+    q2 = div_exact(a2, b2)
+    bound = min(q1.valid_below, q2.valid_below)
+    if not q1.same_below(q2, bound):
+        raise error(q1, q2, bound)
+    return q1.truncate(bound)
+
+
 def lambda_star_fwd(h_m0: PuiseuxSeries, h_mm: PuiseuxSeries, m: int) -> PuiseuxSeries:
     """The common quotient h_{m,0}/theta_{m,m} = -h_{m,m}/theta_{m,0}.
 
@@ -190,14 +202,9 @@ def lambda_star_fwd(h_m0: PuiseuxSeries, h_mm: PuiseuxSeries, m: int) -> Puiseux
     order = max(h_m0.valid_below, h_mm.valid_below) + m
     t0 = theta_component(m, 0, order)
     tm = theta_component(m, m, order)
-    q1 = div_exact(h_m0, tm)
-    q2 = div_exact(-h_mm, t0)
-    bound = min(q1.valid_below, q2.valid_below)
-    if not q1.same_below(q2, bound):
-        raise InconsistentPair(
-            f"quotients differ at q^{q1.first_difference(q2, bound)}"
-        )
-    return q1.truncate(bound)
+    return _common_quotient(
+        h_m0, tm, -h_mm, t0,
+        lambda q1, q2, bound: InconsistentPair(f"quotients differ at q^{q1.first_difference(q2, bound)}"))
 
 
 def lambda_star_inv(phi: PuiseuxSeries, m: int, order) -> JacobiSeries:
@@ -239,12 +246,9 @@ def psi_form(phi0: PuiseuxSeries, phi2: PuiseuxSeries, order=None) -> PuiseuxSer
         raise CompatibilityFailed(
             f"phi0 xi0 + phi2 xi2 has a term at q^{combo.val()}"
         )
-    q1 = div_exact(phi0, xi2)
-    q2 = div_exact(-phi2, xi0)
-    bound = min(q1.valid_below, q2.valid_below)
-    if not q1.same_below(q2, bound):
-        raise CompatibilityFailed("the two psi quotients disagree")
-    return q1.truncate(bound).with_meta(FormMeta(kind="unchecked", source="psi_form"))
+    q = _common_quotient(phi0, xi2, -phi2, xi0,
+                         lambda *_: CompatibilityFailed("the two psi quotients disagree"))
+    return q.with_meta(FormMeta(kind="unchecked", source="psi_form"))
 
 
 def psi_0m(phi: JacobiSeries, m: int) -> JacobiSeries:
@@ -285,12 +289,9 @@ def remark_maps(pair: VVPair, direction: str):
             raise ConstraintFailed(
                 f"phi0 th20 + phi2 th22 has a term at q^{combo.val()}"
             )
-        q1 = div_exact(pair.comp0 * t1, t2)
-        q2 = div_exact(-(pair.comp2 * t1), t0)
-        bound = min(q1.valid_below, q2.valid_below)
-        if not q1.same_below(q2, bound):
-            raise ConstraintFailed("the two quotients disagree")
-        return q1.truncate(bound).with_meta(FormMeta(source="remark_r4"))
+        q = _common_quotient(pair.comp0 * t1, t2, -(pair.comp2 * t1), t0,
+                             lambda *_: ConstraintFailed("the two quotients disagree"))
+        return q.with_meta(FormMeta(source="remark_r4"))
     raise ValueError(f"unknown direction {direction!r}")
 
 

@@ -11,11 +11,12 @@ machinery attached to an index m:
   well defined doubling as a validity check.
 
 zeta-powers are integers throughout; only the q-exponents are rational.
-``terms`` maps (Fraction q-exponent, int zeta-power) to the coefficient.
-Products share the one-variable kernel of :mod:`jfkernel.series`, and the
-restriction and heat operator share :func:`_collapse`: inside both the
-q-exponents are ints on a common grid and coefficients add up as unreduced
-integer coordinates, normalised once per output term.
+:class:`JacobiSeries` is the series core of :mod:`jfkernel.series` with
+(Fraction q-exponent, int zeta-power) keys, so it shares the one-variable
+constructor, arithmetic, comparison and product kernel.  The restriction
+and heat operator share :func:`_collapse`: inside both the q-exponents are
+ints on a common grid and coefficients add up as unreduced integer
+coordinates, normalised once per output term.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 from .cyclotomic import CYC24, CycNumber, _is_int, coerce24
 from .series import (
@@ -34,10 +36,8 @@ from .series import (
     _frac_str,
     _grid,
     _json_rational,
-    _product,
-    _scaled,
-    _sum_terms,
-    _terms_json,
+    _q_text,
+    _Series,
 )
 
 
@@ -53,176 +53,88 @@ class DecompositionInconsistent(ValueError):
         super().__init__(f"inconsistent theta components at {witnesses[:3]}")
 
 
-class JacobiSeries:
+class JacobiSeries(_Series):
     """Sparse truncated series in (q, zeta); immutable by convention.
 
     ``terms`` maps (q-exponent, zeta-power) to a Q(zeta_24) coefficient;
     ``valid_below`` bounds the known q-exponents exactly as for
-    :class:`~jfkernel.series.PuiseuxSeries`.
+    :class:`~jfkernel.series.PuiseuxSeries`.  A one-variable operand of
+    ``+``, ``-`` or ``*`` is lifted to zeta-power 0.
     """
 
-    __slots__ = ("terms", "valid_below", "meta")
+    __slots__ = ()
 
-    def __init__(self, terms, valid_below, meta: FormMeta | None = None):
-        vb = Fraction(valid_below)
-        clean = {}
-        for key, c in terms.items() if isinstance(terms, dict) else terms:
-            n, r = key
-            n = Fraction(n)
-            if n >= vb:
-                continue
-            c = coerce24(c)
-            if not c.is_zero():
-                clean[(n, int(r))] = c
-        self.terms = clean
-        self.valid_below = vb
-        self.meta = meta
+    # a constant term prints in parentheses: (1+i), not 1+i
+    _bare_constant = False
+    _qexp = staticmethod(itemgetter(0))
 
     @staticmethod
-    def zero(valid_below, meta=None) -> "JacobiSeries":
-        return JacobiSeries({}, valid_below, meta)
+    def _key(key):
+        n, r = key
+        return Fraction(n), int(r)
 
     @staticmethod
     def from_puiseux(a: PuiseuxSeries) -> "JacobiSeries":
         return _assemble(JacobiSeries, {(e, 0): c for e, c in a.terms.items()}, a.valid_below, a.meta)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def q_val(self) -> Fraction:
-        return min((n for n, _ in self.terms), default=self.valid_below)
-
     def coeff(self, n, r) -> CycNumber:
         return self.terms.get((Fraction(n), int(r)), CYC24.zero)
 
-    def items_sorted(self):
-        return sorted(self.terms.items(), key=lambda t: (t[0][0], t[0][1]))
-
-    def with_meta(self, meta) -> "JacobiSeries":
-        return _assemble(JacobiSeries, self.terms, self.valid_below, meta)
-
-    # -- equality ---------------------------------------------------------
-
-    def same_below(self, other, bound=None) -> bool:
-        if bound is None:
-            bound = min(self.valid_below, other.valid_below)
-        bound = Fraction(bound)
-        if bound > self.valid_below or bound > other.valid_below:
-            raise ValueError("comparison bound exceeds a validity bound")
-        for (n, r), c in self.terms.items():
-            if n < bound and other.terms.get((n, r)) != c:
-                return False
-        for (n, r), c in other.terms.items():
-            if n < bound and (n, r) not in self.terms:
-                return False
-        return True
-
-    def __eq__(self, other):
-        if not isinstance(other, JacobiSeries):
-            return NotImplemented
-        return self.valid_below == other.valid_below and self.terms == other.terms
-
-    __hash__ = None
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
+    def _operand(self, other):
         if isinstance(other, PuiseuxSeries):
-            other = JacobiSeries.from_puiseux(other)
-        if not isinstance(other, JacobiSeries):
-            return NotImplemented
-        vb = min(self.valid_below, other.valid_below)
-        return _assemble(JacobiSeries, _sum_terms(self, other, vb, lambda k: k[0]), vb, None)
+            return JacobiSeries.from_puiseux(other)
+        return other if isinstance(other, JacobiSeries) else None
 
-    def __sub__(self, other):
-        return self + (-other)
+    def __radd__(self, other):
+        other = self._operand(other)
+        return NotImplemented if other is None else other + self
 
-    def __neg__(self):
-        return _assemble(JacobiSeries, {k: -c for k, c in self.terms.items()},
-                         self.valid_below, self.meta)
+    def _triples(self):
+        return [(n, r, c) for (n, r), c in self.terms.items()]
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycNumber)):
-            return _assemble(JacobiSeries, _scaled(self.terms, other), self.valid_below, self.meta)
-        if isinstance(other, PuiseuxSeries):
-            other = JacobiSeries.from_puiseux(other)
-        if not isinstance(other, JacobiSeries):
-            return NotImplemented
-        vb = min(self.valid_below + other.q_val(), other.valid_below + self.q_val())
-        out = _product([(n, r, c) for (n, r), c in self.terms.items()],
-                       [(n, r, c) for (n, r), c in other.terms.items()], vb)
-        return _assemble(JacobiSeries, {(n, r): c for n, r, c in out}, vb,
-                         _mul_meta(self.meta, other.meta))
+    @staticmethod
+    def _from_triples(out):
+        return {(n, r): c for n, r, c in out}
 
-    __rmul__ = __mul__
+    @staticmethod
+    def _mul_meta(a: FormMeta | None, b: FormMeta | None) -> FormMeta | None:
+        if a is None or b is None:
+            return None
+        weight = a.weight + b.weight if a.weight is not None and b.weight is not None else None
+        index = a.index + b.index if a.index is not None and b.index is not None else None
+        return FormMeta(weight=weight, index=index)
 
-    # -- rendering / serialization -------------------------------------------
+    @staticmethod
+    def _mono(key):
+        n, r = key
+        z = "" if r == 0 else "z" if r == 1 else f"z^{r}" if r > 0 else f"z^({r})"
+        return "*".join(x for x in (_q_text(n), z) if x)
 
-    def __repr__(self):
-        return f"<JacobiSeries {len(self.terms)} terms below q^{self.valid_below}>"
+    @staticmethod
+    def _term_json(key, coeff):
+        return {"n": _frac_str(key[0]), "r": key[1], "coeff": coeff}
 
-    def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (n, r), c in self.items_sorted():
-            if n == 0:
-                qpart = ""
-            elif n.denominator == 1:
-                qpart = "q" if n == 1 else f"q^{n.numerator}"
-            else:
-                qpart = f"q^({n.numerator}/{n.denominator})"
-            if r == 0:
-                zpart = ""
-            elif r == 1:
-                zpart = "z"
-            else:
-                zpart = f"z^{r}" if r > 0 else f"z^({r})"
-            mono = "*".join(x for x in (qpart, zpart) if x) or "1"
-            cs = str(c)
-            if cs == "1" and mono != "1":
-                parts.append(mono)
-            elif cs == "-1" and mono != "1":
-                parts.append("-" + mono)
-            else:
-                if ("+" in cs[1:]) or ("-" in cs[1:]) or "[" in cs:
-                    cs = f"({cs})"
-                parts.append(cs if mono == "1" else f"{cs}*{mono}")
-        text = parts[0]
-        for p in parts[1:]:
-            text += " - " + p[1:] if p.startswith("-") else " + " + p
-        return text
-
-    def to_json(self):
-        return {
-            "valid_below": _frac_str(self.valid_below),
-            "terms": [
-                {"n": _frac_str(n), "r": r, "coeff": c.to_json()}
-                for (n, r), c in self.items_sorted()
-            ],
-            "meta": self.meta.to_json() if self.meta is not None else None,
-        }
+    @staticmethod
+    def _key_from_json(t):
+        r = _entry(t, "r", "series term")
+        if not _is_int(r):
+            raise ValueError(f"term r must be an integer, got {r!r}")
+        return _json_rational(_entry(t, "n", "series term"), "term n"), r
 
     @staticmethod
     def from_json(obj) -> "JacobiSeries":
         """Decode :meth:`to_json` output; malformed input raises ValueError."""
-        items, vb, meta = _terms_json(obj, "two-variable series")
-        terms = {}
-        for t in items:
-            r = _entry(t, "r", "series term")
-            if not _is_int(r):
-                raise ValueError(f"term r must be an integer, got {r!r}")
-            n = _json_rational(_entry(t, "n", "series term"), "term n")
-            terms[(n, r)] = CycNumber.from_json(_entry(t, "coeff", "series term"))
-        return JacobiSeries(terms, vb, meta)
+        return JacobiSeries._from_json(obj, "two-variable series")
 
+    def __repr__(self):
+        return f"<JacobiSeries {len(self.terms)} terms below q^{self.valid_below}>"
 
-def _mul_meta(a: FormMeta | None, b: FormMeta | None) -> FormMeta | None:
-    if a is None or b is None:
-        return None
-    weight = a.weight + b.weight if a.weight is not None and b.weight is not None else None
-    index = a.index + b.index if a.index is not None and b.index is not None else None
-    return FormMeta(weight=weight, index=index)
+    __add__ = _Series.__add__
+    __sub__ = _Series.__sub__
+    __neg__ = _Series.__neg__
+    __mul__ = __rmul__ = _Series.__mul__
+    same_below = _Series.same_below
+    to_json = _Series.to_json
 
 
 # ---------------------------------------------------------------------------
@@ -409,19 +321,11 @@ def tau_shift(a):
     Needs every exponent denominator to divide 24 so the phase stays inside
     Q(zeta_24).
     """
-    if isinstance(a, PuiseuxSeries):
-        items = a.terms.items()
-        build = lambda terms: PuiseuxSeries(terms, a.valid_below, a.meta)
-        keyed = [((e,), e, c) for e, c in items]
-    else:
-        keyed = [((n, r), n, c) for (n, r), c in a.terms.items()]
-        build = lambda terms: JacobiSeries(terms, a.valid_below, a.meta)
     out = {}
-    for key, e, c in keyed:
+    for k, c in a.terms.items():
+        e = a._qexp(k)
         frac = e - math.floor(e)
         if 24 % frac.denominator:
             raise ValueError(f"exponent {e} leaves Q(zeta_24) under the shift")
-        phase = CYC24.zeta(int(24 * frac) % 24)
-        k = key[0] if len(key) == 1 else key
-        out[k] = c * phase
-    return build(out)
+        out[k] = c * CYC24.zeta(int(24 * frac) % 24)
+    return type(a)(out, a.valid_below, a.meta)

@@ -20,6 +20,7 @@ import cmath
 import math
 
 from .cyclotomic import CYC24
+from .jacobi import JacobiSeries
 
 TWO_PI = 2 * math.pi
 
@@ -53,16 +54,16 @@ def eval_series(series, tau: complex, z: complex | None = None,
     if y < min_im:
         raise TailTooLarge(f"Im tau = {y} below {min_im}")
     qlog = -TWO_PI * y
-    two_var = hasattr(series, "q_val") and z is not None
+    two_var = isinstance(series, JacobiSeries)
     zmag = 0.0
-    if hasattr(series, "q_val"):
+    if two_var and z is not None:
         rmax = max((abs(r) for (_n, r) in series.terms), default=0)
-        zmag = TWO_PI * rmax * abs(z.imag) if z is not None else 0.0
+        zmag = TWO_PI * rmax * abs(z.imag)
     tail = math.exp(qlog * float(series.valid_below) + zmag) * (len(series.terms) + 1)
     if tail > 1e-14:
         raise TailTooLarge(f"tail bound {tail:.2e} at Im tau = {y}")
     total = 0j
-    if hasattr(series, "q_val"):
+    if two_var:
         zz = z if z is not None else 0j
         for (n, r), c in series.terms.items():
             total += c.to_complex() * cmath.exp(2j * math.pi * (float(n) * tau + r * zz))

@@ -2,12 +2,15 @@
 
 Exponents are exact rationals (denominators 24 for eta, r^2/4m for theta
 components, and whatever products create), coefficients live in Q(zeta_24).
-``terms`` maps each ``Fraction`` exponent to its coefficient.  Inside the
-kernels (:func:`_product`, :func:`div_exact`, and the heat operator and
-restriction in :mod:`jfkernel.jacobi`) exponents are plain ints on the grid
-1/L common to the operands and the bound, and coefficients add up as
-unreduced integer coordinate vectors over one denominator, so the field
-normalises once per output term, not once per pair of input terms.
+``terms`` maps each ``Fraction`` exponent to its coefficient.  The core
+class :class:`_Series` holds everything that does not depend on the shape
+of a key; the two-variable series of :mod:`jfkernel.jacobi` is the same
+core with (exponent, zeta-power) keys.  Inside the kernels
+(:func:`_product`, :func:`div_exact`, and the heat operator and restriction
+in :mod:`jfkernel.jacobi`) exponents are plain ints on the grid 1/L common
+to the operands and the bound, and coefficients add up as unreduced integer
+coordinate vectors over one denominator, so the field normalises once per
+output term, not once per pair of input terms.
 
 A series carries a validity bound ``valid_below``: all terms with exponent
 strictly below the bound are exactly known, nothing is asserted at or above
@@ -136,46 +139,39 @@ def _terms_json(obj, what):
     return terms, _json_rational(_entry(obj, "valid_below", what), f"{what} valid_below"), meta
 
 
-def _as_coeff(c) -> CycNumber:
-    return coerce24(c)
+class _Series:
+    """The sparse truncated series core of :class:`PuiseuxSeries` and
+    :class:`~jfkernel.jacobi.JacobiSeries`.
 
+    ``terms`` maps a key to a nonzero coefficient.  A subclass fixes the
+    shape of a key, and :meth:`_qexp` gives the key's q-exponent, which is
+    what ``valid_below`` bounds.  Instances are treated as immutable;
+    operations return new series and never modify their arguments.
 
-class PuiseuxSeries:
-    """A truncated q-series with rational exponents and Q(zeta_24) coefficients.
-
-    Instances are treated as immutable; operations return new series and
-    never modify their arguments.
+    Each subclass binds the shared operators in its own body, so that
+    ``bench/tracer.py`` can wrap them per class.
     """
 
     __slots__ = ("terms", "valid_below", "meta")
 
     def __init__(self, terms, valid_below, meta: FormMeta | None = None):
         vb = Fraction(valid_below)
+        key, qexp = self._key, self._qexp
         clean = {}
-        for e, c in terms.items() if isinstance(terms, dict) else terms:
-            e = Fraction(e)
-            if e >= vb:
+        for k, c in terms.items() if isinstance(terms, dict) else terms:
+            k = key(k)
+            if qexp(k) >= vb:
                 continue
-            c = _as_coeff(c)
+            c = coerce24(c)
             if not c.is_zero():
-                clean[e] = c
+                clean[k] = c
         self.terms = clean
         self.valid_below = vb
         self.meta = meta
 
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def zero(valid_below, meta=None) -> "PuiseuxSeries":
-        return PuiseuxSeries({}, valid_below, meta)
-
-    @staticmethod
-    def one(valid_below, meta=None) -> "PuiseuxSeries":
-        return PuiseuxSeries({Fraction(0): CYC24.one}, valid_below, meta)
-
-    @staticmethod
-    def monomial(coeff, exponent, valid_below, meta=None) -> "PuiseuxSeries":
-        return PuiseuxSeries({Fraction(exponent): coeff}, valid_below, meta)
+    @classmethod
+    def zero(cls, valid_below, meta=None):
+        return cls({}, valid_below, meta)
 
     # -- structure ----------------------------------------------------------
 
@@ -183,27 +179,25 @@ class PuiseuxSeries:
         return not self.terms
 
     def val(self) -> Fraction:
-        """Least stored exponent; for the zero series, the validity bound."""
-        return min(self.terms) if self.terms else self.valid_below
-
-    def coeff(self, exponent) -> CycNumber:
-        return self.terms.get(Fraction(exponent), CYC24.zero)
+        """Least stored q-exponent; for the zero series, the validity bound."""
+        return min(map(self._qexp, self.terms), default=self.valid_below)
 
     def items_sorted(self):
         return sorted(self.terms.items(), key=lambda t: t[0])
 
-    def exponents(self):
-        return sorted(self.terms)
+    def with_meta(self, meta: FormMeta | None):
+        return _assemble(type(self), self.terms, self.valid_below, meta)
 
-    def with_meta(self, meta: FormMeta | None) -> "PuiseuxSeries":
-        return _assemble(PuiseuxSeries, self.terms, self.valid_below, meta)
-
-    def truncate(self, bound) -> "PuiseuxSeries":
-        """Restrict to exponents below ``bound`` (must not exceed the bound)."""
+    def truncate(self, bound):
+        """Restrict to q-exponents below ``bound`` (must not exceed the bound)."""
         bound = Fraction(bound)
         if bound > self.valid_below:
             raise ValueError("cannot extend a series beyond its validity bound")
-        return PuiseuxSeries(self.terms, bound, self.meta)
+        return type(self)(self.terms, bound, self.meta)
+
+    def _operand(self, other):
+        """``other`` as a series of this class, or None."""
+        return other if isinstance(other, type(self)) else None
 
     # -- equality -----------------------------------------------------------
 
@@ -221,29 +215,29 @@ class PuiseuxSeries:
         bound = Fraction(bound)
         if bound > self.valid_below or bound > other.valid_below:
             raise ValueError("comparison bound exceeds a validity bound")
-        for e, c in self.terms.items():
-            if e < bound and other.terms.get(e) != c:
+        qexp = self._qexp
+        for k, c in self.terms.items():
+            if qexp(k) < bound and other.terms.get(k) != c:
                 return False
-        for e, c in other.terms.items():
-            if e < bound and e not in self.terms:
+        for k in other.terms:
+            if qexp(k) < bound and k not in self.terms:
                 return False
         return True
 
     def first_difference(self, other, bound=None):
-        """Smallest exponent below ``bound`` where the two series differ."""
+        """Smallest key below ``bound`` where the two series differ."""
         if bound is None:
             bound = self.agreement_bound(other)
         bound = Fraction(bound)
-        exps = set(self.terms) | set(other.terms)
-        for e in sorted(exps):
-            if e >= bound:
+        for k in sorted(set(self.terms) | set(other.terms)):
+            if self._qexp(k) >= bound:
                 break
-            if self.terms.get(e, CYC24.zero) != other.terms.get(e, CYC24.zero):
-                return e
+            if self.terms.get(k, CYC24.zero) != other.terms.get(k, CYC24.zero):
+                return k
         return None
 
     def __eq__(self, other):
-        if not isinstance(other, PuiseuxSeries):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.valid_below == other.valid_below and self.terms == other.terms
 
@@ -252,98 +246,175 @@ class PuiseuxSeries:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, PuiseuxSeries):
+        """Sum; self's keys first, and only sums that cancel are dropped.  A
+        series whose own bound is the result's needs no filtering, and
+        copying its dict reuses the stored key hashes."""
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
         vb = min(self.valid_below, other.valid_below)
-        return _assemble(PuiseuxSeries, _sum_terms(self, other, vb, lambda e: e), vb, None)
+        qexp = self._qexp
+
+        def below(s):
+            if s.valid_below == vb:
+                return s.terms
+            return {k: c for k, c in s.terms.items() if qexp(k) < vb}
+
+        out = dict(below(self))
+        summed = []
+        for k, c in below(other).items():
+            n = len(out)
+            s = out.setdefault(k, c)
+            if len(out) == n:
+                out[k] = s + c
+                summed.append(k)
+        for k in summed:
+            if out[k].is_zero():
+                del out[k]
+        return _assemble(type(self), out, vb, None)
 
     def __sub__(self, other):
-        if not isinstance(other, PuiseuxSeries):
+        if not isinstance(other, _Series):
             return NotImplemented
         return self + (-other)
 
     def __neg__(self):
-        return _assemble(PuiseuxSeries, {e: -c for e, c in self.terms.items()},
+        return _assemble(type(self), {k: -c for k, c in self.terms.items()},
                          self.valid_below, self.meta)
 
     def __mul__(self, other):
-        if isinstance(other, PuiseuxSeries):
-            vb = min(self.valid_below + other.val(), other.valid_below + self.val())
-            out = _product([(e, 0, c) for e, c in self.terms.items()],
-                           [(e, 0, c) for e, c in other.terms.items()], vb)
-            return _assemble(PuiseuxSeries, {e: c for e, _r, c in out}, vb, None)
         if isinstance(other, (int, Fraction, CycNumber)):
-            return _assemble(PuiseuxSeries, _scaled(self.terms, other), self.valid_below, self.meta)
-        return NotImplemented
+            if not other:
+                terms = {}
+            elif isinstance(other, CycNumber):
+                terms = {k: c * other for k, c in self.terms.items()}
+            else:
+                terms = {k: c.scale(other) for k, c in self.terms.items()}
+            return _assemble(type(self), terms, self.valid_below, self.meta)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        vb = min(self.valid_below + other.val(), other.valid_below + self.val())
+        out = _product(self._triples(), other._triples(), vb)
+        return _assemble(type(self), self._from_triples(out), vb,
+                         self._mul_meta(self.meta, other.meta))
 
     __rmul__ = __mul__
 
     # -- rendering ------------------------------------------------------------
 
-    def __str__(self):
-        return self.to_text()
-
-    def __repr__(self):
-        return f"<PuiseuxSeries {self.to_text(max_terms=6)} (below q^{self.valid_below})>"
-
-    def to_text(self, var: str = "q", max_terms: int | None = None) -> str:
+    def to_text(self, max_terms: int | None = None) -> str:
         items = self.items_sorted()
+        tail = ""
         if max_terms is not None and len(items) > max_terms:
-            items = items[:max_terms]
-            tail = " + ..."
-        else:
-            tail = ""
+            items, tail = items[:max_terms], " + ..."
         if not items:
             return "0"
-        parts = []
-        for e, c in items:
-            parts.append(_term_text(c, e, var))
-        text = parts[0] if not parts[0].startswith("+") else parts[0][1:]
+        parts = [self._term_text(k, c) for k, c in items]
+        text = parts[0]
         for p in parts[1:]:
-            if p.startswith("-"):
-                text += " - " + p[1:]
-            else:
-                text += " + " + p
+            text += " - " + p[1:] if p.startswith("-") else " + " + p
         return text + tail
+
+    def _term_text(self, key, c: CycNumber) -> str:
+        mono = self._mono(key)
+        cs = str(c)
+        if mono and cs in ("1", "-1"):
+            return cs[:-1] + mono
+        if (mono or not self._bare_constant) and ("+" in cs[1:] or "-" in cs[1:] or "[" in cs):
+            cs = f"({cs})"
+        return f"{cs}*{mono}" if mono else cs
 
     # -- serialization ----------------------------------------------------------
 
     def to_json(self):
         return {
             "valid_below": _frac_str(self.valid_below),
-            "terms": [
-                {"exp": _frac_str(e), "coeff": c.to_json()} for e, c in self.items_sorted()
-            ],
+            "terms": [self._term_json(k, c.to_json()) for k, c in self.items_sorted()],
             "meta": self.meta.to_json() if self.meta is not None else None,
         }
+
+    @classmethod
+    def _from_json(cls, obj, what):
+        """Decode :meth:`to_json` output; malformed input raises ValueError."""
+        items, vb, meta = _terms_json(obj, what)
+        terms = {cls._key_from_json(t): CycNumber.from_json(_entry(t, "coeff", "series term"))
+                 for t in items}
+        return cls(terms, vb, meta)
+
+
+def _q_text(e: Fraction) -> str:
+    """The monomial q^e, or "" for e = 0."""
+    if e == 0:
+        return ""
+    if e.denominator == 1:
+        return "q" if e == 1 else f"q^{e.numerator}"
+    return f"q^({e.numerator}/{e.denominator})"
+
+
+class PuiseuxSeries(_Series):
+    """A truncated q-series with rational exponents and Q(zeta_24)
+    coefficients; ``terms`` maps each ``Fraction`` exponent to its
+    coefficient."""
+
+    __slots__ = ()
+
+    _key = Fraction
+    # a constant term prints without parentheses: 1+i, not (1+i)
+    _bare_constant = True
+    _mono = staticmethod(_q_text)
+
+    @staticmethod
+    def _qexp(e):
+        return e
+
+    @staticmethod
+    def one(valid_below, meta=None) -> "PuiseuxSeries":
+        return PuiseuxSeries({Fraction(0): CYC24.one}, valid_below, meta)
+
+    @staticmethod
+    def monomial(coeff, exponent, valid_below, meta=None) -> "PuiseuxSeries":
+        return PuiseuxSeries({Fraction(exponent): coeff}, valid_below, meta)
+
+    def coeff(self, exponent) -> CycNumber:
+        return self.terms.get(Fraction(exponent), CYC24.zero)
+
+    def _triples(self):
+        return [(e, 0, c) for e, c in self.terms.items()]
+
+    @staticmethod
+    def _from_triples(out):
+        return {e: c for e, _r, c in out}
+
+    @staticmethod
+    def _mul_meta(a, b):
+        return None
+
+    @staticmethod
+    def _term_json(e, coeff):
+        return {"exp": _frac_str(e), "coeff": coeff}
+
+    @staticmethod
+    def _key_from_json(t):
+        return _json_rational(_entry(t, "exp", "series term"), "term exp")
 
     @staticmethod
     def from_json(obj) -> "PuiseuxSeries":
         """Decode :meth:`to_json` output; malformed input raises ValueError."""
-        items, vb, meta = _terms_json(obj, "series")
-        terms = {
-            _json_rational(_entry(t, "exp", "series term"), "term exp"):
-                CycNumber.from_json(_entry(t, "coeff", "series term"))
-            for t in items
-        }
-        return PuiseuxSeries(terms, vb, meta)
+        return PuiseuxSeries._from_json(obj, "series")
 
+    def __repr__(self):
+        return f"<PuiseuxSeries {self.to_text(max_terms=6)} (below q^{self.valid_below})>"
 
-def _term_text(c: CycNumber, e: Fraction, var: str) -> str:
-    if e == 0:
-        return str(c)
-    if e.denominator == 1:
-        mono = var if e == 1 else f"{var}^{e.numerator}"
-    else:
-        mono = f"{var}^({e.numerator}/{e.denominator})"
-    if c == 1:
-        return mono
-    if c == -1:
-        return "-" + mono
-    cs = str(c)
-    if "+" in cs[1:] or "-" in cs[1:] or "[" in cs:
-        cs = f"({cs})"
-    return f"{cs}*{mono}"
+    __str__ = _Series.to_text
+    __add__ = _Series.__add__
+    __sub__ = _Series.__sub__
+    __neg__ = _Series.__neg__
+    __mul__ = __rmul__ = _Series.__mul__
+    same_below = _Series.same_below
+    first_difference = _Series.first_difference
+    truncate = _Series.truncate
+    to_json = _Series.to_json
 
 
 # ---------------------------------------------------------------------------
@@ -358,39 +429,6 @@ def _assemble(cls, terms, valid_below, meta):
     out.valid_below = valid_below
     out.meta = meta
     return out
-
-
-def _sum_terms(x, y, vb, exponent):
-    """The terms of x + y below vb, x's keys first; ``exponent(key)`` is a
-    key's q-exponent.  A series whose own bound is vb needs no filtering, and
-    copying its dict reuses the stored key hashes."""
-
-    def below(s):
-        if s.valid_below == vb:
-            return s.terms
-        return {k: c for k, c in s.terms.items() if exponent(k) < vb}
-
-    out = dict(below(x))
-    summed = []
-    for k, c in below(y).items():
-        n = len(out)
-        s = out.setdefault(k, c)
-        if len(out) == n:
-            out[k] = s + c
-            summed.append(k)
-    for k in summed:
-        if out[k].is_zero():
-            del out[k]
-    return out
-
-
-def _scaled(terms, x):
-    """Every coefficient times the scalar x (an int, Fraction or CycNumber)."""
-    if not x:
-        return {}
-    if isinstance(x, CycNumber):
-        return {k: c * x for k, c in terms.items()}
-    return {k: c.scale(x) for k, c in terms.items()}
 
 
 def _coords(*groups):

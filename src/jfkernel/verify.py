@@ -65,6 +65,8 @@ from .sl2 import (
     sl2_word,
 )
 from .weil import (
+    _letter_matrix,
+    _letter_order,
     block_rows_vanish,
     cusp_entry_values,
     in_X,
@@ -536,6 +538,15 @@ def suite_weil(seed: int = 7, words: int = 200):
             for g in ("S", "T"):
                 if not (u_gen_general(m, g) == u_gen(m, g)):
                     return False, f"general formula differs at m={m}, {g}"
+        # word_product reduces letter powers by their periods; below the
+        # period it must agree with p copies of the letter multiplied out
+        for g in ("ST2S", "-I"):
+            letter = _letter_matrix(2, g)
+            product = letter
+            for p in range(1, _letter_order(2, g)):
+                if not (word_product(2, GroupWord.of((g, p))) == product):
+                    return False, f"m=2, {g}^{p}: word product differs from the letter product"
+                product = product @ letter
         return True, None
 
     reports.append(_timed("weil-generator-displays", None, displays))

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from jfkernel.jacobi import (
     theta_decompose,
     theta_j,
 )
-from jfkernel.series import PuiseuxSeries, dilate, euler_d
+from jfkernel.series import FormMeta, PuiseuxSeries, dilate, euler_d
 
 F = Fraction
 
@@ -209,3 +210,91 @@ def test_tau_shift_theta_diagonal():
 def test_json_round_trip():
     t = theta_j(2, 1, 10)
     assert JacobiSeries.from_json(t.to_json()) == t
+
+
+def test_rendered_bytes_of_both_series_kinds():
+    # the two kinds render a compound constant term differently: a
+    # two-variable constant prints in parentheses, a one-variable one bare
+    i = imag_unit()
+    p = PuiseuxSeries({F(1, 8): -1, 0: 1 + i, F(7, 3): CYC24.zeta(1)}, 3,
+                      FormMeta(weight=F(1, 2), level=1, kind="cuspidal"))
+    j = JacobiSeries({(F(1, 4), -1): -1, (0, 0): 1 + i, (1, 1): i}, 2,
+                     FormMeta(weight=F(5, 2), index=2, source="pin"))
+    assert p.to_text() == "1+i - q^(1/8) + (cyc24[0,1,0,0,0,0,0,0])*q^(7/3)"
+    assert (-p).to_text() == "-1-i + q^(1/8) + (cyc24[0,-1,0,0,0,0,0,0])*q^(7/3)"
+    assert j.to_text() == "(1+i) - q^(1/4)*z^(-1) + i*q*z"
+    assert (-j).to_text() == "(-1-i) + q^(1/4)*z^(-1) - i*q*z"
+    assert JacobiSeries({(1, -2): -1, (2, 0): 1}, 3).to_text() == "-q*z^(-2) + q^2"
+    assert str(p) == p.to_text()
+    assert repr(p) == "<PuiseuxSeries 1+i - q^(1/8) + (cyc24[0,1,0,0,0,0,0,0])*q^(7/3) (below q^3)>"
+    assert repr(j) == "<JacobiSeries 3 terms below q^2>"
+    assert PuiseuxSeries.zero(1).to_text() == JacobiSeries.zero(1).to_text() == "0"
+    dump = lambda s: json.dumps(s.to_json(), separators=(",", ":"))
+    assert dump(p) == (
+        '{"valid_below":"3","terms":['
+        '{"exp":"0","coeff":{"num":[1,0,0,0,0,0,1,0],"den":1}},'
+        '{"exp":"1/8","coeff":{"num":[-1,0,0,0,0,0,0,0],"den":1}},'
+        '{"exp":"7/3","coeff":{"num":[0,1,0,0,0,0,0,0],"den":1}}],'
+        '"meta":{"weight":"1/2","level":1,"kind":"cuspidal"}}')
+    assert dump(j) == (
+        '{"valid_below":"2","terms":['
+        '{"n":"0","r":0,"coeff":{"num":[1,0,0,0,0,0,1,0],"den":1}},'
+        '{"n":"1/4","r":-1,"coeff":{"num":[-1,0,0,0,0,0,0,0],"den":1}},'
+        '{"n":"1","r":1,"coeff":{"num":[0,0,0,0,0,0,1,0],"den":1}}],'
+        '"meta":{"weight":"5/2","index":2,"source":"pin"}}')
+    assert PuiseuxSeries.from_json(p.to_json()) == p
+    assert JacobiSeries.from_json(j.to_json()) == j
+
+
+def _mixed_pair(seed):
+    rng = random.Random(seed)
+    coeff = lambda: rng.randint(-3, 3) + rng.randint(-2, 2) * imag_unit()
+    p = PuiseuxSeries({F(k, 8): coeff() for k in range(0, 40, 3)}, 5)
+    terms = {(F(rng.randint(0, 35), 8), rng.randint(-4, 4)): coeff() for _ in range(20)}
+    # two terms cancel against p in a sum
+    terms[(F(3, 8), 0)] = -p.coeff(F(3, 8))
+    terms[(F(9, 8), 0)] = -p.coeff(F(9, 8))
+    return p, JacobiSeries(terms, F(9, 2))
+
+
+def test_mixed_operands_lift_the_one_variable_side():
+    for seed in (53, 54, 55):
+        p, j = _mixed_pair(seed)
+        lifted = JacobiSeries.from_puiseux(p)
+        cases = [
+            (p + j, j + p, lifted + j),
+            (p - j, -(j - p), lifted - j),
+            (j - p, -(p - j), j - lifted),
+            (p * j, j * p, lifted * j),
+        ]
+        for got, mirrored, reference in cases:
+            assert isinstance(got, JacobiSeries)
+            assert got == mirrored == reference
+        assert (F(3, 8), 0) not in (p + j).terms
+        assert (p + j).valid_below == F(9, 2)
+        with pytest.raises(TypeError):
+            p + 1
+        with pytest.raises(TypeError):
+            1 - j
+
+
+def test_jacobi_truncate_and_first_difference_match_the_one_variable_series():
+    p, _ = _mixed_pair(56)
+    q = p + PuiseuxSeries({F(9, 8): 1, F(30, 8): 2}, 5)
+    P, Q = JacobiSeries.from_puiseux(p), JacobiSeries.from_puiseux(q)
+    assert p.first_difference(q) == F(9, 8)
+    assert P.first_difference(Q) == (F(9, 8), 0)
+    assert p.first_difference(q, F(9, 8)) is None and P.first_difference(Q, F(9, 8)) is None
+    assert P.first_difference(P) is None
+    for bound in (0, F(9, 8), 2, 5):
+        assert P.truncate(bound) == JacobiSeries.from_puiseux(p.truncate(bound))
+        assert P.truncate(bound).valid_below == bound
+    for series in (p, P):
+        with pytest.raises(ValueError):
+            series.truncate(6)
+    # over two-variable keys the difference is the least (n, r)
+    j = JacobiSeries({(1, 2): 1, (1, -1): 2, (2, 0): 3}, 4)
+    k = JacobiSeries({(1, 2): 1, (1, -1): 5, (2, 0): 3}, 4)
+    assert j.first_difference(k) == (1, -1)
+    assert j.first_difference(k, 1) is None
+    assert j.truncate(2) == JacobiSeries({(1, 2): 1, (1, -1): 2}, 2)

@@ -40,7 +40,7 @@ def ref_mul(a, b):
 def ref_jmul(a, b):
     if isinstance(b, PuiseuxSeries):
         b = JacobiSeries.from_puiseux(b)
-    vb = min(a.valid_below + b.q_val(), b.valid_below + a.q_val())
+    vb = min(a.valid_below + b.val(), b.valid_below + a.val())
     out = {}
     for (n1, r1), c1 in a.terms.items():
         for (n2, r2), c2 in b.terms.items():

@@ -311,3 +311,19 @@ def test_block_structure_fails_on_a_wrong_word_product(monkeypatch):
     point = reports["weil-resolve-point-independence"]
     assert point.status == "fail"
     assert point.witness.startswith("no scalar fits at tau=(0.11+1.21j) for ")
+
+
+@pytest.mark.parametrize("letter", ["ST2S", "-I"])
+def test_generator_displays_fail_on_a_wrong_level2_letter_power(monkeypatch, letter):
+    # U(letter)^(p+1) in place of U(letter)^p: the only exact check that sees
+    # it compares word products with the letter multiplied out
+    import jfkernel.weil as weil
+
+    exact = weil._letter_power
+    monkeypatch.setattr(
+        weil, "_letter_power",
+        lambda m, name, p: exact(m, name, (p + 1) % weil._letter_order(m, name) if name == letter else p))
+    reports = {r.name: r for r in suite_weil(7, words=2)}
+    displays = reports["weil-generator-displays"]
+    assert displays.status == "fail"
+    assert displays.witness == f"m=2, {letter}^1: word product differs from the letter product"
