@@ -71,7 +71,6 @@ class CyclotomicField:
         phi = cyclotomic_poly(n)
         self.n = n
         self.degree = len(phi) - 1
-        self._phi = phi
         # x^k mod Phi_n as integer vectors, for k up to max(n-1, 2*degree-2);
         # the upper range covers products of two reduced elements.  Phi is
         # monic, so x^degree = -sum(phi[j] x^j, j < degree).
@@ -90,12 +89,9 @@ class CyclotomicField:
                     v[j] -= lead * phi[j]
             powers[k] = v
         self._powers = [tuple(v) for v in powers]
-        self._conj = [self._powers[(n - k) % n] for k in range(self.degree)]
         self._roots = [cmath.exp(2j * cmath.pi * k / n) for k in range(n)]
-        self.zero = CycNumber(self, (0,) * self.degree, 1, _normalized=True)
-        one = [0] * self.degree
-        one[0] = 1
-        self.one = CycNumber(self, tuple(one), 1, _normalized=True)
+        self.zero = CycNumber(self, (0,) * self.degree, 1)
+        self.one = CycNumber(self, (1,) + (0,) * (self.degree - 1), 1)
 
     def __repr__(self):
         return f"CyclotomicField({self.n})"
@@ -120,7 +116,7 @@ class CyclotomicField:
         if g > 1:
             num = [c // g for c in num]
             den //= g
-        return CycNumber(self, tuple(num), den, _normalized=True)
+        return CycNumber(self, tuple(num), den)
 
     def _reduce(self, coeffs: list[int]) -> list[int]:
         out = list(coeffs[: self.degree]) + [0] * (self.degree - min(len(coeffs), self.degree))
@@ -149,9 +145,7 @@ class CyclotomicField:
 
     def from_fraction(self, q) -> "CycNumber":
         q = Fraction(q)
-        num = [0] * self.degree
-        num[0] = q.numerator
-        return self.element(num, q.denominator)
+        return self.element([q.numerator], q.denominator)
 
     def embed(self, x: "CycNumber") -> "CycNumber":
         """Map an element of Q(zeta_a) into this field, for a | n."""
@@ -161,8 +155,7 @@ class CyclotomicField:
             raise ValueError(f"no embedding Q(zeta_{x.field.n}) -> Q(zeta_{self.n})")
         step = self.n // x.field.n
         num = [0] * (step * (x.field.degree - 1) + 1)
-        for j, c in enumerate(x.num):
-            num[step * j] = c
+        num[::step] = x.num
         return self.element(num, x.den)
 
     def sqrt_int(self, d: int) -> "CycNumber":
@@ -187,10 +180,7 @@ class CyclotomicField:
                     raise ValueError("argument must be squarefree")
                 if self.n % p:
                     raise ValueError(f"sqrt({p}) not in Q(zeta_{self.n})")
-                w = self.n // p
-                g = self.zero
-                for a in range(p):
-                    g = g + self.zeta(w * (a * a % p))
+                g = sum((self.zeta(self.n // p * a * a) for a in range(p)), self.zero)
                 if p % 4 == 3:
                     # Gauss sum equals i*sqrt(p); divide out i.
                     g = g * self.zeta(-self.n // 4)
@@ -200,14 +190,12 @@ class CyclotomicField:
 
 
 class CycNumber:
-    """An element of a fixed cyclotomic field, in canonical coordinates."""
+    """An element of a fixed cyclotomic field, in canonical coordinates;
+    :meth:`CyclotomicField.element` normalises, the constructor does not."""
 
     __slots__ = ("field", "num", "den")
 
-    def __init__(self, field, num, den, _normalized=False):
-        if not _normalized:
-            x = field.element(num, den)
-            num, den = x.num, x.den
+    def __init__(self, field, num, den):
         self.field = field
         self.num = num
         self.den = den
@@ -240,8 +228,7 @@ class CycNumber:
             return None
         if other.field is self.field:
             return self, other
-        a, b = self.field.n, other.field.n
-        big = cyclotomic_field(a * b // gcd(a, b))
+        big = cyclotomic_field(lcm(self.field.n, other.field.n))
         return big.embed(self), big.embed(other)
 
     def __add__(self, other):
@@ -268,15 +255,13 @@ class CycNumber:
         return -(self - other)
 
     def __neg__(self):
-        return CycNumber(self.field, tuple(-c for c in self.num), self.den, _normalized=True)
+        return CycNumber(self.field, tuple(-c for c in self.num), self.den)
 
     def scale(self, q) -> "CycNumber":
         """self * q for an int or Fraction q: scales the coordinates, with no
         convolution or reduction."""
-        if isinstance(q, int):
-            return self.field.element([c * q for c in self.num], self.den)
-        n = q.numerator
-        return self.field.element([c * n for c in self.num], self.den * q.denominator)
+        n, d = (q, 1) if isinstance(q, int) else (q.numerator, q.denominator)
+        return self.field.element([c * n for c in self.num], self.den * d)
 
     def __mul__(self, other):
         pair = self._pair(other)
@@ -296,27 +281,19 @@ class CycNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNumber":
+        """1/x = rest/N(x): rest is the product of the Galois conjugates
+        sigma_k(x) over the units k != 1 mod n, and the norm N(x) = x * rest
+        is rational."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         f = self.field
-        # Extended Euclid in Q[x] against Phi_n.
-        a = [Fraction(c, self.den) for c in self.num]
-        b = [Fraction(c) for c in f._phi]
-        sa, sb = [Fraction(1)], [Fraction(0)]
-        while True:
-            while a and a[-1] == 0:
-                a.pop()
-            if len(a) == 1:
-                inv = 1 / a[0]
-                coeffs = [c * inv for c in sa]
-                den = 1
-                for c in coeffs:
-                    den = den * c.denominator // gcd(den, c.denominator)
-                return f.element([int(c * den) for c in coeffs], den)
-            q, r = _poly_divmod_frac(b, a)
-            sq = _poly_sub_frac(sb, _poly_mul_frac(q, sa))
-            b, sb = a, sa
-            a, sa = r, sq
+        if self.is_rational():
+            return f.element([self.den], self.num[0])
+        rest = f.one
+        for k in range(2, f.n):
+            if gcd(k, f.n) == 1:
+                rest = rest * self.galois(k)
+        return rest.scale(1 / (self * rest).rational_value())
 
     def __truediv__(self, other):
         pair = self._pair(other)
@@ -344,29 +321,26 @@ class CycNumber:
             e >>= 1
         return out
 
-    def conj(self) -> "CycNumber":
-        """Galois conjugation zeta -> zeta^{-1} (complex conjugation)."""
+    def galois(self, k: int) -> "CycNumber":
+        """The Galois automorphism zeta -> zeta^k, for k a unit mod n."""
         f = self.field
-        out = [0] * f.degree
+        out = [0] * f.n
         for j, c in enumerate(self.num):
-            if c:
-                row = f._conj[j]
-                for k in range(f.degree):
-                    out[k] += c * row[k]
+            out[j * k % f.n] += c
         return f.element(out, self.den)
+
+    def conj(self) -> "CycNumber":
+        """Complex conjugation zeta -> zeta^{-1}."""
+        return self.galois(-1)
 
     # -- comparisons / hashing --------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.from_fraction(other)
-        if not isinstance(other, CycNumber):
+        pair = self._pair(other)
+        if pair is None:
             return NotImplemented
-        if other.field is not self.field:
-            a, b = self.field.n, other.field.n
-            big = cyclotomic_field(a * b // gcd(a, b))
-            return big.embed(self) == big.embed(other)
-        return self.num == other.num and self.den == other.den
+        a, b = pair
+        return a.num == b.num and a.den == b.den
 
     # Cross-field equality makes a consistent hash awkward; these values are
     # never used as dict keys, so hashing is disabled outright.
@@ -377,31 +351,10 @@ class CycNumber:
 
     # -- embeddings ---------------------------------------------------------
 
-    def to_complex(self, precision: int = 53) -> complex:
-        """Numeric value under zeta_n = e^{2 pi i / n}.
-
-        With the default 53-bit precision returns a machine complex; higher
-        precision goes through mpmath and still returns a machine complex
-        after correct rounding of the high-precision value.
-        """
-        if precision < 53:
-            raise ValueError("precision below 53 bits is not supported")
-        f = self.field
-        if precision == 53:
-            s = 0j
-            for j, c in enumerate(self.num):
-                if c:
-                    s += c * f._roots[j]
-            return s / self.den
-        import mpmath
-
-        with mpmath.workprec(precision):
-            s = mpmath.mpc(0)
-            for j, c in enumerate(self.num):
-                if c:
-                    s += c * mpmath.expjpi(mpmath.mpf(2 * j) / f.n)
-            s /= self.den
-            return complex(s)
+    def to_complex(self) -> complex:
+        """Numeric value under zeta_n = e^{2 pi i / n}."""
+        roots = self.field._roots
+        return sum((c * roots[j] for j, c in enumerate(self.num) if c), 0j) / self.den
 
     # -- rendering ----------------------------------------------------------
 
@@ -463,44 +416,10 @@ def _is_int(x) -> bool:
     return type(x) is int
 
 
-def _poly_divmod_frac(a, b):
-    a = list(a)
-    db = len(b) - 1
-    out = [Fraction(0)] * max(len(a) - db, 1)
-    inv = 1 / b[-1]
-    for k in range(len(a) - db - 1, -1, -1):
-        c = a[k + db] * inv
-        out[k] = c
-        if c:
-            for j, bj in enumerate(b):
-                a[k + j] -= c * bj
-    return out, a[:db]
-
-
-def _poly_mul_frac(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_sub_frac(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    for j, bj in enumerate(b):
-        a[j] -= bj
-    return a
-
-
 # ---------------------------------------------------------------------------
 # The default coefficient field Q(zeta_24).
 
 CYC24 = cyclotomic_field(24)
-
-ZERO = CYC24.zero
-ONE = CYC24.one
 
 
 def root_of_unity(k: int) -> CycNumber:
@@ -514,10 +433,6 @@ def from_rational(q) -> CycNumber:
 
 def imag_unit() -> CycNumber:
     return CYC24.zeta(6)
-
-
-def sqrt2() -> CycNumber:
-    return CYC24.zeta(3) + CYC24.zeta(-3)
 
 
 def coerce24(x) -> CycNumber:

@@ -143,17 +143,20 @@ class JacobiSeries(_Series):
 
 def _theta_lattice(m: int, r: int, order: Fraction):
     """The (q-exponent, zeta-power) pairs of theta_j(m, r) below ``order``:
-    (2mn + r)^2/4m and 2mn + r for integers n."""
+    (2mn + r)^2/4m and 2mn + r for integers n.
+
+    The lattice depends on r mod 2m only; with r0 = r mod 2m it is walked as
+    2ms + r0 for s = 0, +-1, +-2, ...  Every term with |s| > n lies above
+    m n^2, so the walk stops once m n^2 reaches ``order``."""
+    r0 = r % (2 * m)
     n = 0
     while True:
-        added = False
         for s in {n, -n}:
-            z = 2 * m * s + r
+            z = 2 * m * s + r0
             e = Fraction(z * z, 4 * m)
             if e < order:
                 yield e, z
-                added = True
-        if not added and m * (n - 1) ** 2 > order:
+        if m * n * n >= order:
             break
         n += 1
 

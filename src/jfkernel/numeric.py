@@ -36,10 +36,6 @@ class SnapFailed(ArithmeticError):
     """No root of unity within tolerance of the fitted projective scalar."""
 
 
-def principal_sqrt(w: complex) -> complex:
-    return cmath.sqrt(w)
-
-
 def eval_series(series, tau: complex, z: complex | None = None,
                 min_im: float = 0.3) -> complex:
     """Sum a truncated PuiseuxSeries/JacobiSeries at a point.
@@ -165,7 +161,7 @@ ORACLE_Z = 0.07 + 0.13j
 def transform_rhs(m: int, gamma, U_complex, tau: complex, z: complex):
     """e^{2 pi i m c z^2/(c tau+d)} (c tau+d)^{1/2} U Theta(tau, z)."""
     den = gamma.c * tau + gamma.d
-    fac = cmath.exp(2j * cmath.pi * m * gamma.c * z * z / den) * principal_sqrt(den)
+    fac = cmath.exp(2j * cmath.pi * m * gamma.c * z * z / den) * cmath.sqrt(den)
     theta = theta_vector_num(m, tau, z)
     return [fac * sum(U_complex[i][j] * theta[j] for j in range(2 * m)) for i in range(2 * m)]
 

@@ -62,7 +62,6 @@ from .sl2 import (
     random_gamma0_2_word,
     random_gamma0_m_word,
     random_sl2_word,
-    sl2_word,
 )
 from .weil import (
     _letter_matrix,
@@ -115,7 +114,7 @@ def _timed(name, bound, fn):
     return CheckReport(name, "pass" if ok else "fail", bound, witness, ms)
 
 
-def _series_equal(name, bound, lhs, rhs):
+def _series_equal(bound, lhs, rhs):
     bound = min(Fraction(bound), lhs.valid_below, rhs.valid_below)
     if lhs.same_below(rhs, bound):
         return True, None
@@ -139,24 +138,22 @@ def _id_eta3(order, rng):
         alt[Fraction(n * n)] = coerce24(2 * (-1) ** n)
         n += 1
     rhs = t0 * t1 * PuiseuxSeries(alt, order + 1) * Fraction(1, 2)
-    return _series_equal("eta3", order, lhs, rhs)
+    return _series_equal(order, lhs, rhs)
 
 
 def _id_xi_eta6(order, rng):
     order = Fraction(order)
-    ok, witness = _series_equal(
-        "xi-eta6", order, xi_hat(order), eta_power(6, order) * Fraction(-1, 2)
-    )
+    ok, witness = _series_equal(order, xi_hat(order), eta_power(6, order) * Fraction(-1, 2))
     if not ok:
         return ok, witness
     for m in range(1, 8):
         star = xi_m_star_hat(m, 30)
         viadil = m * dilate(xi_hat(Fraction(30, m) + 1), m)
-        ok, witness = _series_equal(f"xi-eta6[m={m}]", 30, star, viadil)
+        ok, witness = _series_equal(30, star, viadil)
         if not ok:
             return ok, f"m={m}: {witness}"
         vianeg = eta6_dilated(m, 30) * Fraction(-m, 2)
-        ok, witness = _series_equal(f"xi-eta6[m={m}]", 30, star, vianeg)
+        ok, witness = _series_equal(30, star, vianeg)
         if not ok:
             return ok, f"m={m} (eta route): {witness}"
     return True, None
@@ -165,14 +162,14 @@ def _id_xi_eta6(order, rng):
 def _id_theta23(order, rng):
     a = theta_component(2, 1, Fraction(order))
     b = theta_component(2, 3, Fraction(order))
-    return _series_equal("theta23", order, a, b)
+    return _series_equal(order, a, b)
 
 
 def _id_theta12(order, rng):
     order = Fraction(order)
     lhs = theta_component(1, 1, order)
     rhs = 2 * dilate(theta_component(2, 1, order / 2), 2)
-    return _series_equal("theta12", order, lhs, rhs)
+    return _series_equal(order, lhs, rhs)
 
 
 def _id_heat(order, rng):
@@ -202,7 +199,7 @@ def _id_d2_lambda2(order, rng, pairs=20):
         for k in (2, 4, 10):
             lhs = d2_hat(lambda2_inv(phi0, phi2, order + 2), k)
             rhs = (phi0 * xi0 + phi2 * xi2) * (8 * k)
-            ok, witness = _series_equal("d2-lambda2", order, lhs, rhs)
+            ok, witness = _series_equal(order, lhs, rhs)
             if not ok:
                 return False, f"pair {idx}, k={k}: {witness}"
     return True, None
@@ -223,7 +220,7 @@ def _id_d2_lambdastar(order, rng, count=10):
             for k in (2, 4):
                 lhs = d2_hat(lambda_star_inv(phi, m, order + 2), k)
                 rhs = phi * star * (consts[m] * k)
-                ok, witness = _series_equal("d2-lambdastar", order, lhs, rhs)
+                ok, witness = _series_equal(order, lhs, rhs)
                 if not ok:
                     return False, f"phi {idx}, m={m}, k={k}: {witness}"
     return True, f"constant C(m) = 4m confirmed for m in (1, 2, 3, 5)"
@@ -238,7 +235,7 @@ def _id_xi_bridge(order, rng):
     t2 = theta_component(2, 2, order)
     lhs = t2 * xi0 - t0 * xi2
     rhs = t1 * xi_m_star_hat(2, order) * c
-    ok, witness = _series_equal("xi-bridge", order, lhs, rhs)
+    ok, witness = _series_equal(order, lhs, rhs)
     note = f"resolved constant c = {c}"
     return ok, (note if ok else f"{witness}; {note}")
 
@@ -247,7 +244,7 @@ def _id_xistar_dilate(order, rng):
     for m in range(1, 8):
         star = xi_m_star_hat(m, Fraction(order))
         viadil = m * dilate(xi_hat(Fraction(order, m) + 1), m)
-        ok, witness = _series_equal("xistar-dilate", order, star, viadil)
+        ok, witness = _series_equal(order, star, viadil)
         if not ok:
             return False, f"m={m}: {witness}"
     return True, None
@@ -583,7 +580,6 @@ def suite_numeric(seed: int = 7):
 
     # random words
     for m in (1, 2):
-        worst = 0.0
         count = 50
 
         def random_words(m=m, count=count):

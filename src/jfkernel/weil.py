@@ -24,6 +24,7 @@ All matrices here are unitary, so inverses are conjugate transposes.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 from .cyclotomic import CYC24, CycNumber, cyclotomic_field
@@ -54,9 +55,9 @@ class UMatrix:
     entries, so the radicand is always squarefree.
     """
 
-    __slots__ = ("field", "rows", "radicand", "resolved", "index")
+    __slots__ = ("field", "rows", "radicand", "resolved")
 
-    def __init__(self, field, rows, radicand=1, resolved=False, index=None):
+    def __init__(self, field, rows, radicand=1, resolved=False):
         if radicand < 1:
             raise ValueError("radicand must be positive")
         s, radicand = _square_part(radicand)
@@ -66,7 +67,6 @@ class UMatrix:
         self.rows = tuple(tuple(c for c in row) for row in rows)
         self.radicand = radicand
         self.resolved = resolved
-        self.index = index
 
     @property
     def size(self) -> int:
@@ -79,21 +79,21 @@ class UMatrix:
         return self.canonical().rows[i][j]
 
     @staticmethod
-    def identity(field, size, index=None) -> "UMatrix":
+    def identity(field, size) -> "UMatrix":
         rows = [
             [field.one if i == j else field.zero for j in range(size)]
             for i in range(size)
         ]
-        return UMatrix(field, rows, 1, resolved=True, index=index)
+        return UMatrix(field, rows, 1, resolved=True)
 
     def canonical(self) -> "UMatrix":
         """Fold sqrt(radicand) into the entries (radicand becomes 1)."""
         if self.radicand == 1:
             return self
-        root = self.field.sqrt_int(self.radicand)
-        inv = root.inverse()
+        # 1/sqrt(d) = sqrt(d)/d
+        inv = self.field.sqrt_int(self.radicand).scale(Fraction(1, self.radicand))
         rows = [[c * inv for c in row] for row in self.rows]
-        return UMatrix(self.field, rows, 1, self.resolved, self.index)
+        return UMatrix(self.field, rows, 1, self.resolved)
 
     def __matmul__(self, other: "UMatrix") -> "UMatrix":
         """The product, normalised once per entry.
@@ -131,16 +131,16 @@ class UMatrix:
                             for q, y in ys:
                                 acc[p + q] += x * y
             rows.append([f.zero if acc is None else f.element(acc, den) for acc in sums])
-        return UMatrix(f, rows, a.radicand * b.radicand, resolved=False, index=a.index)
+        return UMatrix(f, rows, a.radicand * b.radicand, resolved=False)
 
     def scale(self, c) -> "UMatrix":
         return UMatrix(self.field, [[x * c for x in row] for row in self.rows],
-                       self.radicand, self.resolved, self.index)
+                       self.radicand, self.resolved)
 
     def __pow__(self, e: int) -> "UMatrix":
         if e < 0:
             return self.conj_transpose() ** (-e)
-        out = UMatrix.identity(self.field, self.size, self.index)
+        out = UMatrix.identity(self.field, self.size)
         base = self
         while e:
             if e & 1:
@@ -152,11 +152,11 @@ class UMatrix:
 
     def conj(self) -> "UMatrix":
         return UMatrix(self.field, [[c.conj() for c in row] for row in self.rows],
-                       self.radicand, self.resolved, self.index)
+                       self.radicand, self.resolved)
 
     def transpose(self) -> "UMatrix":
         return UMatrix(self.field, list(zip(*self.rows)), self.radicand,
-                       self.resolved, self.index)
+                       self.resolved)
 
     def conj_transpose(self) -> "UMatrix":
         """The inverse, for the unitary matrices produced in this module."""
@@ -164,7 +164,7 @@ class UMatrix:
 
     def embed(self, field) -> "UMatrix":
         rows = [[field.embed(c) for c in row] for row in self.rows]
-        return UMatrix(field, rows, self.radicand, self.resolved, self.index)
+        return UMatrix(field, rows, self.radicand, self.resolved)
 
     def det2(self) -> CycNumber:
         """Determinant of a 2x2 matrix (radicand divides out rationally)."""
@@ -239,20 +239,20 @@ def u_gen(m: int, g: str) -> UMatrix:
     one, zero = f.one, f.zero
     if m == 1:
         if g == "T":
-            return UMatrix(f, [[one, zero], [zero, i]], 1, True, 1)
+            return UMatrix(f, [[one, zero], [zero, i]], 1, True)
         if g == "S":
             rows = [[z8i, z8i], [z8i, -z8i]]
-            return UMatrix(f, rows, 2, True, 1)
+            return UMatrix(f, rows, 2, True)
         if g == "-I":
             s = u_gen(1, "S")
             out = s @ s
-            return UMatrix(out.field, out.rows, out.radicand, True, 1)
+            return UMatrix(out.field, out.rows, out.radicand, True)
     if m == 2:
         if g == "T":
             return UMatrix(f, [[one, zero, zero, zero],
                                [zero, z8, zero, zero],
                                [zero, zero, -one, zero],
-                               [zero, zero, zero, z8]], 1, True, 2)
+                               [zero, zero, zero, z8]], 1, True)
         if g == "S":
             # prefactor e^{-pi i/4}/2 = e^{-pi i/4}/sqrt(4)
             rows = [[z8i * x for x in row] for row in
@@ -260,13 +260,13 @@ def u_gen(m: int, g: str) -> UMatrix:
                      [one, -i, -one, i],
                      [one, -one, one, -one],
                      [one, i, -one, -i]]]
-            return UMatrix(f, rows, 4, True, 2)
+            return UMatrix(f, rows, 4, True)
         if g == "-I":
             mi = -i
             return UMatrix(f, [[mi, zero, zero, zero],
                                [zero, zero, zero, mi],
                                [zero, zero, mi, zero],
-                               [zero, mi, zero, zero]], 1, True, 2)
+                               [zero, mi, zero, zero]], 1, True)
         if g == "ST2S":
             # (1/2i) times the displayed integer matrix
             hp = (one + i) / (2 * i)
@@ -274,7 +274,7 @@ def u_gen(m: int, g: str) -> UMatrix:
             return UMatrix(f, [[hp, zero, hm, zero],
                                [zero, hm, zero, hp],
                                [hm, zero, hp, zero],
-                               [zero, hp, zero, hm]], 1, True, 2)
+                               [zero, hp, zero, hm]], 1, True)
     raise ValueError(f"no displayed generator for index {m}, letter {g!r}")
 
 
@@ -298,18 +298,18 @@ def u_gen_general(m: int, g: str) -> UMatrix:
              for rp in range(two_m)]
             for r in range(two_m)
         ]
-        return UMatrix(f, rows, 1, True, m)
+        return UMatrix(f, rows, 1, True)
     if g == "S":
         z8i = f.zeta(-(n // 8) % n)
         rows = [
             [z8i * f.zeta((-(n // two_m) * r * rp) % n) for rp in range(two_m)]
             for r in range(two_m)
         ]
-        return UMatrix(f, rows, two_m, True, m)
+        return UMatrix(f, rows, two_m, True)
     if g == "-I":
         s = u_gen_general(m, "S")
         out = s @ s
-        return UMatrix(out.field, out.rows, out.radicand, True, m)
+        return UMatrix(out.field, out.rows, out.radicand, True)
     raise ValueError(f"unsupported generator letter {g!r}")
 
 
@@ -351,7 +351,7 @@ def word_product(m: int, word: GroupWord) -> UMatrix:
     Letter powers are reduced modulo the letter periods, so a negative or
     huge power costs one cached power of bounded exponent.
     """
-    out = UMatrix.identity(cyclotomic_field(field_order(m)), 2 * m, index=m)
+    out = UMatrix.identity(cyclotomic_field(field_order(m)), 2 * m)
     for name, power in word:
         out = out @ _letter_power(m, name, power % _letter_order(m, name))
     return out
@@ -402,7 +402,7 @@ def resolve_scalar(m: int, word: GroupWord, U: UMatrix | None = None):
     else:
         scalar = -CYC24.one
         rows = [[-c for c in row] for row in rows]
-    return UMatrix(U.field, rows, U.radicand, True, m), scalar
+    return UMatrix(U.field, rows, U.radicand, True), scalar
 
 
 def resolve(m: int, word: GroupWord) -> UMatrix:
@@ -444,7 +444,7 @@ def rho2(word: GroupWord) -> UMatrix:
     gamma2 = gamma_dilate(gamma, 2)
     U1 = resolve(1, sl2_word(gamma2))
     out = U1.conj().canonical().scale(r.inverse())
-    return UMatrix(out.field, out.rows, out.radicand, True, 2)
+    return UMatrix(out.field, out.rows, out.radicand, True)
 
 
 def omega_m(gamma: SL2Mat, m: int) -> CycNumber:

@@ -33,6 +33,12 @@ def test_theta_json_reparses():
     assert JacobiSeries.from_json(json.loads(out)) == theta_j(1, 0, 6)
 
 
+def test_theta_terms_at_negative_n():
+    code, out = invoke(["theta", "--m", "5", "--r", "9", "--order", "4", "--at-z0"])
+    assert code == 0
+    assert out == "q^(1/20)\n"
+
+
 def test_eta_output():
     code, out = invoke(["eta", "--order", "8"])
     assert code == 0
@@ -220,6 +226,22 @@ def test_verify_identities_suite_and_exit_code():
     reports = json.loads(out)
     assert all(r["status"] == "pass" for r in reports)
     assert all(r["ms"] is None for r in reports)
+
+
+@pytest.mark.parametrize("order", ["0", "-1", "1/16"])
+@pytest.mark.parametrize("suite", ["identities", "all"])
+def test_verify_order_below_the_bound_exit_2_with_one_line(suite, order, capsys):
+    code, out = invoke(["verify", "--suite", suite, "--order", order])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err == f"error: --order must exceed 5/8, got {F(order)}\n"
+
+
+@pytest.mark.parametrize("order", ["3/4", "1"])
+def test_verify_identities_at_low_order(order):
+    code, out = invoke(["verify", "--suite", "identities", "--order", order])
+    assert code == 0
+    assert all(r["status"] == "pass" for r in json.loads(out))
 
 
 def test_verify_text_format():

@@ -1,6 +1,9 @@
 import cmath
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -13,7 +16,6 @@ from jfkernel.cyclotomic import (
     from_rational,
     imag_unit,
     root_of_unity,
-    sqrt2,
 )
 
 
@@ -44,7 +46,7 @@ def test_zeta_power_reduction():
 
 def test_sqrt2_identity():
     # (zeta_8 + zeta_8^-1)^2 = 2, with zeta_8 = zeta_24^3.
-    s = sqrt2()
+    s = CYC24.sqrt_int(2)
     assert s == root_of_unity(3) + root_of_unity(-3)
     assert s * s == 2
 
@@ -63,11 +65,20 @@ def test_to_complex_examples():
     assert abs(v - complex(0.7071067811865476, 0.7071067811865476)) < 1e-12
     w = root_of_unity(6).to_complex()
     assert abs(w - 1j) < 1e-12
-
-
-def test_to_complex_high_precision_agrees():
     x = (root_of_unity(5) + 3 * root_of_unity(17)) / 7
-    assert abs(x.to_complex(200) - x.to_complex()) < 1e-13
+    ref = (cmath.exp(2j * cmath.pi * 5 / 24) + 3 * cmath.exp(2j * cmath.pi * 17 / 24)) / 7
+    assert abs(x.to_complex() - ref) < 1e-13
+
+
+def test_to_complex_without_mpmath():
+    # a None entry in sys.modules makes any import of mpmath fail
+    code = ("import sys; sys.modules['mpmath'] = None; import jfkernel; "
+            "from jfkernel.cyclotomic import root_of_unity; "
+            "print(repr(((root_of_unity(5) + 3 * root_of_unity(17)) / 7).to_complex()))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    x = (root_of_unity(5) + 3 * root_of_unity(17)) / 7
+    assert complex(proc.stdout.strip()) == x.to_complex()
 
 
 def _random_element(rng, field=CYC24, span=20):
@@ -91,6 +102,40 @@ def test_field_axioms_random():
         if not a.is_zero():
             assert a * a.inverse() == 1
             assert a / a == 1
+
+
+def test_inverse_dense_and_sparse_in_several_fields():
+    rng = random.Random(19)
+    # Gauss-sum square roots, sparse sums of roots of unity, negative rationals
+    roots = {24: (2, 3, 6), 40: (2, 5, 10), 120: (3, 5, 30), 168: (2, 7, 42)}
+    for n, ds in roots.items():
+        f = cyclotomic_field(n)
+        xs = [_random_element(rng, f), _random_element(rng, f, span=3),
+              f.from_fraction(Fraction(-7, 3)), f.from_fraction(-1),
+              f.zeta(1) + 3 * f.zeta(5) - 2, f.zeta(n // 2 + 1) * Fraction(5, 2)]
+        xs += [f.sqrt_int(d) for d in ds] + [1 - f.sqrt_int(d) / 3 for d in ds]
+        for x in xs:
+            y = x.inverse()
+            assert y.field is f
+            assert x * y == 1, (n, x)
+            assert abs(y.to_complex() * x.to_complex() - 1) < 1e-9
+    assert from_rational(Fraction(-3, 4)).inverse() == from_rational(Fraction(-4, 3))
+
+
+def test_galois_is_a_field_automorphism():
+    rng = random.Random(23)
+    for n in (24, 40, 120):
+        f = cyclotomic_field(n)
+        units = [k for k in range(1, n) if gcd(k, n) == 1]
+        for _ in range(12):
+            a, b = _random_element(rng, f, span=5), _random_element(rng, f, span=5)
+            k, l = rng.choice(units), rng.choice(units)
+            assert (a + b).galois(k) == a.galois(k) + b.galois(k)
+            assert (a * b).galois(k) == a.galois(k) * b.galois(k)
+            assert a.galois(k).galois(l) == a.galois(k * l % n)
+            assert f.zeta(1).galois(k) == f.zeta(k)
+            assert a.galois(1) == a and a.galois(-1) == a.conj()
+            assert f.from_fraction(Fraction(-5, 7)).galois(k) == Fraction(-5, 7)
 
 
 def test_conj_is_multiplicative():
@@ -146,7 +191,7 @@ def test_bigger_field_and_embedding():
 
 
 def test_sqrt_int_gauss_sums():
-    assert CYC24.sqrt_int(2) == sqrt2()
+    assert CYC24.sqrt_int(2) == root_of_unity(3) + root_of_unity(-3)
     for field, d in [(CYC24, 2), (CYC24, 3), (CYC24, 6), (cyclotomic_field(120), 5), (cyclotomic_field(120), 10)]:
         s = field.sqrt_int(d)
         assert s * s == d

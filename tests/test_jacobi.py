@@ -41,6 +41,35 @@ def test_theta_j_index_two_defining_sum():
     assert len(t.terms) == 4
 
 
+def _brute_lattice(m, r, order):
+    """Every (q-exponent, zeta-power) of theta_j(m, r) below order, from a
+    window of n wide enough to hold all of them."""
+    out = set()
+    span = 4 * m + abs(r) + 4
+    for n in range(-span, span + 1):
+        z = 2 * m * n + r
+        if F(z * z, 4 * m) < order:
+            out.add((F(z * z, 4 * m), z))
+    return out
+
+
+def test_theta_lattice_matches_brute_force():
+    # orders k/8 below 2m, every residue r, and r outside 0..2m-1
+    for m in range(1, 8):
+        for r in range(-2 * m - 1, 4 * m + 2):
+            for k in range(16 * m):
+                order = F(k, 8)
+                t = theta_j(m, r, order)
+                assert set(t.terms) == _brute_lattice(m, r, order), (m, r, order)
+                assert all(c == 1 for c in t.terms.values())
+
+
+def test_theta_terms_below_the_first_residue_term():
+    # r > m with order < m: the terms lie at negative n
+    assert theta_component(2, 3, 1).to_text() == "q^(1/8)"
+    assert theta_component(2, 3, 5) == theta_component(2, 1, 5)
+
+
 def test_theta_21_equals_theta_23_at_z0():
     a = restrict_z0(theta_j(2, 1, 50))
     b = restrict_z0(theta_j(2, 3, 50))

@@ -59,13 +59,12 @@ def _matmul_reference(a, b):
                     acc = acc + arow[k] * b.rows[k][j]
             row.append(acc)
         rows.append(row)
-    return UMatrix(a.field, rows, a.radicand * b.radicand,
-                   resolved=False, index=a.index)
+    return UMatrix(a.field, rows, a.radicand * b.radicand, resolved=False)
 
 
 def _reference_word_product(m, word):
     """Left to right, one letter (or its conjugate transpose) at a time."""
-    out = UMatrix.identity(cyclotomic_field(field_order(m)), 2 * m, index=m)
+    out = UMatrix.identity(cyclotomic_field(field_order(m)), 2 * m)
     for name, power in word:
         g = _letter_matrix(m, name)
         if power < 0:
@@ -417,7 +416,7 @@ def test_rho2_multiplicative():
         w2 = random_gamma0_2_word(rng, 6)
         lhs = rho2(w1 + w2)
         rhs = rho2(w1) @ rho2(w2)
-        assert lhs == UMatrix(rhs.field, rhs.rows, rhs.radicand, True, 2)
+        assert lhs == UMatrix(rhs.field, rhs.rows, rhs.radicand, True)
 
 
 def test_omega_values():
