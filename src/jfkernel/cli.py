@@ -328,8 +328,6 @@ def _dispatch(args, out) -> int:
         return 0
 
     if cmd == "verify":
-        if args.suite in ("identities", "all") and args.order <= Fraction(5, 8):
-            raise ValueError(f"--order must exceed 5/8, got {args.order}")
         reports = SUITES[args.suite](args.order, args.seed)
         ok = all(r.passed for r in reports)
         if args.format == "json":

@@ -312,7 +312,7 @@ def derive_bridge_constant(order=12):
     lhs = t2 * xi0 - t0 * xi2
     rhs = t1 * xi_m_star_hat(2, order)
     q = div_exact(lhs, rhs)
-    if len(q.terms) != 1 or q.val() != 0:
+    if len(q._terms) != 1 or q.val() != 0:
         raise ArithmeticError("bridge sides are not proportional")
     return q.coeff(0)
 
@@ -327,7 +327,7 @@ def derive_heat_constant(m: int, k=2, order=10):
     lhs = d2_hat(lambda_star_inv(probe, m, order), k)
     rhs = probe * xi_m_star_hat(m, order) * Fraction(k)
     q = div_exact(lhs, rhs)
-    if len(q.terms) != 1 or q.val() != 0:
+    if len(q._terms) != 1 or q.val() != 0:
         raise ArithmeticError("heat image is not proportional to phi * xi_star")
     c = q.coeff(0)
     return c.rational_value()

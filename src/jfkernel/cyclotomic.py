@@ -221,11 +221,14 @@ class CycNumber:
     # -- arithmetic -------------------------------------------------------
 
     def _pair(self, other):
-        """Lift self and other into a common field; None when not coercible."""
-        if isinstance(other, (int, Fraction)):
-            return self, self.field.from_fraction(other)
-        if not isinstance(other, CycNumber):
-            return None
+        """Lift self and other into a common field; None when not coercible.
+        An element is tested for first: the test against ``Fraction`` goes
+        through ``ABCMeta`` and costs more than the rest of the call."""
+        if other.__class__ is not CycNumber:
+            if isinstance(other, (int, Fraction)):
+                return self, self.field.from_fraction(other)
+            if not isinstance(other, CycNumber):
+                return None
         if other.field is self.field:
             return self, other
         big = cyclotomic_field(lcm(self.field.n, other.field.n))
@@ -257,11 +260,11 @@ class CycNumber:
     def __neg__(self):
         return CycNumber(self.field, tuple(-c for c in self.num), self.den)
 
-    def scale(self, q) -> "CycNumber":
-        """self * q for an int or Fraction q: scales the coordinates, with no
-        convolution or reduction."""
-        n, d = (q, 1) if isinstance(q, int) else (q.numerator, q.denominator)
-        return self.field.element([c * n for c in self.num], self.den * d)
+    def scale(self, q, d: int = 1) -> "CycNumber":
+        """self * q / d for an int or Fraction q and an int d: scales the
+        coordinates, with no convolution or reduction."""
+        n, e = (q, 1) if isinstance(q, int) else (q.numerator, q.denominator)
+        return self.field.element([c * n for c in self.num], self.den * e * d)
 
     def __mul__(self, other):
         pair = self._pair(other)

@@ -12,11 +12,12 @@ machinery attached to an index m:
 
 zeta-powers are integers throughout; only the q-exponents are rational.
 :class:`JacobiSeries` is the series core of :mod:`jfkernel.series` with
-(Fraction q-exponent, int zeta-power) keys, so it shares the one-variable
-constructor, arithmetic, comparison and product kernel.  The restriction
-and heat operator share :func:`_collapse`: inside both the q-exponents are
-ints on a common grid and coefficients add up as unreduced integer
-coordinates, normalised once per output term.
+(q-exponent, zeta-power) keys, the q-exponent an int on the series' grid
+1/den, so it shares the one-variable constructor, arithmetic, comparison and
+product kernel.  The restriction and heat operator share :func:`_collapse`:
+it keeps the grid, and coefficients add up as unreduced integer
+coordinates, normalised once per output term.  theta_j(m, r) and the theta
+components are built on the grid 1/4m.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ from .series import (
     _coords,
     _entry,
     _frac_str,
-    _grid,
-    _json_rational,
+    _json_ratio,
     _q_text,
     _Series,
+    _top,
 )
 
 
@@ -56,10 +57,11 @@ class DecompositionInconsistent(ValueError):
 class JacobiSeries(_Series):
     """Sparse truncated series in (q, zeta); immutable by convention.
 
-    ``terms`` maps (q-exponent, zeta-power) to a Q(zeta_24) coefficient;
-    ``valid_below`` bounds the known q-exponents exactly as for
-    :class:`~jfkernel.series.PuiseuxSeries`.  A one-variable operand of
-    ``+``, ``-`` or ``*`` is lifted to zeta-power 0.
+    A key is (q-exponent, zeta-power), the q-exponent an int on the grid
+    1/``den``; ``terms`` maps (``Fraction`` q-exponent, zeta-power) to the
+    Q(zeta_24) coefficient.  ``valid_below`` bounds the known q-exponents
+    exactly as for :class:`~jfkernel.series.PuiseuxSeries`.  A one-variable
+    operand of ``+``, ``-`` or ``*`` is lifted to zeta-power 0.
     """
 
     __slots__ = ()
@@ -74,11 +76,16 @@ class JacobiSeries(_Series):
         return Fraction(n), int(r)
 
     @staticmethod
+    def _with_q(key, n):
+        return n, key[1]
+
+    @staticmethod
     def from_puiseux(a: PuiseuxSeries) -> "JacobiSeries":
-        return _assemble(JacobiSeries, {(e, 0): c for e, c in a.terms.items()}, a.valid_below, a.meta)
+        return _assemble(JacobiSeries, {(n, 0): c for n, c in a._terms.items()},
+                         a.den, a.valid_below, a.meta)
 
     def coeff(self, n, r) -> CycNumber:
-        return self.terms.get((Fraction(n), int(r)), CYC24.zero)
+        return self._terms.get((self._index(n), int(r)), CYC24.zero)
 
     def _operand(self, other):
         if isinstance(other, PuiseuxSeries):
@@ -89,8 +96,8 @@ class JacobiSeries(_Series):
         other = self._operand(other)
         return NotImplemented if other is None else other + self
 
-    def _triples(self):
-        return [(n, r, c) for (n, r), c in self.terms.items()]
+    def _triples(self, f):
+        return [(n * f, r, c) for (n, r), c in self._terms.items()]
 
     @staticmethod
     def _from_triples(out):
@@ -119,7 +126,7 @@ class JacobiSeries(_Series):
         r = _entry(t, "r", "series term")
         if not _is_int(r):
             raise ValueError(f"term r must be an integer, got {r!r}")
-        return _json_rational(_entry(t, "n", "series term"), "term n"), r
+        return _json_ratio(_entry(t, "n", "series term"), "term n"), r
 
     @staticmethod
     def from_json(obj) -> "JacobiSeries":
@@ -127,7 +134,7 @@ class JacobiSeries(_Series):
         return JacobiSeries._from_json(obj, "two-variable series")
 
     def __repr__(self):
-        return f"<JacobiSeries {len(self.terms)} terms below q^{self.valid_below}>"
+        return f"<JacobiSeries {len(self._terms)} terms below q^{self.valid_below}>"
 
     __add__ = _Series.__add__
     __sub__ = _Series.__sub__
@@ -143,20 +150,21 @@ class JacobiSeries(_Series):
 
 def _theta_lattice(m: int, r: int, order: Fraction):
     """The (q-exponent, zeta-power) pairs of theta_j(m, r) below ``order``:
-    (2mn + r)^2/4m and 2mn + r for integers n.
+    (2mn + r)^2/4m and 2mn + r for integers n, the q-exponent as the int
+    (2mn + r)^2 on the grid 1/4m.
 
     The lattice depends on r mod 2m only; with r0 = r mod 2m it is walked as
     2ms + r0 for s = 0, +-1, +-2, ...  Every term with |s| > n lies above
     m n^2, so the walk stops once m n^2 reaches ``order``."""
     r0 = r % (2 * m)
+    top = _top(order, 4 * m)
     n = 0
     while True:
         for s in {n, -n}:
             z = 2 * m * s + r0
-            e = Fraction(z * z, 4 * m)
-            if e < order:
-                yield e, z
-        if m * n * n >= order:
+            if z * z < top:
+                yield z * z, z
+        if 4 * m * m * n * n >= top:
             break
         n += 1
 
@@ -172,15 +180,15 @@ def theta_j(m: int, r: int, order) -> JacobiSeries:
     terms = {key: CYC24.one for key in _theta_lattice(m, r, order)}
     meta = FormMeta(weight=Fraction(1, 2), index=m, kind="theta-component",
                     source=f"theta_j({m},{r})")
-    return _assemble(JacobiSeries, terms, order, meta)
+    return _assemble(JacobiSeries, terms, 4 * m, order, meta)
 
 
 @lru_cache(maxsize=None)
 def _theta_component_terms(m: int, r: int, order: Fraction):
     acc = {}
-    for e, _z in _theta_lattice(m, r, order):
-        acc[e] = acc.get(e, 0) + 1
-    return tuple((e, coerce24(c)) for e, c in sorted(acc.items()))
+    for n, _z in _theta_lattice(m, r, order):
+        acc[n] = acc.get(n, 0) + 1
+    return tuple((n, coerce24(c)) for n, c in sorted(acc.items()))
 
 
 def theta_component(m: int, r: int, order) -> PuiseuxSeries:
@@ -189,7 +197,7 @@ def theta_component(m: int, r: int, order) -> PuiseuxSeries:
     terms = dict(_theta_component_terms(m, r % (2 * m), order))
     meta = FormMeta(weight=Fraction(1, 2), index=m, kind="theta-component",
                     source=f"theta({m},{r})")
-    return _assemble(PuiseuxSeries, terms, order, meta)
+    return _assemble(PuiseuxSeries, terms, 4 * m, order, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -200,30 +208,28 @@ def _collapse(phi: JacobiSeries, k=None) -> dict:
     """Sum each q-exponent's coefficients over the zeta-powers, weighted by
     the heat factor k r^2 - 4n when ``k`` is given.
 
-    On the grid n = N/L of phi's exponents, the factor is the int
-    k_num r^2 L - 4 N k_den over k_den L, so the sums stay unreduced integer
-    coordinates and each exponent is normalised once.  Keys come in order of
-    first occurrence, from phi's own Fraction keys.
+    On phi's grid n = N/L, the factor is the int k_num r^2 L - 4 N k_den
+    over k_den L, so the sums stay unreduced integer coordinates and each
+    exponent is normalised once.  The result is on phi's grid, its keys in
+    order of first occurrence.
     """
-    f, ((den, coords),) = _coords(phi.terms.values())
-    L = math.lcm(*(n.denominator for n, _r in phi.terms))
+    f, ((den, coords),) = _coords(phi._terms.values())
+    L = phi.den
     if k is None:
         a, b, c, scale = 0, 0, 1, 1
     else:
         a, b, c, scale = k.numerator * L, -4 * k.denominator, 0, k.denominator * L
     sums = {}
-    for (n, r), xs in zip(phi.terms, coords):
-        N = _grid(n, L)
-        w = a * r * r + b * N + c
+    for (n, r), xs in zip(phi._terms, coords):
+        w = a * r * r + b * n + c
         if w:
-            slot = sums.get(N)
-            if slot is None:
-                slot = sums[N] = (n, [0] * f.degree)
-            acc = slot[1]
+            acc = sums.get(n)
+            if acc is None:
+                acc = sums[n] = [0] * f.degree
             for i, x in xs:
                 acc[i] += w * x
     out = {}
-    for n, acc in sums.values():
+    for n, acc in sums.items():
         v = f.element(acc, den * scale)
         if not v.is_zero():
             out[n] = v
@@ -236,7 +242,7 @@ def restrict_z0(phi: JacobiSeries) -> PuiseuxSeries:
     if phi.meta is not None:
         meta = FormMeta(weight=phi.meta.weight, level=phi.meta.level,
                         character=phi.meta.character, source="restrict_z0")
-    return _assemble(PuiseuxSeries, _collapse(phi), phi.valid_below, meta)
+    return _assemble(PuiseuxSeries, _collapse(phi), phi.den, phi.valid_below, meta)
 
 
 def d2_hat(phi: JacobiSeries, k) -> PuiseuxSeries:
@@ -247,13 +253,13 @@ def d2_hat(phi: JacobiSeries, k) -> PuiseuxSeries:
     """
     k = Fraction(k)
     meta = FormMeta(weight=k + 2, kind="unchecked", source="d2_hat")
-    return _assemble(PuiseuxSeries, _collapse(phi, k), phi.valid_below, meta)
+    return _assemble(PuiseuxSeries, _collapse(phi, k), phi.den, phi.valid_below, meta)
 
 
 def heat_check(m: int, r: int, order) -> bool:
     """True iff every term of theta_j(m, r) satisfies r_eff^2 = 4 m n_eff."""
     phi = theta_j(m, r, order)
-    return all(Fraction(rr * rr) == 4 * m * n for (n, rr), _ in phi.terms.items())
+    return all(rr * rr * phi.den == 4 * m * n for n, rr in phi._terms)
 
 
 def theta_decompose(phi: JacobiSeries, m: int) -> list[PuiseuxSeries]:
@@ -268,32 +274,35 @@ def theta_decompose(phi: JacobiSeries, m: int) -> list[PuiseuxSeries]:
         raise ValueError("index must be a positive integer")
     two_m = 2 * m
     # exponents n - r^2/4m as ints on the grid 1/L
-    L = math.lcm(4 * m, phi.valid_below.denominator, *(n.denominator for n, _r in phi.terms))
-    step = L // (4 * m)
+    L = math.lcm(4 * m, phi.den)
+    f, step = L // phi.den, L // (4 * m)
     slots = [{} for _ in range(two_m)]
     violations = []
-    for (n, r), c in phi.terms.items():
+    for key, c in phi._terms.items():
+        n, r = key
         comp = slots[r % two_m]
-        e = _grid(n, L) - r * r * step
+        e = n * f - r * r * step
         prev = comp.get(e)
         if prev is None:
-            comp[e] = (c, (n, r))
+            comp[e] = (c, key)
         elif prev[0] != c:
-            violations.append((prev[1], (n, r)))
+            violations.append((prev[1], key))
     if violations:
-        raise DecompositionInconsistent(sorted(violations))
+        den = phi.den
+        raise DecompositionInconsistent(
+            [tuple((Fraction(n, den), r) for n, r in pair) for pair in sorted(violations)])
     comps = []
     for r in range(two_m):
         rmin = min(r, two_m - r) if r else 0
         bound = phi.valid_below - Fraction(rmin * rmin, 4 * m)
-        top = _grid(bound, L)
-        terms = {Fraction(e, L): c for e, (c, _) in slots[r].items() if e < top}
+        top = _top(bound, L)
+        terms = {e: c for e, (c, _) in slots[r].items() if e < top}
         meta = FormMeta(index=m, source=f"component({r})")
         if phi.meta is not None and phi.meta.weight is not None:
             meta = FormMeta(weight=phi.meta.weight - Fraction(1, 2), index=m,
                             level=phi.meta.level, character=phi.meta.character,
                             source=f"component({r})")
-        comps.append(_assemble(PuiseuxSeries, terms, bound, meta))
+        comps.append(_assemble(PuiseuxSeries, terms, L, bound, meta))
     return comps
 
 
@@ -325,10 +334,9 @@ def tau_shift(a):
     Q(zeta_24).
     """
     out = {}
-    for k, c in a.terms.items():
-        e = a._qexp(k)
-        frac = e - math.floor(e)
-        if 24 % frac.denominator:
-            raise ValueError(f"exponent {e} leaves Q(zeta_24) under the shift")
-        out[k] = c * CYC24.zeta(int(24 * frac) % 24)
-    return type(a)(out, a.valid_below, a.meta)
+    for k, c in a._terms.items():
+        n = a._qexp(k)
+        if 24 * n % a.den:
+            raise ValueError(f"exponent {Fraction(n, a.den)} leaves Q(zeta_24) under the shift")
+        out[k] = c * CYC24.zeta(24 * n // a.den % 24)
+    return _assemble(type(a), out, a.den, a.valid_below, a.meta)

@@ -53,19 +53,20 @@ def eval_series(series, tau: complex, z: complex | None = None,
     two_var = isinstance(series, JacobiSeries)
     zmag = 0.0
     if two_var and z is not None:
-        rmax = max((abs(r) for (_n, r) in series.terms), default=0)
+        rmax = max((abs(r) for (_n, r) in series._terms), default=0)
         zmag = TWO_PI * rmax * abs(z.imag)
-    tail = math.exp(qlog * float(series.valid_below) + zmag) * (len(series.terms) + 1)
+    tail = math.exp(qlog * float(series.valid_below) + zmag) * (len(series._terms) + 1)
     if tail > 1e-14:
         raise TailTooLarge(f"tail bound {tail:.2e} at Im tau = {y}")
-    total = 0j
+    # n / den is float(Fraction(n, den)): both are correctly rounded
+    total, den = 0j, series.den
     if two_var:
         zz = z if z is not None else 0j
-        for (n, r), c in series.terms.items():
-            total += c.to_complex() * cmath.exp(2j * math.pi * (float(n) * tau + r * zz))
+        for (n, r), c in series._terms.items():
+            total += c.to_complex() * cmath.exp(2j * math.pi * (n / den * tau + r * zz))
     else:
-        for e, c in series.terms.items():
-            total += c.to_complex() * cmath.exp(2j * math.pi * float(e) * tau)
+        for n, c in series._terms.items():
+            total += c.to_complex() * cmath.exp(2j * math.pi * (n / den) * tau)
     return total
 
 

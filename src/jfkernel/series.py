@@ -2,15 +2,17 @@
 
 Exponents are exact rationals (denominators 24 for eta, r^2/4m for theta
 components, and whatever products create), coefficients live in Q(zeta_24).
-``terms`` maps each ``Fraction`` exponent to its coefficient.  The core
-class :class:`_Series` holds everything that does not depend on the shape
-of a key; the two-variable series of :mod:`jfkernel.jacobi` is the same
-core with (exponent, zeta-power) keys.  Inside the kernels
-(:func:`_product`, :func:`div_exact`, and the heat operator and restriction
-in :mod:`jfkernel.jacobi`) exponents are plain ints on the grid 1/L common
-to the operands and the bound, and coefficients add up as unreduced integer
-coordinate vectors over one denominator, so the field normalises once per
-output term, not once per pair of input terms.
+A series stores each exponent as an int N on its own grid 1/``den`` (24
+for eta, 4m for theta components, the lcm of the operands' grids for a
+product or sum); ``Fraction`` appears only at the edge: the constructor,
+``coeff``, ``terms`` (a Fraction-keyed view), ``first_difference`` and
+JSON.  The core class :class:`_Series` holds everything that does not
+depend on the shape of a key; the two-variable series of
+:mod:`jfkernel.jacobi` is the same core with (exponent, zeta-power) keys.
+Inside the kernels (:func:`_product`, :func:`div_exact`, and the heat
+operator and restriction in :mod:`jfkernel.jacobi`) coefficients add up as
+unreduced integer coordinate vectors over one denominator, so the field
+normalises once per output term, not once per pair of input terms.
 
 A series carries a validity bound ``valid_below``: all terms with exponent
 strictly below the bound are exactly known, nothing is asserted at or above
@@ -32,7 +34,9 @@ import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import itemgetter
+from types import MappingProxyType
 
 from .cyclotomic import CYC24, CycNumber, _is_int, coerce24, cyclotomic_field
 
@@ -117,16 +121,21 @@ def _entry(obj, key, what):
         raise ValueError(f"{what} has no {key!r}") from None
 
 
-def _json_rational(x, what) -> Fraction:
-    """An exact rational from JSON: an integer or a string "p" or "p/q"."""
+def _json_ratio(x, what) -> tuple[int, int]:
+    """An exact rational from JSON, an integer or a string "p" or "p/q", as
+    the ints (p, q)."""
     if _is_int(x):
-        return Fraction(x)
+        return x, 1
     if isinstance(x, str) and _RATIONAL.fullmatch(x):
         num, _, den = x.partition("/")
         if den and int(den) == 0:
             raise ValueError(f"{what}: zero denominator in {x!r}")
-        return Fraction(int(num), int(den or 1))
+        return int(num), int(den or 1)
     raise ValueError(f"{what} must be an integer or a string p or p/q, got {x!r}")
+
+
+def _json_rational(x, what) -> Fraction:
+    return Fraction(*_json_ratio(x, what))
 
 
 def _terms_json(obj, what):
@@ -139,33 +148,48 @@ def _terms_json(obj, what):
     return terms, _json_rational(_entry(obj, "valid_below", what), f"{what} valid_below"), meta
 
 
+def _top(bound: Fraction, den: int) -> int:
+    """The least int N with N/den >= bound: a grid key N/den lies below
+    ``bound`` exactly when N < _top(bound, den)."""
+    return -(-bound.numerator * den // bound.denominator)
+
+
 class _Series:
     """The sparse truncated series core of :class:`PuiseuxSeries` and
     :class:`~jfkernel.jacobi.JacobiSeries`.
 
-    ``terms`` maps a key to a nonzero coefficient.  A subclass fixes the
-    shape of a key, and :meth:`_qexp` gives the key's q-exponent, which is
-    what ``valid_below`` bounds.  Instances are treated as immutable;
-    operations return new series and never modify their arguments.
+    ``_terms`` maps a key to a nonzero coefficient.  The key's q-exponent,
+    :meth:`_qexp`, is an int N on the grid 1/``den``: the exponent is
+    N/den.  A subclass fixes the rest of a key, and
+    :meth:`_with_q` puts a new q-part into one.  ``den`` is any common
+    denominator of the exponents, not necessarily the least, so ``==``,
+    :meth:`same_below` and :meth:`first_difference` compare on the lcm of the
+    two grids.  ``terms`` is the same mapping keyed by ``Fraction``
+    exponents, built on each access for callers; no kernel reads it.
+    Instances are treated as immutable; operations return new series and
+    never modify their arguments.
 
     Each subclass binds the shared operators in its own body, so that
     ``bench/tracer.py`` can wrap them per class.
     """
 
-    __slots__ = ("terms", "valid_below", "meta")
+    __slots__ = ("_terms", "den", "valid_below", "meta")
 
     def __init__(self, terms, valid_below, meta: FormMeta | None = None):
         vb = Fraction(valid_below)
-        key, qexp = self._key, self._qexp
+        key, qexp, with_q = self._key, self._qexp, self._with_q
         clean = {}
-        for k, c in terms.items() if isinstance(terms, dict) else terms:
+        for k, c in terms.items() if hasattr(terms, "items") else terms:
             k = key(k)
             if qexp(k) >= vb:
                 continue
             c = coerce24(c)
             if not c.is_zero():
                 clean[k] = c
-        self.terms = clean
+        den = lcm(*[qexp(k).denominator for k in clean])
+        self._terms = {with_q(k, qexp(k).numerator * (den // qexp(k).denominator)): c
+                       for k, c in clean.items()}
+        self.den = den
         self.valid_below = vb
         self.meta = meta
 
@@ -175,25 +199,51 @@ class _Series:
 
     # -- structure ----------------------------------------------------------
 
+    @property
+    def terms(self):
+        """The terms keyed by ``Fraction`` q-exponents, in storage order."""
+        den, qexp, with_q = self.den, self._qexp, self._with_q
+        return MappingProxyType({with_q(k, Fraction(qexp(k), den)): c
+                                 for k, c in self._terms.items()})
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def val(self) -> Fraction:
         """Least stored q-exponent; for the zero series, the validity bound."""
-        return min(map(self._qexp, self.terms), default=self.valid_below)
+        if not self._terms:
+            return self.valid_below
+        return Fraction(self._qexp(min(self._terms)), self.den)
+
+    def _index(self, exponent):
+        """The grid int of a q-exponent, or None when it is off the grid."""
+        x = Fraction(exponent) * self.den
+        return x.numerator if x.denominator == 1 else None
+
+    def _on_grid(self, den):
+        """The int-keyed terms on the grid 1/den, a multiple of ``self.den``."""
+        if den == self.den:
+            return self._terms
+        f = den // self.den
+        qexp, with_q = self._qexp, self._with_q
+        return {with_q(k, qexp(k) * f): c for k, c in self._terms.items()}
 
     def items_sorted(self):
-        return sorted(self.terms.items(), key=lambda t: t[0])
+        den, qexp, with_q = self.den, self._qexp, self._with_q
+        return [(with_q(k, Fraction(qexp(k), den)), c)
+                for k, c in sorted(self._terms.items(), key=itemgetter(0))]
 
     def with_meta(self, meta: FormMeta | None):
-        return _assemble(type(self), self.terms, self.valid_below, meta)
+        return _assemble(type(self), self._terms, self.den, self.valid_below, meta)
 
     def truncate(self, bound):
         """Restrict to q-exponents below ``bound`` (must not exceed the bound)."""
         bound = Fraction(bound)
         if bound > self.valid_below:
             raise ValueError("cannot extend a series beyond its validity bound")
-        return type(self)(self.terms, bound, self.meta)
+        top, qexp = _top(bound, self.den), self._qexp
+        return _assemble(type(self), {k: c for k, c in self._terms.items() if qexp(k) < top},
+                         self.den, bound, self.meta)
 
     def _operand(self, other):
         """``other`` as a series of this class, or None."""
@@ -215,31 +265,38 @@ class _Series:
         bound = Fraction(bound)
         if bound > self.valid_below or bound > other.valid_below:
             raise ValueError("comparison bound exceeds a validity bound")
-        qexp = self._qexp
-        for k, c in self.terms.items():
-            if qexp(k) < bound and other.terms.get(k) != c:
+        den = lcm(self.den, other.den)
+        a, b = self._on_grid(den), other._on_grid(den)
+        top, qexp = _top(bound, den), self._qexp
+        for k, c in a.items():
+            if qexp(k) < top and b.get(k) != c:
                 return False
-        for k in other.terms:
-            if qexp(k) < bound and k not in self.terms:
+        for k in b:
+            if qexp(k) < top and k not in a:
                 return False
         return True
 
     def first_difference(self, other, bound=None):
-        """Smallest key below ``bound`` where the two series differ."""
+        """Smallest key below ``bound`` where the two series differ, with its
+        q-exponent as a ``Fraction``."""
         if bound is None:
             bound = self.agreement_bound(other)
-        bound = Fraction(bound)
-        for k in sorted(set(self.terms) | set(other.terms)):
-            if self._qexp(k) >= bound:
+        den = lcm(self.den, other.den)
+        a, b = self._on_grid(den), other._on_grid(den)
+        top, qexp = _top(Fraction(bound), den), self._qexp
+        for k in sorted(set(a) | set(b)):
+            if qexp(k) >= top:
                 break
-            if self.terms.get(k, CYC24.zero) != other.terms.get(k, CYC24.zero):
-                return k
+            if a.get(k, CYC24.zero) != b.get(k, CYC24.zero):
+                return self._with_q(k, Fraction(qexp(k), den))
         return None
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self.valid_below == other.valid_below and self.terms == other.terms
+        den = lcm(self.den, other.den)
+        return (self.valid_below == other.valid_below
+                and self._on_grid(den) == other._on_grid(den))
 
     __hash__ = None
 
@@ -247,18 +304,20 @@ class _Series:
 
     def __add__(self, other):
         """Sum; self's keys first, and only sums that cancel are dropped.  A
-        series whose own bound is the result's needs no filtering, and
-        copying its dict reuses the stored key hashes."""
+        series on the result's grid whose own bound is the result's needs no
+        filtering, and copying its dict reuses the stored key hashes."""
         other = self._operand(other)
         if other is None:
             return NotImplemented
         vb = min(self.valid_below, other.valid_below)
-        qexp = self._qexp
+        den = lcm(self.den, other.den)
+        top, qexp = _top(vb, den), self._qexp
 
         def below(s):
+            terms = s._on_grid(den)
             if s.valid_below == vb:
-                return s.terms
-            return {k: c for k, c in s.terms.items() if qexp(k) < vb}
+                return terms
+            return {k: c for k, c in terms.items() if qexp(k) < top}
 
         out = dict(below(self))
         summed = []
@@ -271,7 +330,7 @@ class _Series:
         for k in summed:
             if out[k].is_zero():
                 del out[k]
-        return _assemble(type(self), out, vb, None)
+        return _assemble(type(self), out, den, vb, None)
 
     def __sub__(self, other):
         if not isinstance(other, _Series):
@@ -279,24 +338,26 @@ class _Series:
         return self + (-other)
 
     def __neg__(self):
-        return _assemble(type(self), {k: -c for k, c in self.terms.items()},
-                         self.valid_below, self.meta)
+        return _assemble(type(self), {k: -c for k, c in self._terms.items()},
+                         self.den, self.valid_below, self.meta)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycNumber)):
             if not other:
                 terms = {}
             elif isinstance(other, CycNumber):
-                terms = {k: c * other for k, c in self.terms.items()}
+                terms = {k: c * other for k, c in self._terms.items()}
             else:
-                terms = {k: c.scale(other) for k, c in self.terms.items()}
-            return _assemble(type(self), terms, self.valid_below, self.meta)
+                terms = {k: c.scale(other) for k, c in self._terms.items()}
+            return _assemble(type(self), terms, self.den, self.valid_below, self.meta)
         other = self._operand(other)
         if other is None:
             return NotImplemented
         vb = min(self.valid_below + other.val(), other.valid_below + self.val())
-        out = _product(self._triples(), other._triples(), vb)
-        return _assemble(type(self), self._from_triples(out), vb,
+        den = lcm(self.den, other.den)
+        out = _product(self._triples(den // self.den), other._triples(den // other.den),
+                       _top(vb, den))
+        return _assemble(type(self), self._from_triples(out), den, vb,
                          self._mul_meta(self.meta, other.meta))
 
     __rmul__ = __mul__
@@ -336,11 +397,18 @@ class _Series:
 
     @classmethod
     def _from_json(cls, obj, what):
-        """Decode :meth:`to_json` output; malformed input raises ValueError."""
+        """Decode :meth:`to_json` output; malformed input raises ValueError.
+        A key's q-exponent is read as the ints (p, q) and put on the lcm of
+        the q's, with no ``Fraction`` per term."""
         items, vb, meta = _terms_json(obj, what)
-        terms = {cls._key_from_json(t): CycNumber.from_json(_entry(t, "coeff", "series term"))
-                 for t in items}
-        return cls(terms, vb, meta)
+        pairs = [(cls._key_from_json(t), CycNumber.from_json(_entry(t, "coeff", "series term")))
+                 for t in items]
+        qexp, with_q = cls._qexp, cls._with_q
+        den = lcm(*[qexp(k)[1] for k, _c in pairs])
+        terms = {with_q(k, qexp(k)[0] * (den // qexp(k)[1])): c for k, c in pairs}
+        top = _top(vb, den)
+        return _assemble(cls, {k: c for k, c in terms.items() if qexp(k) < top and not c.is_zero()},
+                         den, vb, meta)
 
 
 def _q_text(e: Fraction) -> str:
@@ -354,8 +422,8 @@ def _q_text(e: Fraction) -> str:
 
 class PuiseuxSeries(_Series):
     """A truncated q-series with rational exponents and Q(zeta_24)
-    coefficients; ``terms`` maps each ``Fraction`` exponent to its
-    coefficient."""
+    coefficients; a key is the exponent's int on the grid 1/``den``, and
+    ``terms`` maps each ``Fraction`` exponent to its coefficient."""
 
     __slots__ = ()
 
@@ -369,6 +437,10 @@ class PuiseuxSeries(_Series):
         return e
 
     @staticmethod
+    def _with_q(_e, n):
+        return n
+
+    @staticmethod
     def one(valid_below, meta=None) -> "PuiseuxSeries":
         return PuiseuxSeries({Fraction(0): CYC24.one}, valid_below, meta)
 
@@ -377,14 +449,14 @@ class PuiseuxSeries(_Series):
         return PuiseuxSeries({Fraction(exponent): coeff}, valid_below, meta)
 
     def coeff(self, exponent) -> CycNumber:
-        return self.terms.get(Fraction(exponent), CYC24.zero)
+        return self._terms.get(self._index(exponent), CYC24.zero)
 
-    def _triples(self):
-        return [(e, 0, c) for e, c in self.terms.items()]
+    def _triples(self, f):
+        return [(n * f, 0, c) for n, c in self._terms.items()]
 
     @staticmethod
     def _from_triples(out):
-        return {e: c for e, _r, c in out}
+        return {n: c for n, _r, c in out}
 
     @staticmethod
     def _mul_meta(a, b):
@@ -396,7 +468,7 @@ class PuiseuxSeries(_Series):
 
     @staticmethod
     def _key_from_json(t):
-        return _json_rational(_entry(t, "exp", "series term"), "term exp")
+        return _json_ratio(_entry(t, "exp", "series term"), "term exp")
 
     @staticmethod
     def from_json(obj) -> "PuiseuxSeries":
@@ -421,11 +493,12 @@ class PuiseuxSeries(_Series):
 # Kernels shared with the two-variable series
 
 
-def _assemble(cls, terms, valid_below, meta):
-    """A series from terms already clean: Fraction keys below the bound,
-    nonzero coefficients."""
+def _assemble(cls, terms, den, valid_below, meta):
+    """A series from terms already clean: int keys on the grid 1/den below
+    the bound, nonzero coefficients."""
     out = cls.__new__(cls)
-    out.terms = terms
+    out._terms = terms
+    out.den = den
     out.valid_below = valid_below
     out.meta = meta
     return out
@@ -448,36 +521,24 @@ def _coords(*groups):
                for g in groups]
 
 
-def _grid(e: Fraction, L: int) -> int:
-    """The exponent e as an integer on the grid 1/L (L a multiple of its denominator)."""
-    return e.numerator * (L // e.denominator)
+def _product(a, b, top):
+    """The terms of a*b with q-exponent int below ``top``.
 
-
-def _product(a, b, vb):
-    """The terms of a*b with q-exponent below ``vb``.
-
-    ``a`` and ``b`` are lists of (q-exponent, zeta-power, coefficient); a
-    one-variable series has zeta-power 0.  Exponents become ints on the grid
-    1/L common to both operands and the bound, and (exponent, zeta-power)
-    packs into one int key, so that a pair of terms costs an int comparison,
-    an int addition and the coordinate products.  Each key accumulates
-    unreduced coordinates, and the field normalises once per key.  Returns
-    (exponent, zeta-power, coefficient) triples with nonzero coefficients,
-    in order of the key's first occurrence over the pairs (a outer, b inner).
+    ``a`` and ``b`` are lists of (q-exponent, zeta-power, coefficient), the
+    exponents ints on one grid; a one-variable series has zeta-power 0.
+    (exponent, zeta-power) packs into one int key, so that a pair of terms
+    costs an int comparison, an int addition and the coordinate products.
+    Each key accumulates unreduced coordinates, and the field normalises
+    once per key.  Returns (exponent, zeta-power, coefficient) triples with
+    nonzero coefficients, in order of the key's first occurrence over the
+    pairs (a outer, b inner).
     """
-    f, ((da, ca), (db, cb)) = _coords((c for _e, _r, c in a), (c for _e, _r, c in b))
-    L = lcm(vb.denominator, *(e.denominator for e, _r, _c in a),
-            *(e.denominator for e, _r, _c in b))
+    f, ((da, ca), (db, cb)) = _coords((c for _n, _r, c in a), (c for _n, _r, c in b))
     # zeta-powers of a product lie in [-h, h]; a key is N*width + r
-    h = max((abs(r) for _e, r, _c in a), default=0) + max((abs(r) for _e, r, _c in b), default=0)
+    h = max((abs(r) for _n, r, _c in a), default=0) + max((abs(r) for _n, r, _c in b), default=0)
     width = 2 * h + 1
-
-    def keyed(terms, coords):
-        grid = [_grid(e, L) for e, _r, _c in terms]
-        return [(n, n * width + r, x) for n, (_e, r, _c), x in zip(grid, terms, coords)]
-
-    A, B = keyed(a, ca), keyed(b, cb)
-    top = _grid(vb, L)
+    A = [(n, n * width + r, x) for (n, r, _c), x in zip(a, ca)]
+    B = [(n, n * width + r, x) for (n, r, _c), x in zip(b, cb)]
     size = 2 * f.degree - 1
     sums = {}
     for na, ka, xs in A:
@@ -492,18 +553,13 @@ def _product(a, b, vb):
                     for j, y in ys:
                         acc[i + j] += x * y
     den = da * db
-    exps = {}
     out = []
     for key, acc in sums.items():
         c = f.element(acc, den)
         if c.is_zero():
             continue
         r = (key + h) % width - h
-        n = (key - r) // width
-        e = exps.get(n)
-        if e is None:
-            e = exps[n] = Fraction(n, L)
-        out.append((e, r, c))
+        out.append(((key - r) // width, r, c))
     return out
 
 
@@ -513,17 +569,19 @@ def _product(a, b, vb):
 
 def euler_d(a: PuiseuxSeries) -> PuiseuxSeries:
     """The normalised derivative D = q d/dq: c q^e -> e c q^e."""
-    return _assemble(PuiseuxSeries, {e: c.scale(e) for e, c in a.terms.items() if e},
-                     a.valid_below, a.meta)
+    den = a.den
+    return _assemble(PuiseuxSeries, {n: c.scale(n, den) for n, c in a._terms.items() if n},
+                     den, a.valid_below, a.meta)
 
 
 def dilate(a: PuiseuxSeries, m: int) -> PuiseuxSeries:
     """Substitute tau -> m tau: every exponent (and the bound) scales by m."""
     if m < 1:
         raise ValueError("dilation factor must be a positive integer")
-    return PuiseuxSeries(
-        {e * m: c for e, c in a.terms.items()}, a.valid_below * m, a.meta
-    )
+    g = gcd(a.den, m)
+    f = m // g
+    return _assemble(PuiseuxSeries, {n * f: c for n, c in a._terms.items()},
+                     a.den // g, a.valid_below * m, a.meta)
 
 
 def div_exact(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
@@ -535,7 +593,7 @@ def div_exact(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
     the round trip div_exact(a*b, b) = a hold term-exactly.
 
     Long division from the lowest term up: a heap walks the remainder's
-    exponents, ints on a common grid, in increasing order.  Each remainder
+    exponents, ints on the common grid, in increasing order.  Each remainder
     term accumulates unreduced coordinates and is normalised once, when it
     is divided by the leading coefficient.  A divisor with rational
     coefficients (the theta components) has one coordinate per term, so
@@ -545,22 +603,23 @@ def div_exact(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
         raise ExactDivisionError("division by a series that is zero on its valid range")
     vb_b = b.val()
     vb = min(a.valid_below, b.valid_below + a.val() - vb_b) - vb_b
-    tail = sorted(e for e in b.terms if e != vb_b)
+    lead = min(b._terms)
+    tail = sorted(n for n in b._terms if n != lead)
     # the leading coefficient's group only takes part in choosing the field
     f, ((da, ca), (dt, ct), _) = _coords(
-        a.terms.values(), (b.terms[e] for e in tail), [b.terms[vb_b]])
-    lead_inv = f.embed(b.terms[vb_b]).inverse()
-    L = lcm(vb.denominator, vb_b.denominator, *(e.denominator for e in a.terms),
-            *(e.denominator for e in tail))
-    n_lead = _grid(vb_b, L)
+        a._terms.values(), (b._terms[n] for n in tail), [b._terms[lead]])
+    lead_inv = f.embed(b._terms[lead]).inverse()
+    L = lcm(a.den, b.den)
+    fa, fb = L // a.den, L // b.den
+    n_lead = lead * fb
     # remainder exponents from here on never reach the quotient
-    top = _grid(vb, L) + n_lead
-    steps = [(_grid(e, L) - n_lead, y) for e, y in zip(tail, ct)]
+    top = _top(vb, L) + n_lead
+    steps = [(n * fb - n_lead, y) for n, y in zip(tail, ct)]
     inv = [(i, v) for i, v in enumerate(lead_inv.num) if v]
     size = 2 * f.degree - 1
     rem = {}
-    for e, xs in zip(a.terms, ca):
-        n = _grid(e, L)
+    for n, xs in zip(a._terms, ca):
+        n *= fa
         if n < top:
             slot = rem[n] = [[0] * size, da]
             for i, v in xs:
@@ -580,7 +639,7 @@ def div_exact(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
                 for j, y in inv:
                     prod[i + j] += x * y
         cq = f.element(prod, den * lead_inv.den)
-        out[Fraction(n - n_lead, L)] = cq
+        out[n - n_lead] = cq
         xq = [(i, x) for i, x in enumerate(cq.num) if x]
         dq = cq.den * dt
         for step, ys in steps:
@@ -600,7 +659,7 @@ def div_exact(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
             for i, x in xq:
                 for j, y in ys:
                     acc[i + j] -= x * y * s
-    return _assemble(PuiseuxSeries, out, vb, None)
+    return _assemble(PuiseuxSeries, out, L, vb, None)
 
 
 def eta(order) -> PuiseuxSeries:
@@ -615,12 +674,12 @@ def eta(order) -> PuiseuxSeries:
     n = 1
     while n * n < 24 * order:
         if n % 12 in (1, 11):
-            terms[Fraction(n * n, 24)] = CYC24.one
+            terms[n * n] = CYC24.one
         elif n % 12 in (5, 7):
-            terms[Fraction(n * n, 24)] = -CYC24.one
+            terms[n * n] = -CYC24.one
         n += 1
     meta = FormMeta(weight=Fraction(1, 2), level=1, kind="cuspidal", source="eta")
-    return _assemble(PuiseuxSeries, terms, order, meta)
+    return _assemble(PuiseuxSeries, terms, 24, order, meta)
 
 
 def eta_power(exponent: int, order) -> PuiseuxSeries:

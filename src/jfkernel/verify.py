@@ -196,9 +196,11 @@ def _id_d2_lambda2(order, rng, pairs=20):
     for idx in range(pairs):
         phi0 = _random_series(rng, order + 1)
         phi2 = _random_series(rng, order + 1)
+        phi = lambda2_inv(phi0, phi2, order + 2)
+        combo = phi0 * xi0 + phi2 * xi2
         for k in (2, 4, 10):
-            lhs = d2_hat(lambda2_inv(phi0, phi2, order + 2), k)
-            rhs = (phi0 * xi0 + phi2 * xi2) * (8 * k)
+            lhs = d2_hat(phi, k)
+            rhs = combo * (8 * k)
             ok, witness = _series_equal(order, lhs, rhs)
             if not ok:
                 return False, f"pair {idx}, k={k}: {witness}"
@@ -213,13 +215,15 @@ def _id_d2_lambdastar(order, rng, count=10):
         if c != 4 * m:
             return False, f"derived constant {c} != 4m at m={m}"
         consts[m] = c
+    stars = {m: xi_m_star_hat(m, order + 2) for m in consts}
     for idx in range(count):
         phi = _random_series(rng, order + 1)
         for m in (1, 2, 3, 5):
-            star = xi_m_star_hat(m, order + 2)
+            jac = lambda_star_inv(phi, m, order + 2)
+            prod = phi * stars[m]
             for k in (2, 4):
-                lhs = d2_hat(lambda_star_inv(phi, m, order + 2), k)
-                rhs = phi * star * (consts[m] * k)
+                lhs = d2_hat(jac, k)
+                rhs = prod * (consts[m] * k)
                 ok, witness = _series_equal(order, lhs, rhs)
                 if not ok:
                     return False, f"phi {idx}, m={m}, k={k}: {witness}"
@@ -427,9 +431,14 @@ def cusp_bound_sample(components, g: SL2Mat, weight, heights) -> CheckReport:
 
 
 def suite_identities(order=30, seed: int = 7):
+    """Every catalogue identity at ``order``, which must exceed 5/8 (the
+    least order of :func:`xi_pair_hat`)."""
+    order = Fraction(order)
+    if order <= Fraction(5, 8):
+        raise ValueError(f"--order must exceed 5/8, got {order}")
     reports = []
     for name in sorted(IDENTITIES):
-        ord_here = Fraction(order)
+        ord_here = order
         if name in ("d2-lambda2", "d2-lambdastar"):
             ord_here = Fraction(min(order, 20))
         if name in ("lambda2-roundtrip", "lambdastar-roundtrip"):

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import jfkernel
 
-MODULES = sorted(p for p in Path(jfkernel.__file__).parent.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(Path(jfkernel.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def _unused_imports(tree):
@@ -21,6 +22,32 @@ def _unused_imports(tree):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _private_functions(tree):
+    return {node.name: node.lineno for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+            and not node.name.endswith("__")}
+
+
+def _references(trees):
+    names = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def _uncalled_helpers(sources):
+    """(module, line, name) of each private top-level function that no code
+    in ``sources`` (a {module name: text} dict) refers to."""
+    trees = {name: ast.parse(text, name) for name, text in sources.items()}
+    used = _references(trees.values())
+    return sorted((name, line, fn) for name, tree in trees.items()
+                  for fn, line in _private_functions(tree).items() if fn not in used)
+
+
 def test_modules_are_found():
     assert {"cyclotomic.py", "verify.py", "cli.py"} <= {p.name for p in MODULES}
 
@@ -33,3 +60,16 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_unused_import_is_reported():
     tree = ast.parse("import os\nfrom math import gcd, lcm\nprint(gcd(1, 2))\n")
     assert _unused_imports(tree) == [(1, "os"), (2, "lcm")]
+
+
+def test_every_private_function_is_referenced_somewhere_in_the_package():
+    assert _uncalled_helpers({p.name: p.read_text() for p in SOURCES}) == []
+
+
+def test_uncalled_helper_is_reported():
+    sources = {
+        "a.py": "def _used():\n    pass\n\ndef _left():\n    pass\n\ndef __getattr__(n):\n    pass\n",
+        "b.py": "from .a import _used\n\nclass C:\n    def _method(self):\n        return _used()\n",
+        "c.py": "import a\n\nx = a._used\n_left = 1\n",
+    }
+    assert _uncalled_helpers(sources) == [("a.py", 4, "_left")]

@@ -22,6 +22,7 @@ from jfkernel.verify import (
     check_weight_char,
     cusp_bound_sample,
     run_identity,
+    suite_all,
     suite_identities,
     suite_weil,
 )
@@ -163,6 +164,14 @@ def test_suite_identities_all_pass():
     reports = suite_identities(order=16, seed=7)
     for r in reports:
         assert r.passed, (r.name, r.witness)
+
+
+@pytest.mark.parametrize("suite", [suite_identities, suite_all])
+@pytest.mark.parametrize("order, shown", [(0, "0"), ("1/16", "1/16"), (F(5, 8), "5/8")])
+def test_suites_refuse_an_order_at_or_below_five_eighths(suite, order, shown):
+    with pytest.raises(ValueError) as info:
+        suite(order)
+    assert str(info.value) == f"--order must exceed 5/8, got {shown}"
 
 
 def test_report_json_shape():
