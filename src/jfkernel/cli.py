@@ -90,6 +90,20 @@ def _read_json(path: str | None):
         raise ValueError("input JSON is nested too deeply") from None
 
 
+def _read_pair(path):
+    """The series "phi0" and "phi2" of the input JSON object."""
+    data = _read_json(path)
+    return [PuiseuxSeries.from_json(_part(data, k)) for k in ("phi0", "phi2")]
+
+
+def _read_components(path, m, key):
+    """Components 0 and m: by position in decompose output (a JSON array),
+    else the entries "h0" and ``key`` of a JSON object."""
+    data = _read_json(path)
+    keys = (0, m) if isinstance(data, list) else ("h0", key)
+    return [PuiseuxSeries.from_json(_part(data, k)) for k in keys]
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and reused by every run."""
@@ -99,11 +113,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, order=True):
+    def add_common(sp, order=True, text=True):
+        # text=False: the subcommand writes JSON only and takes no --format
         if order:
             sp.add_argument("--order", type=_fraction, required=True,
                             help="validity bound for q-expansions, e.g. 25 or 49/8")
-        sp.add_argument("--format", choices=("text", "json"), default="text")
+        if text:
+            sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("--in", dest="input", default=None,
                         help="input JSON file (default: stdin)")
 
@@ -135,25 +151,25 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp, order=False)
 
     sp = sub.add_parser("lambda2", help="component pair divided by theta_{2,1}")
-    add_common(sp, order=False)
+    add_common(sp, order=False, text=False)
 
     sp = sub.add_parser("lambda2-inv", help="rebuild a kernel element from a pair")
-    add_common(sp)
+    add_common(sp, text=False)
 
     sp = sub.add_parser("lambdastar", help="scalar quotient at squarefree index")
     sp.add_argument("--m", type=int, required=True)
-    add_common(sp, order=False)
+    add_common(sp, order=False, text=False)
 
     sp = sub.add_parser("lambdastar-inv", help="rebuild from a scalar series")
     sp.add_argument("--m", type=int, required=True)
-    add_common(sp)
+    add_common(sp, text=False)
 
     sp = sub.add_parser("psi", help="the quotient phi0/xi2 = -phi2/xi0")
     add_common(sp, order=False)
 
     sp = sub.add_parser("project-0m", help="projection onto the 0 and m components")
     sp.add_argument("--m", type=int, required=True)
-    add_common(sp, order=False)
+    add_common(sp, order=False, text=False)
 
     sp = sub.add_parser("weil", help="multiplier matrix of a generator word")
     sp.add_argument("--m", type=int, required=True)
@@ -249,33 +265,16 @@ def _dispatch(args, out) -> int:
         return 0
 
     if cmd == "lambda2":
-        data = _read_json(args.input)
-        if isinstance(data, list):  # decompose output: take the 0 and 2 components
-            h0 = PuiseuxSeries.from_json(_part(data, 0))
-            h2 = PuiseuxSeries.from_json(_part(data, 2))
-        else:
-            h0 = PuiseuxSeries.from_json(_part(data, "h0"))
-            h2 = PuiseuxSeries.from_json(_part(data, "h2"))
-        pair = lambda2_fwd(h0, h2)
+        pair = lambda2_fwd(*_read_components(args.input, 2, "h2"))
         out.write(_dump({"phi0": pair.comp0.to_json(), "phi2": pair.comp2.to_json()}) + "\n")
         return 0
 
     if cmd == "lambda2-inv":
-        data = _read_json(args.input)
-        phi0 = PuiseuxSeries.from_json(_part(data, "phi0"))
-        phi2 = PuiseuxSeries.from_json(_part(data, "phi2"))
-        _emit_series(lambda2_inv(phi0, phi2, args.order), "json", out)
+        _emit_series(lambda2_inv(*_read_pair(args.input), args.order), "json", out)
         return 0
 
     if cmd == "lambdastar":
-        data = _read_json(args.input)
-        if isinstance(data, list):
-            h0 = PuiseuxSeries.from_json(_part(data, 0))
-            hm = PuiseuxSeries.from_json(_part(data, args.m))
-        else:
-            h0 = PuiseuxSeries.from_json(_part(data, "h0"))
-            hm = PuiseuxSeries.from_json(_part(data, "hm"))
-        _emit_series(lambda_star_fwd(h0, hm, args.m), "json", out)
+        _emit_series(lambda_star_fwd(*_read_components(args.input, args.m, "hm"), args.m), "json", out)
         return 0
 
     if cmd == "lambdastar-inv":
@@ -284,10 +283,7 @@ def _dispatch(args, out) -> int:
         return 0
 
     if cmd == "psi":
-        data = _read_json(args.input)
-        phi0 = PuiseuxSeries.from_json(_part(data, "phi0"))
-        phi2 = PuiseuxSeries.from_json(_part(data, "phi2"))
-        _emit_series(psi_form(phi0, phi2), args.format, out)
+        _emit_series(psi_form(*_read_pair(args.input)), args.format, out)
         return 0
 
     if cmd == "project-0m":

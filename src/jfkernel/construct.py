@@ -93,14 +93,16 @@ def is_squarefree(m: int) -> bool:
 # The weight-3 Wronskians (all stored divided by 2 pi i)
 
 
+def _wronskian(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
+    return a * euler_d(b) - b * euler_d(a)
+
+
 def xi_hat(order) -> PuiseuxSeries:
     """theta_{1,1} D theta_{1,0} - theta_{1,0} D theta_{1,1}; equals -eta^6/2."""
     order = Fraction(order)
     if order <= Fraction(1, 4):
         raise ValueError("order must exceed 1/4")
-    t0 = theta_component(1, 0, order)
-    t1 = theta_component(1, 1, order)
-    out = t1 * euler_d(t0) - t0 * euler_d(t1)
+    out = _wronskian(theta_component(1, 1, order), theta_component(1, 0, order))
     return out.with_meta(FormMeta(weight=Fraction(3), level=1, character="omega_m",
                                   kind="cuspidal", source="xi_hat"))
 
@@ -110,9 +112,7 @@ def xi_m_star_hat(m: int, order) -> PuiseuxSeries:
     if m < 1:
         raise ValueError("index must be a positive integer")
     order = Fraction(order)
-    t0 = theta_component(m, 0, order)
-    tm = theta_component(m, m, order)
-    out = tm * euler_d(t0) - t0 * euler_d(tm)
+    out = _wronskian(theta_component(m, m, order), theta_component(m, 0, order))
     return out.with_meta(FormMeta(weight=Fraction(3), level=m, character="omega_m",
                                   kind="cuspidal", source=f"xi_star_hat({m})"))
 
@@ -122,13 +122,9 @@ def xi_pair_hat(order):
     order = Fraction(order)
     if order <= Fraction(5, 8):
         raise ValueError("order must exceed 5/8")
-    t0 = theta_component(2, 0, order)
     t1 = theta_component(2, 1, order)
-    t2 = theta_component(2, 2, order)
-    xi0 = t1 * euler_d(t0) - t0 * euler_d(t1)
-    xi2 = t1 * euler_d(t2) - t2 * euler_d(t1)
     meta = FormMeta(weight=Fraction(3), level=2, kind="cuspidal", source="xi_pair_hat")
-    return xi0.with_meta(meta), xi2.with_meta(meta)
+    return tuple(_wronskian(t1, theta_component(2, r, order)).with_meta(meta) for r in (0, 2))
 
 
 def eta6_dilated(m: int, order) -> PuiseuxSeries:
@@ -231,16 +227,14 @@ def lambda_star_inv(phi: PuiseuxSeries, m: int, order) -> JacobiSeries:
 # The weight-(k-4) quotient
 
 
-def psi_form(phi0: PuiseuxSeries, phi2: PuiseuxSeries, order=None) -> PuiseuxSeries:
+def psi_form(phi0: PuiseuxSeries, phi2: PuiseuxSeries) -> PuiseuxSeries:
     """The common quotient phi0/xi2 = -phi2/xi0.
 
     Requires phi0 xi0 + phi2 xi2 = 0 on the common range
     (:class:`CompatibilityFailed` otherwise).  The 2 pi i normalisation of
     the Wronskians cancels in the quotient.
     """
-    if order is None:
-        order = max(phi0.valid_below, phi2.valid_below) + 2
-    xi0, xi2 = xi_pair_hat(Fraction(order))
+    xi0, xi2 = xi_pair_hat(max(phi0.valid_below, phi2.valid_below) + 2)
     combo = phi0 * xi0 + phi2 * xi2
     if not combo.is_zero():
         raise CompatibilityFailed(
@@ -317,15 +311,15 @@ def derive_bridge_constant(order=12):
     return q.coeff(0)
 
 
-def derive_heat_constant(m: int, k=2, order=10):
+def derive_heat_constant(m: int):
     """C with d2_hat(lambda_star_inv(phi, m), k) = C * k * phi * xi_star_hat(m),
-    derived from a probe input by exact division."""
+    derived at k = 2 from a probe input, to order 10, by exact division."""
     from .jacobi import d2_hat
 
-    order = Fraction(order)
+    order = Fraction(10)
     probe = PuiseuxSeries({Fraction(0): 1, Fraction(1): 1}, order + m)
-    lhs = d2_hat(lambda_star_inv(probe, m, order), k)
-    rhs = probe * xi_m_star_hat(m, order) * Fraction(k)
+    lhs = d2_hat(lambda_star_inv(probe, m, order), 2)
+    rhs = probe * xi_m_star_hat(m, order) * Fraction(2)
     q = div_exact(lhs, rhs)
     if len(q._terms) != 1 or q.val() != 0:
         raise ArithmeticError("heat image is not proportional to phi * xi_star")

@@ -118,8 +118,8 @@ class JacobiSeries(_Series):
         return "*".join(x for x in (_q_text(n), z) if x)
 
     @staticmethod
-    def _term_json(key, coeff):
-        return {"n": _frac_str(key[0]), "r": key[1], "coeff": coeff}
+    def _term_json(key, den, coeff):
+        return {"n": _frac_str(key[0], den), "r": key[1], "coeff": coeff}
 
     @staticmethod
     def _key_from_json(t):

@@ -20,7 +20,6 @@ import cmath
 import math
 
 from .cyclotomic import CYC24
-from .jacobi import JacobiSeries
 
 TWO_PI = 2 * math.pi
 
@@ -36,12 +35,11 @@ class SnapFailed(ArithmeticError):
     """No root of unity within tolerance of the fitted projective scalar."""
 
 
-def eval_series(series, tau: complex, z: complex | None = None,
-                min_im: float = 0.3) -> complex:
-    """Sum a truncated PuiseuxSeries/JacobiSeries at a point.
+def eval_series(series, tau: complex, min_im: float = 0.3) -> complex:
+    """Sum a truncated PuiseuxSeries at a point.
 
     Requires Im tau >= min_im and a negligible tail:
-    |q|^valid_below * (term count + 1) * max|zeta-part| < 1e-14.
+    |q|^valid_below * (term count + 1) < 1e-14.
     The default floor of 0.3 suits generic series; the cusp sampler relaxes
     it because heights y map to Im = 1/y, and the tail bound still protects
     the result there.
@@ -49,24 +47,13 @@ def eval_series(series, tau: complex, z: complex | None = None,
     y = tau.imag
     if y < min_im:
         raise TailTooLarge(f"Im tau = {y} below {min_im}")
-    qlog = -TWO_PI * y
-    two_var = isinstance(series, JacobiSeries)
-    zmag = 0.0
-    if two_var and z is not None:
-        rmax = max((abs(r) for (_n, r) in series._terms), default=0)
-        zmag = TWO_PI * rmax * abs(z.imag)
-    tail = math.exp(qlog * float(series.valid_below) + zmag) * (len(series._terms) + 1)
+    tail = math.exp(-TWO_PI * y * float(series.valid_below)) * (len(series._terms) + 1)
     if tail > 1e-14:
         raise TailTooLarge(f"tail bound {tail:.2e} at Im tau = {y}")
     # n / den is float(Fraction(n, den)): both are correctly rounded
     total, den = 0j, series.den
-    if two_var:
-        zz = z if z is not None else 0j
-        for (n, r), c in series._terms.items():
-            total += c.to_complex() * cmath.exp(2j * math.pi * (n / den * tau + r * zz))
-    else:
-        for n, c in series._terms.items():
-            total += c.to_complex() * cmath.exp(2j * math.pi * (n / den) * tau)
+    for n, c in series._terms.items():
+        total += c.to_complex() * cmath.exp(2j * math.pi * (n / den) * tau)
     return total
 
 
@@ -129,28 +116,16 @@ def eta_num(tau: complex) -> complex:
     return total
 
 
-def eta_pow_num(tau: complex, exponent: int) -> complex:
-    return eta_num(tau) ** exponent
-
-
 # -- the weight-3 theta Wronskians, as honest functions ----------------------
 
 
-def xi_hat_num(tau: complex) -> complex:
-    """theta_{1,1} D theta_{1,0} - theta_{1,0} D theta_{1,1} (equals -eta^6/2)."""
-    return theta_num(1, 1, tau) * dtheta_num(1, 0, tau) - theta_num(1, 0, tau) * dtheta_num(1, 1, tau)
+def wronskian_num(m: int, a: int, b: int, tau: complex) -> complex:
+    """theta_{m,a} D theta_{m,b} - theta_{m,b} D theta_{m,a}.
 
-
-def xi0_hat_num(tau: complex) -> complex:
-    return theta_num(2, 1, tau) * dtheta_num(2, 0, tau) - theta_num(2, 0, tau) * dtheta_num(2, 1, tau)
-
-
-def xi2_hat_num(tau: complex) -> complex:
-    return theta_num(2, 1, tau) * dtheta_num(2, 2, tau) - theta_num(2, 2, tau) * dtheta_num(2, 1, tau)
-
-
-def xi_star_hat_num(m: int, tau: complex) -> complex:
-    return theta_num(m, m, tau) * dtheta_num(m, 0, tau) - theta_num(m, 0, tau) * dtheta_num(m, m, tau)
+    (m, a, b) = (1, 1, 0) is xi_hat (equal to -eta^6/2), (2, 1, 0) and
+    (2, 1, 2) are xi0 and xi2, and (m, m, 0) is xi_star_hat(m).
+    """
+    return theta_num(m, a, tau) * dtheta_num(m, b, tau) - theta_num(m, b, tau) * dtheta_num(m, a, tau)
 
 
 # -- the theta transformation law, and the numeric scalar oracle ---------------
@@ -209,15 +184,14 @@ class NumericForm:
         return f"NumericForm({self.name})"
 
 
-ETA6 = NumericForm("eta^6", lambda tau: eta_pow_num(tau, 6))
-XI_HAT = NumericForm("xi_hat", xi_hat_num)
-XI0_HAT = NumericForm("xi0_hat", xi0_hat_num)
-XI2_HAT = NumericForm("xi2_hat", xi2_hat_num)
+ETA6 = NumericForm("eta^6", lambda tau: eta_num(tau) ** 6)
+XI0_HAT = NumericForm("xi0_hat", lambda tau: wronskian_num(2, 1, 0, tau))
+XI2_HAT = NumericForm("xi2_hat", lambda tau: wronskian_num(2, 1, 2, tau))
 CONST_ONE = NumericForm("1", lambda tau: 1.0 + 0j)
 
 
 def xi_star_form(m: int) -> NumericForm:
-    return NumericForm(f"xi{m}_star_hat", lambda tau: xi_star_hat_num(m, tau))
+    return NumericForm(f"xi{m}_star_hat", lambda tau: wronskian_num(m, m, 0, tau))
 
 
 def sample_points(rng, count: int):

@@ -65,7 +65,7 @@ class FormMeta:
     def to_json(self):
         out = {}
         if self.weight is not None:
-            out["weight"] = _frac_str(Fraction(self.weight))
+            out["weight"] = _frac_str(*Fraction(self.weight).as_integer_ratio())
         if self.index is not None:
             out["index"] = self.index
         if self.level is not None:
@@ -100,8 +100,10 @@ class FormMeta:
         )
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+def _frac_str(n: int, d: int) -> str:
+    """n/d, for d > 0, in lowest terms: "p/q", or "p" when it is an integer."""
+    g = gcd(n, d)
+    return str(n // g) if d == g else f"{n // g}/{d // g}"
 
 
 # -- JSON input checks ---------------------------------------------------------
@@ -179,7 +181,7 @@ class _Series:
         vb = Fraction(valid_below)
         key, qexp, with_q = self._key, self._qexp, self._with_q
         clean = {}
-        for k, c in terms.items() if hasattr(terms, "items") else terms:
+        for k, c in terms.items():
             k = key(k)
             if qexp(k) >= vb:
                 continue
@@ -389,9 +391,11 @@ class _Series:
     # -- serialization ----------------------------------------------------------
 
     def to_json(self):
+        den = self.den
         return {
-            "valid_below": _frac_str(self.valid_below),
-            "terms": [self._term_json(k, c.to_json()) for k, c in self.items_sorted()],
+            "valid_below": _frac_str(*self.valid_below.as_integer_ratio()),
+            "terms": [self._term_json(k, den, c.to_json())
+                      for k, c in sorted(self._terms.items(), key=itemgetter(0))],
             "meta": self.meta.to_json() if self.meta is not None else None,
         }
 
@@ -463,8 +467,8 @@ class PuiseuxSeries(_Series):
         return None
 
     @staticmethod
-    def _term_json(e, coeff):
-        return {"exp": _frac_str(e), "coeff": coeff}
+    def _term_json(n, den, coeff):
+        return {"exp": _frac_str(n, den), "coeff": coeff}
 
     @staticmethod
     def _key_from_json(t):

@@ -57,6 +57,7 @@ from .numeric import (
 )
 from .series import PuiseuxSeries, dilate, eta_power
 from .sl2 import (
+    S as S_MAT,
     GroupWord,
     SL2Mat,
     random_gamma0_2_word,
@@ -112,6 +113,16 @@ def _timed(name, bound, fn):
     ok, witness = fn()
     ms = (time.perf_counter() - start) * 1e3
     return CheckReport(name, "pass" if ok else "fail", bound, witness, ms)
+
+
+def _first_failure(labelled):
+    """(False, "label: witness") for the first failing report of the
+    (label, report) pairs, read no further than that; (True, None) if none
+    fails."""
+    for label, rep in labelled:
+        if not rep.passed:
+            return False, f"{label}: {rep.witness}"
+    return True, None
 
 
 def _series_equal(bound, lhs, rhs):
@@ -190,10 +201,10 @@ def _random_series(rng, vb, nterms=8, grid=8):
     return PuiseuxSeries(terms, vb)
 
 
-def _id_d2_lambda2(order, rng, pairs=20):
+def _id_d2_lambda2(order, rng):
     order = Fraction(order)
     xi0, xi2 = xi_pair_hat(order + 2)
-    for idx in range(pairs):
+    for idx in range(20):
         phi0 = _random_series(rng, order + 1)
         phi2 = _random_series(rng, order + 1)
         phi = lambda2_inv(phi0, phi2, order + 2)
@@ -207,7 +218,7 @@ def _id_d2_lambda2(order, rng, pairs=20):
     return True, None
 
 
-def _id_d2_lambdastar(order, rng, count=10):
+def _id_d2_lambdastar(order, rng):
     order = Fraction(order)
     consts = {}
     for m in (1, 2, 3, 5):
@@ -216,7 +227,7 @@ def _id_d2_lambdastar(order, rng, count=10):
             return False, f"derived constant {c} != 4m at m={m}"
         consts[m] = c
     stars = {m: xi_m_star_hat(m, order + 2) for m in consts}
-    for idx in range(count):
+    for idx in range(10):
         phi = _random_series(rng, order + 1)
         for m in (1, 2, 3, 5):
             jac = lambda_star_inv(phi, m, order + 2)
@@ -254,9 +265,9 @@ def _id_xistar_dilate(order, rng):
     return True, None
 
 
-def _id_lambda2_roundtrip(order, rng, count=50):
+def _id_lambda2_roundtrip(order, rng):
     order = Fraction(order)
-    for idx in range(count):
+    for idx in range(50):
         phi0 = _random_series(rng, order)
         phi2 = _random_series(rng, order)
         phi = lambda2_inv(phi0, phi2, order + 2)
@@ -273,10 +284,10 @@ def _id_lambda2_roundtrip(order, rng, count=50):
     return True, None
 
 
-def _id_lambdastar_roundtrip(order, rng, count=50):
+def _id_lambdastar_roundtrip(order, rng):
     order = Fraction(order)
     ms = (1, 2, 3, 5)
-    for idx in range(count):
+    for idx in range(50):
         phi = _random_series(rng, order)
         m = ms[idx % len(ms)]
         jac = lambda_star_inv(phi, m, order + m)
@@ -329,73 +340,54 @@ def _residual(lhs, rhs) -> float:
     return max(abs(a - b) for a, b in zip(lhs, rhs)) / scale
 
 
-def check_theta_transform(m: int, word: GroupWord, samples) -> CheckReport:
-    """Residual of the theta transformation law over the samples."""
+def _law(name: str, samples, sides) -> CheckReport:
+    """The worst residual over the samples of ``sides(tau, z)``, a pair of
+    value lists that the law says are equal."""
 
     def body():
-        U = resolve(m, word)
-        Uc = U.to_complex()
-        gamma = word.to_matrix()
         worst = 0.0
         for tau, z in samples:
-            lhs = theta_vector_num(m, *gamma.act_jacobi(tau, z))
-            rhs = transform_rhs(m, gamma, Uc, tau, z)
-            worst = max(worst, _residual(lhs, rhs))
+            worst = max(worst, _residual(*sides(tau, z)))
         return worst < NUMERIC_TOL, f"max residual {worst:.3e}"
 
-    return _timed(f"theta-transform[m={m}, {word}]", NUMERIC_TOL, body)
+    return _timed(name, NUMERIC_TOL, body)
+
+
+def check_theta_transform(m: int, word: GroupWord, samples) -> CheckReport:
+    """Residual of the theta transformation law over the samples."""
+    Uc = resolve(m, word).to_complex()
+    gamma = word.to_matrix()
+    return _law(f"theta-transform[m={m}, {word}]", samples,
+                lambda tau, z: (theta_vector_num(m, *gamma.act_jacobi(tau, z)),
+                                transform_rhs(m, gamma, Uc, tau, z)))
 
 
 def check_vvcf_transform(word: GroupWord, samples) -> CheckReport:
     """The weight-3 vector law for (xi0, xi2) with the 2-dim representation:
     (xi0, xi2)^t(g tau) = (c tau + d)^3 (rho(g)^{-1})^t (xi0, xi2)^t(tau)."""
+    # the matrices are unitary, so (R^{-1})^t is the entrywise conjugate
+    Rinvt = [[x.to_complex() for x in row] for row in rho2(word).conj().canonical().rows]
+    gamma = word.to_matrix()
 
-    def body():
-        R = rho2(word)
-        # the matrices are unitary, so (R^{-1})^t is the entrywise conjugate
-        Rinvt = [[x.to_complex() for x in row] for row in R.conj().canonical().rows]
-        gamma = word.to_matrix()
-        worst = 0.0
-        for tau, _z in samples:
-            gt = gamma.act(tau)
-            lhs = (XI0_HAT(gt), XI2_HAT(gt))
-            den = gamma.c * tau + gamma.d
-            vec = (XI0_HAT(tau), XI2_HAT(tau))
-            rhs = [
-                den ** 3 * (Rinvt[i][0] * vec[0] + Rinvt[i][1] * vec[1])
-                for i in range(2)
-            ]
-            worst = max(worst, _residual(lhs, rhs))
-        return worst < NUMERIC_TOL, f"max residual {worst:.3e}"
+    def sides(tau, _z):
+        gt = gamma.act(tau)
+        den = gamma.c * tau + gamma.d
+        vec = (XI0_HAT(tau), XI2_HAT(tau))
+        return ((XI0_HAT(gt), XI2_HAT(gt)),
+                [den ** 3 * (Rinvt[i][0] * vec[0] + Rinvt[i][1] * vec[1]) for i in range(2)])
 
-    return _timed(f"vvcf-transform[{word}]", NUMERIC_TOL, body)
+    return _law(f"vvcf-transform[{word}]", samples, sides)
 
 
-def check_weight_char(form, weight, char_value, word: GroupWord, samples) -> CheckReport:
-    """Scalar law f(g tau) = char * (c tau + d)^weight f(tau).
-
-    ``form`` is a NumericForm (adaptive closed-form evaluator) or a
-    truncated series (summed through eval_series, which may refuse points
-    with a large tail).  ``char_value`` is the exact character value of the
-    word, as a cyclotomic number.
-    """
-
-    def body():
-        gamma = word.to_matrix()
-        chi = char_value.to_complex() if isinstance(char_value, CycNumber) else complex(char_value)
-        worst = 0.0
-        for tau, _z in samples:
-            gt = gamma.act(tau)
-            den = gamma.c * tau + gamma.d
-            if isinstance(form, NumericForm):
-                left, right = form(gt), form(tau)
-            else:
-                left, right = eval_series(form, gt), eval_series(form, tau)
-            worst = max(worst, _residual([left], [chi * den ** weight * right]))
-        return worst < NUMERIC_TOL, f"max residual {worst:.3e}"
-
-    name = form.name if isinstance(form, NumericForm) else "series"
-    return _timed(f"weight-char[{name}, w={weight}, {word}]", NUMERIC_TOL, body)
+def check_weight_char(form: NumericForm, weight, char_value: CycNumber, word: GroupWord,
+                      samples) -> CheckReport:
+    """Scalar law f(g tau) = char * (c tau + d)^weight f(tau), with
+    ``char_value`` the exact character value of the word."""
+    gamma = word.to_matrix()
+    chi = char_value.to_complex()
+    return _law(f"weight-char[{form.name}, w={weight}, {word}]", samples,
+                lambda tau, _z: ([form(gamma.act(tau))],
+                                 [chi * (gamma.c * tau + gamma.d) ** weight * form(tau)]))
 
 
 def cusp_bound_sample(components, g: SL2Mat, weight, heights) -> CheckReport:
@@ -587,66 +579,33 @@ def suite_numeric(seed: int = 7):
             samples = sample_points(rng, 10)
             reports.append(check_theta_transform(m, GroupWord.of((name, 1)), samples))
 
-    # random words
-    for m in (1, 2):
-        count = 50
-
-        def random_words(m=m, count=count):
-            for idx in range(count):
-                w = random_sl2_word(rng, 8) if m == 1 else random_gamma0_2_word(rng, 12)
-                rep = check_theta_transform(m, w, sample_points(rng, 10))
-                if not rep.passed:
-                    return False, f"word {idx} ({w}): {rep.witness}"
-            return True, None
-
-        reports.append(_timed(f"theta-transform-random[m={m}, {count} words]",
-                              NUMERIC_TOL, random_words))
+    # random words; here and below, _timed calls each closure before the
+    # loop moves on, so a closure may read the loop's variables
+    for m, draw in ((1, lambda: random_sl2_word(rng, 8)), (2, lambda: random_gamma0_2_word(rng, 12))):
+        reports.append(_timed(
+            f"theta-transform-random[m={m}, 50 words]", NUMERIC_TOL, lambda: _first_failure(
+                (f"word {idx} ({w})", check_theta_transform(m, w, sample_points(rng, 10)))
+                for idx, w in enumerate(draw() for _ in range(50)))))
 
     # the vector-valued law for (xi0, xi2) on 20 level-2 words
-    def vvcf():
-        for idx in range(20):
-            w = random_gamma0_2_word(rng, 10)
-            rep = check_vvcf_transform(w, sample_points(rng, 4))
-            if not rep.passed:
-                return False, f"word {idx} ({w}): {rep.witness}"
-        return True, None
+    reports.append(_timed("vvcf-xi-transform[20 words]", NUMERIC_TOL, lambda: _first_failure(
+        (f"word {idx} ({w})", check_vvcf_transform(w, sample_points(rng, 4)))
+        for idx, w in enumerate(random_gamma0_2_word(rng, 10) for _ in range(20)))))
 
-    reports.append(_timed("vvcf-xi-transform[20 words]", NUMERIC_TOL, vvcf))
-
-    # scalar weight-3 laws with exact character values
-    def xi2star_weight3():
-        star = xi_star_form(2)
-        for text in ("T", "ST2S", "-I T ST2S"):
-            w = GroupWord.parse(text)
-            chi = omega_m(w.to_matrix(), 2)
-            rep = check_weight_char(star, 3, chi, w, sample_points(rng, 6))
-            if not rep.passed:
-                return False, f"{text}: {rep.witness}"
-        return True, None
-
-    reports.append(_timed("weight3-omega2-xi2star", NUMERIC_TOL, xi2star_weight3))
-
-    def eta6_weight3():
-        for text in ("S", "T", "S T^2", "T^-1 S T"):
-            w = GroupWord.parse(text)
-            chi = omega_m(w.to_matrix(), 1)
-            rep = check_weight_char(ETA6, 3, chi, w, sample_points(rng, 6))
-            if not rep.passed:
-                return False, f"{text}: {rep.witness}"
-        return True, None
-
-    reports.append(_timed("weight3-omega1-eta6", NUMERIC_TOL, eta6_weight3))
-
-    # trivial weight-(k-4) law for the unit psi built from (xi2, -xi0)
-    def psi_trivial():
-        for text in ("T", "ST2S"):
-            w = GroupWord.parse(text)
-            rep = check_weight_char(CONST_ONE, 0, coerce24(1), w, sample_points(rng, 4))
-            if not rep.passed:
-                return False, f"{text}: {rep.witness}"
-        return True, None
-
-    reports.append(_timed("trans-psi-trivial", NUMERIC_TOL, psi_trivial))
+    # scalar laws with exact character values: weight 3 for xi2_star and
+    # eta^6, and the trivial weight-(k-4) law of the unit psi built from
+    # (xi2, -xi0)
+    scalar_laws = (
+        ("weight3-omega2-xi2star", xi_star_form(2), 3, lambda g: omega_m(g, 2),
+         ("T", "ST2S", "-I T ST2S"), 6),
+        ("weight3-omega1-eta6", ETA6, 3, lambda g: omega_m(g, 1),
+         ("S", "T", "S T^2", "T^-1 S T"), 6),
+        ("trans-psi-trivial", CONST_ONE, 0, lambda g: coerce24(1), ("T", "ST2S"), 4),
+    )
+    for name, form, weight, char, texts, points in scalar_laws:
+        reports.append(_timed(name, NUMERIC_TOL, lambda: _first_failure(
+            (text, check_weight_char(form, weight, char(w.to_matrix()), w, sample_points(rng, points)))
+            for text, w in zip(texts, map(GroupWord.parse, texts)))))
 
     # formal identities re-checked numerically at one point
     def formal_vs_numeric():
@@ -667,8 +626,6 @@ def suite_numeric(seed: int = 7):
     reports.append(_timed("formal-vs-numeric", 1e-10, formal_vs_numeric))
 
     # cusp boundedness evidence at the cusp 0
-    from .sl2 import S as S_MAT
-
     heights = [2, 3, 4, 6, 8, 10, 12, 14, 16]
     theta10 = theta_component(1, 0, 100)
     reports.append(cusp_bound_sample([theta10], S_MAT, Fraction(1, 2), heights))

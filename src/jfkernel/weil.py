@@ -44,6 +44,8 @@ class NotInX(ValueError):
 
 
 def field_order(m: int) -> int:
+    if m < 1:
+        raise ValueError("index must be a positive integer")
     return 24 * 4 * m // math.gcd(24, 4 * m)
 
 
@@ -287,8 +289,6 @@ def u_gen_general(m: int, g: str) -> UMatrix:
     e^{-pi i/4}/sqrt(2m), validated numerically against the theta
     transformation law.
     """
-    if m < 1:
-        raise ValueError("index must be a positive integer")
     n = field_order(m)
     f = cyclotomic_field(n)
     two_m = 2 * m

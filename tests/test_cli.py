@@ -140,6 +140,13 @@ def test_weil_oracle_failure_exit_1(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("check failed: numeric fit")
 
 
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_weil_non_positive_index_exit_2(m, capsys):
+    code, out = invoke(["weil", "--m", m, "--word", "S"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: index must be a positive integer\n"
+
+
 def test_weil_gamma_flag():
     code, out = invoke(["weil", "--m", "1", "--gamma", "1,1,0,1", "--resolve"])
     assert code == 0
@@ -335,3 +342,70 @@ def test_decoders_accept_or_raise_value_error(obj):
             decode(obj)
         except ValueError:
             pass
+
+
+JSON_ONLY = {
+    "lambda2": [],
+    "lambda2-inv": ["--order", "12"],
+    "lambdastar": ["--m", "2"],
+    "lambdastar-inv": ["--m", "2", "--order", "10"],
+    "project-0m": ["--m", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(JSON_ONLY))
+def test_json_only_subcommands_take_no_format_flag(command, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    code, out = invoke([command, *JSON_ONLY[command], "--format", "text"])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --format text" in capsys.readouterr().err
+
+
+def test_pipeline_outputs_keep_their_bytes(tmp_path):
+    import hashlib
+
+    from jfkernel.construct import xi_pair_hat
+
+    def run_on(argv, text):
+        src = tmp_path / "in.json"
+        src.write_text(text)
+        code, out = invoke([*argv, "--in", str(src)])
+        assert code == 0, argv
+        return out
+
+    phi0 = PuiseuxSeries({F(0): 1, F(1, 2): 2, F(3): -1 + imag_unit()}, F(10))
+    phi2 = PuiseuxSeries({F(0): 3, F(2): -2}, F(19, 2))
+    pair = json.dumps({"phi0": phi0.to_json(), "phi2": phi2.to_json()})
+    phi = run_on(["lambda2-inv", "--order", "12"], pair)
+    comps = run_on(["decompose", "--m", "2", "--format", "json"], phi)
+    h = json.loads(comps)
+    star = run_on(["lambdastar-inv", "--m", "2", "--order", "10"],
+                  json.dumps((phi0 + phi2).to_json()))
+    star_comps = run_on(["decompose", "--m", "2", "--format", "json"], star)
+    hs = json.loads(star_comps)
+    xi0, xi2 = xi_pair_hat(10)
+    outputs = {
+        "lambda2-inv": phi,
+        "lambda2": run_on(["lambda2"], comps),
+        "lambda2 object": run_on(["lambda2"], json.dumps({"h0": h[0], "h2": h[2]})),
+        "lambdastar-inv": star,
+        "lambdastar": run_on(["lambdastar", "--m", "2"], star_comps),
+        "lambdastar object": run_on(["lambdastar", "--m", "2"],
+                                    json.dumps({"h0": hs[0], "hm": hs[2]})),
+        "project-0m": run_on(["project-0m", "--m", "2"], phi),
+        "psi": run_on(["psi", "--format", "json"],
+                      json.dumps({"phi0": xi2.to_json(), "phi2": (-xi0).to_json()})),
+    }
+    # pinned output bytes, as sha256 prefixes: a change of output must
+    # update them on purpose
+    digests = {k: hashlib.sha256(v.encode()).hexdigest()[:16] for k, v in outputs.items()}
+    assert digests == {
+        "lambda2-inv": "66329242db8d7a86",
+        "lambda2": "c8b33751cf13143a",
+        "lambda2 object": "c8b33751cf13143a",
+        "lambdastar-inv": "ba831baf2a782104",
+        "lambdastar": "607e7a530bc17e63",
+        "lambdastar object": "607e7a530bc17e63",
+        "project-0m": "88d057af54921faf",
+        "psi": "9af44551a338c19c",
+    }

@@ -7,6 +7,7 @@ import jfkernel
 
 SOURCES = sorted(Path(jfkernel.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+ROOT = Path(jfkernel.__file__).parents[2]
 
 
 def _unused_imports(tree):
@@ -48,6 +49,27 @@ def _uncalled_helpers(sources):
                   for fn, line in _private_functions(tree).items() if fn not in used)
 
 
+def _constants(tree):
+    """{name: line} of the upper-case names a module assigns at top level."""
+    out = {}
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        out.update({t.id: node.lineno for t in targets
+                    if isinstance(t, ast.Name) and t.id.isupper()})
+    return out
+
+
+def _unread_constants(modules, others=()):
+    """(module, line, name) of each top-level upper-case name assigned in
+    ``modules`` (a {module name: text} dict) that no code in ``modules`` or
+    ``others`` (texts) reads."""
+    trees = {name: ast.parse(text, name) for name, text in modules.items()}
+    used = _references([*trees.values(), *(ast.parse(text) for text in others)])
+    return sorted((name, line, const) for name, tree in trees.items()
+                  for const, line in _constants(tree).items() if const not in used)
+
+
 def test_modules_are_found():
     assert {"cyclotomic.py", "verify.py", "cli.py"} <= {p.name for p in MODULES}
 
@@ -73,3 +95,16 @@ def test_uncalled_helper_is_reported():
         "c.py": "import a\n\nx = a._used\n_left = 1\n",
     }
     assert _uncalled_helpers(sources) == [("a.py", 4, "_left")]
+
+
+def test_every_module_constant_is_read_somewhere():
+    others = [p.read_text() for d in ("tests", "bench") for p in sorted((ROOT / d).glob("*.py"))]
+    assert _unread_constants({p.name: p.read_text() for p in SOURCES}, others) == []
+
+
+def test_unread_constant_is_reported():
+    modules = {
+        "a.py": "USED = 1\nLEFT = 2\nTYPED: int = 3\n_PRIVATE = 4\nlower = 5\n",
+        "b.py": "from .a import LEFT\nprint(USED, _PRIVATE)\n",
+    }
+    assert _unread_constants(modules, ["import a\nx = a.TYPED\n"]) == [("a.py", 2, "LEFT")]

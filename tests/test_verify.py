@@ -6,6 +6,7 @@ import pytest
 from jfkernel.jacobi import theta_component
 from jfkernel.numeric import (
     ETA6,
+    NumericForm,
     TailTooLarge,
     eta_num,
     eval_series,
@@ -24,6 +25,7 @@ from jfkernel.verify import (
     run_identity,
     suite_all,
     suite_identities,
+    suite_numeric,
     suite_weil,
 )
 from jfkernel.weil import omega_m
@@ -336,3 +338,46 @@ def test_generator_displays_fail_on_a_wrong_level2_letter_power(monkeypatch, let
     displays = reports["weil-generator-displays"]
     assert displays.status == "fail"
     assert displays.witness == f"m=2, {letter}^1: word product differs from the letter product"
+
+
+def _numeric_fails(*names):
+    reports = {r.name: r for r in suite_numeric(7)}
+    for name in names:
+        assert reports[name].status == "fail", (name, reports[name].witness)
+    return [reports[name].witness for name in names]
+
+
+def test_theta_transform_random_fails_on_a_doubled_right_side(monkeypatch):
+    import jfkernel.verify as verify
+
+    exact = verify.transform_rhs
+    monkeypatch.setattr(verify, "transform_rhs",
+                        lambda *args: [2 * x for x in exact(*args)])
+    assert _numeric_fails("theta-transform-random[m=1, 50 words]") == [
+        "word 0 (T^-1 S T^2 T^-1 S): max residual 5.000e-01"]
+
+
+def test_weight3_laws_fail_on_a_negated_character(monkeypatch):
+    import jfkernel.verify as verify
+
+    exact = verify.omega_m
+    monkeypatch.setattr(verify, "omega_m", lambda g, m: -exact(g, m))
+    assert _numeric_fails("weight3-omega2-xi2star", "weight3-omega1-eta6") == [
+        "T: max residual 1.307e-01", "S: max residual 7.261e-01"]
+
+
+def test_vvcf_and_formal_vs_numeric_fail_on_a_doubled_xi0(monkeypatch):
+    import jfkernel.verify as verify
+
+    exact = verify.XI0_HAT
+    monkeypatch.setattr(verify, "XI0_HAT", NumericForm("2 xi0_hat", lambda tau: 2 * exact(tau)))
+    assert _numeric_fails("vvcf-xi-transform[20 words]", "formal-vs-numeric") == [
+        "word 0 (ST2S^2 T T -I): max residual 5.000e-01", "max residual 7.481e-03"]
+
+
+def test_weight3_eta6_fails_on_a_conjugated_eta6(monkeypatch):
+    import jfkernel.verify as verify
+
+    exact = verify.ETA6
+    monkeypatch.setattr(verify, "ETA6", NumericForm("eta^6", lambda tau: exact(tau).conjugate()))
+    assert _numeric_fails("weight3-omega1-eta6") == ["S: max residual 5.865e-01"]
