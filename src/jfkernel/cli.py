@@ -32,7 +32,7 @@ from .jacobi import JacobiSeries, d2_hat, restrict_z0, theta_decompose, theta_j
 from .numeric import ORACLE_TAU, ORACLE_Z, SnapFailed, fit_scalar
 from .series import PuiseuxSeries
 from .sl2 import GroupWord
-from .verify import SUITES
+from .verify import ORDER_SUITES, SUITES
 from .weil import resolve_scalar, word_product
 
 
@@ -113,31 +113,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, order=True, text=True):
-        # text=False: the subcommand writes JSON only and takes no --format
+    def add_common(sp, order=True, text=True, source=True):
+        # text/source=False: the subcommand takes no --format/--in
         if order:
             sp.add_argument("--order", type=_fraction, required=True,
                             help="validity bound for q-expansions, e.g. 25 or 49/8")
         if text:
             sp.add_argument("--format", choices=("text", "json"), default="text")
-        sp.add_argument("--in", dest="input", default=None,
-                        help="input JSON file (default: stdin)")
+        if source:
+            sp.add_argument("--in", dest="input", default=None,
+                            help="input JSON file (default: stdin)")
 
     sp = sub.add_parser("theta", help="index-m theta function")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--at-z0", action="store_true", help="restrict to z = 0")
-    add_common(sp)
+    add_common(sp, source=False)
 
     sp = sub.add_parser("eta", help="Dedekind eta (or a power)")
     sp.add_argument("--power", type=int, default=1)
-    add_common(sp)
+    add_common(sp, source=False)
 
     sp = sub.add_parser("xi", help="the weight-3 theta Wronskians (divided by 2 pi i)")
     sp.add_argument("--m", type=int, default=1, help="index for the dilated form")
     sp.add_argument("--pair", action="store_true",
                     help="emit the index-2 pair (xi0, xi2) instead")
-    add_common(sp)
+    add_common(sp, source=False)
 
     sp = sub.add_parser("decompose", help="theta components of a two-variable series")
     sp.add_argument("--m", type=int, required=True)
@@ -190,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("--suite", choices=sorted(SUITES), default="all")
-    sp.add_argument("--order", type=_fraction, default=Fraction(30))
+    sp.add_argument("--order", type=_fraction, default=None,
+                    help="q-order of the identities and all suites (default 30)")
     sp.add_argument("--seed", type=int, default=7)
     sp.add_argument("--timings", action="store_true",
                     help="include wall-clock timings (breaks byte-reproducibility)")
@@ -324,7 +326,10 @@ def _dispatch(args, out) -> int:
         return 0
 
     if cmd == "verify":
-        reports = SUITES[args.suite](args.order, args.seed)
+        if args.order is not None and args.suite not in ORDER_SUITES:
+            raise ValueError(f"--order does not apply to --suite {args.suite}")
+        order = {} if args.order is None else {"order": args.order}
+        reports = SUITES[args.suite](seed=args.seed, **order)
         ok = all(r.passed for r in reports)
         if args.format == "json":
             out.write(_dump([r.to_json(with_ms=args.timings) for r in reports]) + "\n")

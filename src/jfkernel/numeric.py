@@ -133,6 +133,11 @@ def wronskian_num(m: int, a: int, b: int, tau: complex) -> complex:
 ORACLE_TAU = 0.11 + 1.21j
 ORACLE_Z = 0.07 + 0.13j
 
+# The largest |c tau + d| the fit accepts: the image point has height
+# Im tau / |c tau + d|^2, so the theta sums there grow linearly in it.
+# Words with entries <= 4000 stay below it at every |tau| <= 1.5.
+FIT_MAX_J = 10 ** 4
+
 
 def transform_rhs(m: int, gamma, U_complex, tau: complex, z: complex):
     """e^{2 pi i m c z^2/(c tau+d)} (c tau+d)^{1/2} U Theta(tau, z)."""
@@ -149,12 +154,16 @@ def fit_scalar(m: int, word, U, tau: complex = ORACLE_TAU, z: complex = ORACLE_Z
     evaluates both sides of the transformation law of ``word`` at one point
     (Im tau >= 0.5 required), least-squares fits the ratio and snaps it to
     the nearest 24th root of unity in Q(zeta_24), with tolerance 1e-6
-    (SnapFailed beyond it).  The cost grows with the lower-left entry c of
-    the word's matrix, since the image point has height about 1/c^2.
+    (SnapFailed beyond it).  The cost grows with |c tau + d| for the word's
+    matrix, so the fit refuses (ValueError) above FIT_MAX_J.
     """
     if tau.imag < 0.5:
         raise ValueError("resolution point needs Im tau >= 0.5")
     gamma = word.to_matrix()
+    j = abs(gamma.c * tau + gamma.d)
+    if j > FIT_MAX_J:
+        raise ValueError(f"numeric fit refused: |c tau + d| = {j:.3g} at tau={tau} "
+                         f"exceeds {FIT_MAX_J}")
     lhs = theta_vector_num(m, *gamma.act_jacobi(tau, z))
     rhs = transform_rhs(m, gamma, U.to_complex(), tau, z)
     num = sum(l * r.conjugate() for l, r in zip(lhs, rhs))

@@ -51,8 +51,9 @@ class SL2Mat:
         while n:
             if n & 1:
                 out = out @ base
-            base = base @ base
             n >>= 1
+            if n:
+                base = base @ base
         return out
 
     def entries(self):
@@ -209,36 +210,31 @@ def gamma_dilate(gamma: SL2Mat, m: int) -> SL2Mat:
 # Random word samplers (used by the property suites)
 
 
-def random_gamma0_2_word(rng: random.Random, max_len: int = 12) -> GroupWord:
-    """A random word over {-I, T, ST2S} of length <= max_len.
+def _random_word(rng: random.Random, alphabet, max_len: int) -> GroupWord:
+    """A random word over ``alphabet`` of length <= max_len whose matrix has
+    all entries at most 300, which keeps numeric evaluation well-conditioned.
 
-    Resamples until the evaluated matrix has all entries at most 300; this
-    keeps downstream numeric evaluation well-conditioned.
+    S letters get power 1 and every other letter a power in {-2, -1, 1, 2};
+    a word with a larger entry is drawn again.
     """
     while True:
-        length = rng.randint(1, max_len)
         letters = []
-        for _ in range(length):
-            name = rng.choice(GAMMA0_2_ALPHABET)
-            power = rng.choice([-2, -1, 1, 2])
-            letters.append((name, power))
+        for _ in range(rng.randint(1, max_len)):
+            name = rng.choice(alphabet)
+            letters.append((name, 1 if name == "S" else rng.choice((-2, -1, 1, 2))))
         word = GroupWord(tuple(letters))
         if word.to_matrix().max_entry() <= 300:
             return word
+
+
+def random_gamma0_2_word(rng: random.Random, max_len: int = 12) -> GroupWord:
+    """A random word over {-I, T, ST2S}; see :func:`_random_word`."""
+    return _random_word(rng, GAMMA0_2_ALPHABET, max_len)
 
 
 def random_sl2_word(rng: random.Random, max_len: int = 10) -> GroupWord:
-    """A random word over {S, T} of length <= max_len, entries at most 300."""
-    while True:
-        length = rng.randint(1, max_len)
-        letters = []
-        for _ in range(length):
-            name = rng.choice(SL2_ALPHABET)
-            power = rng.choice([-2, -1, 1, 2]) if name == "T" else 1
-            letters.append((name, power))
-        word = GroupWord(tuple(letters))
-        if word.to_matrix().max_entry() <= 300:
-            return word
+    """A random word over {S, T}; see :func:`_random_word`."""
+    return _random_word(rng, SL2_ALPHABET, max_len)
 
 
 def random_gamma0_m_word(rng: random.Random, m: int):

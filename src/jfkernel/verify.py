@@ -65,7 +65,6 @@ from .sl2 import (
     random_sl2_word,
 )
 from .weil import (
-    _letter_matrix,
     _letter_order,
     block_rows_vanish,
     cusp_entry_values,
@@ -98,6 +97,11 @@ class CheckReport:
     def passed(self) -> bool:
         return self.status == "pass"
 
+    @property
+    def failure(self) -> str | None:
+        """The witness of a failed check; None for a pass."""
+        return None if self.passed else str(self.witness)
+
     def to_json(self, with_ms: bool = False):
         return {
             "name": self.name,
@@ -115,13 +119,13 @@ def _timed(name, bound, fn):
     return CheckReport(name, "pass" if ok else "fail", bound, witness, ms)
 
 
-def _first_failure(labelled):
-    """(False, "label: witness") for the first failing report of the
-    (label, report) pairs, read no further than that; (True, None) if none
-    fails."""
-    for label, rep in labelled:
-        if not rep.passed:
-            return False, f"{label}: {rep.witness}"
+def _first_failure(cases):
+    """(False, "label: failure") for the first failing case of the
+    (label, failure) pairs, read no further than that; (True, None) if none
+    fails.  A failure is None for a passing case."""
+    for label, failure in cases:
+        if failure is not None:
+            return False, f"{label}: {failure}"
     return True, None
 
 
@@ -441,35 +445,28 @@ def suite_identities(order=30, seed: int = 7):
 
 def suite_weil(seed: int = 7, words: int = 200):
     rng = random.Random(seed)
-    reports = []
 
-    def in_x_and_char():
+    # the cases of each check are generators, so a failure stops the draws
+    def pairs(count, max_len):
+        return ((random_gamma0_2_word(rng, max_len), random_gamma0_2_word(rng, max_len))
+                for _ in range(count))
+
+    def in_x():
         for idx in range(words):
             w = random_gamma0_2_word(rng, 12)
-            U = resolve(2, w)
-            if not in_X(U):
-                return False, f"word {idx} ({w}): resolved matrix not in X"
-        return True, None
-
-    reports.append(_timed(f"weil-inX[{words} words]", None, in_x_and_char))
+            yield f"word {idx} ({w})", None if in_X(resolve(2, w)) else "resolved matrix not in X"
 
     def char_mult():
-        for idx in range(50):
-            V = resolve(2, random_gamma0_2_word(rng, 10))
-            W = resolve(2, random_gamma0_2_word(rng, 10))
-            if r_char(V @ W) != r_char(V) * r_char(W):
-                return False, f"pair {idx}: character fails on X"
-        return True, None
-
-    reports.append(_timed("weil-rchar-multiplicative", None, char_mult))
+        for idx, (v, w) in enumerate(pairs(50, 10)):
+            V, W = resolve(2, v), resolve(2, w)
+            ok = r_char(V @ W) == r_char(V) * r_char(W)
+            yield f"pair {idx}", None if ok else "character fails on X"
 
     def rchar_cocycle():
         # on group elements the character picks up the square-root branch
         # sign: r(U(g g')) = sigma * r(U(g)) r(U(g')) with sigma = +-1
         seen_minus = False
-        for idx in range(30):
-            w1 = random_gamma0_2_word(rng, 6)
-            w2 = random_gamma0_2_word(rng, 6)
+        for idx, (w1, w2) in enumerate(pairs(30, 6)):
             lhs = r_char(resolve(2, w1 + w2))
             rhs = r_char(resolve(2, w1)) * r_char(resolve(2, w2))
             if lhs == rhs:
@@ -480,74 +477,47 @@ def suite_weil(seed: int = 7, words: int = 200):
             return False, f"pair {idx}: ratio is not a sign"
         return True, ("sign -1 realised" if seen_minus else "all signs +1 in sample")
 
-    reports.append(_timed("weil-rchar-cocycle-sign", None, rchar_cocycle))
-
     def rho2_mult():
-        for idx in range(50):
-            w1 = random_gamma0_2_word(rng, 6)
-            w2 = random_gamma0_2_word(rng, 6)
-            lhs = rho2(w1 + w2)
-            prod = rho2(w1) @ rho2(w2)
-            if not (lhs == prod):
-                return False, f"pair {idx}: rho2 not multiplicative"
-        return True, None
-
-    reports.append(_timed("weil-rho2-multiplicative[50 pairs]", None, rho2_mult))
+        for idx, (w1, w2) in enumerate(pairs(50, 6)):
+            ok = rho2(w1 + w2) == rho2(w1) @ rho2(w2)
+            yield f"pair {idx}", None if ok else "rho2 not multiplicative"
 
     def omega_mult():
         for m in (1, 2):
-            for idx in range(25):
-                g1 = random_gamma0_2_word(rng, 6).to_matrix()
-                g2 = random_gamma0_2_word(rng, 6).to_matrix()
-                if omega_m(g1 @ g2, m) != omega_m(g1, m) * omega_m(g2, m):
-                    return False, f"m={m}, pair {idx}"
-        return True, None
-
-    reports.append(_timed("weil-omega-multiplicative[50 pairs]", None, omega_mult))
+            for idx, (w1, w2) in enumerate(pairs(25, 6)):
+                g1, g2 = w1.to_matrix(), w2.to_matrix()
+                ok = omega_m(g1 @ g2, m) == omega_m(g1, m) * omega_m(g2, m)
+                yield f"m={m}, pair {idx}", None if ok else "omega not multiplicative"
 
     def blocks():
         for m in (2, 3, 5):
             for _ in range(8):
                 w, wm = random_gamma0_m_word(rng, m)
                 W = word_product(m, w)
-                if not block_rows_vanish(m, W):
-                    return False, f"m={m}, word {w}: zero pattern fails"
-                if not submatrix_proportional(m, W, word_product(1, wm)):
-                    return False, f"m={m}, word {w}: submatrix not proportional"
-        return True, None
-
-    reports.append(_timed("weil-block-structure[m=2,3,5]", None, blocks))
+                yield f"m={m}, word {w}", None if block_rows_vanish(m, W) else "zero pattern fails"
+                ok = submatrix_proportional(m, W, word_product(1, wm))
+                yield f"m={m}, word {w}", None if ok else "submatrix not proportional"
 
     def cusp_entries():
         for c in range(1, 21):
             e00, e20 = cusp_entry_values(c)
-            if c % 2 == 1 or c % 4 == 2:
-                if e00.is_zero() or e20.is_zero():
-                    return False, f"c={c}: entry vanishes"
-        return True, None
-
-    reports.append(_timed("weil-cusp-entries[c<=20]", None, cusp_entries))
+            vanish = (c % 2 == 1 or c % 4 == 2) and (e00.is_zero() or e20.is_zero())
+            yield f"c={c}", "entry vanishes" if vanish else None
 
     def displays():
-        s2 = u_gen(2, "S") @ u_gen(2, "S")
-        if not (s2 == u_gen(2, "-I")):
-            return False, "U(S)^2 differs from the displayed -I matrix"
-        for m in (1, 2):
-            for g in ("S", "T"):
-                if not (u_gen_general(m, g) == u_gen(m, g)):
-                    return False, f"general formula differs at m={m}, {g}"
+        # the displayed matrices, -I and ST2S (products in S and T) among them
+        for m, letters in ((1, ("S", "T", "-I")), (2, ("S", "T", "-I", "ST2S"))):
+            for g in letters:
+                ok = u_gen_general(m, g) == u_gen(m, g)
+                yield f"m={m}, {g}", None if ok else "general formula differs from the display"
         # word_product reduces letter powers by their periods; below the
         # period it must agree with p copies of the letter multiplied out
         for g in ("ST2S", "-I"):
-            letter = _letter_matrix(2, g)
-            product = letter
+            letter = product = u_gen_general(2, g)
             for p in range(1, _letter_order(2, g)):
-                if not (word_product(2, GroupWord.of((g, p))) == product):
-                    return False, f"m=2, {g}^{p}: word product differs from the letter product"
+                ok = word_product(2, GroupWord.of((g, p))) == product
+                yield f"m=2, {g}^{p}", None if ok else "word product differs from the letter product"
                 product = product @ letter
-        return True, None
-
-    reports.append(_timed("weil-generator-displays", None, displays))
 
     def resolution_consistency():
         # the exact scalar against the numeric fit at two points
@@ -564,9 +534,18 @@ def suite_weil(seed: int = 7, words: int = 200):
                     return False, f"scalar depends on the sample point for {w}"
         return True, None
 
-    reports.append(_timed("weil-resolve-point-independence", None, resolution_consistency))
-
-    return reports
+    # the list is built in order, so each check draws after the one before
+    return [
+        _timed(f"weil-inX[{words} words]", None, lambda: _first_failure(in_x())),
+        _timed("weil-rchar-multiplicative", None, lambda: _first_failure(char_mult())),
+        _timed("weil-rchar-cocycle-sign", None, rchar_cocycle),
+        _timed("weil-rho2-multiplicative[50 pairs]", None, lambda: _first_failure(rho2_mult())),
+        _timed("weil-omega-multiplicative[50 pairs]", None, lambda: _first_failure(omega_mult())),
+        _timed("weil-block-structure[m=2,3,5]", None, lambda: _first_failure(blocks())),
+        _timed("weil-cusp-entries[c<=20]", None, lambda: _first_failure(cusp_entries())),
+        _timed("weil-generator-displays", None, lambda: _first_failure(displays())),
+        _timed("weil-resolve-point-independence", None, resolution_consistency),
+    ]
 
 
 def suite_numeric(seed: int = 7):
@@ -584,12 +563,12 @@ def suite_numeric(seed: int = 7):
     for m, draw in ((1, lambda: random_sl2_word(rng, 8)), (2, lambda: random_gamma0_2_word(rng, 12))):
         reports.append(_timed(
             f"theta-transform-random[m={m}, 50 words]", NUMERIC_TOL, lambda: _first_failure(
-                (f"word {idx} ({w})", check_theta_transform(m, w, sample_points(rng, 10)))
+                (f"word {idx} ({w})", check_theta_transform(m, w, sample_points(rng, 10)).failure)
                 for idx, w in enumerate(draw() for _ in range(50)))))
 
     # the vector-valued law for (xi0, xi2) on 20 level-2 words
     reports.append(_timed("vvcf-xi-transform[20 words]", NUMERIC_TOL, lambda: _first_failure(
-        (f"word {idx} ({w})", check_vvcf_transform(w, sample_points(rng, 4)))
+        (f"word {idx} ({w})", check_vvcf_transform(w, sample_points(rng, 4)).failure)
         for idx, w in enumerate(random_gamma0_2_word(rng, 10) for _ in range(20)))))
 
     # scalar laws with exact character values: weight 3 for xi2_star and
@@ -604,7 +583,8 @@ def suite_numeric(seed: int = 7):
     )
     for name, form, weight, char, texts, points in scalar_laws:
         reports.append(_timed(name, NUMERIC_TOL, lambda: _first_failure(
-            (text, check_weight_char(form, weight, char(w.to_matrix()), w, sample_points(rng, points)))
+            (text, check_weight_char(form, weight, char(w.to_matrix()), w,
+                                    sample_points(rng, points)).failure)
             for text, w in zip(texts, map(GroupWord.parse, texts)))))
 
     # formal identities re-checked numerically at one point
@@ -644,8 +624,10 @@ def suite_all(order=30, seed: int = 7):
 
 
 SUITES = {
-    "identities": lambda order, seed: suite_identities(order, seed),
-    "weil": lambda order, seed: suite_weil(seed),
-    "numeric": lambda order, seed: suite_numeric(seed),
-    "all": lambda order, seed: suite_all(order, seed),
+    "identities": suite_identities,
+    "weil": suite_weil,
+    "numeric": suite_numeric,
+    "all": suite_all,
 }
+# the suites that take a q-order; the others reject one
+ORDER_SUITES = ("identities", "all")

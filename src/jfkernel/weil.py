@@ -1,11 +1,12 @@
 """Multiplier matrices for the index-m theta vector.
 
-``u_gen`` holds the explicitly known index-1 and index-2 generator matrices;
-``u_gen_general`` builds the general-index generators
+``u_gen`` holds the explicitly known index-1 and index-2 generator matrices,
+the reference; ``u_gen_general`` builds the general-index generators
 
     U_m(T) = diag(e^{2 pi i r^2 / 4m}),
     U_m(S) = e^{-pi i/4} / sqrt(2m) * (e^{-2 pi i r r' / 2m}),
 
+and every other letter as a product of these (-I = S S, ST2S = S T T S),
 whose correctness is pinned numerically against the theta transformation law
 by the verify module.  Entries live in Q(zeta_n) with n = lcm(24, 4m); the
 1/sqrt(2m) factor is tracked as a separate positive radicand so that raw
@@ -24,8 +25,9 @@ All matrices here are unitary, so inverses are conjugate transposes.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .cyclotomic import CYC24, CycNumber, cyclotomic_field
 from .sl2 import (
@@ -282,12 +284,13 @@ def u_gen(m: int, g: str) -> UMatrix:
 
 @lru_cache(maxsize=None)
 def u_gen_general(m: int, g: str) -> UMatrix:
-    """Generator matrices for arbitrary positive index.
+    """Generator matrices for arbitrary positive index, spelled in S and T.
 
     U_m(T) is forced by the shift tau -> tau + 1 acting on exponents
     r^2/4m; the S matrix is the discrete Fourier kernel normalised by
     e^{-pi i/4}/sqrt(2m), validated numerically against the theta
-    transformation law.
+    transformation law.  The other letters are their products in S and T:
+    -I = S S and ST2S = S T T S.
     """
     n = field_order(m)
     f = cyclotomic_field(n)
@@ -306,23 +309,11 @@ def u_gen_general(m: int, g: str) -> UMatrix:
             for r in range(two_m)
         ]
         return UMatrix(f, rows, two_m, True)
-    if g == "-I":
-        s = u_gen_general(m, "S")
-        out = s @ s
-        return UMatrix(out.field, out.rows, out.radicand, True)
-    raise ValueError(f"unsupported generator letter {g!r}")
-
-
-@lru_cache(maxsize=None)
-def _letter_matrix(m: int, name: str) -> UMatrix:
-    if m == 2 and name == "ST2S":
-        return u_gen(2, name)
-    if name in ("S", "T", "-I"):
-        return u_gen_general(m, name)
-    if name == "ST2S":
-        s, t = u_gen_general(m, "S"), u_gen_general(m, "T")
-        return s @ t @ t @ s
-    raise ValueError(f"unsupported generator letter {name!r}")
+    spellings = {"-I": "S S", "ST2S": "S T T S"}
+    if g not in spellings:
+        raise ValueError(f"unsupported generator letter {g!r}")
+    out = reduce(operator.matmul, [u_gen_general(m, x) for x in spellings[g].split()])
+    return UMatrix(f, out.rows, out.radicand, True)
 
 
 def _letter_order(m: int, name: str) -> int:
@@ -342,7 +333,7 @@ def _letter_order(m: int, name: str) -> int:
 @lru_cache(maxsize=None)
 def _letter_power(m: int, name: str, power: int) -> UMatrix:
     """U(letter)^power for 0 <= power < _letter_order(m, name)."""
-    return _letter_matrix(m, name) ** power
+    return u_gen_general(m, name) ** power
 
 
 def word_product(m: int, word: GroupWord) -> UMatrix:
@@ -361,29 +352,45 @@ def word_product(m: int, word: GroupWord) -> UMatrix:
 # Exact scalar resolution by the square-root branch cocycle
 
 
+@lru_cache(maxsize=None)
+def _step_signs(name: str, direction: int) -> tuple[tuple[int, ...], int]:
+    """(period, correction) for h = g^direction: period[k-1] = sigma(h^k, h),
+    k = 1..4, which repeats for all k >= 1 (sigma reads the signs of c, and
+    of d where c = 0, and ST2S^k = (-1)^k [[1, 0], [-2k, 1]]); correction
+    is sigma(g, g^-1) for direction -1, else 1."""
+    g = GENERATOR_MATRICES[name]
+    h = g ** direction
+    period = tuple(sqrt_cocycle(h ** k, h) for k in range(1, 5))
+    return period, (sqrt_cocycle(g, h) if direction < 0 else 1)
+
+
 def word_scalar(word: GroupWord) -> int:
     """The sign s with true multiplier matrix = s * word_product(m, word).
 
     Every letter matrix is the true multiplier of its letter, so walking the
     word P <- P h one step at a time multiplies in sigma(P, h) per step, the
-    branch cocycle of :func:`jfkernel.sl2.sqrt_cocycle`.  A letter with power
-    p counts as |p| steps; for p < 0 each step also counts sigma(g, g^-1),
-    because the stored inverse M(g)^-1 is sigma(g, g^-1) M(g^-1).  T^p
-    letters contribute nothing, since j(T^p, tau) = 1.  The sign does not
-    depend on the index m.
+    branch cocycle of :func:`jfkernel.sl2.sqrt_cocycle`.  A letter g^p is
+    |p| = q steps of h = g^(sign p), and the cocycle identity telescopes them:
+
+        prod_{k<q} sigma(P h^k, h) = sigma(P, h^q) prod_{k=1}^{q-1} sigma(h^k, h),
+
+    whose last product runs over the period of :func:`_step_signs`.  For
+    p < 0 each step also counts sigma(g, g^-1), because the stored inverse
+    M(g)^-1 is sigma(g, g^-1) M(g^-1).  So a letter costs O(log q), and the
+    sign does not depend on the index m.
     """
     sign = 1
     P = I2
     for name, power in word:
-        g = GENERATOR_MATRICES[name]
-        if name == "T":
-            P = P @ g ** power
+        if not power:
             continue
-        h = g if power > 0 else g.inv()
-        inverse_sign = sqrt_cocycle(g, h) if power < 0 else 1
-        for _ in range(abs(power)):
-            sign *= inverse_sign * sqrt_cocycle(P, h)
-            P = P @ h
+        q = abs(power)
+        period, correction = _step_signs(name, 1 if power > 0 else -1)
+        cycles, rest = divmod(q - 1, 4)
+        hq = GENERATOR_MATRICES[name] ** power
+        sign *= (sqrt_cocycle(P, hq) * math.prod(period) ** cycles
+                 * math.prod(period[:rest]) * correction ** q)
+        P = P @ hq
     return sign
 
 

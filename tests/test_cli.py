@@ -147,6 +147,22 @@ def test_weil_non_positive_index_exit_2(m, capsys):
     assert capsys.readouterr().err == "error: index must be a positive integer\n"
 
 
+def test_weil_huge_letter_power_agrees_with_the_oracle(capsys):
+    # S^(10^22 + 1) is S as a matrix; the exact sign takes O(1) per letter
+    code, out = invoke(["weil", "--m", "2", "--word", "S^10000000000000000000001",
+                        "--resolve", "--tau", "0.11,1.21"])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert out == invoke(["weil", "--m", "2", "--word", "S", "--resolve"])[1]
+
+
+def test_weil_oracle_refuses_a_huge_lower_left_entry(capsys):
+    code, out = invoke(["weil", "--m", "2", "--word", "ST2S^-1000000000003",
+                        "--resolve", "--tau", "0.11,1.21"])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: numeric fit refused: |c tau + d| = 2.43e+12") and err.count("\n") == 1
+
+
 def test_weil_gamma_flag():
     code, out = invoke(["weil", "--m", "1", "--gamma", "1,1,0,1", "--resolve"])
     assert code == 0
@@ -242,6 +258,13 @@ def test_verify_order_below_the_bound_exit_2_with_one_line(suite, order, capsys)
     err = capsys.readouterr().err
     assert code == 2 and out == ""
     assert err == f"error: --order must exceed 5/8, got {F(order)}\n"
+
+
+@pytest.mark.parametrize("suite", ["weil", "numeric"])
+def test_verify_order_on_a_suite_without_one_exit_2_with_one_line(suite, capsys):
+    code, out = invoke(["verify", "--suite", suite, "--order", "30"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: --order does not apply to --suite {suite}\n"
 
 
 @pytest.mark.parametrize("order", ["3/4", "1"])
@@ -342,6 +365,14 @@ def test_decoders_accept_or_raise_value_error(obj):
             decode(obj)
         except ValueError:
             pass
+
+
+@pytest.mark.parametrize("argv", [["theta", "--m", "1", "--r", "0", "--order", "2"],
+                                  ["eta", "--order", "2"], ["xi", "--order", "2"]])
+def test_generating_subcommands_take_no_input_flag(argv, capsys):
+    code, out = invoke([*argv, "--in", "/nonexistent.json"])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --in /nonexistent.json" in capsys.readouterr().err
 
 
 JSON_ONLY = {

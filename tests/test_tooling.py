@@ -49,6 +49,19 @@ def _uncalled_helpers(sources):
                   for fn, line in _private_functions(tree).items() if fn not in used)
 
 
+def _unreferenced_functions(modules, others=()):
+    """(module, line, name) of each function or method defined in ``modules``
+    (a {module name: text} dict), dunders excepted, whose name no code in
+    ``modules`` or ``others`` (texts) refers to."""
+    trees = {name: ast.parse(text, name) for name, text in modules.items()}
+    used = _references([*trees.values(), *(ast.parse(text) for text in others)])
+    return sorted((name, node.lineno, node.name) for name, tree in trees.items()
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not (node.name.startswith("__") and node.name.endswith("__"))
+                  and node.name not in used)
+
+
 def _constants(tree):
     """{name: line} of the upper-case names a module assigns at top level."""
     out = {}
@@ -95,6 +108,22 @@ def test_uncalled_helper_is_reported():
         "c.py": "import a\n\nx = a._used\n_left = 1\n",
     }
     assert _uncalled_helpers(sources) == [("a.py", 4, "_left")]
+
+
+def test_every_function_and_method_is_referenced_in_the_package_or_its_tests():
+    tests = [p.read_text() for p in sorted((ROOT / "tests").glob("*.py"))]
+    assert _unreferenced_functions({p.name: p.read_text() for p in SOURCES}, tests) == []
+
+
+def test_unreferenced_function_is_reported():
+    modules = {
+        "a.py": ("class C:\n    def __len__(self):\n        return 0\n\n"
+                 "    def used(self):\n        return 1\n\n"
+                 "    def left(self):\n        return 2\n\n"
+                 "def tested():\n    def inner():\n        pass\n    return C().used()\n"),
+    }
+    assert _unreferenced_functions(modules, ["from a import tested\ntested()\n"]) == [
+        ("a.py", 8, "left"), ("a.py", 12, "inner")]
 
 
 def test_every_module_constant_is_read_somewhere():

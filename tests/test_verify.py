@@ -340,6 +340,67 @@ def test_generator_displays_fail_on_a_wrong_level2_letter_power(monkeypatch, let
     assert displays.witness == f"m=2, {letter}^1: word product differs from the letter product"
 
 
+def _weil_fails(*names):
+    reports = {r.name: r for r in suite_weil(7, words=2)}
+    for name in names:
+        assert reports[name].status == "fail", (name, reports[name].witness)
+    return [reports[name].witness for name in names]
+
+
+def test_weil_in_x_fails_on_a_matrix_outside_x(monkeypatch):
+    # in_X is handed U(w) U(S), which leaves the checkerboard pattern
+    import jfkernel.verify as verify
+    import jfkernel.weil as weil
+
+    exact = verify.in_X
+    monkeypatch.setattr(verify, "in_X", lambda U: exact(U @ weil.u_gen(2, "S")))
+    assert _weil_fails("weil-inX[2 words]") == [
+        "word 0 (-I^2 ST2S^-2 -I^-2 T^-2 ST2S^-1 -I^-2): resolved matrix not in X"]
+
+
+def test_weil_rchar_checks_fail_on_the_11_entry_alone(monkeypatch):
+    # v_11 without v_13 is no character of X, and its ratios are no signs
+    import jfkernel.verify as verify
+
+    monkeypatch.setattr(verify, "r_char", lambda V: V.canonical().rows[1][1])
+    assert _weil_fails("weil-rchar-multiplicative", "weil-rchar-cocycle-sign") == [
+        "pair 1: character fails on X", "pair 1: ratio is not a sign"]
+
+
+def test_weil_rho2_multiplicative_fails_on_a_transposed_rho2(monkeypatch):
+    import jfkernel.verify as verify
+
+    exact = verify.rho2
+    monkeypatch.setattr(verify, "rho2", lambda w: exact(w).transpose())
+    assert _weil_fails("weil-rho2-multiplicative[50 pairs]") == [
+        "pair 2: rho2 not multiplicative"]
+
+
+def test_weil_omega_multiplicative_fails_on_an_entry_for_the_determinant(monkeypatch):
+    # the (0, 0) entry of U_1(gamma_m) in place of its determinant
+    import jfkernel.verify as verify
+    from jfkernel.sl2 import gamma_dilate, sl2_word
+    from jfkernel.weil import resolve
+
+    monkeypatch.setattr(verify, "omega_m", lambda g, m: resolve(
+        1, sl2_word(gamma_dilate(g, m))).canonical().rows[0][0])
+    assert _weil_fails("weil-omega-multiplicative[50 pairs]") == [
+        "m=1, pair 1: omega not multiplicative"]
+
+
+def test_weil_cusp_entries_fail_on_an_odd_row(monkeypatch):
+    # row 1 in place of row 2: at level 2 the odd entries vanish
+    import jfkernel.verify as verify
+    from jfkernel.weil import resolve
+
+    def wrong(c):
+        U = resolve(2, GroupWord.of(("S", 1), ("T", -c), ("S", 1))).canonical()
+        return U.rows[0][0], U.rows[1][0]
+
+    monkeypatch.setattr(verify, "cusp_entry_values", wrong)
+    assert _weil_fails("weil-cusp-entries[c<=20]") == ["c=2: entry vanishes"]
+
+
 def _numeric_fails(*names):
     reports = {r.name: r for r in suite_numeric(7)}
     for name in names:

@@ -7,6 +7,8 @@ import pytest
 from jfkernel.cyclotomic import CYC24, cyclotomic_field, from_rational, imag_unit
 from jfkernel.numeric import SnapFailed, fit_scalar
 from jfkernel.sl2 import (
+    GENERATOR_MATRICES,
+    I2,
     GroupWord,
     S,
     SL2Mat,
@@ -15,11 +17,11 @@ from jfkernel.sl2 import (
     random_gamma0_m_word,
     random_sl2_word,
     sl2_word,
+    sqrt_cocycle,
 )
 from jfkernel.weil import (
     NotInX,
     UMatrix,
-    _letter_matrix,
     _letter_order,
     block_rows_vanish,
     cusp_entry_values,
@@ -34,6 +36,7 @@ from jfkernel.weil import (
     u_gen,
     u_gen_general,
     word_product,
+    word_scalar,
 )
 
 I = imag_unit()
@@ -66,7 +69,7 @@ def _reference_word_product(m, word):
     """Left to right, one letter (or its conjugate transpose) at a time."""
     out = UMatrix.identity(cyclotomic_field(field_order(m)), 2 * m)
     for name, power in word:
-        g = _letter_matrix(m, name)
+        g = u_gen_general(m, name)
         if power < 0:
             g = g.conj_transpose()
         for _ in range(abs(power)):
@@ -104,9 +107,13 @@ def test_u2_s_squared_is_minus_identity_display():
 
 
 def test_general_matches_displayed():
-    for g in ("S", "T"):
+    for g in ("S", "T", "-I"):
         assert u_gen_general(1, g) == u_gen(1, g)
         assert u_gen_general(2, g) == u_gen(2, g)
+    # S T T S, as built from the general S and T, is the displayed matrix
+    # entry for entry, with no radicand left
+    st2s = u_gen_general(2, "ST2S")
+    assert st2s.radicand == 1 and st2s.rows == u_gen(2, "ST2S").rows
 
 
 def test_general_m3_T_entries():
@@ -233,7 +240,7 @@ def test_letter_matrices_are_true_multipliers():
     for m in (1, 2, 3, 5):
         for name in ("S", "T", "-I", "ST2S"):
             w = GroupWord.of((name, 1))
-            assert fit_scalar(m, w, _letter_matrix(m, name)) == 1, (m, name)
+            assert fit_scalar(m, w, u_gen_general(m, name)) == 1, (m, name)
     # the displayed index-2 matrix is the product S T^2 S exactly
     s, t = u_gen_general(2, "S"), u_gen_general(2, "T")
     assert u_gen(2, "ST2S") == s @ t @ t @ s
@@ -247,7 +254,7 @@ def test_word_product_is_left_to_right_letter_product():
             w = GroupWord.of(*((rng.choice(LETTERS), rng.choice(powers)) for _ in range(5)))
             out = UMatrix.identity(cyclotomic_field(field_order(m)), 2 * m)
             for name, power in w:
-                g = _letter_matrix(m, name)
+                g = u_gen_general(m, name)
                 if power < 0:
                     g = g.conj_transpose()
                 for _ in range(abs(power)):
@@ -258,7 +265,7 @@ def test_word_product_is_left_to_right_letter_product():
 def test_matmul_matches_reference_on_letters_and_words():
     rng = random.Random(41)
     for m in (1, 2, 3, 5, 7):
-        letters = [_letter_matrix(m, name) for name in LETTERS]
+        letters = [u_gen_general(m, name) for name in LETTERS]
         for a in letters:
             for b in letters:
                 _assert_same_product(a, b)
@@ -301,7 +308,7 @@ def test_matmul_matches_reference_on_special_entries():
 def test_letter_orders():
     for m in range(1, 8):
         for name in LETTERS:
-            g = _letter_matrix(m, name)
+            g = u_gen_general(m, name)
             assert g ** _letter_order(m, name) == UMatrix.identity(g.field, 2 * m), (m, name)
 
 
@@ -488,3 +495,67 @@ def test_umatrix_json():
     assert obj["size"] == 4 and obj["order"] == 24
     s1 = u_gen(1, "S")
     assert s1.to_json()["sqrt_radicand"] == 2
+
+
+# -- the word sign in O(letters) ---------------------------------------------
+
+
+def _step_walk_scalar(word):
+    """The sign one step per unit of power: sigma(P, h) for each step
+    P <- P h, and sigma(g, g^-1) more per step of a negative power."""
+    sign = 1
+    P = I2
+    for name, power in word:
+        g = GENERATOR_MATRICES[name]
+        h = g if power > 0 else g.inv()
+        inverse_sign = sqrt_cocycle(g, h) if power < 0 else 1
+        for _ in range(abs(power)):
+            sign *= inverse_sign * sqrt_cocycle(P, h)
+            P = P @ h
+    return sign
+
+
+def test_step_signs_have_period_four_for_every_letter():
+    for name, g in GENERATOR_MATRICES.items():
+        for h in (g, g.inv()):
+            signs = [sqrt_cocycle(h ** k, h) for k in range(1, 41)]
+            assert signs[4:] == signs[:-4], name
+
+
+def test_word_scalar_matches_the_step_walk():
+    rng = random.Random(53)
+    prefixes = [GroupWord.of()] + [random_sl2_word(rng, 6) for _ in range(6)] \
+        + [random_gamma0_2_word(rng, 6) for _ in range(6)]
+    for prefix in prefixes:
+        for name in GENERATOR_MATRICES:
+            for p in range(-13, 14):
+                w = prefix + GroupWord(((name, p),)) + random_sl2_word(rng, 3)
+                assert word_scalar(w) == _step_walk_scalar(w), str(w)
+
+
+@pytest.mark.parametrize("word", ["S^10000000000000000000001", "S^-10000000000000000000002 T",
+                                  "ST2S^1000000000000", "ST2S^-1000000000003 -I^999999999"])
+def test_huge_letter_powers_resolve_within_a_second(word):
+    # the true multiplier depends on the group element alone, so the
+    # continued-fraction word of the same matrix resolves to it too
+    w = GroupWord.parse(word)
+    start = time.perf_counter()
+    U = resolve(2, w)
+    assert time.perf_counter() - start < 1.0
+    assert U == resolve(2, sl2_word(w.to_matrix()))
+
+
+def test_fit_refuses_above_its_cap_and_admits_below():
+    from jfkernel.numeric import FIT_MAX_J, ORACLE_TAU
+
+    huge = GroupWord.parse("ST2S^-1000000000003")
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="numeric fit refused"):
+        fit_scalar(2, huge, word_product(2, huge))
+    assert time.perf_counter() - start < 1.0
+    # c = 8000 at the oracle point: |c tau + d| just under the cap
+    w = GroupWord.of(("S", 1), ("T", -8000), ("S", 1))
+    gamma = w.to_matrix()
+    assert 0.9 * FIT_MAX_J < abs(gamma.c * ORACLE_TAU + gamma.d) < FIT_MAX_J
+    U = word_product(2, w)
+    assert fit_scalar(2, w, U) == resolve_scalar(2, w, U)[1]
