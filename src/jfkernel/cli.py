@@ -36,6 +36,14 @@ from .verify import ORDER_SUITES, SUITES
 from .weil import resolve_scalar, word_product
 
 
+# The largest index `weil --m` accepts.  A product of two dense 2m x 2m
+# matrices costs (2m)^3 entry products over Q(zeta_lcm(24, 4m)): the word
+# "S T S T^-1 S" with --resolve takes 0.9 s at m = 30 and 8 s at m = 60, and
+# "S T" takes 13 s at m = 100 (2-vCPU KVM guest, Python 3.11).  The library
+# functions take any positive m.
+MAX_WEIL_INDEX = 30
+
+
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -294,6 +302,8 @@ def _dispatch(args, out) -> int:
         return 0
 
     if cmd == "weil":
+        if args.m > MAX_WEIL_INDEX:
+            raise ValueError(f"--m must be at most {MAX_WEIL_INDEX}, got {args.m}")
         if args.word is not None:
             word = GroupWord.parse(args.word)
         else:

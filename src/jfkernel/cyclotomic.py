@@ -70,25 +70,21 @@ class CyclotomicField:
     def __init__(self, n: int):
         phi = cyclotomic_poly(n)
         self.n = n
-        self.degree = len(phi) - 1
-        # x^k mod Phi_n as integer vectors, for k up to max(n-1, 2*degree-2);
-        # the upper range covers products of two reduced elements.  Phi is
-        # monic, so x^degree = -sum(phi[j] x^j, j < degree).
-        top = max(n - 1, 2 * self.degree - 2)
-        powers = [None] * (top + 1)
-        for k in range(self.degree):
-            v = [0] * self.degree
-            v[k] = 1
-            powers[k] = v
-        for k in range(self.degree, top + 1):
-            prev = powers[k - 1]
-            v = [0] + prev[:-1]
-            lead = prev[-1]
+        self.degree = d = len(phi) - 1
+        # x^k mod Phi_n as sparse rows ((j, v), ...) of its nonzero
+        # coordinates, for k up to max(n-1, 2*degree-2); the upper range
+        # covers products of two reduced elements.  Phi is monic, so
+        # x^degree = -sum(phi[j] x^j, j < degree).
+        rows = []
+        v = [1] + [0] * (d - 1)
+        for _ in range(max(n, 2 * d - 1)):
+            rows.append(tuple((j, c) for j, c in enumerate(v) if c))
+            lead = v[-1]
+            v = [0] + v[:-1]
             if lead:
-                for j in range(self.degree):
+                for j in range(d):
                     v[j] -= lead * phi[j]
-            powers[k] = v
-        self._powers = [tuple(v) for v in powers]
+        self._rows = rows
         self._roots = [cmath.exp(2j * cmath.pi * k / n) for k in range(n)]
         self.zero = CycNumber(self, (0,) * self.degree, 1)
         self.one = CycNumber(self, (1,) + (0,) * (self.degree - 1), 1)
@@ -98,34 +94,33 @@ class CyclotomicField:
 
     def element(self, num, den=1) -> "CycNumber":
         """Element with the given numerator vector and denominator."""
-        num = list(num)
-        if len(num) > self.degree:
+        d = self.degree
+        if len(num) > d:
             num = self._reduce(num)
-        else:
-            num = num + [0] * (self.degree - len(num))
-        if den < 0:
-            num = [-c for c in num]
-            den = -den
+        elif len(num) < d:
+            num = [*num, *[0] * (d - len(num))]
         if den == 0:
             raise ZeroDivisionError("zero denominator")
-        g = den
-        for c in num:
-            g = gcd(g, c)
-            if g == 1:
-                break
-        if g > 1:
+        # one gcd over all coordinates; a negative g also makes den positive
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
             num = [c // g for c in num]
             den //= g
         return CycNumber(self, tuple(num), den)
 
-    def _reduce(self, coeffs: list[int]) -> list[int]:
-        out = list(coeffs[: self.degree]) + [0] * (self.degree - min(len(coeffs), self.degree))
-        for k in range(self.degree, len(coeffs)):
+    def _reduce(self, coeffs) -> list[int]:
+        """coeffs (a vector over 1, zeta, zeta^2, ..., at least degree long)
+        reduced mod Phi_n: each nonzero coordinate past the degree adds its
+        sparse row."""
+        d, rows = self.degree, self._rows
+        out = list(coeffs[:d])
+        for k in range(d, len(coeffs)):
             c = coeffs[k]
             if c:
-                row = self._powers[k]
-                for j in range(self.degree):
-                    out[j] += c * row[j]
+                for j, v in rows[k]:
+                    out[j] += c * v
         return out
 
     def sparse_coords(self, xs):
@@ -141,7 +136,10 @@ class CyclotomicField:
 
     def zeta(self, k: int = 1) -> "CycNumber":
         """The root of unity zeta_n^k."""
-        return self.element(list(self._powers[k % self.n]), 1)
+        num = [0] * self.degree
+        for j, v in self._rows[k % self.n]:
+            num[j] = v
+        return CycNumber(self, tuple(num), 1)
 
     def from_fraction(self, q) -> "CycNumber":
         q = Fraction(q)
@@ -272,14 +270,13 @@ class CycNumber:
             return NotImplemented
         x, o = pair
         f = x.field
-        a, b = x.num, o.num
+        bs = [(j, bj) for j, bj in enumerate(o.num) if bj]
         conv = [0] * (2 * f.degree - 1)
-        for i, ai in enumerate(a):
+        for i, ai in enumerate(x.num):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        return f.element(f._reduce(conv), x.den * o.den)
+                for j, bj in bs:
+                    conv[i + j] += ai * bj
+        return f.element(conv, x.den * o.den)
 
     __rmul__ = __mul__
 

@@ -59,7 +59,7 @@ class UMatrix:
     entries, so the radicand is always squarefree.
     """
 
-    __slots__ = ("field", "rows", "radicand", "resolved")
+    __slots__ = ("field", "rows", "radicand", "resolved", "_coords")
 
     def __init__(self, field, rows, radicand=1, resolved=False):
         if radicand < 1:
@@ -68,9 +68,10 @@ class UMatrix:
         if s != 1:
             rows = [[field.element(c.num, c.den * s) for c in row] for row in rows]
         self.field = field
-        self.rows = tuple(tuple(c for c in row) for row in rows)
+        self.rows = tuple(tuple(row) for row in rows)
         self.radicand = radicand
         self.resolved = resolved
+        self._coords = None
 
     @property
     def size(self) -> int:
@@ -99,14 +100,23 @@ class UMatrix:
         rows = [[c * inv for c in row] for row in self.rows]
         return UMatrix(self.field, rows, 1, self.resolved)
 
+    def _sparse_rows(self):
+        """(D, rows of the entries' sparse coordinates over D), computed on
+        first use, so a cached letter power is read once per process."""
+        if self._coords is None:
+            size = self.size
+            den, flat = self.field.sparse_coords([c for row in self.rows for c in row])
+            self._coords = den, [flat[k * size:(k + 1) * size] for k in range(size)]
+        return self._coords
+
     def __matmul__(self, other: "UMatrix") -> "UMatrix":
         """The product, normalised once per entry.
 
-        The entries of ``other``, and those of each row of ``self``, are
-        scaled to one denominator and kept as sparse nonzero coordinates;
-        every k-term of entry (i, j) adds its coordinate convolution into one
-        unreduced int list, so the field reduces and normalises once per
-        entry.  Zero entries cost nothing, so a diagonal or permutation
+        The entries of ``other`` (once per matrix), and those of each row of
+        ``self``, are scaled to one denominator and kept as sparse nonzero
+        coordinates; every k-term of entry (i, j) adds its coordinate
+        convolution into one unreduced int list, so the field reduces and
+        normalises once per entry.  Zero entries cost nothing, so a diagonal or permutation
         factor costs one convolution per nonzero entry of the result.
         """
         a, b = self, other
@@ -115,8 +125,7 @@ class UMatrix:
             big = cyclotomic_field(n)
             a, b = a.embed(big), b.embed(big)
         f, size = a.field, a.size
-        db, cb = f.sparse_coords([c for row in b.rows for c in row])
-        brows = [cb[k * size:(k + 1) * size] for k in range(size)]
+        db, brows = b._sparse_rows()
         width = 2 * f.degree - 1
         rows = []
         for arow in a.rows:
@@ -340,12 +349,14 @@ def word_product(m: int, word: GroupWord) -> UMatrix:
     """Product of generator matrices; unresolved (true matrix up to a scalar).
 
     Letter powers are reduced modulo the letter periods, so a negative or
-    huge power costs one cached power of bounded exponent.
+    huge power costs one cached power of bounded exponent.  The empty word
+    gives the identity; any other word a fresh matrix, never a cached one.
     """
-    out = UMatrix.identity(cyclotomic_field(field_order(m)), 2 * m)
-    for name, power in word:
-        out = out @ _letter_power(m, name, power % _letter_order(m, name))
-    return out
+    mats = [_letter_power(m, name, power % _letter_order(m, name)) for name, power in word]
+    if not mats:
+        return UMatrix.identity(cyclotomic_field(field_order(m)), 2 * m)
+    first = mats[0]
+    return reduce(operator.matmul, mats[1:], UMatrix(first.field, first.rows, first.radicand))
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,16 @@ def test_weil_non_positive_index_exit_2(m, capsys):
     assert capsys.readouterr().err == "error: index must be a positive integer\n"
 
 
+@pytest.mark.parametrize("m", ["31", "100", "10000000000"])
+def test_weil_index_above_the_bound_exit_2_with_one_line(m, capsys):
+    from jfkernel.cli import MAX_WEIL_INDEX
+
+    assert MAX_WEIL_INDEX == 30
+    code, out = invoke(["weil", "--m", m, "--word", "S T", "--resolve"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: --m must be at most 30, got {m}\n"
+
+
 def test_weil_huge_letter_power_agrees_with_the_oracle(capsys):
     # S^(10^22 + 1) is S as a matrix; the exact sign takes O(1) per letter
     code, out = invoke(["weil", "--m", "2", "--word", "S^10000000000000000000001",
@@ -440,3 +450,42 @@ def test_pipeline_outputs_keep_their_bytes(tmp_path):
         "project-0m": "88d057af54921faf",
         "psi": "9af44551a338c19c",
     }
+
+
+# sha256 prefixes of `weil --m M --word=W` outputs, in the order json, text,
+# json --resolve, text --resolve: a multi-letter word at each index, one-letter
+# words, zero-power words (T^4 at m = 1 and S^8 are the identity matrix but
+# unresolved) and the empty product (the identity, resolved)
+WEIL_DIGESTS = {
+    (1, "S T^-1 S^2"): ("8577914bbc2fb534", "09b8cdd771bba1a1", "df650d80bc5e1958", "7e45677103eed6a5"),
+    (1, "S"): ("ebd8ec56cbce527a", "48a8dad98926731c", "730275a3cde2fa74", "48a8dad98926731c"),
+    (1, "T^4"): ("f6e676f880361cba", "6bce498ec712252f", "5c34bbec50c88e09", "6bce498ec712252f"),
+    (1, "S^8"): ("f6e676f880361cba", "6bce498ec712252f", "5c34bbec50c88e09", "6bce498ec712252f"),
+    (1, ""): ("a8bbb3ed36bcbcc1", "6bce498ec712252f", "5c34bbec50c88e09", "6bce498ec712252f"),
+    (2, "ST2S^-1 T^2 S"): ("a15ac85c0b800595", "91957821854411ab", "7bd8d460b60bc184", "91957821854411ab"),
+    (2, "-I"): ("acd02cd42c1690ae", "c2e0b0e0f8cc27a1", "e22b5711d288d244", "c2e0b0e0f8cc27a1"),
+    (3, "S T^2 S^-1"): ("d2acd81ec5f33fee", "405d0e3d18c293d2", "e1e0f2f93755ff26", "405d0e3d18c293d2"),
+    (5, "S T^3 S"): ("65960208a53ac73b", "33b8d2bd6fd6b455", "161ae1a3976dc161", "33b8d2bd6fd6b455"),
+    (30, "S T"): ("56f6e07d35488b56", "ca07fa7e90d1920c", "2cf95949b3a94454", "ca07fa7e90d1920c"),
+}
+
+
+@pytest.mark.parametrize("m, word", sorted(WEIL_DIGESTS))
+def test_weil_outputs_keep_their_bytes(m, word):
+    import hashlib
+
+    digests = []
+    for flags in ([], ["--format", "text"], ["--resolve"], ["--resolve", "--format", "text"]):
+        code, out = invoke(["weil", "--m", str(m), f"--word={word}", *flags])
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest()[:16])
+    assert tuple(digests) == WEIL_DIGESTS[m, word]
+
+
+def test_verify_all_keeps_its_anchor():
+    import hashlib
+
+    code, out = invoke(["verify", "--suite", "all", "--order", "30", "--seed", "7"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ba546e767c6a213d6aeec90131e316220810508a58f8601cfbeb2b68db017ecf")

@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -211,3 +211,108 @@ def test_str_rendering():
     assert str(1 - imag_unit()) == "1-i"
     assert str(coerce24(Fraction(1, 3)) * imag_unit()) == "1/3*i"
     assert str(root_of_unity(1)).startswith("cyc24[")
+
+
+# Dense references for the sparse kernels: long division by Phi_n over every
+# column, per-coordinate Fractions, and the full convolution.
+
+
+def _dense_reduce(coeffs, n):
+    """coeffs mod Phi_n, by schoolbook division from the top coordinate."""
+    phi = cyclotomic_poly(n)
+    d = len(phi) - 1
+    r = list(coeffs) + [0] * max(0, d - len(coeffs))
+    for k in range(len(r) - 1, d - 1, -1):
+        c, r[k] = r[k], 0
+        for j in range(d):
+            r[k - d + j] -= c * phi[j]
+    return r[:d]
+
+
+def _dense_normalise(num, den):
+    """(numerators, denominator) of the Fractions num[i]/den over their lcm."""
+    fracs = [Fraction(c, den) for c in num]
+    common = lcm(*(x.denominator for x in fracs))
+    return tuple(int(x * common) for x in fracs), common
+
+
+def _dense_mul(a, b):
+    """(order, numerators, denominator) of a*b in Q(zeta_lcm)."""
+    n = lcm(a.field.n, b.field.n)
+
+    def lift(x):
+        step = n // x.field.n
+        out = [0] * (step * (len(x.num) - 1) + 1)
+        out[::step] = x.num
+        return out
+
+    u, v = lift(a), lift(b)
+    conv = [0] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            conv[i + j] += x * y
+    return (n, *_dense_normalise(_dense_reduce(conv, n), a.den * b.den))
+
+
+@pytest.mark.parametrize("n", [24, 40, 120, 168, 240])
+def test_sparse_reduce_matches_dense_reduction(n):
+    f = cyclotomic_field(n)
+    rng = random.Random(n)
+    width = max(n, 2 * f.degree - 1)
+    for k in range(width):
+        monomial = [0] * width
+        monomial[k] = 1
+        assert f._reduce(monomial) == _dense_reduce(monomial, n), k
+    for _ in range(30):
+        coeffs = [rng.randint(-9, 9) if rng.random() < 0.3 else 0 for _ in range(width)]
+        assert f._reduce(coeffs) == _dense_reduce(coeffs, n)
+    for k in range(-n, 2 * n):
+        z = f.zeta(k)
+        assert (z.num, z.den) == (tuple(_dense_reduce([0] * (k % n) + [1], n)), 1), k
+
+
+@pytest.mark.parametrize("n", [24, 120])
+def test_element_normalises_like_fractions(n):
+    f = cyclotomic_field(n)
+    d = f.degree
+    rng = random.Random(n + 1)
+    vectors = [
+        [6, -4, 0, 2] + [0] * (d - 4),           # common factor 2 with den 10
+        [rng.randint(-50, 50) for _ in range(d)],
+        [0] * d,                                 # the zero vector
+        [3],                                     # shorter than the degree
+        [rng.randint(-9, 9) for _ in range(2 * d - 1)],   # a product's length
+        [rng.randint(-9, 9) for _ in range(n)],           # one coordinate per root
+    ]
+    for num in vectors:
+        for den in (1, -1, 10, -10, 7, -21, 2 ** 70):
+            x = f.element(num, den)
+            want = _dense_normalise(_dense_reduce(num, n), den)
+            assert (x.num, x.den) == want, (num, den)
+            assert x.den > 0 and gcd(x.den, *x.num) == 1
+    assert f.element([0] * d, -5).den == 1
+    with pytest.raises(ZeroDivisionError):
+        f.element([1], 0)
+
+
+def test_sparse_mul_matches_dense_convolution():
+    rng = random.Random(29)
+    fields = [cyclotomic_field(n) for n in (24, 40, 120)]
+    for f in fields:
+        monomials = [f.zeta(k) for k in (0, 1, f.n // 4, f.n // 2 + 1, f.n - 1)]
+        dense = [_random_element(rng, f) for _ in range(4)]
+        sparse = [f.element([rng.randint(-5, 5) if rng.random() < 0.2 else 0
+                             for _ in range(f.degree)], rng.randint(1, 9)) for _ in range(4)]
+        elements = monomials + dense + sparse + [f.zero, f.one]
+        for a in elements:
+            for b in elements:
+                p = a * b
+                assert (p.field.n, p.num, p.den) == _dense_mul(a, b)
+    # cross-field pairs land in the compositum
+    for a, b in [(root_of_unity(5), fields[1].zeta(3)),
+                 (_random_element(rng), _random_element(rng, fields[1])),
+                 (_random_element(rng, fields[1]), _random_element(rng, fields[2])),
+                 (_random_element(rng, cyclotomic_field(8)), _random_element(rng, fields[2]))]:
+        for p, q in ((a, b), (b, a)):
+            r = p * q
+            assert (r.field.n, r.num, r.den) == _dense_mul(p, q)

@@ -51,10 +51,17 @@ def test_sl2_word_examples():
 def test_sl2_word_random_round_trip():
     rng = random.Random(3)
     for _ in range(200):
-        g = I2
+        # g S permutes the columns of g up to sign, and g T^k adds k times
+        # the first column to the second, so the largest entry grows by a
+        # factor of at most 1 + |k| per T letter
+        g, bound = I2, 1
         for _ in range(rng.randint(1, 14)):
-            g = g @ (T ** rng.randint(-9, 9)) if rng.random() < 0.5 else g @ S
-        assert g.max_entry() <= 10 ** 6 or True
+            if rng.random() < 0.5:
+                k = rng.randint(-9, 9)
+                g, bound = g @ T ** k, bound * (1 + abs(k))
+            else:
+                g = g @ S
+        assert g.max_entry() <= bound
         assert sl2_word(g).to_matrix() == g
 
 

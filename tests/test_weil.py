@@ -23,6 +23,7 @@ from jfkernel.weil import (
     NotInX,
     UMatrix,
     _letter_order,
+    _letter_power,
     block_rows_vanish,
     cusp_entry_values,
     field_order,
@@ -303,6 +304,56 @@ def test_matmul_matches_reference_on_special_entries():
     _assert_same_product(u_gen(2, "S"), mixed)
     _assert_same_product(mixed, u_gen(2, "ST2S"))
     assert (u_gen(2, "S") @ mixed).field is f120
+
+
+def test_right_operand_coordinates_are_read_once_and_stay_right():
+    rng = random.Random(53)
+    for m in (1, 2, 5):
+        b = word_product(m, GroupWord.of(("S", 1), ("T", 3), ("ST2S", -1)))
+        assert b._coords is None
+        lefts = [u_gen_general(m, "S"), u_gen_general(m, "T"),
+                 word_product(m, GroupWord.of(("T", -1), ("S", 1)))]
+        for a in lefts:
+            _assert_same_product(a, b)
+        # filled by the first product and reused, unchanged, by the others
+        coords = b._coords
+        assert coords is not None
+        _assert_same_product(lefts[0], b)
+        assert b._coords is coords
+        # an embedded copy reads its own coordinates in the larger field
+        big = cyclotomic_field(2 * b.field.n)
+        wide = b.embed(big)
+        assert wide._coords is None
+        _assert_same_product(lefts[0].embed(big), wide)
+        _assert_same_product(wide, wide)
+        # a cross-field product embeds the cached operand, not its coordinates
+        f = b.field
+        mixed = UMatrix(f, [[f.element([rng.randint(-3, 3) for _ in range(f.degree)],
+                                       rng.randint(1, 6)) for _ in range(2 * m)]
+                            for _ in range(2 * m)])
+        _assert_same_product(mixed, b)
+        _assert_same_product(mixed.embed(big), b)
+        assert b._coords is coords
+
+
+def test_word_product_flags_and_fresh_objects():
+    for m in (1, 2):
+        identity = UMatrix.identity(cyclotomic_field(field_order(m)), 2 * m)
+        empty = word_product(m, GroupWord.of())
+        assert empty.resolved is True and empty == identity
+        for text in ("S", "T", "ST2S^-1", "T^%d" % (4 * m), "S^8", "-I^4", "S T"):
+            word = GroupWord.parse(text)
+            W = word_product(m, word)
+            assert W.resolved is False, (m, text)
+            want = _reference_word_product(m, word)
+            assert W.rows == want.rows and W.radicand == want.radicand, (m, text)
+            for name, power in word:
+                cached = _letter_power(m, name, power % _letter_order(m, name))
+                assert W is not cached
+        # a zero-power word is the identity matrix, but unresolved
+        assert word_product(m, GroupWord.parse("S^8")) == identity
+        # the cached letter keeps its own flag after a word has used it
+        assert _letter_power(m, "S", 0).resolved is True
 
 
 def test_letter_orders():
