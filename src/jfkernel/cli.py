@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import cache
 
 from .construct import (
+    VVPair,
     lambda2_fwd,
     lambda2_inv,
     lambda_star_fwd,
@@ -30,8 +31,8 @@ from .construct import (
 )
 from .jacobi import JacobiSeries, d2_hat, restrict_z0, theta_decompose, theta_j
 from .numeric import ORACLE_TAU, ORACLE_Z, SnapFailed, fit_scalar
-from .series import PuiseuxSeries
-from .sl2 import GroupWord
+from .series import PuiseuxSeries, eta_power
+from .sl2 import GroupWord, SL2Mat, sl2_word
 from .verify import ORDER_SUITES, SUITES
 from .weil import resolve_scalar, word_product
 
@@ -60,8 +61,6 @@ def _complex_pair(text: str) -> complex:
 
 
 def _gamma(text: str):
-    from .sl2 import SL2Mat
-
     try:
         a, b, c, d = (int(x) for x in text.split(","))
         return SL2Mat(a, b, c, d)
@@ -71,13 +70,6 @@ def _gamma(text: str):
 
 def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), sort_keys=False)
-
-
-def _emit_series(series, fmt: str, out):
-    if fmt == "json":
-        out.write(_dump(series.to_json()) + "\n")
-    else:
-        out.write(series.to_text() + "\n")
 
 
 def _part(data, key):
@@ -96,12 +88,6 @@ def _read_json(path: str | None):
             return json.load(fh)
     except RecursionError:
         raise ValueError("input JSON is nested too deeply") from None
-
-
-def _read_pair(path):
-    """The series "phi0" and "phi2" of the input JSON object."""
-    data = _read_json(path)
-    return [PuiseuxSeries.from_json(_part(data, k)) for k in ("phi0", "phi2")]
 
 
 def _read_components(path, m, key):
@@ -227,88 +213,12 @@ def run(argv=None, out=None) -> int:
 def _dispatch(args, out) -> int:
     cmd = args.command
 
-    if cmd == "theta":
-        series = theta_j(args.m, args.r, args.order)
-        if args.at_z0:
-            _emit_series(restrict_z0(series), args.format, out)
-        else:
-            _emit_series(series, args.format, out)
-        return 0
-
-    if cmd == "eta":
-        from .series import eta_power
-
-        _emit_series(eta_power(args.power, args.order), args.format, out)
-        return 0
-
-    if cmd == "xi":
-        if args.pair:
-            xi0, xi2 = xi_pair_hat(args.order)
-            if args.format == "json":
-                out.write(_dump({"xi0": xi0.to_json(), "xi2": xi2.to_json()}) + "\n")
-            else:
-                out.write("xi0: " + xi0.to_text() + "\n")
-                out.write("xi2: " + xi2.to_text() + "\n")
-            return 0
-        series = xi_hat(args.order) if args.m == 1 else xi_m_star_hat(args.m, args.order)
-        _emit_series(series, args.format, out)
-        return 0
-
-    if cmd == "decompose":
-        phi = JacobiSeries.from_json(_read_json(args.input))
-        comps = theta_decompose(phi, args.m)
-        if args.format == "json":
-            out.write(_dump([c.to_json() for c in comps]) + "\n")
-        else:
-            for r, c in enumerate(comps):
-                out.write(f"h[{r}]: {c.to_text()}\n")
-        return 0
-
-    if cmd == "d0":
-        phi = JacobiSeries.from_json(_read_json(args.input))
-        _emit_series(restrict_z0(phi), args.format, out)
-        return 0
-
-    if cmd == "d2":
-        phi = JacobiSeries.from_json(_read_json(args.input))
-        _emit_series(d2_hat(phi, args.k), args.format, out)
-        return 0
-
-    if cmd == "lambda2":
-        pair = lambda2_fwd(*_read_components(args.input, 2, "h2"))
-        out.write(_dump({"phi0": pair.comp0.to_json(), "phi2": pair.comp2.to_json()}) + "\n")
-        return 0
-
-    if cmd == "lambda2-inv":
-        _emit_series(lambda2_inv(*_read_pair(args.input), args.order), "json", out)
-        return 0
-
-    if cmd == "lambdastar":
-        _emit_series(lambda_star_fwd(*_read_components(args.input, args.m, "hm"), args.m), "json", out)
-        return 0
-
-    if cmd == "lambdastar-inv":
-        phi = PuiseuxSeries.from_json(_read_json(args.input))
-        _emit_series(lambda_star_inv(phi, args.m, args.order), "json", out)
-        return 0
-
-    if cmd == "psi":
-        _emit_series(psi_form(*_read_pair(args.input)), args.format, out)
-        return 0
-
-    if cmd == "project-0m":
-        phi = JacobiSeries.from_json(_read_json(args.input))
-        _emit_series(psi_0m(phi, args.m), "json", out)
-        return 0
-
     if cmd == "weil":
         if args.m > MAX_WEIL_INDEX:
             raise ValueError(f"--m must be at most {MAX_WEIL_INDEX}, got {args.m}")
         if args.word is not None:
             word = GroupWord.parse(args.word)
         else:
-            from .sl2 import sl2_word
-
             word = sl2_word(args.gamma)
         product = word_product(args.m, word)
         resolved, sigma = resolve_scalar(args.m, word, product)
@@ -353,7 +263,60 @@ def _dispatch(args, out) -> int:
                 out.write(line + "\n")
         return 0 if ok else 1
 
+    _write(_series_result(args), getattr(args, "format", "json"), out)
+    return 0
+
+
+def _series_result(args):
+    """The result of a series-valued command: a series, the list of theta
+    components (decompose), or a dict of named series."""
+    cmd = args.command
+    if cmd == "theta":
+        series = theta_j(args.m, args.r, args.order)
+        return restrict_z0(series) if args.at_z0 else series
+    if cmd == "eta":
+        return eta_power(args.power, args.order)
+    if cmd == "xi":
+        if args.pair:
+            return dict(zip(("xi0", "xi2"), xi_pair_hat(args.order)))
+        return xi_hat(args.order) if args.m == 1 else xi_m_star_hat(args.m, args.order)
+    if cmd == "lambda2":
+        pair = lambda2_fwd(*_read_components(args.input, 2, "h2"))
+        return {"phi0": pair.comp0, "phi2": pair.comp2}
+    if cmd == "lambdastar":
+        return lambda_star_fwd(*_read_components(args.input, args.m, "hm"), args.m)
+    if cmd == "lambda2-inv":
+        pair = VVPair.from_json(_read_json(args.input))
+        return lambda2_inv(pair.comp0, pair.comp2, args.order)
+    if cmd == "psi":
+        pair = VVPair.from_json(_read_json(args.input))
+        return psi_form(pair.comp0, pair.comp2)
+    if cmd == "lambdastar-inv":
+        return lambda_star_inv(PuiseuxSeries.from_json(_read_json(args.input)), args.m, args.order)
+    phi = JacobiSeries.from_json(_read_json(args.input))
+    if cmd == "decompose":
+        return theta_decompose(phi, args.m)
+    if cmd == "d0":
+        return restrict_z0(phi)
+    if cmd == "d2":
+        return d2_hat(phi, args.k)
+    if cmd == "project-0m":
+        return psi_0m(phi, args.m)
     raise AssertionError(f"unhandled command {cmd}")
+
+
+def _write(result, fmt: str, out):
+    """Print a command's result, a series, a list of series (labelled h[r]
+    in text) or a dict of named series, as one line of JSON or as text."""
+    if not isinstance(result, (list, dict)):
+        out.write((_dump(result.to_json()) if fmt == "json" else result.to_text()) + "\n")
+    elif fmt == "json":
+        obj = ([s.to_json() for s in result] if isinstance(result, list)
+               else {k: s.to_json() for k, s in result.items()})
+        out.write(_dump(obj) + "\n")
+    else:
+        named = {f"h[{r}]": s for r, s in enumerate(result)} if isinstance(result, list) else result
+        out.write("".join(f"{k}: {s.to_text()}\n" for k, s in named.items()))
 
 
 def main() -> None:

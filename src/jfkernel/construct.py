@@ -31,8 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .jacobi import JacobiSeries, theta_component, theta_decompose, theta_j
-from .series import FormMeta, PuiseuxSeries, dilate, div_exact, eta_power, euler_d
+from .cyclotomic import _square_part
+from .jacobi import JacobiSeries, d2_hat, theta_component, theta_decompose, theta_j
+from .series import FormMeta, PuiseuxSeries, _entry, _expect, dilate, div_exact, eta_power, euler_d
 
 
 class InconsistentPair(ValueError):
@@ -71,22 +72,18 @@ class VVPair:
 
     @staticmethod
     def from_json(obj) -> "VVPair":
+        """Decode :meth:`to_json` output, or any object with the series
+        "phi0" and "phi2"; malformed input raises ValueError."""
+        _expect(obj, dict, "pair")
         return VVPair(
-            PuiseuxSeries.from_json(obj["phi0"]),
-            PuiseuxSeries.from_json(obj["phi2"]),
+            PuiseuxSeries.from_json(_entry(obj, "phi0", "pair")),
+            PuiseuxSeries.from_json(_entry(obj, "phi2", "pair")),
             FormMeta.from_json(obj.get("meta")),
         )
 
 
 def is_squarefree(m: int) -> bool:
-    if m < 1:
-        return False
-    p = 2
-    while p * p <= m:
-        if m % (p * p) == 0:
-            return False
-        p += 1
-    return True
+    return m >= 1 and _square_part(m)[0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +190,11 @@ def lambda_star_fwd(h_m0: PuiseuxSeries, h_mm: PuiseuxSeries, m: int) -> Puiseux
     """The common quotient h_{m,0}/theta_{m,m} = -h_{m,m}/theta_{m,0}.
 
     Raises :class:`InconsistentPair` when the two quotients disagree, i.e.
-    when h_{m,0} theta_{m,0} + h_{m,m} theta_{m,m} != 0.
+    when h_{m,0} theta_{m,0} + h_{m,m} theta_{m,m} != 0, and
+    :class:`NonSquarefreeIndex` when m is not squarefree.
     """
+    if not is_squarefree(m):
+        raise NonSquarefreeIndex(f"{m} is not squarefree")
     order = max(h_m0.valid_below, h_mm.valid_below) + m
     t0 = theta_component(m, 0, order)
     tm = theta_component(m, m, order)
@@ -314,8 +314,6 @@ def derive_bridge_constant(order=12):
 def derive_heat_constant(m: int):
     """C with d2_hat(lambda_star_inv(phi, m), k) = C * k * phi * xi_star_hat(m),
     derived at k = 2 from a probe input, to order 10, by exact division."""
-    from .jacobi import d2_hat
-
     order = Fraction(10)
     probe = PuiseuxSeries({Fraction(0): 1, Fraction(1): 1}, order + m)
     lhs = d2_hat(lambda_star_inv(probe, m, order), 2)

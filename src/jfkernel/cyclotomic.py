@@ -9,7 +9,8 @@ them.  That field is the default coefficient ring of the whole package; see
 
 Multiplier matrices of index m need 4m-th roots of unity, so for m with
 4m not dividing 24 the matrices live in Q(zeta_n) with n = lcm(24, 4m).
-:func:`cyclotomic_field` returns the (cached) field of any even order, and
+:func:`cyclotomic_field` returns the (cached) field of any even order,
+:func:`common_field` the one several fields meet in, and
 :meth:`CyclotomicField.embed` moves elements up a tower Q(zeta_a) -> Q(zeta_b)
 for a | b.
 
@@ -58,6 +59,29 @@ def _poly_divexact(a: list[int], b: list[int]) -> list[int]:
 @lru_cache(maxsize=None)
 def cyclotomic_field(n: int) -> "CyclotomicField":
     return CyclotomicField(n)
+
+
+def common_field(*fields) -> "CyclotomicField":
+    """The least cyclotomic field containing every one of ``fields``: the
+    lcm of their orders.  A join above MAX_JSON_ORDER that is larger than
+    every operand is refused, as a field of that order read from JSON is."""
+    n = lcm(*[f.n for f in fields])
+    if n > MAX_JSON_ORDER and all(f.n < n for f in fields):
+        raise ValueError(f"fields of orders {sorted({f.n for f in fields})} join in order {n}, "
+                         f"above {MAX_JSON_ORDER}")
+    return cyclotomic_field(n)
+
+
+def _square_part(n: int):
+    """(s, f) with n = s^2 f and f squarefree, by trial division."""
+    s, f = 1, n
+    p = 2
+    while p * p <= f:
+        while f % (p * p) == 0:
+            f //= p * p
+            s *= p
+        p += 1
+    return s, f
 
 
 class CyclotomicField:
@@ -162,8 +186,8 @@ class CyclotomicField:
         Requires 8 | n for the factor sqrt(2) and p | n for each odd prime
         p | d.
         """
-        if d <= 0:
-            raise ValueError("need a positive integer")
+        if d <= 0 or _square_part(d)[0] != 1:
+            raise ValueError("need a positive squarefree integer")
         out = self.one
         if d % 2 == 0:
             if self.n % 8:
@@ -174,8 +198,6 @@ class CyclotomicField:
         while d > 1:
             if d % p == 0:
                 d //= p
-                if d % p == 0:
-                    raise ValueError("argument must be squarefree")
                 if self.n % p:
                     raise ValueError(f"sqrt({p}) not in Q(zeta_{self.n})")
                 g = sum((self.zeta(self.n // p * a * a) for a in range(p)), self.zero)
@@ -229,7 +251,7 @@ class CycNumber:
                 return None
         if other.field is self.field:
             return self, other
-        big = cyclotomic_field(lcm(self.field.n, other.field.n))
+        big = common_field(self.field, other.field)
         return big.embed(self), big.embed(other)
 
     def __add__(self, other):

@@ -193,6 +193,8 @@ def _theta_component_terms(m: int, r: int, order: Fraction):
 
 def theta_component(m: int, r: int, order) -> PuiseuxSeries:
     """theta_{m,r}(tau) = theta_j(m, r)(tau, 0), as a one-variable series."""
+    if m < 1:
+        raise ValueError("index must be a positive integer")
     order = Fraction(order)
     terms = dict(_theta_component_terms(m, r % (2 * m), order))
     meta = FormMeta(weight=Fraction(1, 2), index=m, kind="theta-component",

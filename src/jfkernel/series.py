@@ -38,7 +38,7 @@ from math import gcd, lcm
 from operator import itemgetter
 from types import MappingProxyType
 
-from .cyclotomic import CYC24, CycNumber, _is_int, coerce24, cyclotomic_field
+from .cyclotomic import CYC24, CycNumber, _is_int, coerce24, common_field
 
 
 class ExactDivisionError(ArithmeticError):
@@ -267,16 +267,7 @@ class _Series:
         bound = Fraction(bound)
         if bound > self.valid_below or bound > other.valid_below:
             raise ValueError("comparison bound exceeds a validity bound")
-        den = lcm(self.den, other.den)
-        a, b = self._on_grid(den), other._on_grid(den)
-        top, qexp = _top(bound, den), self._qexp
-        for k, c in a.items():
-            if qexp(k) < top and b.get(k) != c:
-                return False
-        for k in b:
-            if qexp(k) < top and k not in a:
-                return False
-        return True
+        return self.first_difference(other, bound) is None
 
     def first_difference(self, other, bound=None):
         """Smallest key below ``bound`` where the two series differ, with its
@@ -516,11 +507,7 @@ def _coords(*groups):
     [(i, v), ...] scaled to D: the coefficient is sum(v zeta^i) / D.
     """
     groups = [list(g) for g in groups]
-    f = CYC24
-    for g in groups:
-        for c in g:
-            if c.field is not f and f.n % c.field.n:
-                f = cyclotomic_field(lcm(f.n, c.field.n))
+    f = common_field(CYC24, *{c.field for g in groups for c in g})
     return f, [f.sparse_coords([c if c.field is f else f.embed(c) for c in g])
                for g in groups]
 

@@ -29,7 +29,7 @@ import operator
 from fractions import Fraction
 from functools import lru_cache, reduce
 
-from .cyclotomic import CYC24, CycNumber, cyclotomic_field
+from .cyclotomic import CYC24, CycNumber, _square_part, common_field, cyclotomic_field
 from .sl2 import (
     GENERATOR_MATRICES,
     I2,
@@ -48,7 +48,7 @@ class NotInX(ValueError):
 def field_order(m: int) -> int:
     if m < 1:
         raise ValueError("index must be a positive integer")
-    return 24 * 4 * m // math.gcd(24, 4 * m)
+    return math.lcm(24, 4 * m)
 
 
 class UMatrix:
@@ -112,25 +112,24 @@ class UMatrix:
     def __matmul__(self, other: "UMatrix") -> "UMatrix":
         """The product, normalised once per entry.
 
-        The entries of ``other`` (once per matrix), and those of each row of
-        ``self``, are scaled to one denominator and kept as sparse nonzero
-        coordinates; every k-term of entry (i, j) adds its coordinate
-        convolution into one unreduced int list, so the field reduces and
-        normalises once per entry.  Zero entries cost nothing, so a diagonal or permutation
-        factor costs one convolution per nonzero entry of the result.
+        The entries of each operand are scaled to one denominator and kept
+        as sparse nonzero coordinates, once per matrix; every k-term of
+        entry (i, j) adds its coordinate convolution into one unreduced int
+        list, so the field reduces and normalises once per entry.  Zero
+        entries cost nothing, so a diagonal or permutation factor costs one
+        convolution per nonzero entry of the result.
         """
         a, b = self, other
         if a.field is not b.field:
-            n = a.field.n * b.field.n // math.gcd(a.field.n, b.field.n)
-            big = cyclotomic_field(n)
+            big = common_field(a.field, b.field)
             a, b = a.embed(big), b.embed(big)
         f, size = a.field, a.size
+        da, arows = a._sparse_rows()
         db, brows = b._sparse_rows()
+        den = da * db
         width = 2 * f.degree - 1
         rows = []
-        for arow in a.rows:
-            da, ca = f.sparse_coords(arow)
-            den = da * db
+        for ca in arows:
             sums = [None] * size
             for xs, brow in zip(ca, brows):
                 if not xs:
@@ -195,8 +194,7 @@ class UMatrix:
         if a.radicand != b.radicand:
             a, b = a.canonical(), b.canonical()
         if a.field is not b.field:
-            n = a.field.n * b.field.n // math.gcd(a.field.n, b.field.n)
-            big = cyclotomic_field(n)
+            big = common_field(a.field, b.field)
             a, b = a.embed(big), b.embed(big)
         return a.radicand == b.radicand and a.rows == b.rows
 
@@ -220,18 +218,6 @@ class UMatrix:
         if self.radicand != 1:
             out["sqrt_radicand"] = self.radicand
         return out
-
-
-def _square_part(n: int):
-    """(s, f) with n = s^2 f and f squarefree (n has only small prime factors)."""
-    s, f = 1, n
-    p = 2
-    while p * p <= f:
-        while f % (p * p) == 0:
-            f //= p * p
-            s *= p
-        p += 1
-    return s, f
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +491,7 @@ def submatrix_proportional(m: int, W: UMatrix, W1: UMatrix) -> bool:
     Proportionality is scalar- and radicand-invariant: cross products of
     entries are compared exactly in the compositum field.
     """
-    n = W.field.n * W1.field.n // math.gcd(W.field.n, W1.field.n)
-    big = cyclotomic_field(n)
+    big = common_field(W.field, W1.field)
     sub = [[big.embed(W.rows[i][j]) for j in (0, m)] for i in (0, m)]
     ref = [[big.embed(W1.rows[i][j]) for j in (0, 1)] for i in (0, 1)]
     flat_a = [sub[i][j] for i in range(2) for j in range(2)]

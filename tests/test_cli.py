@@ -489,3 +489,103 @@ def test_verify_all_keeps_its_anchor():
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "ba546e767c6a213d6aeec90131e316220810508a58f8601cfbeb2b68db017ecf")
+
+
+def _series_inputs():
+    """Input JSON texts for the series commands: a two-variable series that
+    decomposes at index 2 with a nonzero restriction, and a pair that psi
+    accepts."""
+    from jfkernel.construct import lambda2_inv, xi_pair_hat
+    from jfkernel.jacobi import theta_j
+
+    phi0 = PuiseuxSeries({F(0): 1, F(1, 2): 2, F(3): -1 + imag_unit()}, F(10))
+    phi2 = PuiseuxSeries({F(0): 3, F(2): -2}, F(19, 2))
+    h1 = PuiseuxSeries({F(0): 1 + imag_unit(), F(1): F(1, 3)}, F(10))
+    phi = lambda2_inv(phi0, phi2, 12) + h1 * theta_j(2, 1, 12)
+    xi0, xi2 = xi_pair_hat(6)
+    psi = PuiseuxSeries({F(0): 2, F(1, 2): imag_unit(), F(2): F(-1, 3)}, F(6))
+    return {"phi": json.dumps(phi.to_json()),
+            "pair": json.dumps({"phi0": (psi * xi2).to_json(), "phi2": (-psi * xi0).to_json()})}
+
+
+# sha256 prefixes of the series commands' outputs, in the order json, text
+SERIES_DIGESTS = {
+    ('theta', '--m', '2', '--r', '1', '--order', '6'): ('6da1cba0c27afb68', 'a4942fd89fb4e990'),
+    ('theta', '--m', '3', '--r', '2', '--order', '6', '--at-z0'): ('08cfb91b5bef296d', '1699448ec8265d68'),
+    ('eta', '--power', '3', '--order', '5'): ('8f9aaa59122674c8', '72b29830ab64c547'),
+    ('xi', '--order', '4'): ('86ad48aac4cd7cf4', 'ca7975229b19ee41'),
+    ('xi', '--m', '3', '--order', '4'): ('51dc8cca2b7deb96', '5dcfcabe54022cbd'),
+    ('xi', '--pair', '--order', '3'): ('7edac3c7c0459f9c', '0bd51348fd9293a4'),
+    ('decompose', '--m', '2', '--in', 'phi'): ('75621a8f4dd3b9aa', '54b9a57d16cfb1eb'),
+    ('d0', '--in', 'phi'): ('83e1859189461789', 'b90bb727156d7d65'),
+    ('d2', '--k', '3/2', '--in', 'phi'): ('23d65a2e405d4e46', '9c1eaf3e2e7d6cc8'),
+    ('psi', '--in', 'pair'): ('cbf2c95bf4ffac80', '8b8dee04913d2dfe'),
+}
+
+
+@pytest.mark.parametrize("key", sorted(SERIES_DIGESTS))
+def test_series_outputs_keep_their_bytes(key, tmp_path):
+    import hashlib
+
+    argv = list(key)
+    if "--in" in argv:
+        src = tmp_path / "in.json"
+        src.write_text(_series_inputs()[argv[-1]])
+        argv[-1] = str(src)
+    digests = []
+    for fmt in ("json", "text"):
+        code, out = invoke([*argv, "--format", fmt])
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest()[:16])
+    assert tuple(digests) == SERIES_DIGESTS[key]
+
+
+def _kernel_inputs_in_large_fields():
+    """Inputs whose coefficients lie in fields of orders 125, 1000 and 997
+    (each within the JSON bound), and a series over two of them."""
+    def pair(order):
+        coeff = {"num": [0, 1], "den": 1, "order": order}
+        return {"phi0": {"terms": [{"exp": "0", "coeff": coeff}], "valid_below": "4"},
+                "phi2": PuiseuxSeries.one(4).to_json()}
+
+    terms = [{"n": "0", "r": r, "coeff": {"num": [0, 1], "den": 1, "order": n}}
+             for r, n in ((0, 999), (1, 997))]
+    return {
+        125: (["lambda2-inv", "--order", "4"], pair(125), "[24, 125] join in order 3000"),
+        1000: (["lambda2-inv", "--order", "4"], pair(1000), "[24, 1000] join in order 3000"),
+        997: (["lambda2-inv", "--order", "4"], pair(997), "[24, 997] join in order 23928"),
+        999: (["d0"], {"terms": terms, "valid_below": "2"}, "[24, 997, 999] join in order 7968024"),
+    }
+
+
+@pytest.mark.parametrize("case", [125, 1000, 997, 999])
+def test_kernels_refuse_a_field_join_above_the_json_bound(case, tmp_path, capsys):
+    argv, obj, orders = _kernel_inputs_in_large_fields()[case]
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(obj))
+    code, out = invoke([*argv, "--in", str(src)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: fields of orders {orders}, above 1000\n"
+
+
+@pytest.mark.parametrize("m", ["0", "-1", "4"])
+def test_lambdastar_refuses_an_index_that_is_not_squarefree(m, tmp_path, capsys):
+    one = PuiseuxSeries.one(8).to_json()
+    src = tmp_path / "h.json"
+    src.write_text(json.dumps({"h0": one, "hm": one}))
+    code, out = invoke(["lambdastar", "--m", m, "--in", str(src)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {m} is not squarefree\n"
+
+
+@pytest.mark.parametrize("command", [["lambda2-inv", "--order", "4"], ["psi"]])
+@pytest.mark.parametrize("text, message", [
+    ("[]", "pair must be a JSON object, got []"),
+    ('"x"', "pair must be a JSON object, got 'x'"),
+    ("{}", "pair has no 'phi0'"),
+])
+def test_pair_commands_refuse_malformed_pairs(command, text, message, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out = invoke([*command, "--in", "-"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -298,3 +298,37 @@ def test_remark_r4():
     assert out.same_below(t1, min(out.valid_below, 6))
     with pytest.raises(ConstraintFailed):
         remark_maps(VVPair(PuiseuxSeries.one(8), PuiseuxSeries.one(8)), "r4")
+
+
+def test_vvpair_json_round_trip():
+    pair = VVPair(PuiseuxSeries({Fraction(1, 2): imag_unit()}, 4), PuiseuxSeries.one(3))
+    back = VVPair.from_json(pair.to_json())
+    assert back.comp0 == pair.comp0 and back.comp2 == pair.comp2 and back.meta is None
+
+
+@pytest.mark.parametrize("obj, message", [
+    ([], "pair must be a JSON object, got []"),
+    ("x", "pair must be a JSON object, got 'x'"),
+    ({}, "pair has no 'phi0'"),
+    ({"phi0": PuiseuxSeries.one(3).to_json()}, "pair has no 'phi2'"),
+    ({"phi0": 5, "phi2": 5}, "series must be a JSON object, got 5"),
+    ({"phi0": PuiseuxSeries.one(3).to_json(), "phi2": PuiseuxSeries.one(3).to_json(),
+      "meta": []}, "meta must be a JSON object, got []"),
+])
+def test_vvpair_from_json_refuses_malformed_pairs(obj, message):
+    with pytest.raises(ValueError) as exc:
+        VVPair.from_json(obj)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("m", [0, -1, 4, 12])
+def test_lambda_star_fwd_refuses_an_index_that_is_not_squarefree(m):
+    one = PuiseuxSeries.one(8)
+    with pytest.raises(NonSquarefreeIndex, match=f"^{m} is not squarefree$"):
+        lambda_star_fwd(one, one, m)
+
+
+@pytest.mark.parametrize("m", [0, -2])
+def test_theta_component_refuses_a_non_positive_index(m):
+    with pytest.raises(ValueError, match="index must be a positive integer"):
+        theta_component(m, 0, 4)

@@ -9,8 +9,10 @@ import pytest
 
 from jfkernel.cyclotomic import (
     CYC24,
+    MAX_JSON_ORDER,
     CycNumber,
     coerce24,
+    common_field,
     cyclotomic_field,
     cyclotomic_poly,
     from_rational,
@@ -197,6 +199,35 @@ def test_sqrt_int_gauss_sums():
         assert s * s == d
         # positive real root
         assert abs(s.to_complex() - d ** 0.5) < 1e-9
+
+
+@pytest.mark.parametrize("d", [0, -3, 4, 8, 12, 18, 50])
+def test_sqrt_int_refuses_what_is_not_a_positive_squarefree_integer(d):
+    # 8 used to loop for ever: the factor 2 left 4, which no odd prime divides
+    with pytest.raises(ValueError):
+        cyclotomic_field(120).sqrt_int(d)
+
+
+def test_common_field_is_the_lcm_of_the_orders():
+    f8, f12, f40 = (cyclotomic_field(n) for n in (8, 12, 40))
+    assert common_field(CYC24) is CYC24
+    assert common_field(f8, CYC24, f8) is CYC24
+    assert common_field(f8, f12) is CYC24
+    assert common_field(f40, f12) is cyclotomic_field(120)
+    assert (f8.zeta(1) + f12.zeta(1)).field is CYC24
+
+
+def test_common_field_refuses_a_new_field_above_the_json_bound():
+    f997, f999 = cyclotomic_field(997), cyclotomic_field(999)
+    assert MAX_JSON_ORDER == 1000
+    # a join that is one of its operands is never refused
+    assert common_field(cyclotomic_field(1008), CYC24).n == 1008
+    with pytest.raises(ValueError, match=r"^fields of orders \[24, 997\] join in order 23928, above 1000$"):
+        common_field(CYC24, f997)
+    with pytest.raises(ValueError, match=r"orders \[997, 999\] join in order 996003"):
+        f997.zeta(1) + f999.zeta(1)
+    with pytest.raises(ValueError):
+        f997.one == CYC24.one
 
 
 def test_roots_of_unity_match_unit_circle():

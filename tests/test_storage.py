@@ -2,11 +2,12 @@
 Fraction-keyed view.  Results must not depend on which grid holds a series."""
 
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from jfkernel.cyclotomic import imag_unit
+from jfkernel.cyclotomic import coerce24, cyclotomic_field, imag_unit
 from jfkernel.jacobi import JacobiSeries, theta_component, theta_decompose
 from jfkernel.series import PuiseuxSeries, _assemble
 
@@ -94,3 +95,52 @@ def test_terms_view_keeps_insertion_order():
     h = theta_decompose(phi, 2)
     assert list(h[0].terms) == [F(1), F(0)]
     assert list(h[1].terms) == [F(0), F(2)]
+
+
+def _random_pair(rng, kind):
+    """Two series that agree on most terms, on different grids, with some
+    coefficients held in larger cyclotomic fields."""
+    i = imag_unit()
+    fields = [cyclotomic_field(n) for n in (8, 48, 120)]
+
+    def key(grid):
+        n = F(rng.randint(0, 6 * grid - 1), grid)
+        return n if kind == "puiseux" else (n, rng.randint(-2, 2))
+
+    def lift(c):
+        # the same Gaussian value, sometimes held in Q(zeta_48) or Q(zeta_120),
+        # or in Q(zeta_8) as a + b zeta_8^2, read off 1 and i = zeta_24^6
+        f = rng.choice(fields)
+        if rng.random() < 0.3:
+            if f.n % 24 == 0:
+                return f.embed(c)
+            return f.from_fraction(F(c.num[0], c.den)) + f.from_fraction(F(c.num[6], c.den)) * f.zeta(2)
+        return c
+
+    terms = {key(rng.choice((2, 3, 4))): rng.randint(-2, 2) + rng.randint(-1, 1) * i
+             for _ in range(rng.randint(0, 8))}
+    other = {k: lift(coerce24(c)) for k, c in terms.items() if rng.random() < 0.9}
+    for _ in range(rng.randint(0, 2)):
+        other[key(rng.choice((5, 6)))] = rng.randint(1, 3)
+    if other and rng.random() < 0.5:
+        k = rng.choice(sorted(other))
+        other[k] = coerce24(other[k]) + i
+    cls = PuiseuxSeries if kind == "puiseux" else JacobiSeries
+    return cls(terms, F(rng.randint(8, 12), 2)), cls(other, F(rng.randint(8, 12), 2))
+
+
+@pytest.mark.parametrize("kind", ["puiseux", "jacobi"])
+def test_same_below_is_no_first_difference(kind):
+    rng = random.Random(61)
+    disagreed = 0
+    for _ in range(300):
+        a, b = _random_pair(rng, kind)
+        top = min(a.valid_below, b.valid_below)
+        # the default bound, grid points and points off every grid
+        bounds = [None, top, F(rng.randint(0, 24), 6), top - F(1, 7), F(rng.randint(0, 40), 11)]
+        for bound in bounds:
+            for x, y in ((a, b), (b, a)):
+                same = x.same_below(y, bound)
+                assert same == (x.first_difference(y, bound) is None), (x, y, bound)
+                disagreed += not same
+    assert disagreed > 100

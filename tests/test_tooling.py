@@ -83,6 +83,25 @@ def _unread_constants(modules, others=()):
                   for const, line in _constants(tree).items() if const not in used)
 
 
+def _function_level_imports(tree):
+    """(line, module) of each import of a package module (a relative import,
+    or one of ``jfkernel``) inside a function body."""
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ImportFrom):
+                names = ["." * node.level + (node.module or "")]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found.update((node.lineno, name) for name in names
+                         if name.startswith(".") or name.split(".")[0] == "jfkernel")
+    return sorted(found)
+
+
 def test_modules_are_found():
     assert {"cyclotomic.py", "verify.py", "cli.py"} <= {p.name for p in MODULES}
 
@@ -95,6 +114,18 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_unused_import_is_reported():
     tree = ast.parse("import os\nfrom math import gcd, lcm\nprint(gcd(1, 2))\n")
     assert _unused_imports(tree) == [(1, "os"), (2, "lcm")]
+
+
+def test_no_function_imports_a_package_module():
+    inner = {p.name: _function_level_imports(ast.parse(p.read_text(), str(p))) for p in MODULES}
+    assert {k: v for k, v in inner.items() if v} == {}
+
+
+def test_function_level_import_is_reported():
+    tree = ast.parse("import os\nfrom . import a\n\ndef f():\n    import json\n"
+                     "    from .sl2 import SL2Mat\n\n    def g():\n        import jfkernel.weil\n"
+                     "    return SL2Mat\n\nclass C:\n    def m(self):\n        from ..x import y\n")
+    assert _function_level_imports(tree) == [(6, ".sl2"), (9, "jfkernel.weil"), (14, "..x")]
 
 
 def test_every_private_function_is_referenced_somewhere_in_the_package():

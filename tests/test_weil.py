@@ -336,6 +336,23 @@ def test_right_operand_coordinates_are_read_once_and_stay_right():
         assert b._coords is coords
 
 
+def test_left_operand_coordinates_are_read_once_and_stay_right():
+    for m in (1, 2, 5):
+        a = word_product(m, GroupWord.of(("ST2S", 1), ("T", -2), ("S", 1)))
+        rights = [u_gen_general(m, "T"), u_gen_general(m, "S"),
+                  word_product(m, GroupWord.of(("S", -1), ("T", 1)))]
+        _assert_same_product(a, rights[0])
+        coords = a._coords
+        assert coords is not None
+        # the same left operand twice, against other right operands and itself
+        for b in rights:
+            _assert_same_product(a, b)
+            _assert_same_product(a, b)
+        _assert_same_product(a, a)
+        assert a._coords is coords
+        assert a ** 3 == _matmul_reference(_matmul_reference(a, a), a)
+
+
 def test_word_product_flags_and_fresh_objects():
     for m in (1, 2):
         identity = UMatrix.identity(cyclotomic_field(field_order(m)), 2 * m)
