@@ -280,11 +280,10 @@ class CycNumber:
     def __neg__(self):
         return CycNumber(self.field, tuple(-c for c in self.num), self.den)
 
-    def scale(self, q, d: int = 1) -> "CycNumber":
-        """self * q / d for an int or Fraction q and an int d: scales the
-        coordinates, with no convolution or reduction."""
-        n, e = (q, 1) if isinstance(q, int) else (q.numerator, q.denominator)
-        return self.field.element([c * n for c in self.num], self.den * e * d)
+    def scale(self, q) -> "CycNumber":
+        """self * q for an int or Fraction q: scales the coordinates, with no
+        convolution or reduction."""
+        return self.field.element([c * q.numerator for c in self.num], self.den * q.denominator)
 
     def __mul__(self, other):
         pair = self._pair(other)
@@ -411,23 +410,31 @@ class CycNumber:
 
     @staticmethod
     def from_json(obj) -> "CycNumber":
-        """Decode :meth:`to_json` output; malformed input raises ValueError.
-
-        Field orders above MAX_JSON_ORDER are refused: the field's tables
-        grow as order times degree.
-        """
-        if not isinstance(obj, dict) or "num" not in obj or "den" not in obj:
-            raise ValueError(f"coefficient must be an object with num and den, got {obj!r:.60}")
-        n, num, den = obj.get("order", 24), obj["num"], obj["den"]
-        if not _is_int(n) or not 1 <= n <= MAX_JSON_ORDER:
-            raise ValueError(f"coefficient order must be an integer in 1..{MAX_JSON_ORDER}, got {n!r}")
-        field = cyclotomic_field(n)
-        if not isinstance(num, list) or len(num) > field.degree or not all(map(_is_int, num)):
-            raise ValueError(
-                f"coefficient num must be a list of at most {field.degree} integers, got {num!r:.60}")
-        if not _is_int(den) or den == 0:
-            raise ValueError(f"coefficient den must be a nonzero integer, got {den!r}")
+        """Decode :meth:`to_json` output; malformed input raises ValueError."""
+        field, num, den = _json_number(obj)
         return field.element(num, den)
+
+
+def _json_number(obj):
+    """The field, numerator list and nonzero denominator of a coefficient in
+    the JSON form of :meth:`CycNumber.to_json`, checked but not normalised;
+    malformed input raises ValueError.
+
+    Field orders above MAX_JSON_ORDER are refused: the field's tables grow
+    as order times degree.
+    """
+    if not isinstance(obj, dict) or "num" not in obj or "den" not in obj:
+        raise ValueError(f"coefficient must be an object with num and den, got {obj!r:.60}")
+    n, num, den = obj.get("order", 24), obj["num"], obj["den"]
+    if not _is_int(n) or not 1 <= n <= MAX_JSON_ORDER:
+        raise ValueError(f"coefficient order must be an integer in 1..{MAX_JSON_ORDER}, got {n!r}")
+    field = cyclotomic_field(n)
+    if not isinstance(num, list) or len(num) > field.degree or not all(map(_is_int, num)):
+        raise ValueError(
+            f"coefficient num must be a list of at most {field.degree} integers, got {num!r:.60}")
+    if not _is_int(den) or den == 0:
+        raise ValueError(f"coefficient den must be a nonzero integer, got {den!r}")
+    return field, num, den
 
 
 MAX_JSON_ORDER = 1000

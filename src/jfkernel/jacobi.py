@@ -13,11 +13,14 @@ machinery attached to an index m:
 zeta-powers are integers throughout; only the q-exponents are rational.
 :class:`JacobiSeries` is the series core of :mod:`jfkernel.series` with
 (q-exponent, zeta-power) keys, the q-exponent an int on the series' grid
-1/den, so it shares the one-variable constructor, arithmetic, comparison and
-product kernel.  The restriction and heat operator share :func:`_collapse`:
-it keeps the grid, and coefficients add up as unreduced integer
-coordinates, normalised once per output term.  theta_j(m, r) and the theta
-components are built on the grid 1/4m.
+1/den, so it shares the one-variable constructor, arithmetic, comparison,
+product kernel and coefficient layout: integer coordinate tuples in one
+field over one series denominator.  The restriction and heat operator share
+:func:`_collapse`: it keeps the grid, and coefficients add up as unreduced
+integer coordinates, with one running gcd over the result.
+:func:`theta_decompose` compares coefficients as tuples.  theta_j(m, r) and
+the theta components are built on the grid 1/4m, with the coordinate tuple
+of 1 as every coefficient.
 """
 
 from __future__ import annotations
@@ -27,15 +30,15 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
 
-from .cyclotomic import CYC24, CycNumber, _is_int, coerce24
+from .cyclotomic import CYC24, CycNumber, _is_int, common_field
 from .series import (
     FormMeta,
     PuiseuxSeries,
     _assemble,
-    _coords,
     _entry,
     _frac_str,
     _json_ratio,
+    _normalised,
     _q_text,
     _Series,
     _top,
@@ -59,7 +62,7 @@ class JacobiSeries(_Series):
 
     A key is (q-exponent, zeta-power), the q-exponent an int on the grid
     1/``den``; ``terms`` maps (``Fraction`` q-exponent, zeta-power) to the
-    Q(zeta_24) coefficient.  ``valid_below`` bounds the known q-exponents
+    coefficient.  ``valid_below`` bounds the known q-exponents
     exactly as for :class:`~jfkernel.series.PuiseuxSeries`.  A one-variable
     operand of ``+``, ``-`` or ``*`` is lifted to zeta-power 0.
     """
@@ -81,11 +84,11 @@ class JacobiSeries(_Series):
 
     @staticmethod
     def from_puiseux(a: PuiseuxSeries) -> "JacobiSeries":
-        return _assemble(JacobiSeries, {(n, 0): c for n, c in a._terms.items()},
-                         a.den, a.valid_below, a.meta)
+        return _assemble(JacobiSeries, {(n, 0): xs for n, xs in a._terms.items()},
+                         a.den, a.valid_below, a.meta, a.field, a.cden)
 
     def coeff(self, n, r) -> CycNumber:
-        return self._terms.get((self._index(n), int(r)), CYC24.zero)
+        return self._coeff((self._index(n), int(r)))
 
     def _operand(self, other):
         if isinstance(other, PuiseuxSeries):
@@ -96,12 +99,12 @@ class JacobiSeries(_Series):
         other = self._operand(other)
         return NotImplemented if other is None else other + self
 
-    def _triples(self, f):
-        return [(n * f, r, c) for (n, r), c in self._terms.items()]
+    def _triples(self, den, field):
+        return [(n, r, xs) for (n, r), xs in self._on_grid(den, field).items()]
 
     @staticmethod
     def _from_triples(out):
-        return {(n, r): c for n, r, c in out}
+        return {(n, r): xs for n, r, xs in out}
 
     @staticmethod
     def _mul_meta(a: FormMeta | None, b: FormMeta | None) -> FormMeta | None:
@@ -177,7 +180,7 @@ def theta_j(m: int, r: int, order) -> JacobiSeries:
     if m < 1:
         raise ValueError("index must be a positive integer")
     order = Fraction(order)
-    terms = {key: CYC24.one for key in _theta_lattice(m, r, order)}
+    terms = dict.fromkeys(_theta_lattice(m, r, order), ((0, 1),))
     meta = FormMeta(weight=Fraction(1, 2), index=m, kind="theta-component",
                     source=f"theta_j({m},{r})")
     return _assemble(JacobiSeries, terms, 4 * m, order, meta)
@@ -188,7 +191,7 @@ def _theta_component_terms(m: int, r: int, order: Fraction):
     acc = {}
     for n, _z in _theta_lattice(m, r, order):
         acc[n] = acc.get(n, 0) + 1
-    return tuple((n, coerce24(c)) for n, c in sorted(acc.items()))
+    return tuple((n, ((0, c),)) for n, c in sorted(acc.items()))
 
 
 def theta_component(m: int, r: int, order) -> PuiseuxSeries:
@@ -206,23 +209,23 @@ def theta_component(m: int, r: int, order) -> PuiseuxSeries:
 # Operators
 
 
-def _collapse(phi: JacobiSeries, k=None) -> dict:
+def _collapse(phi: JacobiSeries, k, meta) -> PuiseuxSeries:
     """Sum each q-exponent's coefficients over the zeta-powers, weighted by
     the heat factor k r^2 - 4n when ``k`` is given.
 
     On phi's grid n = N/L, the factor is the int k_num r^2 L - 4 N k_den
-    over k_den L, so the sums stay unreduced integer coordinates and each
-    exponent is normalised once.  The result is on phi's grid, its keys in
-    order of first occurrence.
+    over k_den L, so the sums stay unreduced integer coordinates over
+    phi's denominator times k_den L, with one running gcd over the result.
+    The result is on phi's grid, its keys in order of first occurrence.
     """
-    f, ((den, coords),) = _coords(phi._terms.values())
+    f = common_field(CYC24, phi.field)
     L = phi.den
     if k is None:
         a, b, c, scale = 0, 0, 1, 1
     else:
         a, b, c, scale = k.numerator * L, -4 * k.denominator, 0, k.denominator * L
     sums = {}
-    for (n, r), xs in zip(phi._terms, coords):
+    for (n, r), xs in phi._on_grid(L, f).items():
         w = a * r * r + b * n + c
         if w:
             acc = sums.get(n)
@@ -232,10 +235,10 @@ def _collapse(phi: JacobiSeries, k=None) -> dict:
                 acc[i] += w * x
     out = {}
     for n, acc in sums.items():
-        v = f.element(acc, den * scale)
-        if not v.is_zero():
-            out[n] = v
-    return out
+        xs = tuple([(i, v) for i, v in enumerate(acc) if v])
+        if xs:
+            out[n] = xs
+    return _normalised(PuiseuxSeries, out, L, phi.valid_below, meta, f, phi.cden * scale)
 
 
 def restrict_z0(phi: JacobiSeries) -> PuiseuxSeries:
@@ -244,7 +247,7 @@ def restrict_z0(phi: JacobiSeries) -> PuiseuxSeries:
     if phi.meta is not None:
         meta = FormMeta(weight=phi.meta.weight, level=phi.meta.level,
                         character=phi.meta.character, source="restrict_z0")
-    return _assemble(PuiseuxSeries, _collapse(phi), phi.den, phi.valid_below, meta)
+    return _collapse(phi, None, meta)
 
 
 def d2_hat(phi: JacobiSeries, k) -> PuiseuxSeries:
@@ -254,8 +257,7 @@ def d2_hat(phi: JacobiSeries, k) -> PuiseuxSeries:
     be applied at any weight.
     """
     k = Fraction(k)
-    meta = FormMeta(weight=k + 2, kind="unchecked", source="d2_hat")
-    return _assemble(PuiseuxSeries, _collapse(phi, k), phi.den, phi.valid_below, meta)
+    return _collapse(phi, k, FormMeta(weight=k + 2, kind="unchecked", source="d2_hat"))
 
 
 def heat_check(m: int, r: int, order) -> bool:
@@ -280,14 +282,15 @@ def theta_decompose(phi: JacobiSeries, m: int) -> list[PuiseuxSeries]:
     f, step = L // phi.den, L // (4 * m)
     slots = [{} for _ in range(two_m)]
     violations = []
-    for key, c in phi._terms.items():
+    # one series, one denominator: equal coefficients have equal tuples
+    for key, xs in phi._terms.items():
         n, r = key
         comp = slots[r % two_m]
         e = n * f - r * r * step
         prev = comp.get(e)
         if prev is None:
-            comp[e] = (c, key)
-        elif prev[0] != c:
+            comp[e] = (xs, key)
+        elif prev[0] != xs:
             violations.append((prev[1], key))
     if violations:
         den = phi.den
@@ -298,13 +301,13 @@ def theta_decompose(phi: JacobiSeries, m: int) -> list[PuiseuxSeries]:
         rmin = min(r, two_m - r) if r else 0
         bound = phi.valid_below - Fraction(rmin * rmin, 4 * m)
         top = _top(bound, L)
-        terms = {e: c for e, (c, _) in slots[r].items() if e < top}
+        terms = {e: xs for e, (xs, _) in slots[r].items() if e < top}
         meta = FormMeta(index=m, source=f"component({r})")
         if phi.meta is not None and phi.meta.weight is not None:
             meta = FormMeta(weight=phi.meta.weight - Fraction(1, 2), index=m,
                             level=phi.meta.level, character=phi.meta.character,
                             source=f"component({r})")
-        comps.append(_assemble(PuiseuxSeries, terms, L, bound, meta))
+        comps.append(_normalised(PuiseuxSeries, terms, L, bound, meta, phi.field, phi.cden))
     return comps
 
 
@@ -336,9 +339,9 @@ def tau_shift(a):
     Q(zeta_24).
     """
     out = {}
-    for k, c in a._terms.items():
-        n = a._qexp(k)
-        if 24 * n % a.den:
-            raise ValueError(f"exponent {Fraction(n, a.den)} leaves Q(zeta_24) under the shift")
-        out[k] = c * CYC24.zeta(24 * n // a.den % 24)
-    return _assemble(type(a), out, a.den, a.valid_below, a.meta)
+    for k, c in a.terms.items():
+        e = a._qexp(k)
+        if (24 * e).denominator != 1:
+            raise ValueError(f"exponent {e} leaves Q(zeta_24) under the shift")
+        out[k] = c * CYC24.zeta(int(24 * e) % 24)
+    return type(a)(out, a.valid_below, a.meta)

@@ -50,10 +50,13 @@ def eval_series(series, tau: complex, min_im: float = 0.3) -> complex:
     tail = math.exp(-TWO_PI * y * float(series.valid_below)) * (len(series._terms) + 1)
     if tail > 1e-14:
         raise TailTooLarge(f"tail bound {tail:.2e} at Im tau = {y}")
-    # n / den is float(Fraction(n, den)): both are correctly rounded
-    total, den = 0j, series.den
-    for n, c in series._terms.items():
-        total += c.to_complex() * cmath.exp(2j * math.pi * (n / den) * tau)
+    # n / den is float(Fraction(n, den)): both are correctly rounded.  A
+    # coefficient is sum(v zeta^i) / cden, summed as CycNumber.to_complex does
+    total, den, cden = 0j, series.den, series.cden
+    roots = series.field._roots
+    for n, xs in series._terms.items():
+        c = sum((v * roots[i] for i, v in xs), 0j) / cden
+        total += c * cmath.exp(2j * math.pi * (n / den) * tau)
     return total
 
 

@@ -1,18 +1,24 @@
 """Sparse truncated Puiseux series in q = e^{2 pi i tau}.
 
 Exponents are exact rationals (denominators 24 for eta, r^2/4m for theta
-components, and whatever products create), coefficients live in Q(zeta_24).
-A series stores each exponent as an int N on its own grid 1/``den`` (24
-for eta, 4m for theta components, the lcm of the operands' grids for a
-product or sum); ``Fraction`` appears only at the edge: the constructor,
-``coeff``, ``terms`` (a Fraction-keyed view), ``first_difference`` and
-JSON.  The core class :class:`_Series` holds everything that does not
-depend on the shape of a key; the two-variable series of
-:mod:`jfkernel.jacobi` is the same core with (exponent, zeta-power) keys.
-Inside the kernels (:func:`_product`, :func:`div_exact`, and the heat
-operator and restriction in :mod:`jfkernel.jacobi`) coefficients add up as
-unreduced integer coordinate vectors over one denominator, so the field
-normalises once per output term, not once per pair of input terms.
+components, and whatever products create), coefficients live in Q(zeta_24)
+or a larger cyclotomic field.  A series stores each exponent as an int N on
+its own grid 1/``den`` (24 for eta, 4m for theta components, the lcm of the
+operands' grids for a product or sum).  It stores its coefficients in one
+field, ``field``, over one positive coefficient denominator ``cden``: a key
+maps to the tuple of its nonzero integer coordinates (i, v), ascending in i,
+and the coefficient is sum(v zeta^i) / cden, with gcd(cden, every v) = 1.
+That form is canonical, so two coefficients of one series are equal exactly
+when their tuples are.  ``Fraction`` and :class:`CycNumber` appear only at
+the edge: the constructor, ``coeff``, ``terms`` (a Fraction-keyed view of
+CycNumbers), ``first_difference``, text and JSON.  The core class
+:class:`_Series` holds everything that does not depend on the shape of a
+key; the two-variable series of :mod:`jfkernel.jacobi` is the same core with
+(exponent, zeta-power) keys.  The kernels (:func:`_product`,
+:func:`div_exact`, and the heat operator and restriction in
+:mod:`jfkernel.jacobi`) add up unreduced integer coordinates and write the
+result's tuples directly; a series divides out its denominator's common
+factor with one running gcd.
 
 A series carries a validity bound ``valid_below``: all terms with exponent
 strictly below the bound are exactly known, nothing is asserted at or above
@@ -38,7 +44,7 @@ from math import gcd, lcm
 from operator import itemgetter
 from types import MappingProxyType
 
-from .cyclotomic import CYC24, CycNumber, _is_int, coerce24, common_field
+from .cyclotomic import CYC24, CycNumber, _is_int, _json_number, coerce24, common_field
 
 
 class ExactDivisionError(ArithmeticError):
@@ -160,22 +166,23 @@ class _Series:
     """The sparse truncated series core of :class:`PuiseuxSeries` and
     :class:`~jfkernel.jacobi.JacobiSeries`.
 
-    ``_terms`` maps a key to a nonzero coefficient.  The key's q-exponent,
-    :meth:`_qexp`, is an int N on the grid 1/``den``: the exponent is
-    N/den.  A subclass fixes the rest of a key, and
+    ``_terms`` maps a key to the nonempty tuple of its coefficient's nonzero
+    coordinates (i, v) in ``field``, over the series' denominator ``cden``.
+    The key's q-exponent, :meth:`_qexp`, is an int N on the grid 1/``den``:
+    the exponent is N/den.  A subclass fixes the rest of a key, and
     :meth:`_with_q` puts a new q-part into one.  ``den`` is any common
     denominator of the exponents, not necessarily the least, so ``==``,
     :meth:`same_below` and :meth:`first_difference` compare on the lcm of the
     two grids.  ``terms`` is the same mapping keyed by ``Fraction``
-    exponents, built on each access for callers; no kernel reads it.
-    Instances are treated as immutable; operations return new series and
-    never modify their arguments.
+    exponents with :class:`CycNumber` values, built on each access for
+    callers; no kernel reads it.  Instances are treated as immutable;
+    operations return new series and never modify their arguments.
 
     Each subclass binds the shared operators in its own body, so that
     ``bench/tracer.py`` can wrap them per class.
     """
 
-    __slots__ = ("_terms", "den", "valid_below", "meta")
+    __slots__ = ("_terms", "den", "valid_below", "meta", "field", "cden")
 
     def __init__(self, terms, valid_below, meta: FormMeta | None = None):
         vb = Fraction(valid_below)
@@ -189,11 +196,15 @@ class _Series:
             if not c.is_zero():
                 clean[k] = c
         den = lcm(*[qexp(k).denominator for k in clean])
-        self._terms = {with_q(k, qexp(k).numerator * (den // qexp(k).denominator)): c
-                       for k, c in clean.items()}
+        field = _join(c.field for c in clean.values())
+        cden, coords = field.sparse_coords([field.embed(c) for c in clean.values()])
+        self._terms = {with_q(k, qexp(k).numerator * (den // qexp(k).denominator)): tuple(xs)
+                       for k, xs in zip(clean, coords)}
         self.den = den
         self.valid_below = vb
         self.meta = meta
+        self.field = field
+        self.cden = cden
 
     @classmethod
     def zero(cls, valid_below, meta=None):
@@ -205,8 +216,13 @@ class _Series:
     def terms(self):
         """The terms keyed by ``Fraction`` q-exponents, in storage order."""
         den, qexp, with_q = self.den, self._qexp, self._with_q
-        return MappingProxyType({with_q(k, Fraction(qexp(k), den)): c
-                                 for k, c in self._terms.items()})
+        field, cden = self.field, self.cden
+        return MappingProxyType({with_q(k, Fraction(qexp(k), den)): _element(field, xs, cden)
+                                 for k, xs in self._terms.items()})
+
+    def _coeff(self, key) -> CycNumber:
+        xs = self._terms.get(key)
+        return CYC24.zero if xs is None else _element(self.field, xs, self.cden)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -222,21 +238,27 @@ class _Series:
         x = Fraction(exponent) * self.den
         return x.numerator if x.denominator == 1 else None
 
-    def _on_grid(self, den):
-        """The int-keyed terms on the grid 1/den, a multiple of ``self.den``."""
+    def _on_grid(self, den, field):
+        """The int-keyed terms on the grid 1/den, a multiple of ``self.den``,
+        with coordinates in ``field``, which contains ``self.field``."""
+        terms = self._terms
+        if field is not self.field:
+            step = field.n // self.field.n
+            terms = {k: _lift(xs, step, field) for k, xs in terms.items()}
         if den == self.den:
-            return self._terms
+            return terms
         f = den // self.den
         qexp, with_q = self._qexp, self._with_q
-        return {with_q(k, qexp(k) * f): c for k, c in self._terms.items()}
+        return {with_q(k, qexp(k) * f): xs for k, xs in terms.items()}
 
     def items_sorted(self):
         den, qexp, with_q = self.den, self._qexp, self._with_q
-        return [(with_q(k, Fraction(qexp(k), den)), c)
-                for k, c in sorted(self._terms.items(), key=itemgetter(0))]
+        return [(with_q(k, Fraction(qexp(k), den)), _element(self.field, xs, self.cden))
+                for k, xs in sorted(self._terms.items(), key=itemgetter(0))]
 
     def with_meta(self, meta: FormMeta | None):
-        return _assemble(type(self), self._terms, self.den, self.valid_below, meta)
+        return _assemble(type(self), self._terms, self.den, self.valid_below, meta,
+                         self.field, self.cden)
 
     def truncate(self, bound):
         """Restrict to q-exponents below ``bound`` (must not exceed the bound)."""
@@ -244,8 +266,8 @@ class _Series:
         if bound > self.valid_below:
             raise ValueError("cannot extend a series beyond its validity bound")
         top, qexp = _top(bound, self.den), self._qexp
-        return _assemble(type(self), {k: c for k, c in self._terms.items() if qexp(k) < top},
-                         self.den, bound, self.meta)
+        return _normalised(type(self), {k: xs for k, xs in self._terms.items() if qexp(k) < top},
+                           self.den, bound, self.meta, self.field, self.cden)
 
     def _operand(self, other):
         """``other`` as a series of this class, or None."""
@@ -271,59 +293,74 @@ class _Series:
 
     def first_difference(self, other, bound=None):
         """Smallest key below ``bound`` where the two series differ, with its
-        q-exponent as a ``Fraction``."""
+        q-exponent as a ``Fraction``.  Coordinates x over D_a and y over D_b
+        are the same coefficient when x D_b = y D_a."""
         if bound is None:
             bound = self.agreement_bound(other)
         den = lcm(self.den, other.den)
-        a, b = self._on_grid(den), other._on_grid(den)
+        field = common_field(self.field, other.field)
+        a, b = self._on_grid(den, field), other._on_grid(den, field)
+        da, db = self.cden, other.cden
         top, qexp = _top(Fraction(bound), den), self._qexp
         for k in sorted(set(a) | set(b)):
             if qexp(k) >= top:
                 break
-            if a.get(k, CYC24.zero) != b.get(k, CYC24.zero):
+            x, y = a.get(k, ()), b.get(k, ())
+            if x != y if da == db else _scaled(x, db) != _scaled(y, da):
                 return self._with_q(k, Fraction(qexp(k), den))
         return None
 
     def __eq__(self, other):
+        """Canonical coordinates: equal series have one denominator and
+        equal tuples, once both are in the join of their fields."""
         if not isinstance(other, type(self)):
             return NotImplemented
         den = lcm(self.den, other.den)
-        return (self.valid_below == other.valid_below
-                and self._on_grid(den) == other._on_grid(den))
+        field = common_field(self.field, other.field)
+        return (self.valid_below == other.valid_below and self.cden == other.cden
+                and self._on_grid(den, field) == other._on_grid(den, field))
 
     __hash__ = None
 
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        """Sum; self's keys first, and only sums that cancel are dropped.  A
-        series on the result's grid whose own bound is the result's needs no
-        filtering, and copying its dict reuses the stored key hashes."""
+        """Sum; self's keys first, and only sums that cancel are dropped.  An
+        operand with no term below the result's bound does not widen its
+        field or denominator."""
         other = self._operand(other)
         if other is None:
             return NotImplemented
         vb = min(self.valid_below, other.valid_below)
         den = lcm(self.den, other.den)
         top, qexp = _top(vb, den), self._qexp
-
-        def below(s):
-            terms = s._on_grid(den)
-            if s.valid_below == vb:
-                return terms
-            return {k: c for k, c in terms.items() if qexp(k) < top}
-
-        out = dict(below(self))
-        summed = []
-        for k, c in below(other).items():
-            n = len(out)
-            s = out.setdefault(k, c)
-            if len(out) == n:
-                out[k] = s + c
-                summed.append(k)
-        for k in summed:
-            if out[k].is_zero():
-                del out[k]
-        return _assemble(type(self), out, den, vb, None)
+        parts = [s for s in (self, other) if s.val() < vb]
+        field = _join(s.field for s in parts)
+        cden = lcm(*[s.cden for s in parts])
+        size = field.degree
+        out = None
+        for s in parts:
+            terms = s._on_grid(den, field)
+            if s.valid_below != vb:
+                terms = {k: xs for k, xs in terms.items() if qexp(k) < top}
+            terms = _scale_terms(terms, cden // s.cden)
+            if out is None:
+                out = dict(terms)
+                continue
+            for k, ys in terms.items():
+                xs = out.get(k)
+                if xs is None:
+                    out[k] = ys
+                    continue
+                acc = _dense(xs, size)
+                for i, v in ys:
+                    acc[i] += v
+                xs = tuple([(i, v) for i, v in enumerate(acc) if v])
+                if xs:
+                    out[k] = xs
+                else:
+                    del out[k]
+        return _normalised(type(self), out or {}, den, vb, None, field, cden)
 
     def __sub__(self, other):
         if not isinstance(other, _Series):
@@ -331,27 +368,31 @@ class _Series:
         return self + (-other)
 
     def __neg__(self):
-        return _assemble(type(self), {k: -c for k, c in self._terms.items()},
-                         self.den, self.valid_below, self.meta)
+        return _assemble(type(self), _scale_terms(self._terms, -1), self.den, self.valid_below,
+                         self.meta, self.field, self.cden)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycNumber)):
-            if not other:
-                terms = {}
-            elif isinstance(other, CycNumber):
-                terms = {k: c * other for k, c in self._terms.items()}
-            else:
-                terms = {k: c.scale(other) for k, c in self._terms.items()}
-            return _assemble(type(self), terms, self.den, self.valid_below, self.meta)
+        if isinstance(other, (int, Fraction)):
+            terms = _scale_terms(self._terms, other.numerator) if other else {}
+            return _normalised(type(self), terms, self.den, self.valid_below, self.meta,
+                               self.field, self.cden * other.denominator)
+        if isinstance(other, CycNumber):
+            field = common_field(self.field, other.field)
+            y = field.embed(other)
+            ys = tuple([(i, v) for i, v in enumerate(y.num) if v])
+            out = _product(self._triples(self.den, field), [(0, 0, ys)] if ys else [],
+                           _top(self.valid_below, self.den), field)
+            return _normalised(type(self), self._from_triples(out), self.den, self.valid_below,
+                               self.meta, field, self.cden * y.den)
         other = self._operand(other)
         if other is None:
             return NotImplemented
         vb = min(self.valid_below + other.val(), other.valid_below + self.val())
         den = lcm(self.den, other.den)
-        out = _product(self._triples(den // self.den), other._triples(den // other.den),
-                       _top(vb, den))
-        return _assemble(type(self), self._from_triples(out), den, vb,
-                         self._mul_meta(self.meta, other.meta))
+        field = common_field(CYC24, self.field, other.field)
+        out = _product(self._triples(den, field), other._triples(den, field), _top(vb, den), field)
+        return _normalised(type(self), self._from_triples(out), den, vb,
+                           self._mul_meta(self.meta, other.meta), field, self.cden * other.cden)
 
     __rmul__ = __mul__
 
@@ -385,8 +426,8 @@ class _Series:
         den = self.den
         return {
             "valid_below": _frac_str(*self.valid_below.as_integer_ratio()),
-            "terms": [self._term_json(k, den, c.to_json())
-                      for k, c in sorted(self._terms.items(), key=itemgetter(0))],
+            "terms": [self._term_json(k, den, _element(self.field, xs, self.cden).to_json())
+                      for k, xs in sorted(self._terms.items(), key=itemgetter(0))],
             "meta": self.meta.to_json() if self.meta is not None else None,
         }
 
@@ -394,16 +435,23 @@ class _Series:
     def _from_json(cls, obj, what):
         """Decode :meth:`to_json` output; malformed input raises ValueError.
         A key's q-exponent is read as the ints (p, q) and put on the lcm of
-        the q's, with no ``Fraction`` per term."""
+        the q's, with no ``Fraction`` per term; a coefficient is read
+        straight into coordinates."""
         items, vb, meta = _terms_json(obj, what)
-        pairs = [(cls._key_from_json(t), CycNumber.from_json(_entry(t, "coeff", "series term")))
+        pairs = [(cls._key_from_json(t), _json_number(_entry(t, "coeff", "series term")))
                  for t in items]
         qexp, with_q = cls._qexp, cls._with_q
         den = lcm(*[qexp(k)[1] for k, _c in pairs])
         terms = {with_q(k, qexp(k)[0] * (den // qexp(k)[1])): c for k, c in pairs}
         top = _top(vb, den)
-        return _assemble(cls, {k: c for k, c in terms.items() if qexp(k) < top and not c.is_zero()},
-                         den, vb, meta)
+        terms = {k: c for k, c in terms.items() if qexp(k) < top and any(c[1])}
+        field = _join(f for f, _num, _d in terms.values())
+        cden = lcm(*[abs(d) for _f, _num, d in terms.values()])
+        # a negative d makes cden // d negative, which moves the sign
+        out = {k: _lift(tuple([(i, v * (cden // d)) for i, v in enumerate(num) if v]),
+                        field.n // f.n, field)
+               for k, (f, num, d) in terms.items()}
+        return _normalised(cls, out, den, vb, meta, field, cden)
 
 
 def _q_text(e: Fraction) -> str:
@@ -416,7 +464,7 @@ def _q_text(e: Fraction) -> str:
 
 
 class PuiseuxSeries(_Series):
-    """A truncated q-series with rational exponents and Q(zeta_24)
+    """A truncated q-series with rational exponents and cyclotomic
     coefficients; a key is the exponent's int on the grid 1/``den``, and
     ``terms`` maps each ``Fraction`` exponent to its coefficient."""
 
@@ -444,14 +492,14 @@ class PuiseuxSeries(_Series):
         return PuiseuxSeries({Fraction(exponent): coeff}, valid_below, meta)
 
     def coeff(self, exponent) -> CycNumber:
-        return self._terms.get(self._index(exponent), CYC24.zero)
+        return self._coeff(self._index(exponent))
 
-    def _triples(self, f):
-        return [(n * f, 0, c) for n, c in self._terms.items()]
+    def _triples(self, den, field):
+        return [(n, 0, xs) for n, xs in self._on_grid(den, field).items()]
 
     @staticmethod
     def _from_triples(out):
-        return {n: c for n, _r, c in out}
+        return {n: xs for n, _r, xs in out}
 
     @staticmethod
     def _mul_meta(a, b):
@@ -488,49 +536,104 @@ class PuiseuxSeries(_Series):
 # Kernels shared with the two-variable series
 
 
-def _assemble(cls, terms, den, valid_below, meta):
+def _assemble(cls, terms, den, valid_below, meta, field=CYC24, cden=1):
     """A series from terms already clean: int keys on the grid 1/den below
-    the bound, nonzero coefficients."""
+    the bound, nonempty coordinate tuples in ``field`` over ``cden`` > 0 with
+    gcd(cden, every coordinate) = 1.  The zero series is held in Q(zeta_24)
+    over 1."""
     out = cls.__new__(cls)
     out._terms = terms
     out.den = den
     out.valid_below = valid_below
     out.meta = meta
+    out.field, out.cden = (field, cden) if terms else (CYC24, 1)
     return out
 
 
-def _coords(*groups):
-    """Coefficient groups as sparse integer coordinates in one field.
+def _normalised(cls, terms, den, valid_below, meta, field, cden):
+    """:func:`_assemble` for coordinates over ``cden`` that may share a factor
+    with it: one running gcd over the series, which stops once it is 1."""
+    g = cden
+    for xs in terms.values():
+        if g == 1:
+            break
+        g = gcd(g, *[v for _i, v in xs])
+    if g != 1:
+        terms = {k: tuple([(i, v // g) for i, v in xs]) for k, xs in terms.items()}
+        cden //= g
+    return _assemble(cls, terms, den, valid_below, meta, field, cden)
 
-    Returns the field, which contains every coefficient, and for each group
-    a common denominator D with, per coefficient, its nonzero coordinates
-    [(i, v), ...] scaled to D: the coefficient is sum(v zeta^i) / D.
-    """
-    groups = [list(g) for g in groups]
-    f = common_field(CYC24, *{c.field for g in groups for c in g})
-    return f, [f.sparse_coords([c if c.field is f else f.embed(c) for c in g])
-               for g in groups]
+
+def _dense(xs, size):
+    """Coordinates ``xs`` as a list of ``size`` ints."""
+    acc = [0] * size
+    for i, v in xs:
+        acc[i] = v
+    return acc
 
 
-def _product(a, b, top):
+def _element(field, xs, cden) -> CycNumber:
+    """The coefficient with coordinates ``xs`` over ``cden``, normalised."""
+    return field.element(_dense(xs, field.degree), cden)
+
+
+def _join(fields):
+    """The field of a series whose coefficients lie in ``fields``: their one
+    field, or, when they differ, their join with Q(zeta_24), the field every
+    kernel would compute in; Q(zeta_24) for none."""
+    fields = set(fields)
+    return fields.pop() if len(fields) == 1 else common_field(CYC24, *fields)
+
+
+def _lift(xs, step, field):
+    """Coordinates ``xs`` of an element of Q(zeta_n) as coordinates in
+    ``field`` = Q(zeta_{n step}): zeta_n^i is zeta^{i step}, reduced mod the
+    field's cyclotomic polynomial.  The content of the coordinates does not
+    change, since 1 is part of a basis of Z[zeta_{n step}] over Z[zeta_n]."""
+    if step == 1:
+        return xs
+    acc = [0] * field.degree
+    rows = field._rows
+    for i, v in xs:
+        for j, w in rows[i * step]:
+            acc[j] += v * w
+    return tuple([(j, v) for j, v in enumerate(acc) if v])
+
+
+def _scaled(xs, s):
+    """Coordinates multiplied by the int s."""
+    return tuple([(i, v * s) for i, v in xs])
+
+
+def _scale_terms(terms, s):
+    return terms if s == 1 else {k: _scaled(xs, s) for k, xs in terms.items()}
+
+
+def _product(a, b, top, field):
     """The terms of a*b with q-exponent int below ``top``.
 
-    ``a`` and ``b`` are lists of (q-exponent, zeta-power, coefficient), the
-    exponents ints on one grid; a one-variable series has zeta-power 0.
-    (exponent, zeta-power) packs into one int key, so that a pair of terms
-    costs an int comparison, an int addition and the coordinate products.
-    Each key accumulates unreduced coordinates, and the field normalises
-    once per key.  Returns (exponent, zeta-power, coefficient) triples with
-    nonzero coefficients, in order of the key's first occurrence over the
-    pairs (a outer, b inner).
+    ``a`` and ``b`` are lists of (q-exponent, zeta-power, coordinates), the
+    exponents ints on one grid and the coordinates nonempty tuples in
+    ``field``; a one-variable series has zeta-power 0.  (exponent,
+    zeta-power) packs into one int key, so that a pair of terms costs an int
+    comparison, an int addition and the coordinate products.  Each key
+    accumulates unreduced coordinates in a list as wide as the highest
+    coordinate index of ``a`` plus that of ``b``, plus one; only a list wider
+    than the field's degree is reduced mod Phi_n, so a rational operand costs
+    no reduction.  Returns (exponent, zeta-power, coordinates) triples with
+    nonzero coordinates, over the product of the operands' denominators, in
+    order of the key's first occurrence over the pairs (a outer, b inner).
     """
-    f, ((da, ca), (db, cb)) = _coords((c for _n, _r, c in a), (c for _n, _r, c in b))
+    if not a or not b:
+        return []
     # zeta-powers of a product lie in [-h, h]; a key is N*width + r
-    h = max((abs(r) for _n, r, _c in a), default=0) + max((abs(r) for _n, r, _c in b), default=0)
+    h = max(abs(r) for _n, r, _x in a) + max(abs(r) for _n, r, _x in b)
     width = 2 * h + 1
-    A = [(n, n * width + r, x) for (n, r, _c), x in zip(a, ca)]
-    B = [(n, n * width + r, x) for (n, r, _c), x in zip(b, cb)]
-    size = 2 * f.degree - 1
+    size = max(xs[-1][0] for _n, _r, xs in a) + max(ys[-1][0] for _n, _r, ys in b) + 1
+    A = [(n, n * width + r, xs) for n, r, xs in a]
+    # a rational coefficient ((0, v),) of b is held as its one int v
+    B = [(n, n * width + r, ys[0][1] if len(ys) == 1 and not ys[0][0] else ys)
+         for n, r, ys in b]
     sums = {}
     for na, ka, xs in A:
         lim = top - na
@@ -540,17 +643,22 @@ def _product(a, b, top):
                 acc = sums.get(key)
                 if acc is None:
                     acc = sums[key] = [0] * size
-                for i, x in xs:
-                    for j, y in ys:
-                        acc[i + j] += x * y
-    den = da * db
+                if ys.__class__ is int:
+                    for i, x in xs:
+                        acc[i] += x * ys
+                else:
+                    for i, x in xs:
+                        for j, y in ys:
+                            acc[i + j] += x * y
+    reduce = field._reduce if size > field.degree else None
     out = []
     for key, acc in sums.items():
-        c = f.element(acc, den)
-        if c.is_zero():
-            continue
-        r = (key + h) % width - h
-        out.append(((key - r) // width, r, c))
+        if reduce is not None:
+            acc = reduce(acc)
+        xs = tuple([(i, v) for i, v in enumerate(acc) if v])
+        if xs:
+            r = (key + h) % width - h
+            out.append(((key - r) // width, r, xs))
     return out
 
 
@@ -560,9 +668,9 @@ def _product(a, b, top):
 
 def euler_d(a: PuiseuxSeries) -> PuiseuxSeries:
     """The normalised derivative D = q d/dq: c q^e -> e c q^e."""
-    den = a.den
-    return _assemble(PuiseuxSeries, {n: c.scale(n, den) for n, c in a._terms.items() if n},
-                     den, a.valid_below, a.meta)
+    terms = {n: tuple([(i, v * n) for i, v in xs]) for n, xs in a._terms.items() if n}
+    return _normalised(PuiseuxSeries, terms, a.den, a.valid_below, a.meta, a.field,
+                       a.cden * a.den)
 
 
 def dilate(a: PuiseuxSeries, m: int) -> PuiseuxSeries:
@@ -571,8 +679,8 @@ def dilate(a: PuiseuxSeries, m: int) -> PuiseuxSeries:
         raise ValueError("dilation factor must be a positive integer")
     g = gcd(a.den, m)
     f = m // g
-    return _assemble(PuiseuxSeries, {n * f: c for n, c in a._terms.items()},
-                     a.den // g, a.valid_below * m, a.meta)
+    return _assemble(PuiseuxSeries, {n * f: xs for n, xs in a._terms.items()},
+                     a.den // g, a.valid_below * m, a.meta, a.field, a.cden)
 
 
 def div_exact(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
@@ -585,54 +693,64 @@ def div_exact(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
 
     Long division from the lowest term up: a heap walks the remainder's
     exponents, ints on the common grid, in increasing order.  Each remainder
-    term accumulates unreduced coordinates and is normalised once, when it
-    is divided by the leading coefficient.  A divisor with rational
-    coefficients (the theta components) has one coordinate per term, so
-    subtracting a multiple of it scales coordinates; no convolution.
+    term accumulates unreduced coordinates over its own denominator, and is
+    reduced once, when it is divided by the leading coefficient; a quotient
+    term that is not integral divides out its own gcd, since later remainder
+    terms are built from it.  A divisor with rational coefficients (the
+    theta components) has one coordinate per term, so subtracting a
+    multiple of it scales coordinates: no convolution and no reduction.
     """
     if b.is_zero():
         raise ExactDivisionError("division by a series that is zero on its valid range")
     vb_b = b.val()
     vb = min(a.valid_below, b.valid_below + a.val() - vb_b) - vb_b
-    lead = min(b._terms)
-    tail = sorted(n for n in b._terms if n != lead)
-    # the leading coefficient's group only takes part in choosing the field
-    f, ((da, ca), (dt, ct), _) = _coords(
-        a._terms.values(), (b._terms[n] for n in tail), [b._terms[lead]])
-    lead_inv = f.embed(b._terms[lead]).inverse()
+    f = common_field(CYC24, a.field, b.field)
+    ta, tb = a._on_grid(a.den, f), b._on_grid(b.den, f)
+    lead = min(tb)
+    lead_inv = _element(f, tb[lead], b.cden).inverse()
     L = lcm(a.den, b.den)
     fa, fb = L // a.den, L // b.den
     n_lead = lead * fb
     # remainder exponents from here on never reach the quotient
     top = _top(vb, L) + n_lead
-    steps = [(n * fb - n_lead, y) for n, y in zip(tail, ct)]
+    steps = [(n * fb - n_lead, tb[n]) for n in sorted(tb) if n != lead]
     inv = [(i, v) for i, v in enumerate(lead_inv.num) if v]
-    size = 2 * f.degree - 1
+    d = f.degree
+    # remainder coordinates reach index d - 1 + (the tail's highest index),
+    # a quotient's d - 1 + (the inverse's highest index)
+    size = d + max((ys[-1][0] for _s, ys in steps), default=0)
+    qsize = d + inv[-1][0]
     rem = {}
-    for n, xs in zip(a._terms, ca):
+    for n, xs in ta.items():
         n *= fa
         if n < top:
-            slot = rem[n] = [[0] * size, da]
-            for i, v in xs:
-                slot[0][i] = v
+            rem[n] = [_dense(xs, size), a.cden]
     heap = list(rem)
     heapq.heapify(heap)
     out = {}
+    cden = 1
     while heap:
         n = heapq.heappop(heap)
         acc, den = rem.pop(n)
-        num = f._reduce(acc)
+        num = f._reduce(acc) if size > d else acc
         if not any(num):
             continue
-        prod = [0] * size
+        prod = [0] * qsize
         for i, x in enumerate(num):
             if x:
                 for j, y in inv:
                     prod[i + j] += x * y
-        cq = f.element(prod, den * lead_inv.den)
-        out[n - n_lead] = cq
-        xq = [(i, x) for i, x in enumerate(cq.num) if x]
-        dq = cq.den * dt
+        if qsize > d:
+            prod = f._reduce(prod)
+        qden = den * lead_inv.den
+        g = gcd(qden, *prod)
+        if g != 1:
+            prod = [x // g for x in prod]
+            qden //= g
+        xq = [(i, x) for i, x in enumerate(prod) if x]
+        out[n - n_lead] = xq, qden
+        cden = lcm(cden, qden)
+        dq = qden * b.cden
         for step, ys in steps:
             t = n + step
             if t >= top:
@@ -650,7 +768,11 @@ def div_exact(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
             for i, x in xq:
                 for j, y in ys:
                     acc[i + j] -= x * y * s
-    return _assemble(PuiseuxSeries, out, L, vb, None)
+    # each quotient term is in lowest terms, so over their lcm the
+    # coordinates share no factor with it
+    return _assemble(PuiseuxSeries, {n: _scaled(xq, cden // qden)
+                                     for n, (xq, qden) in out.items()},
+                     L, vb, None, f, cden)
 
 
 def eta(order) -> PuiseuxSeries:
@@ -665,9 +787,9 @@ def eta(order) -> PuiseuxSeries:
     n = 1
     while n * n < 24 * order:
         if n % 12 in (1, 11):
-            terms[n * n] = CYC24.one
+            terms[n * n] = ((0, 1),)
         elif n % 12 in (5, 7):
-            terms[n * n] = -CYC24.one
+            terms[n * n] = ((0, -1),)
         n += 1
     meta = FormMeta(weight=Fraction(1, 2), level=1, kind="cuspidal", source="eta")
     return _assemble(PuiseuxSeries, terms, 24, order, meta)

@@ -150,16 +150,23 @@ class UMatrix:
                        self.radicand, self.resolved)
 
     def __pow__(self, e: int) -> "UMatrix":
+        """Square and multiply from the first factor, so U^1 costs no
+        product; like every product, a positive power is unresolved."""
         if e < 0:
             return self.conj_transpose() ** (-e)
-        out = UMatrix.identity(self.field, self.size)
+        if e == 0:
+            return UMatrix.identity(self.field, self.size)
+        out = None
         base = self
-        while e:
+        while True:
             if e & 1:
-                out = out @ base
+                out = base if out is None else out @ base
             e >>= 1
-            if e:
-                base = base @ base
+            if not e:
+                break
+            base = base @ base
+        if out is self and self.resolved:
+            out = UMatrix(self.field, self.rows, self.radicand)
         return out
 
     def conj(self) -> "UMatrix":

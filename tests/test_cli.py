@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import subprocess
@@ -5,7 +6,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jfkernel.cli import run
@@ -589,3 +590,101 @@ def test_pair_commands_refuse_malformed_pairs(command, text, message, monkeypatc
     code, out = invoke([*command, "--in", "-"])
     assert code == 2 and out == ""
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# -- the index bound and one-line usage errors --------------------------------------
+
+SERIES_INDEX_COMMANDS = {
+    "decompose": [],
+    "project-0m": [],
+    "lambdastar": [],
+    "lambdastar-inv": ["--order", "4"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SERIES_INDEX_COMMANDS))
+@pytest.mark.parametrize("m", ["10001", "10000000000000001"])
+def test_series_commands_refuse_an_index_above_the_bound(command, m, monkeypatch, capsys):
+    from jfkernel.cli import INDEX_BOUNDS, MAX_SERIES_INDEX
+
+    assert MAX_SERIES_INDEX == 10 ** 4 and INDEX_BOUNDS[command] == MAX_SERIES_INDEX
+    # refused before any input is read
+    monkeypatch.setattr(sys, "stdin", io.StringIO("not json"))
+    code, out = invoke([command, "--m", m, *SERIES_INDEX_COMMANDS[command]])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: --m must be at most 10000, got {m}\n"
+
+
+def test_series_commands_take_the_bound_itself(tmp_path, capsys):
+    src = tmp_path / "phi.json"
+    src.write_text(invoke(["theta", "--m", "1", "--r", "0", "--order", "2", "--format", "json"])[1])
+    code, out = invoke(["project-0m", "--m", "10000", "--in", str(src)])
+    assert code == 0 and json.loads(out)["valid_below"]
+    # 10^4 passes the bound and fails the squarefree test
+    src.write_text(json.dumps(PuiseuxSeries.one(4).to_json()))
+    code, out = invoke(["lambdastar-inv", "--m", "10000", "--order", "4", "--in", str(src)])
+    assert code == 2 and capsys.readouterr().err == "error: 10000 is not squarefree\n"
+
+
+def _one_line_refusal(argv):
+    """Run the CLI on argv; a refusal must be exit 2, no stdout and exactly
+    one stderr line, and nothing may escape as an exception."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, out = invoke(argv)
+    if code == 2:
+        assert out == "" and err.getvalue().count("\n") == 1, err.getvalue()
+        assert err.getvalue().endswith("\n") and "Traceback" not in err.getvalue()
+    return code, out, err.getvalue()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["weil", "--m", "2", "--word=--"], "--word"),
+    (["weil", "--m=--", "--word", "S"], "--m"),
+    (["theta", "--m", "1", "--r", "0", "--order=--"], "--order"),
+    (["d2", "--k=--", "--in", "/nonexistent.json"], "--k"),
+])
+def test_a_lone_double_dash_value_is_a_missing_value(argv, flag):
+    code, _out, err = _one_line_refusal(argv)
+    assert code == 2 and err.endswith(f": error: argument {flag}: expected one argument\n"), err
+
+
+_TOKENS = st.sampled_from(["S", "T", "-I", "ST2S", "s", "Q", "S2", "^", "^-", "-", "--", "^2",
+                           "\n", "\t", "\\", "'", "1e5", "²", "٣", "_1", "+1", "-0"])
+_POWER = st.integers(-10 ** 6, 10 ** 6).map(str) | st.text(max_size=4)
+_WORDS = (st.lists(st.tuples(_TOKENS, st.none() | _POWER), max_size=6).map(
+    lambda letters: " ".join(t if p is None else f"{t}^{p}" for t, p in letters))
+    | st.text(max_size=12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_WORDS)
+def test_weil_word_is_parsed_or_refused_in_one_line(text):
+    code, out, err = _one_line_refusal(["weil", "--m", "2", f"--word={text}"])
+    assert code in (0, 2), (text, code, err)
+    if code == 0:
+        assert json.loads(out)["size"] == 4 and err == ""
+
+
+def _is_rational(text):
+    try:
+        F(text)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+_RATIONAL_TEXT = (st.sampled_from(["", " ", "--", "-", "x/y", "1/0", "0/0", "nan", "inf", "-inf", "1e", "1/2/3",
+                                   "--5", "1 /2", "½", "0x10", "1j", "None", "\n"])
+                  | st.text(alphabet="0123456789/+-._eE xj", max_size=8) | st.text(max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RATIONAL_TEXT)
+def test_malformed_order_and_k_are_refused_in_one_line(text):
+    assume(not _is_rational(text))
+    for argv in (["theta", "--m", "1", "--r", "0", f"--order={text}"],
+                 ["eta", f"--order={text}"],
+                 ["d2", f"--k={text}", "--in", "/nonexistent.json"]):
+        code, _out, err = _one_line_refusal(argv)
+        assert code == 2 and "argument --" in err, (argv, err)

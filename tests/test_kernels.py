@@ -7,6 +7,7 @@ with the same canonical coordinates, the same validity bound and the same
 insertion order (numeric evaluation sums terms in that order).
 """
 
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -15,7 +16,14 @@ import pytest
 
 from jfkernel.construct import lambda2_fwd, lambda2_inv, xi_hat
 from jfkernel.cyclotomic import CYC24, CycNumber, cyclotomic_field, imag_unit
-from jfkernel.jacobi import JacobiSeries, d2_hat, restrict_z0, theta_decompose, theta_j
+from jfkernel.jacobi import (
+    JacobiSeries,
+    d2_hat,
+    restrict_z0,
+    theta_component,
+    theta_decompose,
+    theta_j,
+)
 from jfkernel.series import ExactDivisionError, PuiseuxSeries, div_exact, eta, eta_power
 
 DENS = (24, 8, 5, 12)
@@ -153,9 +161,10 @@ def ref_theta_decompose(phi, m):
 def assert_identical(got, want):
     """Same bound, same keys in the same order, same canonical coefficients."""
     assert got.valid_below == want.valid_below
-    assert list(got.terms) == list(want.terms)
+    got_terms = got.terms  # the view builds its coefficients on each access
+    assert list(got_terms) == list(want.terms)
     for k, c in want.terms.items():
-        g = got.terms[k]
+        g = got_terms[k]
         assert (g.field.n, g.num, g.den) == (c.field.n, c.num, c.den), k
 
 
@@ -289,6 +298,81 @@ def test_sums_match_reference():
     # shared coefficient objects: every theta_j coefficient is the same one
     t = theta_j(1, 0, 9)
     assert_identical(t + t, ref_add(t, t))
+
+
+def assert_same_values(got, want, field_order):
+    """Same bound, same keys in the same order, equal coefficients, and the
+    result held in Q(zeta_field_order).  The references multiply in the
+    operands' own fields; the kernels in their join with Q(zeta_24)."""
+    assert got.valid_below == want.valid_below
+    got_terms = got.terms
+    assert list(got_terms) == list(want.terms)
+    for k, c in want.terms.items():
+        assert got_terms[k] == c, k
+    assert got.is_zero() or got.field.n == field_order
+
+
+def field_coeff(rng, f, rational=False):
+    """A nonzero element of ``f``, often with a denominator."""
+    while True:
+        if rational:
+            c = f.from_fraction(F(rng.randint(-6, 6), rng.choice((1, 2, 3, 4))))
+        else:
+            c = f.element([rng.randint(-3, 3) if rng.random() < 0.5 else 0
+                           for _ in range(f.degree)], rng.choice((1, 2, 4, 6)))
+        if not c.is_zero():
+            return c
+
+
+def field_series(rng, f, vb, nterms=10, rational=False, lo=0):
+    return PuiseuxSeries({exponent(rng, lo, vb): field_coeff(rng, f, rational)
+                          for _ in range(nterms)}, vb)
+
+
+@pytest.mark.parametrize("n", [24, 40, 120])
+def test_products_in_three_fields_match_reference(n):
+    rng = random.Random(n + 1)
+    f = cyclotomic_field(n)
+    join = math.lcm(24, n)
+    for _ in range(8):
+        a = field_series(rng, f, F(rng.randint(3, 7)))
+        b = field_series(rng, f, F(rng.randint(3, 7)))
+        q = field_series(rng, f, F(rng.randint(3, 7)), rational=True)
+        t = theta_component(2, rng.randint(0, 3), 8)
+        # non-rational with non-rational, and a rational operand on either side
+        for x, y in ((a, b), (a, q), (q, a), (a, t), (t, a), (q, t)):
+            assert_same_values(x * y, ref_mul(x, y), join)
+        phi = JacobiSeries({(exponent(rng, 0, 5), rng.randint(-3, 3)): field_coeff(rng, f)
+                            for _ in range(12)}, 5)
+        tj = theta_j(2, 1, 5)
+        for x, y in ((phi, tj), (tj, phi), (phi, a), (phi, phi)):
+            assert_same_values(x * y, ref_jmul(x, y), join)
+        # scalars multiply in the join of the two fields only
+        for x in (3, F(-5, 6), field_coeff(rng, f), field_coeff(rng, f, rational=True),
+                  imag_unit()):
+            cx = x if isinstance(x, CycNumber) else f.from_fraction(x)
+            want = PuiseuxSeries({e: c * cx for e, c in a.terms.items()}, a.valid_below)
+            scalar_field = math.lcm(n, cx.field.n)
+            assert_same_values(a * x, want, scalar_field)
+            assert_same_values(x * a, want, scalar_field)
+
+
+@pytest.mark.parametrize("n", [24, 40, 120])
+def test_division_heat_and_restriction_in_three_fields_match_reference(n):
+    rng = random.Random(n + 2)
+    f = cyclotomic_field(n)
+    join = math.lcm(24, n)
+    for _ in range(6):
+        a = field_series(rng, f, F(rng.randint(4, 8)), lo=rng.choice((0, 1)))
+        b = field_series(rng, f, F(rng.randint(4, 8)), nterms=5)
+        t = theta_component(2, 1, 10)
+        for x, y in ((a, b), (a * b, b), (a * t, t), (a, t)):
+            assert_same_values(div_exact(x, y), ref_div(x, y), join)
+        phi = JacobiSeries({(exponent(rng, 0, 5), rng.randint(-4, 4)): field_coeff(rng, f)
+                            for _ in range(20)}, 5)
+        assert_same_values(restrict_z0(phi), ref_restrict(phi), join)
+        for k in (2, F(5, 2), 0):
+            assert_same_values(d2_hat(phi, k), ref_d2_hat(phi, k), join)
 
 
 # -- the heat operator and the restriction --------------------------------------

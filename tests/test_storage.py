@@ -1,20 +1,33 @@
-"""Series are stored on an int exponent grid 1/den; ``terms`` is the
-Fraction-keyed view.  Results must not depend on which grid holds a series."""
+"""Series are stored on an int exponent grid 1/den, with every coefficient
+as a tuple of integer coordinates in one field over one series denominator
+``cden``; ``terms`` is the Fraction-keyed view.  Results must not depend on
+which grid holds a series, and every series keeps the canonical layout."""
 
 import json
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
-from jfkernel.cyclotomic import coerce24, cyclotomic_field, imag_unit
-from jfkernel.jacobi import JacobiSeries, theta_component, theta_decompose
-from jfkernel.series import PuiseuxSeries, _assemble
+from jfkernel.construct import lambda2_fwd, lambda2_inv, lambda_star_fwd, lambda_star_inv, xi_hat
+from jfkernel.cyclotomic import CYC24, coerce24, cyclotomic_field, imag_unit
+from jfkernel.jacobi import (
+    JacobiSeries,
+    d2_hat,
+    restrict_z0,
+    tau_shift,
+    theta_component,
+    theta_decompose,
+    theta_j,
+)
+from jfkernel.series import PuiseuxSeries, _assemble, _top, dilate, div_exact, eta, eta_power, euler_d
 
 
 def regrid(s, den):
     """The same series held on the finer grid 1/den."""
-    return _assemble(type(s), s._on_grid(den), den, s.valid_below, s.meta)
+    return _assemble(type(s), s._on_grid(den, s.field), den, s.valid_below, s.meta,
+                     s.field, s.cden)
 
 
 def dump(s):
@@ -144,3 +157,187 @@ def test_same_below_is_no_first_difference(kind):
                 assert same == (x.first_difference(y, bound) is None), (x, y, bound)
                 disagreed += not same
     assert disagreed > 100
+
+
+# -- the coefficient layout ------------------------------------------------------
+
+
+def assert_layout(s):
+    """One field, one positive denominator that shares no factor with all the
+    coordinates, nonempty tuples of nonzero int coordinates with ascending
+    indices below the degree, and every key below the bound; the zero series
+    is held in Q(zeta_24) over 1."""
+    f, d = s.field, s.cden
+    assert type(d) is int and d > 0
+    if not s._terms:
+        assert (f, d) == (CYC24, 1)
+    assert gcd(d, *[v for xs in s._terms.values() for _i, v in xs]) == 1, s
+    top = _top(s.valid_below, s.den)
+    for k, xs in s._terms.items():
+        assert type(xs) is tuple and xs, k
+        idx = [i for i, _v in xs]
+        assert idx == sorted(set(idx)) and idx[0] >= 0 and idx[-1] < f.degree, k
+        assert all(type(v) is int and v for _i, v in xs), k
+        assert s._qexp(k) < top, k
+
+
+def _field_coeff(rng, f):
+    """A nonzero element of ``f``, rational or not, often with a denominator."""
+    while True:
+        if rng.random() < 0.3:
+            c = f.from_fraction(F(rng.randint(-6, 6), rng.choice((1, 2, 3, 4))))
+        else:
+            c = f.element([rng.randint(-3, 3) if rng.random() < 0.4 else 0
+                           for _ in range(f.degree)], rng.choice((1, 2, 4, 6)))
+        if not c.is_zero():
+            return c
+
+
+def _operands(rng, n):
+    f = cyclotomic_field(n)
+    a = PuiseuxSeries({F(rng.randint(0, 40), 8): _field_coeff(rng, f) for _ in range(12)}, 6)
+    b = PuiseuxSeries({F(rng.randint(0, 30), 6): _field_coeff(rng, f) for _ in range(6)}, 6)
+    phi = JacobiSeries({(F(rng.randint(0, 40), 8), rng.randint(-4, 4)): _field_coeff(rng, f)
+                        for _ in range(16)}, 5)
+    return f, a, b, phi
+
+
+@pytest.mark.parametrize("n", [24, 40, 120])
+def test_every_constructor_kernel_and_decode_keeps_the_layout(n):
+    rng = random.Random(n)
+    for _ in range(6):
+        f, a, b, phi = _operands(rng, n)
+        t = theta_component(2, 1, 12)
+        tj = theta_j(2, 1, 6)
+        halves = PuiseuxSeries({0: F(1, 2), F(1, 3): f.zeta(1) / 2}, 4)
+        made = [
+            a, b, phi, t, tj, halves, eta(20), eta_power(6, 30), xi_hat(10),
+            PuiseuxSeries.zero(3), JacobiSeries.zero(3), PuiseuxSeries.one(3),
+            PuiseuxSeries.monomial(f.zeta(1), F(1, 3), 4), JacobiSeries.from_puiseux(a),
+            a + b, a - a, a - b, b + a, halves + halves, -a, phi + phi, phi - phi,
+            a * b, b * a, a * t, t * a, a * a, phi * tj, phi * a, tj * phi,
+            a * 2, a * F(-3, 4), a * 0, halves * 2, a * f.zeta(1), a * imag_unit(),
+            halves * f.from_fraction(2), phi * F(1, 6),
+            euler_d(a), euler_d(halves), dilate(a, 3), a.truncate(F(5, 2)), halves.truncate(F(1, 3)),
+            div_exact(a * b, b), div_exact(a * t, t), div_exact(halves, t),
+            restrict_z0(phi), restrict_z0(phi * tj), d2_hat(phi, 2), d2_hat(phi, F(5, 2)),
+            *theta_decompose(lambda2_inv(a, b, 5), 2), tau_shift(eta(5)),
+            PuiseuxSeries.from_json(a.to_json()), JacobiSeries.from_json(phi.to_json()),
+            a.with_meta(None),
+        ]
+        pair = lambda2_fwd(*[theta_decompose(lambda2_inv(a, b, 5), 2)[r] for r in (0, 2)])
+        star = lambda_star_inv(a, 3, 5)
+        comps = theta_decompose(star, 3)
+        made += [pair.comp0, pair.comp2, star, lambda_star_fwd(comps[0], comps[3], 3)]
+        for s in made:
+            assert_layout(s)
+    # a common factor that the result must divide out
+    x = PuiseuxSeries({0: F(1, 2), 1: F(1, 2)}, 3)
+    y = JacobiSeries({(0, 1): F(1, 2), (0, -1): F(1, 2), (1, 0): F(1, 3)}, 3)
+    for s, cden in ((x + x, 1), (x * 2, 1), (x * F(2, 3), 3), (restrict_z0(y), 3),
+                    (restrict_z0(y).truncate(1), 1), (euler_d(x), 2), (x * 0, 1)):
+        assert_layout(s)
+        assert s.cden == cden, s
+
+
+def test_json_decodes_straight_into_the_layout():
+    # an unreduced numerator over a negative denominator, a zero, a repeat
+    obj = {"valid_below": "3", "terms": [
+        {"exp": "0", "coeff": {"num": [2, 4], "den": -4}},
+        {"exp": "1/2", "coeff": {"num": [0, 0, 0], "den": 5}},
+        {"exp": "1", "coeff": {"num": [3], "den": 6}},
+        {"exp": "1", "coeff": {"num": [6], "den": 3}},
+    ]}
+    s = PuiseuxSeries.from_json(obj)
+    assert_layout(s)
+    assert (s.field, s.cden) == (CYC24, 2)
+    assert s._terms == {0: ((0, -1), (1, -2)), 2: ((0, 4),)}
+    assert s.coeff(0) == CYC24.element([-1, -2], 2) and s.coeff(1) == 2
+
+
+def test_mixed_field_terms_print_in_their_join():
+    # coefficients in Q(zeta_24) and Q(zeta_40) are held, and printed, in
+    # Q(zeta_120): zeta_24 = zeta_120^5 and zeta_40 = zeta_120^3
+    def unit(k):
+        return [0] * k + [1] + [0] * (31 - k)
+
+    text = json.dumps({"valid_below": "2", "terms": [
+        {"exp": "0", "coeff": {"num": [0, 1], "den": 1}},
+        {"exp": "1", "coeff": {"num": [0, 1], "den": 2, "order": 40}},
+    ]})
+    want = {"valid_below": "2", "terms": [
+        {"exp": "0", "coeff": {"num": unit(5), "den": 1, "order": 120}},
+        {"exp": "1", "coeff": {"num": unit(3), "den": 2, "order": 120}},
+    ], "meta": None}
+    s = PuiseuxSeries.from_json(json.loads(text))
+    assert s.field.n == 120 and s.to_json() == want
+    built = PuiseuxSeries({0: CYC24.zeta(1), 1: cyclotomic_field(40).zeta(1) / 2}, 2)
+    assert built.to_json() == want
+    assert str(s) == str(built) == "cyc120[%s] + (cyc120[%s]/2)*q" % (
+        ",".join(map(str, unit(5))), ",".join(map(str, unit(3))))
+    # terms that share one field keep it
+    one_field = PuiseuxSeries({0: cyclotomic_field(40).zeta(1), 1: 2}, 2)
+    assert one_field.field.n == 120
+    only_40 = PuiseuxSeries({0: cyclotomic_field(40).zeta(1), 1: cyclotomic_field(40).one}, 2)
+    assert only_40.field.n == 40 and only_40.to_json()["terms"][0]["coeff"]["order"] == 40
+
+
+@pytest.mark.parametrize("kind", ["puiseux", "jacobi"])
+def test_comparison_between_series_of_different_denominators(kind):
+    def make(terms, vb):
+        if kind == "puiseux":
+            return PuiseuxSeries(terms, vb)
+        return JacobiSeries({(e, 1): c for e, c in terms.items()}, vb)
+
+    i = imag_unit()
+    a = make({0: 1, 1: F(1, 2), F(3, 2): i}, 2)
+    b = make({0: 1, 1: F(1, 2), F(3, 2): i, F(7, 4): F(1, 3)}, 2)
+    c = make({0: 1, 1: F(1, 3), F(3, 2): i}, 2)
+    assert (a.cden, b.cden, c.cden) == (2, 6, 3)
+    at = (lambda e: e) if kind == "puiseux" else (lambda e: (e, 1))
+    assert a != b and a.same_below(b, F(7, 4)) and not a.same_below(b)
+    assert a.first_difference(b) == b.first_difference(a) == at(F(7, 4))
+    assert a.first_difference(b, F(7, 4)) is None
+    assert a.first_difference(c) == c.first_difference(a) == at(1)
+    assert a.same_below(c, 1) and not a.same_below(c, F(3, 2))
+    # the same series reached over a larger denominator, and in a larger field
+    assert b.truncate(F(7, 4)) == a.truncate(F(7, 4))
+    assert (a + b - b) == a and (a + b - b).cden == 2
+    # equal coordinate tuples over different denominators are different series
+    half, third = make({0: F(1, 2), 1: i / 2}, 2), make({0: F(1, 3), 1: i / 3}, 2)
+    assert half._terms == third._terms and half != third and third != half
+    f120 = cyclotomic_field(120)
+    wide = make({0: f120.one, 1: f120.from_fraction(F(1, 2)), F(3, 2): f120.embed(i)}, 2)
+    assert wide.field is f120 and wide == a and a == wide
+    assert wide.first_difference(c) == at(1) and wide.same_below(a)
+
+
+def _reference_first_difference(a, b, bound):
+    """The smallest Fraction key below ``bound`` whose CycNumbers differ."""
+    for k in sorted(set(a.terms) | set(b.terms)):
+        if (k[0] if isinstance(k, tuple) else k) >= bound:
+            return None
+        if a.terms.get(k, 0) != b.terms.get(k, 0):
+            return k
+    return None
+
+
+@pytest.mark.parametrize("kind", ["puiseux", "jacobi"])
+def test_first_difference_matches_the_coefficient_reference(kind):
+    rng = random.Random(67)
+    for _ in range(200):
+        a, b = _random_pair(rng, kind)
+        # the same values over other denominators: add and take away a
+        # term with denominator 3 or 5 at a key the pair already has
+        keys = sorted(b.terms)
+        if keys:
+            k = rng.choice(keys)
+            d = type(b)({k: F(1, rng.choice((3, 5)))}, b.valid_below)
+            b = (b + d) - d if rng.random() < 0.5 else b + d
+        bound = min(a.valid_below, b.valid_below)
+        for x, y in ((a, b), (b, a)):
+            want = _reference_first_difference(x, y, bound)
+            assert x.first_difference(y) == want, (x, y)
+            assert x.same_below(y) == (want is None)
+            assert (x == y) == (x.valid_below == y.valid_below
+                                and _reference_first_difference(x, y, F(10 ** 6)) is None)

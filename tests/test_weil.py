@@ -627,3 +627,34 @@ def test_fit_refuses_above_its_cap_and_admits_below():
     assert 0.9 * FIT_MAX_J < abs(gamma.c * ORACLE_TAU + gamma.d) < FIT_MAX_J
     U = word_product(2, w)
     assert fit_scalar(2, w, U) == resolve_scalar(2, w, U)[1]
+
+
+def test_powers_start_from_the_first_factor(monkeypatch):
+    counted = []
+    matmul = UMatrix.__matmul__
+
+    def counting(a, b):
+        counted.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(UMatrix, "__matmul__", counting)
+    for m in (1, 2, 3):
+        u = word_product(m, GroupWord.of(("S", 1), ("T", 1)))
+        resolved = resolve(m, GroupWord.of(("S", 1), ("T", 1)))
+        want = u
+        for e in range(1, 12):
+            counted.clear()
+            got = u ** e
+            # square and multiply: one product per bit after the first, and
+            # one per set bit after the first
+            assert len(counted) == e.bit_length() - 1 + bin(e).count("1") - 1, e
+            assert got == want and got.resolved is False, (m, e)
+            counted.clear()
+            want = matmul(want, u)
+        # U^1 is U itself, or an unresolved copy of a resolved U
+        assert u ** 1 is u
+        one = resolved ** 1
+        assert one == resolved and one.resolved is False and resolved.resolved is True
+        zero = u ** 0
+        assert zero.resolved is True and zero == UMatrix.identity(u.field, 2 * m)
+        assert u ** -3 == (u ** 3).conj_transpose()
