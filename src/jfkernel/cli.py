@@ -52,6 +52,17 @@ MAX_WEIL_INDEX = 30
 # O(sqrt m) steps (same guest).  The library functions take any positive m.
 MAX_SERIES_INDEX = 10 ** 4
 
+# The largest q-order the CLI accepts: every --order, and the valid_below of
+# the input up to which lambda2, lambdastar, psi and project-0m build theta
+# and xi series.  At 10^3 verify --suite all takes 1.1 s and the others at
+# most 0.25 s (eta^p aside, below); at 10^4 verify --suite identities takes
+# 2.9 s and lambda2 on one term 1.7 s (same guest).  The library functions
+# take any order.
+MAX_ORDER = 10 ** 3
+# The largest eta --power: eta^p is p - 1 products, 1.4 s at p = 100 and
+# 20 s at p = 1000 to order 10^3 (same guest).
+MAX_ETA_POWER = 100
+
 INDEX_BOUNDS = {"weil": MAX_WEIL_INDEX, "decompose": MAX_SERIES_INDEX,
                 "project-0m": MAX_SERIES_INDEX, "lambdastar": MAX_SERIES_INDEX,
                 "lambdastar-inv": MAX_SERIES_INDEX}
@@ -122,7 +133,7 @@ def _read_components(path, m, key):
     else the entries "h0" and ``key`` of a JSON object."""
     data = _read_json(path)
     keys = (0, m) if isinstance(data, list) else ("h0", key)
-    return [PuiseuxSeries.from_json(_part(data, k)) for k in keys]
+    return _check_input(*(PuiseuxSeries.from_json(_part(data, k)) for k in keys))
 
 
 @cache
@@ -237,16 +248,24 @@ def run(argv=None, out=None) -> int:
         return 2
 
 
-def _check_index(args):
-    """Refuse an --m above the command's bound in INDEX_BOUNDS."""
-    bound = INDEX_BOUNDS.get(args.command)
-    if bound is not None and args.m > bound:
-        raise ValueError(f"--m must be at most {bound}, got {args.m}")
+def _check_bound(name, value, bound):
+    """Refuse a value above its bound; every bound of the CLI is checked here."""
+    if bound is not None and value is not None and value > bound:
+        raise ValueError(f"{name} must be at most {bound}, got {value}")
+
+
+def _check_input(*series):
+    """The input series, refused if one is valid beyond MAX_ORDER."""
+    for s in series:
+        _check_bound("input valid_below", s.valid_below, MAX_ORDER)
+    return series
 
 
 def _dispatch(args, out) -> int:
     cmd = args.command
-    _check_index(args)
+    _check_bound("--m", getattr(args, "m", None), INDEX_BOUNDS.get(cmd))
+    _check_bound("--order", getattr(args, "order", None), MAX_ORDER)
+    _check_bound("--power", getattr(args, "power", None), MAX_ETA_POWER)
 
     if cmd == "weil":
         if args.word is not None:
@@ -323,7 +342,7 @@ def _series_result(args):
         return lambda2_inv(pair.comp0, pair.comp2, args.order)
     if cmd == "psi":
         pair = VVPair.from_json(_read_json(args.input))
-        return psi_form(pair.comp0, pair.comp2)
+        return psi_form(*_check_input(pair.comp0, pair.comp2))
     if cmd == "lambdastar-inv":
         return lambda_star_inv(PuiseuxSeries.from_json(_read_json(args.input)), args.m, args.order)
     phi = JacobiSeries.from_json(_read_json(args.input))
@@ -334,7 +353,7 @@ def _series_result(args):
     if cmd == "d2":
         return d2_hat(phi, args.k)
     if cmd == "project-0m":
-        return psi_0m(phi, args.m)
+        return psi_0m(*_check_input(phi), args.m)
     raise AssertionError(f"unhandled command {cmd}")
 
 

@@ -293,22 +293,27 @@ def remark_maps(pair: VVPair, direction: str):
 # Brute-force constant derivations (used before freezing identity tests)
 
 
-def derive_bridge_constant(order=12):
-    """The constant c in th22 xi0 - th20 xi2 = c * th21 xi_star_hat(2).
-
-    Derived by exact series division, term by term.
-    """
+def bridge_sides(order):
+    """th22 xi0 - th20 xi2 and th21 xi_star_hat(2), to ``order``: the two
+    sides of the bridge identity before its constant."""
     order = Fraction(order)
     xi0, xi2 = xi_pair_hat(order)
-    t0 = theta_component(2, 0, order)
-    t1 = theta_component(2, 1, order)
-    t2 = theta_component(2, 2, order)
-    lhs = t2 * xi0 - t0 * xi2
-    rhs = t1 * xi_m_star_hat(2, order)
+    t0, t1, t2 = (theta_component(2, r, order) for r in range(3))
+    return t2 * xi0 - t0 * xi2, t1 * xi_m_star_hat(2, order)
+
+
+def _constant_quotient(lhs, rhs, message):
+    """The constant lhs / rhs, by exact division; ArithmeticError(message)
+    when the quotient is not a constant."""
     q = div_exact(lhs, rhs)
     if len(q._terms) != 1 or q.val() != 0:
-        raise ArithmeticError("bridge sides are not proportional")
+        raise ArithmeticError(message)
     return q.coeff(0)
+
+
+def derive_bridge_constant(order=12):
+    """The constant c in th22 xi0 - th20 xi2 = c * th21 xi_star_hat(2), by exact division."""
+    return _constant_quotient(*bridge_sides(order), "bridge sides are not proportional")
 
 
 def derive_heat_constant(m: int):
@@ -318,8 +323,5 @@ def derive_heat_constant(m: int):
     probe = PuiseuxSeries({Fraction(0): 1, Fraction(1): 1}, order + m)
     lhs = d2_hat(lambda_star_inv(probe, m, order), 2)
     rhs = probe * xi_m_star_hat(m, order) * Fraction(2)
-    q = div_exact(lhs, rhs)
-    if len(q._terms) != 1 or q.val() != 0:
-        raise ArithmeticError("heat image is not proportional to phi * xi_star")
-    c = q.coeff(0)
+    c = _constant_quotient(lhs, rhs, "heat image is not proportional to phi * xi_star")
     return c.rational_value()

@@ -9,6 +9,11 @@
   modular objects, so low-imaginary-part points produced by group actions
   stay accurate.
 
+A check is a generator of ``(label, failure)`` cases, failure None for a
+passing case.  The first failure is reported as ``label: failure`` (the
+failure alone when the label is None) and no case after it is computed; a
+check with no failure passes and reports what its generator returns.
+
 Reports are deterministic: suites are driven by an explicit seed and the
 JSON serialisation omits wall-clock timings unless asked for them.
 """
@@ -21,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .construct import (
+    bridge_sides,
     derive_bridge_constant,
     derive_heat_constant,
     eta6_dilated,
@@ -121,24 +127,30 @@ def _timed(name, bound, fn):
 
 def _first_failure(cases):
     """(False, "label: failure") for the first failing case of the
-    (label, failure) pairs, read no further than that; (True, None) if none
-    fails.  A failure is None for a passing case."""
-    for label, failure in cases:
+    (label, failure) pairs, read no further than that (the failure alone for
+    the label None); else (True, what the generator of the cases returns).
+    A failure is None for a passing case."""
+    cases = iter(cases)
+    while True:
+        try:
+            label, failure = next(cases)
+        except StopIteration as stop:
+            return True, stop.value
         if failure is not None:
-            return False, f"{label}: {failure}"
-    return True, None
+            return False, failure if label is None else f"{label}: {failure}"
 
 
 def _series_equal(bound, lhs, rhs):
+    """The first difference of the two series below ``bound`` (and below
+    both validity bounds) as failure text; None if there is none."""
     bound = min(Fraction(bound), lhs.valid_below, rhs.valid_below)
-    if lhs.same_below(rhs, bound):
-        return True, None
     e = lhs.first_difference(rhs, bound)
-    return False, f"first difference at q^{e}: {lhs.coeff(e)} vs {rhs.coeff(e)}"
+    return None if e is None else f"first difference at q^{e}: {lhs.coeff(e)} vs {rhs.coeff(e)}"
 
 
 # ---------------------------------------------------------------------------
-# The identity catalogue
+# The identity catalogue: each identity is a generator of (label, failure)
+# cases for _first_failure
 
 
 def _id_eta3(order, rng):
@@ -153,48 +165,42 @@ def _id_eta3(order, rng):
         alt[Fraction(n * n)] = coerce24(2 * (-1) ** n)
         n += 1
     rhs = t0 * t1 * PuiseuxSeries(alt, order + 1) * Fraction(1, 2)
-    return _series_equal(order, lhs, rhs)
+    yield None, _series_equal(order, lhs, rhs)
+
+
+def _dilation_case(m, order):
+    """xi*_m to ``order`` and the case that it is m xi(m tau)."""
+    star = xi_m_star_hat(m, Fraction(order))
+    viadil = m * dilate(xi_hat(Fraction(order, m) + 1), m)
+    return star, (f"m={m}", _series_equal(order, star, viadil))
 
 
 def _id_xi_eta6(order, rng):
     order = Fraction(order)
-    ok, witness = _series_equal(order, xi_hat(order), eta_power(6, order) * Fraction(-1, 2))
-    if not ok:
-        return ok, witness
+    yield None, _series_equal(order, xi_hat(order), eta_power(6, order) * Fraction(-1, 2))
     for m in range(1, 8):
-        star = xi_m_star_hat(m, 30)
-        viadil = m * dilate(xi_hat(Fraction(30, m) + 1), m)
-        ok, witness = _series_equal(30, star, viadil)
-        if not ok:
-            return ok, f"m={m}: {witness}"
-        vianeg = eta6_dilated(m, 30) * Fraction(-m, 2)
-        ok, witness = _series_equal(30, star, vianeg)
-        if not ok:
-            return ok, f"m={m} (eta route): {witness}"
-    return True, None
+        star, case = _dilation_case(m, 30)
+        yield case
+        yield f"m={m} (eta route)", _series_equal(30, star, eta6_dilated(m, 30) * Fraction(-m, 2))
 
 
 def _id_theta23(order, rng):
     a = theta_component(2, 1, Fraction(order))
     b = theta_component(2, 3, Fraction(order))
-    return _series_equal(order, a, b)
+    yield None, _series_equal(order, a, b)
 
 
 def _id_theta12(order, rng):
     order = Fraction(order)
     lhs = theta_component(1, 1, order)
     rhs = 2 * dilate(theta_component(2, 1, order / 2), 2)
-    return _series_equal(order, lhs, rhs)
+    yield None, _series_equal(order, lhs, rhs)
 
 
 def _id_heat(order, rng):
-    bad = [
-        (m, r)
-        for m in range(1, 7)
-        for r in range(2 * m)
-        if not heat_check(m, r, Fraction(order))
-    ]
-    return (not bad), (f"failing (m, r): {bad}" if bad else None)
+    bad = [(m, r) for m in range(1, 7) for r in range(2 * m)
+           if not heat_check(m, r, Fraction(order))]
+    yield None, f"failing (m, r): {bad}" if bad else None
 
 
 def _random_series(rng, vb, nterms=8, grid=8):
@@ -214,59 +220,40 @@ def _id_d2_lambda2(order, rng):
         phi = lambda2_inv(phi0, phi2, order + 2)
         combo = phi0 * xi0 + phi2 * xi2
         for k in (2, 4, 10):
-            lhs = d2_hat(phi, k)
-            rhs = combo * (8 * k)
-            ok, witness = _series_equal(order, lhs, rhs)
-            if not ok:
-                return False, f"pair {idx}, k={k}: {witness}"
-    return True, None
+            yield f"pair {idx}, k={k}", _series_equal(order, d2_hat(phi, k), combo * (8 * k))
 
 
 def _id_d2_lambdastar(order, rng):
     order = Fraction(order)
-    consts = {}
-    for m in (1, 2, 3, 5):
+    ms = (1, 2, 3, 5)
+    for m in ms:
         c = derive_heat_constant(m)
-        if c != 4 * m:
-            return False, f"derived constant {c} != 4m at m={m}"
-        consts[m] = c
-    stars = {m: xi_m_star_hat(m, order + 2) for m in consts}
+        yield None, f"derived constant {c} != 4m at m={m}" if c != 4 * m else None
+    stars = {m: xi_m_star_hat(m, order + 2) for m in ms}
     for idx in range(10):
         phi = _random_series(rng, order + 1)
-        for m in (1, 2, 3, 5):
+        for m in ms:
             jac = lambda_star_inv(phi, m, order + 2)
             prod = phi * stars[m]
             for k in (2, 4):
-                lhs = d2_hat(jac, k)
-                rhs = prod * (consts[m] * k)
-                ok, witness = _series_equal(order, lhs, rhs)
-                if not ok:
-                    return False, f"phi {idx}, m={m}, k={k}: {witness}"
-    return True, f"constant C(m) = 4m confirmed for m in (1, 2, 3, 5)"
+                yield (f"phi {idx}, m={m}, k={k}",
+                       _series_equal(order, d2_hat(jac, k), prod * (4 * m * k)))
+    return "constant C(m) = 4m confirmed for m in (1, 2, 3, 5)"
 
 
 def _id_xi_bridge(order, rng):
     order = Fraction(order)
     c = derive_bridge_constant(min(order, 14))
-    xi0, xi2 = xi_pair_hat(order)
-    t0 = theta_component(2, 0, order)
-    t1 = theta_component(2, 1, order)
-    t2 = theta_component(2, 2, order)
-    lhs = t2 * xi0 - t0 * xi2
-    rhs = t1 * xi_m_star_hat(2, order) * c
-    ok, witness = _series_equal(order, lhs, rhs)
+    lhs, rhs = bridge_sides(order)
+    failure = _series_equal(order, lhs, rhs * c)
     note = f"resolved constant c = {c}"
-    return ok, (note if ok else f"{witness}; {note}")
+    yield None, None if failure is None else f"{failure}; {note}"
+    return note
 
 
 def _id_xistar_dilate(order, rng):
     for m in range(1, 8):
-        star = xi_m_star_hat(m, Fraction(order))
-        viadil = m * dilate(xi_hat(Fraction(order, m) + 1), m)
-        ok, witness = _series_equal(order, star, viadil)
-        if not ok:
-            return False, f"m={m}: {witness}"
-    return True, None
+        yield _dilation_case(m, order)[1]
 
 
 def _id_lambda2_roundtrip(order, rng):
@@ -275,17 +262,15 @@ def _id_lambda2_roundtrip(order, rng):
         phi0 = _random_series(rng, order)
         phi2 = _random_series(rng, order)
         phi = lambda2_inv(phi0, phi2, order + 2)
-        if not restrict_z0(phi).is_zero():
-            return False, f"pair {idx}: restriction does not vanish"
-        if not symmetry_check(phi, 2):
-            return False, f"pair {idx}: component symmetry fails"
+        label = f"pair {idx}"
+        yield label, None if restrict_z0(phi).is_zero() else "restriction does not vanish"
+        yield label, None if symmetry_check(phi, 2) else "component symmetry fails"
         h = theta_decompose(phi, 2)
         pair = lambda2_fwd(h[0], h[2])
         b0 = min(pair.comp0.valid_below, phi0.valid_below)
         b2 = min(pair.comp2.valid_below, phi2.valid_below)
-        if not (pair.comp0.same_below(phi0, b0) and pair.comp2.same_below(phi2, b2)):
-            return False, f"pair {idx}: round trip differs"
-    return True, None
+        same = pair.comp0.same_below(phi0, b0) and pair.comp2.same_below(phi2, b2)
+        yield label, None if same else "round trip differs"
 
 
 def _id_lambdastar_roundtrip(order, rng):
@@ -295,18 +280,15 @@ def _id_lambdastar_roundtrip(order, rng):
         phi = _random_series(rng, order)
         m = ms[idx % len(ms)]
         jac = lambda_star_inv(phi, m, order + m)
-        if not restrict_z0(jac).is_zero():
-            return False, f"phi {idx}, m={m}: restriction does not vanish"
-        if not symmetry_check(jac, m):
-            return False, f"phi {idx}, m={m}: component symmetry fails"
+        label = f"phi {idx}, m={m}"
+        yield label, None if restrict_z0(jac).is_zero() else "restriction does not vanish"
+        yield label, None if symmetry_check(jac, m) else "component symmetry fails"
         comps = theta_decompose(jac, m)
-        if any(not comps[r].is_zero() for r in range(2 * m) if r not in (0, m)):
-            return False, f"phi {idx}, m={m}: support outside 0, m"
+        outside = any(not comps[r].is_zero() for r in range(2 * m) if r not in (0, m))
+        yield label, "support outside 0, m" if outside else None
         back = lambda_star_fwd(comps[0], comps[m], m)
         b = min(back.valid_below, phi.valid_below)
-        if not back.same_below(phi, b):
-            return False, f"phi {idx}, m={m}: round trip differs"
-    return True, None
+        yield label, None if back.same_below(phi, b) else "round trip differs"
 
 
 IDENTITIES = {
@@ -329,7 +311,7 @@ def run_identity(name: str, order, seed: int = 0) -> CheckReport:
     if name not in IDENTITIES:
         raise KeyError(f"unknown identity {name!r}; have {sorted(IDENTITIES)}")
     rng = random.Random(seed)
-    return _timed(name, str(order), lambda: IDENTITIES[name](order, rng))
+    return _timed(name, str(order), lambda: _first_failure(IDENTITIES[name](order, rng)))
 
 
 # ---------------------------------------------------------------------------
@@ -432,15 +414,9 @@ def suite_identities(order=30, seed: int = 7):
     order = Fraction(order)
     if order <= Fraction(5, 8):
         raise ValueError(f"--order must exceed 5/8, got {order}")
-    reports = []
-    for name in sorted(IDENTITIES):
-        ord_here = order
-        if name in ("d2-lambda2", "d2-lambdastar"):
-            ord_here = Fraction(min(order, 20))
-        if name in ("lambda2-roundtrip", "lambdastar-roundtrip"):
-            ord_here = Fraction(min(order, 10))
-        reports.append(run_identity(name, ord_here, seed))
-    return reports
+    caps = {"d2-lambda2": 20, "d2-lambdastar": 20, "lambda2-roundtrip": 10, "lambdastar-roundtrip": 10}
+    return [run_identity(name, Fraction(min(order, caps.get(name, order))), seed)
+            for name in sorted(IDENTITIES)]
 
 
 def suite_weil(seed: int = 7, words: int = 200):
@@ -465,17 +441,14 @@ def suite_weil(seed: int = 7, words: int = 200):
     def rchar_cocycle():
         # on group elements the character picks up the square-root branch
         # sign: r(U(g g')) = sigma * r(U(g)) r(U(g')) with sigma = +-1
-        seen_minus = False
+        signs = set()
         for idx, (w1, w2) in enumerate(pairs(30, 6)):
             lhs = r_char(resolve(2, w1 + w2))
             rhs = r_char(resolve(2, w1)) * r_char(resolve(2, w2))
-            if lhs == rhs:
-                continue
-            if lhs == -rhs:
-                seen_minus = True
-                continue
-            return False, f"pair {idx}: ratio is not a sign"
-        return True, ("sign -1 realised" if seen_minus else "all signs +1 in sample")
+            sign = 1 if lhs == rhs else -1 if lhs == -rhs else None
+            signs.add(sign)
+            yield f"pair {idx}", None if sign else "ratio is not a sign"
+        return "sign -1 realised" if -1 in signs else "all signs +1 in sample"
 
     def rho2_mult():
         for idx, (w1, w2) in enumerate(pairs(50, 6)):
@@ -527,25 +500,25 @@ def suite_weil(seed: int = 7, words: int = 200):
             _, exact = resolve_scalar(2, w, U)
             for tau, z in ((0.11 + 1.21j, 0.07 + 0.13j), (-0.19 + 0.93j, 0.12 - 0.04j)):
                 try:
-                    fitted = fit_scalar(2, w, U, tau, z)
+                    same = fit_scalar(2, w, U, tau, z) == exact
                 except SnapFailed as exc:
-                    return False, f"no scalar fits at tau={tau} for {w}: {exc}"
-                if fitted != exact:
-                    return False, f"scalar depends on the sample point for {w}"
-        return True, None
+                    yield None, f"no scalar fits at tau={tau} for {w}: {exc}"
+                else:
+                    yield None, None if same else f"scalar depends on the sample point for {w}"
 
-    # the list is built in order, so each check draws after the one before
-    return [
-        _timed(f"weil-inX[{words} words]", None, lambda: _first_failure(in_x())),
-        _timed("weil-rchar-multiplicative", None, lambda: _first_failure(char_mult())),
-        _timed("weil-rchar-cocycle-sign", None, rchar_cocycle),
-        _timed("weil-rho2-multiplicative[50 pairs]", None, lambda: _first_failure(rho2_mult())),
-        _timed("weil-omega-multiplicative[50 pairs]", None, lambda: _first_failure(omega_mult())),
-        _timed("weil-block-structure[m=2,3,5]", None, lambda: _first_failure(blocks())),
-        _timed("weil-cusp-entries[c<=20]", None, lambda: _first_failure(cusp_entries())),
-        _timed("weil-generator-displays", None, lambda: _first_failure(displays())),
-        _timed("weil-resolve-point-independence", None, resolution_consistency),
-    ]
+    # run in order, so each check draws after the one before
+    checks = (
+        (f"weil-inX[{words} words]", in_x),
+        ("weil-rchar-multiplicative", char_mult),
+        ("weil-rchar-cocycle-sign", rchar_cocycle),
+        ("weil-rho2-multiplicative[50 pairs]", rho2_mult),
+        ("weil-omega-multiplicative[50 pairs]", omega_mult),
+        ("weil-block-structure[m=2,3,5]", blocks),
+        ("weil-cusp-entries[c<=20]", cusp_entries),
+        ("weil-generator-displays", displays),
+        ("weil-resolve-point-independence", resolution_consistency),
+    )
+    return [_timed(name, None, lambda: _first_failure(cases())) for name, cases in checks]
 
 
 def suite_numeric(seed: int = 7):

@@ -492,6 +492,20 @@ def test_verify_all_keeps_its_anchor():
         "ba546e767c6a213d6aeec90131e316220810508a58f8601cfbeb2b68db017ecf")
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["--suite", "all", "--order", "12", "--seed", "3", "--format", "text"],
+     "d3ae0b19cbb47953dd9796149f9f181bb62277c91e1ba635841132e56c826596"),
+    (["--suite", "identities", "--order", "8", "--seed", "0"],
+     "0c945996c03500904a4b03a386f471b3c6632f3744861a60a858aae2b5f77ef3"),
+])
+def test_verify_reports_keep_their_bytes(argv, digest):
+    import hashlib
+
+    code, out = invoke(["verify", *argv])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def _series_inputs():
     """Input JSON texts for the series commands: a two-variable series that
     decomposes at index 2 with a nonzero restriction, and a pair that psi
@@ -624,6 +638,82 @@ def test_series_commands_take_the_bound_itself(tmp_path, capsys):
     src.write_text(json.dumps(PuiseuxSeries.one(4).to_json()))
     code, out = invoke(["lambdastar-inv", "--m", "10000", "--order", "4", "--in", str(src)])
     assert code == 2 and capsys.readouterr().err == "error: 10000 is not squarefree\n"
+
+
+# -- the order and power bounds ------------------------------------------------------
+
+ORDER_COMMANDS = {
+    "theta": ["--m", "1", "--r", "0"],
+    "eta": [],
+    "xi": [],
+    "lambda2-inv": [],
+    "lambdastar-inv": ["--m", "2"],
+    "verify": ["--suite", "identities"],
+}
+
+
+def _timed_refusal(argv, stdin_text, monkeypatch, capsys):
+    """The error line of argv, which must exit 2 with one stderr line and no
+    stdout, well under a second after it starts."""
+    import time
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+    start = time.perf_counter()
+    code, out = invoke(argv)
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert code == 2 and out == "" and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("command", sorted(ORDER_COMMANDS))
+@pytest.mark.parametrize("order", ["1001", "2001/2"])
+def test_orders_above_the_bound_exit_2_with_one_line(command, order, monkeypatch, capsys):
+    from jfkernel.cli import MAX_ORDER
+
+    assert MAX_ORDER == 1000
+    # refused before any input is read
+    argv = [command, *ORDER_COMMANDS[command], "--order", order]
+    assert _timed_refusal(argv, "not json", monkeypatch, capsys) == (
+        f"error: --order must be at most 1000, got {F(order)}\n")
+
+
+@pytest.mark.parametrize("power", ["101", "10000000000"])
+def test_eta_power_above_the_bound_exit_2_with_one_line(power, monkeypatch, capsys):
+    from jfkernel.cli import MAX_ETA_POWER
+
+    assert MAX_ETA_POWER == 100
+    assert _timed_refusal(["eta", "--power", power, "--order", "5"], "", monkeypatch, capsys) == (
+        f"error: --power must be at most 100, got {power}\n")
+
+
+def _input_valid_below(command, valid_below):
+    """Input JSON for ``command``: one-term series valid below ``valid_below``."""
+    term = {"coeff": {"num": [1], "den": 1}}
+    if command == "project-0m":
+        return json.dumps({"terms": [{"n": "0", "r": 0, **term}], "valid_below": valid_below})
+    one = {"terms": [{"exp": "0", **term}], "valid_below": valid_below}
+    return json.dumps({"phi0": one, "phi2": one} if command == "psi" else [one, one, one])
+
+
+INPUT_ORDER_COMMANDS = {"lambda2": [], "lambdastar": ["--m", "2"], "psi": [],
+                        "project-0m": ["--m", "2"]}
+
+
+@pytest.mark.parametrize("command", sorted(INPUT_ORDER_COMMANDS))
+def test_inputs_valid_above_the_bound_exit_2_with_one_line(command, monkeypatch, capsys):
+    argv = [command, *INPUT_ORDER_COMMANDS[command], "--in", "-"]
+    err = _timed_refusal(argv, _input_valid_below(command, "1001"), monkeypatch, capsys)
+    assert err == "error: input valid_below must be at most 1000, got 1001\n"
+
+
+def test_the_order_bounds_take_the_bound_itself(monkeypatch):
+    # the bounds themselves pass, and verify runs at order 120
+    assert invoke(["theta", "--m", "1", "--r", "0", "--order", "1000"])[0] == 0
+    assert invoke(["eta", "--power", "100", "--order", "5"])[0] == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(_input_valid_below("project-0m", "1000")))
+    assert invoke(["project-0m", "--m", "2", "--in", "-"])[0] == 0
+    assert invoke(["verify", "--suite", "identities", "--order", "120"])[0] == 0
 
 
 def _one_line_refusal(argv):

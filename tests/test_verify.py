@@ -94,8 +94,58 @@ def test_identity_failure_reports_witness():
 
     a = theta_component(2, 1, 10)
     b = theta_component(2, 3, 10) + PuiseuxSeries.monomial(1, F(9, 8), 10)
-    ok, witness = _series_equal(10, a, b)
-    assert not ok and "9/8" in witness
+    witness = _series_equal(10, a, b)
+    assert witness is not None and "9/8" in witness
+
+
+# -- the case protocol: checks are generators of (label, failure) cases ---------
+
+
+def test_first_failure_reads_no_case_after_the_first_failure():
+    from jfkernel.verify import _first_failure
+
+    def cases():
+        yield "a", None
+        yield "b", "wrong"
+        raise AssertionError("a case after the first failure was read")
+
+    assert _first_failure(cases()) == (False, "b: wrong")
+
+
+def test_first_failure_reports_an_unlabelled_failure_alone():
+    from jfkernel.verify import _first_failure
+
+    def cases():
+        yield "a", None
+        yield None, "first difference at q^0: 1 vs 0"
+
+    assert _first_failure(cases()) == (False, "first difference at q^0: 1 vs 0")
+
+
+def test_a_passing_generator_returns_its_witness():
+    from jfkernel.verify import _first_failure
+
+    def cases():
+        yield "a", None
+        yield None, None
+        return "sign -1 realised"
+
+    assert _first_failure(cases()) == (True, "sign -1 realised")
+    assert run_identity("xi-bridge", 6).witness == "resolved constant c = 1"
+
+
+def test_a_generator_expression_passes_with_none():
+    from jfkernel.verify import _first_failure
+
+    assert _first_failure((f"c={c}", None) for c in range(3)) == (True, None)
+    assert _first_failure(iter(())) == (True, None)
+
+
+def test_every_identity_is_a_generator_function():
+    import inspect
+
+    assert [name for name, check in IDENTITIES.items()
+            if not inspect.isgeneratorfunction(check)] == []
 
 
 def test_check_theta_transform_generator():
