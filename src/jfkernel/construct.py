@@ -175,14 +175,15 @@ def lambda2_inv(phi0: PuiseuxSeries, phi2: PuiseuxSeries, order) -> JacobiSeries
 
 
 def _common_quotient(a1, b1, a2, b2, error):
-    """a1/b1, checked term-exactly against a2/b2 below the lesser of the two
-    quotient bounds and truncated there; ``error(q1, q2, bound)`` is the
-    exception raised when the quotients differ."""
+    """a1/b1, checked term-exactly against a2/b2 in one difference scan below
+    the lesser of the two quotient bounds, and truncated there; ``error(at)``
+    is the exception raised when they first differ, at q-exponent ``at``."""
     q1 = div_exact(a1, b1)
     q2 = div_exact(a2, b2)
     bound = min(q1.valid_below, q2.valid_below)
-    if not q1.same_below(q2, bound):
-        raise error(q1, q2, bound)
+    at = q1.first_difference(q2, bound)
+    if at is not None:
+        raise error(at)
     return q1.truncate(bound)
 
 
@@ -198,9 +199,8 @@ def lambda_star_fwd(h_m0: PuiseuxSeries, h_mm: PuiseuxSeries, m: int) -> Puiseux
     order = max(h_m0.valid_below, h_mm.valid_below) + m
     t0 = theta_component(m, 0, order)
     tm = theta_component(m, m, order)
-    return _common_quotient(
-        h_m0, tm, -h_mm, t0,
-        lambda q1, q2, bound: InconsistentPair(f"quotients differ at q^{q1.first_difference(q2, bound)}"))
+    return _common_quotient(h_m0, tm, -h_mm, t0,
+                            lambda at: InconsistentPair(f"quotients differ at q^{at}"))
 
 
 def lambda_star_inv(phi: PuiseuxSeries, m: int, order) -> JacobiSeries:

@@ -147,17 +147,6 @@ class CyclotomicField:
                     out[j] += c * v
         return out
 
-    def sparse_coords(self, xs):
-        """A common denominator D of the elements xs of this field and, per
-        element, its nonzero coordinates [(i, v), ...] scaled to D: the
-        element is sum(v zeta^i) / D."""
-        # unpacking a list, not a generator: a generator's argument tuple is
-        # sized by resizing, which leaves one freed tuple per call on
-        # CPython's tuple free lists (up to 2000 of each size)
-        den = lcm(*[x.den for x in xs])
-        return den, [[(i, v * (den // x.den)) for i, v in enumerate(x.num) if v]
-                     for x in xs]
-
     def zeta(self, k: int = 1) -> "CycNumber":
         """The root of unity zeta_n^k."""
         num = [0] * self.degree

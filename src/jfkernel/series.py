@@ -184,27 +184,16 @@ class _Series:
 
     __slots__ = ("_terms", "den", "valid_below", "meta", "field", "cden")
 
-    def __init__(self, terms, valid_below, meta: FormMeta | None = None):
-        vb = Fraction(valid_below)
-        key, qexp, with_q = self._key, self._qexp, self._with_q
-        clean = {}
+    def __new__(cls, terms, valid_below, meta: FormMeta | None = None):
+        """Terms keyed by a ``Fraction`` q-exponent (or a subclass's key), with
+        ``CycNumber``, int or ``Fraction`` coefficients."""
+        key, qexp, with_q = cls._key, cls._qexp, cls._with_q
+        pairs = []
         for k, c in terms.items():
             k = key(k)
-            if qexp(k) >= vb:
-                continue
             c = coerce24(c)
-            if not c.is_zero():
-                clean[k] = c
-        den = lcm(*[qexp(k).denominator for k in clean])
-        field = _join(c.field for c in clean.values())
-        cden, coords = field.sparse_coords([field.embed(c) for c in clean.values()])
-        self._terms = {with_q(k, qexp(k).numerator * (den // qexp(k).denominator)): tuple(xs)
-                       for k, xs in zip(clean, coords)}
-        self.den = den
-        self.valid_below = vb
-        self.meta = meta
-        self.field = field
-        self.cden = cden
+            pairs.append((with_q(k, qexp(k).as_integer_ratio()), (c.field, c.num, c.den)))
+        return _build(cls, pairs, Fraction(valid_below), meta)
 
     @classmethod
     def zero(cls, valid_below, meta=None):
@@ -250,11 +239,6 @@ class _Series:
         f = den // self.den
         qexp, with_q = self._qexp, self._with_q
         return {with_q(k, qexp(k) * f): xs for k, xs in terms.items()}
-
-    def items_sorted(self):
-        den, qexp, with_q = self.den, self._qexp, self._with_q
-        return [(with_q(k, Fraction(qexp(k), den)), _element(self.field, xs, self.cden))
-                for k, xs in sorted(self._terms.items(), key=itemgetter(0))]
 
     def with_meta(self, meta: FormMeta | None):
         return _assemble(type(self), self._terms, self.den, self.valid_below, meta,
@@ -311,14 +295,10 @@ class _Series:
         return None
 
     def __eq__(self, other):
-        """Canonical coordinates: equal series have one denominator and
-        equal tuples, once both are in the join of their fields."""
+        """The same bound, and no difference below it."""
         if not isinstance(other, type(self)):
             return NotImplemented
-        den = lcm(self.den, other.den)
-        field = common_field(self.field, other.field)
-        return (self.valid_below == other.valid_below and self.cden == other.cden
-                and self._on_grid(den, field) == other._on_grid(den, field))
+        return self.valid_below == other.valid_below and self.first_difference(other) is None
 
     __hash__ = None
 
@@ -399,13 +379,15 @@ class _Series:
     # -- rendering ------------------------------------------------------------
 
     def to_text(self, max_terms: int | None = None) -> str:
-        items = self.items_sorted()
+        items = sorted(self._terms.items(), key=itemgetter(0))
         tail = ""
         if max_terms is not None and len(items) > max_terms:
             items, tail = items[:max_terms], " + ..."
         if not items:
             return "0"
-        parts = [self._term_text(k, c) for k, c in items]
+        den, qexp, with_q = self.den, self._qexp, self._with_q
+        parts = [self._term_text(with_q(k, Fraction(qexp(k), den)), _element(self.field, xs, self.cden))
+                 for k, xs in items]
         text = parts[0]
         for p in parts[1:]:
             text += " - " + p[1:] if p.startswith("-") else " + " + p
@@ -434,24 +416,10 @@ class _Series:
     @classmethod
     def _from_json(cls, obj, what):
         """Decode :meth:`to_json` output; malformed input raises ValueError.
-        A key's q-exponent is read as the ints (p, q) and put on the lcm of
-        the q's, with no ``Fraction`` per term; a coefficient is read
-        straight into coordinates."""
+        A key's q-exponent is read as the ints (p, q), with no ``Fraction``."""
         items, vb, meta = _terms_json(obj, what)
-        pairs = [(cls._key_from_json(t), _json_number(_entry(t, "coeff", "series term")))
-                 for t in items]
-        qexp, with_q = cls._qexp, cls._with_q
-        den = lcm(*[qexp(k)[1] for k, _c in pairs])
-        terms = {with_q(k, qexp(k)[0] * (den // qexp(k)[1])): c for k, c in pairs}
-        top = _top(vb, den)
-        terms = {k: c for k, c in terms.items() if qexp(k) < top and any(c[1])}
-        field = _join(f for f, _num, _d in terms.values())
-        cden = lcm(*[abs(d) for _f, _num, d in terms.values()])
-        # a negative d makes cden // d negative, which moves the sign
-        out = {k: _lift(tuple([(i, v * (cden // d)) for i, v in enumerate(num) if v]),
-                        field.n // f.n, field)
-               for k, (f, num, d) in terms.items()}
-        return _normalised(cls, out, den, vb, meta, field, cden)
+        return _build(cls, [(cls._key_from_json(t), _json_number(_entry(t, "coeff", "series term")))
+                            for t in items], vb, meta)
 
 
 def _q_text(e: Fraction) -> str:
@@ -541,7 +509,7 @@ def _assemble(cls, terms, den, valid_below, meta, field=CYC24, cden=1):
     the bound, nonempty coordinate tuples in ``field`` over ``cden`` > 0 with
     gcd(cden, every coordinate) = 1.  The zero series is held in Q(zeta_24)
     over 1."""
-    out = cls.__new__(cls)
+    out = object.__new__(cls)
     out._terms = terms
     out.den = den
     out.valid_below = valid_below
@@ -562,6 +530,25 @@ def _normalised(cls, terms, den, valid_below, meta, field, cden):
         terms = {k: tuple([(i, v // g) for i, v in xs]) for k, xs in terms.items()}
         cden //= g
     return _assemble(cls, terms, den, valid_below, meta, field, cden)
+
+
+def _build(cls, pairs, valid_below, meta):
+    """The one way into the layout: a series of ``cls`` from (key, (field,
+    numerators, denominator)) pairs, each key's q-exponent the ints (p, q).
+    Keys go on the lcm of the q's, terms at or above the bound and zero terms
+    are dropped, and coordinates go over the lcm denominator, normalised once."""
+    qexp, with_q = cls._qexp, cls._with_q
+    den = lcm(*[qexp(k)[1] for k, _c in pairs])
+    terms = {with_q(k, qexp(k)[0] * (den // qexp(k)[1])): c for k, c in pairs}
+    top = _top(valid_below, den)
+    terms = {k: c for k, c in terms.items() if qexp(k) < top and any(c[1])}
+    field = _join(f for f, _num, _d in terms.values())
+    cden = lcm(*[abs(d) for _f, _num, d in terms.values()])
+    # a negative d makes cden // d negative, which moves the sign
+    out = {k: _lift(tuple([(i, v * (cden // d)) for i, v in enumerate(num) if v]),
+                    field.n // f.n, field)
+           for k, (f, num, d) in terms.items()}
+    return _normalised(cls, out, den, valid_below, meta, field, cden)
 
 
 def _dense(xs, size):

@@ -104,9 +104,9 @@ class UMatrix:
         """(D, rows of the entries' sparse coordinates over D), computed on
         first use, so a cached letter power is read once per process."""
         if self._coords is None:
-            size = self.size
-            den, flat = self.field.sparse_coords([c for row in self.rows for c in row])
-            self._coords = den, [flat[k * size:(k + 1) * size] for k in range(size)]
+            den = math.lcm(*[c.den for row in self.rows for c in row])
+            self._coords = den, [[[(i, v * (den // c.den)) for i, v in enumerate(c.num) if v]
+                                  for c in row] for row in self.rows]
         return self._coords
 
     def __matmul__(self, other: "UMatrix") -> "UMatrix":
@@ -117,7 +117,9 @@ class UMatrix:
         entry (i, j) adds its coordinate convolution into one unreduced int
         list, so the field reduces and normalises once per entry.  Zero
         entries cost nothing, so a diagonal or permutation factor costs one
-        convolution per nonzero entry of the result.
+        convolution per nonzero entry of the result.  Squarefree radicands
+        give ra rb = g^2 (ra rb / g^2), g = gcd(ra, rb): g joins the
+        denominator, and the constructor has no square left to fold.
         """
         a, b = self, other
         if a.field is not b.field:
@@ -126,7 +128,8 @@ class UMatrix:
         f, size = a.field, a.size
         da, arows = a._sparse_rows()
         db, brows = b._sparse_rows()
-        den = da * db
+        g = math.gcd(a.radicand, b.radicand)
+        den = da * db * g
         width = 2 * f.degree - 1
         rows = []
         for ca in arows:
@@ -143,7 +146,7 @@ class UMatrix:
                             for q, y in ys:
                                 acc[p + q] += x * y
             rows.append([f.zero if acc is None else f.element(acc, den) for acc in sums])
-        return UMatrix(f, rows, a.radicand * b.radicand, resolved=False)
+        return UMatrix(f, rows, a.radicand * b.radicand // (g * g), resolved=False)
 
     def scale(self, c) -> "UMatrix":
         return UMatrix(self.field, [[x * c for x in row] for row in self.rows],
@@ -348,8 +351,9 @@ def word_product(m: int, word: GroupWord) -> UMatrix:
     mats = [_letter_power(m, name, power % _letter_order(m, name)) for name, power in word]
     if not mats:
         return UMatrix.identity(cyclotomic_field(field_order(m)), 2 * m)
-    first = mats[0]
-    return reduce(operator.matmul, mats[1:], UMatrix(first.field, first.rows, first.radicand))
+    if len(mats) == 1:
+        return UMatrix(mats[0].field, mats[0].rows, mats[0].radicand)
+    return reduce(operator.matmul, mats)
 
 
 # ---------------------------------------------------------------------------

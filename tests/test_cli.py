@@ -467,6 +467,8 @@ WEIL_DIGESTS = {
     (2, "-I"): ("acd02cd42c1690ae", "c2e0b0e0f8cc27a1", "e22b5711d288d244", "c2e0b0e0f8cc27a1"),
     (3, "S T^2 S^-1"): ("d2acd81ec5f33fee", "405d0e3d18c293d2", "e1e0f2f93755ff26", "405d0e3d18c293d2"),
     (5, "S T^3 S"): ("65960208a53ac73b", "33b8d2bd6fd6b455", "161ae1a3976dc161", "33b8d2bd6fd6b455"),
+    (6, "S T S"): ("70ecfcf8325644d9", "d480371035935211", "7b858a938af1637d", "d480371035935211"),
+    (10, "S T^-1 S"): ("853b9b1b12f259c7", "f5c525b83a250473", "eb257852cba6e4b8", "2f8626ea02092eba"),
     (30, "S T"): ("56f6e07d35488b56", "ca07fa7e90d1920c", "2cf95949b3a94454", "ca07fa7e90d1920c"),
 }
 

@@ -235,6 +235,25 @@ def test_lambda_star_fwd():
         lambda_star_fwd(tm, t0, m)
 
 
+def test_lambda_star_quotients_are_compared_in_one_difference_scan(monkeypatch):
+    calls = {"first_difference": 0, "same_below": 0}
+    for name in calls:
+        def spy(*args, _name=name, _method=getattr(PuiseuxSeries, name)):
+            calls[_name] += 1
+            return _method(*args)
+        monkeypatch.setattr(PuiseuxSeries, name, spy)
+    m = 3
+    t0 = theta_component(m, 0, 12)
+    tm = theta_component(m, m, 12)
+    q = PuiseuxSeries.monomial(1, 1, 12)
+    # the quotients are 1 and 1 + q
+    with pytest.raises(InconsistentPair, match=r"^quotients differ at q\^1$"):
+        lambda_star_fwd(tm, -(t0 + q * t0), m)
+    assert calls == {"first_difference": 1, "same_below": 0}
+    lambda_star_fwd(q * tm, -(q * t0), m)
+    assert calls == {"first_difference": 2, "same_below": 0}
+
+
 def test_lambda_star_round_trip():
     rng = random.Random(53)
     for m in (1, 2, 3):

@@ -255,6 +255,77 @@ def test_json_decodes_straight_into_the_layout():
     assert s.coeff(0) == CYC24.element([-1, -2], 2) and s.coeff(1) == 2
 
 
+# Inputs of the one series builder: the bound and, per term, its q-exponent,
+# the coefficient handed to the constructor, and the same coefficient as JSON,
+# which may be unnormalised
+BUILDER_CASES = {
+    "at-or-above-the-bound": ("1", [
+        ("1/2", 1, {"num": [1], "den": 1}),
+        ("7/5", 3, {"num": [3], "den": 1}),
+        ("1", F(1, 2), {"num": [1], "den": 2}),
+        ("2/3", F(5, 7), {"num": [5], "den": 7}),
+        ("4/3", imag_unit(), {"num": [0, 0, 0, 0, 0, 0, 1], "den": 1}),
+        ("0", 2, {"num": [2], "den": 1}),
+    ]),
+    "zero-coefficients": ("3", [
+        ("1/4", 0, {"num": [], "den": 1}),
+        ("0", 1, {"num": [1], "den": 1}),
+        ("1/3", CYC24.zero, {"num": [0, 0], "den": 3}),
+        ("2", -1, {"num": [-1], "den": 1}),
+    ]),
+    "unreduced-and-negative-denominators": ("2", [
+        ("1", CYC24.element([1, 0, -3], 4), {"num": [-2, 0, 6], "den": -8}),
+        ("0", CYC24.element([-1, -2], 2), {"num": [2, 4], "den": -4}),
+        ("1/2", F(1, 2), {"num": [3], "den": 6}),
+    ]),
+    "fields-24-40-120": ("2", [
+        ("0", CYC24.zeta(1), {"num": [0, 1], "den": 1}),
+        ("1/2", cyclotomic_field(40).zeta(1) / 2, {"num": [0, 1], "den": 2, "order": 40}),
+        ("1", cyclotomic_field(120).element([1, 0, 0, 1], 3),
+         {"num": [2, 0, 0, 2], "den": 6, "order": 120}),
+    ]),
+}
+
+
+@pytest.mark.parametrize("kind", ["puiseux", "jacobi"])
+@pytest.mark.parametrize("case", sorted(BUILDER_CASES))
+def test_constructor_and_json_build_the_same_series(case, kind):
+    vb, rows = BUILDER_CASES[case]
+    cls = PuiseuxSeries if kind == "puiseux" else JacobiSeries
+
+    def key(k, e):
+        return F(e) if kind == "puiseux" else (F(e), k % 3 - 1)
+
+    def term(k, e, coeff):
+        return {"exp": e, "coeff": coeff} if kind == "puiseux" else {"n": e, "r": k % 3 - 1, "coeff": coeff}
+
+    built = cls({key(k, e): c for k, (e, c, _j) in enumerate(rows)}, F(vb))
+    read = cls.from_json({"valid_below": vb, "meta": None,
+                          "terms": [term(k, e, j) for k, (e, _c, j) in enumerate(rows)]})
+    assert dump(built) == dump(read)
+    assert built == read and read == built
+    # nonzero terms below the bound, in insertion order
+    want = {key(k, e): coerce24(c) for k, (e, c, _j) in enumerate(rows)
+            if F(e) < F(vb) and coerce24(c)}
+    for s in (built, read):
+        assert type(s) is cls
+        assert_layout(s)
+        assert list(s.terms) == list(want)
+        assert all(s.terms[k] == c for k, c in want.items())
+
+
+def test_constructor_returns_its_class_and_compares_in_one_field():
+    assert type(PuiseuxSeries({0: 1}, 1)) is PuiseuxSeries
+    zero = JacobiSeries.zero(3)
+    assert type(zero) is JacobiSeries and zero.is_zero() and zero.valid_below == 3
+    assert (zero.field, zero.cden) == (CYC24, 1)
+    assert PuiseuxSeries.zero(2) == PuiseuxSeries({0: 0}, 2) != PuiseuxSeries.zero(3)
+    # == joins the two fields through the same check as every operator
+    big = PuiseuxSeries({0: cyclotomic_field(997).one}, 2)
+    with pytest.raises(ValueError, match=r"join in order 23928, above 1000"):
+        _ = big == PuiseuxSeries({0: 1}, 2)
+
+
 def test_mixed_field_terms_print_in_their_join():
     # coefficients in Q(zeta_24) and Q(zeta_40) are held, and printed, in
     # Q(zeta_120): zeta_24 = zeta_120^5 and zeta_40 = zeta_120^3

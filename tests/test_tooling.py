@@ -1,6 +1,7 @@
 """Static checks over the package source."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import jfkernel
@@ -168,3 +169,34 @@ def test_unread_constant_is_reported():
         "b.py": "from .a import LEFT\nprint(USED, _PRIVATE)\n",
     }
     assert _unread_constants(modules, ["import a\nx = a.TYPED\n"]) == [("a.py", 2, "LEFT")]
+
+
+def _tracer_tables():
+    """The name tables of ``bench/tracer.py``, read from its source without
+    running it."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
+    return {t.id: ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+            for t in node.targets if isinstance(t, ast.Name)
+            and t.id in ("METHODS", "JSON_METHODS", "JSON_FUNCTIONS", "TOTALS")}
+
+
+def test_every_name_the_bench_tracer_wraps_exists():
+    """The tracer wraps ``cls.__dict__[name]``, so each class must bind every
+    method it lists in its own body, not only inherit it."""
+    tables = _tracer_tables()
+    assert len(tables) == 4
+    missing = []
+    for table in (tables["METHODS"], tables["JSON_METHODS"]):
+        for layer, classes in table.items():
+            module = importlib.import_module(f"jfkernel.{layer}")
+            for cls_name, attrs in classes.items():
+                own = vars(getattr(module, cls_name))
+                missing += [f"{layer}.{cls_name}.{a}" for a in attrs if a not in own]
+    functions = [f"{layer}.{name}" for layer, names in tables["JSON_FUNCTIONS"].items()
+                 for name in names] + list(tables["TOTALS"])
+    for name in functions:
+        layer, attr = name.split(".")
+        if not hasattr(importlib.import_module(f"jfkernel.{layer}"), attr):
+            missing.append(name)
+    assert missing == []
+    assert callable(importlib.import_module("jfkernel.jacobi")._theta_component_terms.cache_info)

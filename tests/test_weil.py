@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from jfkernel.cyclotomic import CYC24, cyclotomic_field, from_rational, imag_unit
+from jfkernel import weil
+from jfkernel.cyclotomic import CYC24, _square_part, cyclotomic_field, from_rational, imag_unit
 from jfkernel.numeric import SnapFailed, fit_scalar
 from jfkernel.sl2 import (
     GENERATOR_MATRICES,
@@ -419,6 +420,29 @@ def test_umatrix_folds_square_part_of_radicand():
     U = UMatrix(f, rows, 18)
     assert U.radicand == 2
     assert U.rows == tuple(tuple(c / 3 for c in row) for row in rows)
+
+
+@pytest.mark.parametrize("ra, rb, radicand", [(6, 10, 15), (3, 5, 15), (2, 2, 1), (3, 3, 1)])
+def test_a_product_folds_the_square_of_its_radicands_into_its_denominator(ra, rb, radicand,
+                                                                          monkeypatch):
+    m = 6
+    s, t = u_gen_general(m, "S"), u_gen_general(m, "T")
+    a = UMatrix(s.field, (s @ t).rows, ra)
+    b = UMatrix(s.field, s.rows, rb)
+    want = _matmul_reference(a, b)
+    # the constructor, run by the product, finds no square left to fold
+    squares = []
+
+    def spy(n):
+        out = _square_part(n)
+        squares.append(out[0])
+        return out
+
+    monkeypatch.setattr(weil, "_square_part", spy)
+    got = a @ b
+    assert squares == [1]
+    assert got.field is want.field and got.rows == want.rows
+    assert got.radicand == want.radicand == radicand
 
 
 @pytest.mark.parametrize("m, gamma", [
