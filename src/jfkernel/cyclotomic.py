@@ -147,6 +147,39 @@ class CyclotomicField:
                     out[j] += c * v
         return out
 
+    # -- sparse coordinates -------------------------------------------------
+    # The kernels of jfkernel.series and jfkernel.weil hold a value as the
+    # tuple of its nonzero coordinates (i, v), ascending in i, over a
+    # denominator they keep apart; () is zero.
+
+    def _nonzero(self, acc) -> tuple:
+        """The nonzero coordinates of an unreduced int list over 1, zeta,
+        zeta^2, ...: reduced mod Phi_n when it is longer than the degree."""
+        if len(acc) > self.degree:
+            acc = self._reduce(acc)
+        return tuple([(i, v) for i, v in enumerate(acc) if v])
+
+    def _lift(self, xs, step) -> tuple:
+        """Coordinates ``xs`` of an element of Q(zeta_{n/step}) as coordinates
+        here: zeta_{n/step}^i is zeta^{i step}, reduced mod Phi_n.  The content
+        of the coordinates does not change, since 1 is part of a basis of
+        Z[zeta_n] over Z[zeta_{n/step}]."""
+        if step == 1:
+            return xs
+        acc = [0] * self.degree
+        rows = self._rows
+        for i, v in xs:
+            for j, w in rows[i * step]:
+                acc[j] += v * w
+        return self._nonzero(acc)
+
+    def _element(self, xs, den) -> "CycNumber":
+        """The element with coordinates ``xs`` over ``den``, normalised."""
+        num = [0] * self.degree
+        for i, v in xs:
+            num[i] = v
+        return self.element(num, den)
+
     def zeta(self, k: int = 1) -> "CycNumber":
         """The root of unity zeta_n^k."""
         num = [0] * self.degree

@@ -235,7 +235,7 @@ def _collapse(phi: JacobiSeries, k, meta) -> PuiseuxSeries:
                 acc[i] += w * x
     out = {}
     for n, acc in sums.items():
-        xs = tuple([(i, v) for i, v in enumerate(acc) if v])
+        xs = f._nonzero(acc)
         if xs:
             out[n] = xs
     return _normalised(PuiseuxSeries, out, L, phi.valid_below, meta, f, phi.cden * scale)

@@ -206,12 +206,12 @@ class _Series:
         """The terms keyed by ``Fraction`` q-exponents, in storage order."""
         den, qexp, with_q = self.den, self._qexp, self._with_q
         field, cden = self.field, self.cden
-        return MappingProxyType({with_q(k, Fraction(qexp(k), den)): _element(field, xs, cden)
+        return MappingProxyType({with_q(k, Fraction(qexp(k), den)): field._element(xs, cden)
                                  for k, xs in self._terms.items()})
 
     def _coeff(self, key) -> CycNumber:
         xs = self._terms.get(key)
-        return CYC24.zero if xs is None else _element(self.field, xs, self.cden)
+        return CYC24.zero if xs is None else self.field._element(xs, self.cden)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -233,7 +233,7 @@ class _Series:
         terms = self._terms
         if field is not self.field:
             step = field.n // self.field.n
-            terms = {k: _lift(xs, step, field) for k, xs in terms.items()}
+            terms = {k: field._lift(xs, step) for k, xs in terms.items()}
         if den == self.den:
             return terms
         f = den // self.den
@@ -335,7 +335,7 @@ class _Series:
                 acc = _dense(xs, size)
                 for i, v in ys:
                     acc[i] += v
-                xs = tuple([(i, v) for i, v in enumerate(acc) if v])
+                xs = field._nonzero(acc)
                 if xs:
                     out[k] = xs
                 else:
@@ -359,7 +359,7 @@ class _Series:
         if isinstance(other, CycNumber):
             field = common_field(self.field, other.field)
             y = field.embed(other)
-            ys = tuple([(i, v) for i, v in enumerate(y.num) if v])
+            ys = field._nonzero(y.num)
             out = _product(self._triples(self.den, field), [(0, 0, ys)] if ys else [],
                            _top(self.valid_below, self.den), field)
             return _normalised(type(self), self._from_triples(out), self.den, self.valid_below,
@@ -385,8 +385,8 @@ class _Series:
             items, tail = items[:max_terms], " + ..."
         if not items:
             return "0"
-        den, qexp, with_q = self.den, self._qexp, self._with_q
-        parts = [self._term_text(with_q(k, Fraction(qexp(k), den)), _element(self.field, xs, self.cden))
+        den, qexp, with_q, element = self.den, self._qexp, self._with_q, self.field._element
+        parts = [self._term_text(with_q(k, Fraction(qexp(k), den)), element(xs, self.cden))
                  for k, xs in items]
         text = parts[0]
         for p in parts[1:]:
@@ -408,7 +408,7 @@ class _Series:
         den = self.den
         return {
             "valid_below": _frac_str(*self.valid_below.as_integer_ratio()),
-            "terms": [self._term_json(k, den, _element(self.field, xs, self.cden).to_json())
+            "terms": [self._term_json(k, den, self.field._element(xs, self.cden).to_json())
                       for k, xs in sorted(self._terms.items(), key=itemgetter(0))],
             "meta": self.meta.to_json() if self.meta is not None else None,
         }
@@ -545,8 +545,8 @@ def _build(cls, pairs, valid_below, meta):
     field = _join(f for f, _num, _d in terms.values())
     cden = lcm(*[abs(d) for _f, _num, d in terms.values()])
     # a negative d makes cden // d negative, which moves the sign
-    out = {k: _lift(tuple([(i, v * (cden // d)) for i, v in enumerate(num) if v]),
-                    field.n // f.n, field)
+    out = {k: field._lift(tuple([(i, v * (cden // d)) for i, v in enumerate(num) if v]),
+                          field.n // f.n)
            for k, (f, num, d) in terms.items()}
     return _normalised(cls, out, den, valid_below, meta, field, cden)
 
@@ -559,32 +559,12 @@ def _dense(xs, size):
     return acc
 
 
-def _element(field, xs, cden) -> CycNumber:
-    """The coefficient with coordinates ``xs`` over ``cden``, normalised."""
-    return field.element(_dense(xs, field.degree), cden)
-
-
 def _join(fields):
     """The field of a series whose coefficients lie in ``fields``: their one
     field, or, when they differ, their join with Q(zeta_24), the field every
     kernel would compute in; Q(zeta_24) for none."""
     fields = set(fields)
     return fields.pop() if len(fields) == 1 else common_field(CYC24, *fields)
-
-
-def _lift(xs, step, field):
-    """Coordinates ``xs`` of an element of Q(zeta_n) as coordinates in
-    ``field`` = Q(zeta_{n step}): zeta_n^i is zeta^{i step}, reduced mod the
-    field's cyclotomic polynomial.  The content of the coordinates does not
-    change, since 1 is part of a basis of Z[zeta_{n step}] over Z[zeta_n]."""
-    if step == 1:
-        return xs
-    acc = [0] * field.degree
-    rows = field._rows
-    for i, v in xs:
-        for j, w in rows[i * step]:
-            acc[j] += v * w
-    return tuple([(j, v) for j, v in enumerate(acc) if v])
 
 
 def _scaled(xs, s):
@@ -637,12 +617,9 @@ def _product(a, b, top, field):
                     for i, x in xs:
                         for j, y in ys:
                             acc[i + j] += x * y
-    reduce = field._reduce if size > field.degree else None
     out = []
     for key, acc in sums.items():
-        if reduce is not None:
-            acc = reduce(acc)
-        xs = tuple([(i, v) for i, v in enumerate(acc) if v])
+        xs = field._nonzero(acc)
         if xs:
             r = (key + h) % width - h
             out.append(((key - r) // width, r, xs))
@@ -694,7 +671,7 @@ def div_exact(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
     f = common_field(CYC24, a.field, b.field)
     ta, tb = a._on_grid(a.den, f), b._on_grid(b.den, f)
     lead = min(tb)
-    lead_inv = _element(f, tb[lead], b.cden).inverse()
+    lead_inv = f._element(tb[lead], b.cden).inverse()
     L = lcm(a.den, b.den)
     fa, fb = L // a.den, L // b.den
     n_lead = lead * fb
@@ -783,13 +760,31 @@ def eta(order) -> PuiseuxSeries:
 
 
 def eta_power(exponent: int, order) -> PuiseuxSeries:
-    """eta^exponent below ``order`` (exponent >= 1)."""
+    """eta^exponent below ``order`` (exponent p >= 1), by J.C.P. Miller's
+    recurrence for the power of a power series.
+
+    eta = q^{1/24} P with P = sum a_k q^k, where a_0 = 1 and a_k is nonzero
+    only at the generalised pentagonal numbers.  Then P^p = sum b_n q^n with
+    b_0 = 1 and n b_n = sum_{k=1..n} ((p+1) k - n) a_k b_{n-k}, the division
+    exact; one pass costs about (terms of P^p) x (terms of P), for any p.
+    The terms are stored in ascending order of exponent.
+    """
     if exponent < 1:
         raise ValueError("exponent must be a positive integer")
-    base = eta(Fraction(order) - Fraction(exponent - 1, 24))
-    out = base
-    for _ in range(exponent - 1):
-        out = out * base
-    return out.with_meta(
-        FormMeta(weight=Fraction(exponent, 2), level=1, kind="cuspidal", source=f"eta^{exponent}")
-    )
+    order = Fraction(order)
+    # (k, a_k) for k >= 1, from the terms q^{1/24 + k} of eta below the
+    # order that p - 1 products with it would need; an order at or below
+    # p/24 is refused there
+    base = eta(order - Fraction(exponent - 1, 24))
+    a = [((n - 1) // 24, xs[0][1]) for n, xs in base._terms.items() if n > 1]
+    b = [1]
+    for n in range(1, (_top(order, 24) - exponent + 23) // 24):
+        acc = 0
+        for k, v in a:
+            if k > n:
+                break
+            acc += ((exponent + 1) * k - n) * v * b[n - k]
+        b.append(acc // n)
+    terms = {exponent + 24 * n: ((0, v),) for n, v in enumerate(b) if v}
+    meta = FormMeta(weight=Fraction(exponent, 2), level=1, kind="cuspidal", source=f"eta^{exponent}")
+    return _assemble(PuiseuxSeries, terms, 24, order, meta)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from functools import lru_cache, reduce
 
 from .cyclotomic import CYC24, CycNumber, _square_part, common_field, cyclotomic_field
@@ -55,102 +54,66 @@ class UMatrix:
     """A square matrix over a cyclotomic field divided by sqrt(radicand).
 
     The stored value is ``rows / sqrt(radicand)`` with radicand a positive
-    integer; construction folds square factors of the radicand into the
-    entries, so the radicand is always squarefree.
+    squarefree integer; the constructor folds square factors of a radicand
+    into the entries.  The entries are held as a series holds its
+    coefficients (:mod:`jfkernel.series`): each one the tuple of its nonzero
+    coordinates (i, v) in ``field``, ascending in i and () for zero, over one
+    positive matrix denominator ``den``, with gcd(den, every coordinate) = 1.
+    That form is canonical, so equal matrices over one field and radicand
+    have equal ``den`` and tuples.  :class:`CycNumber` appears only at the
+    edge: the constructor, which takes rows of them, and ``rows``, ``entry``,
+    ``det2``, ``to_complex`` and ``to_json``.  Instances are treated as
+    immutable.
     """
 
-    __slots__ = ("field", "rows", "radicand", "resolved", "_coords")
+    __slots__ = ("field", "den", "_entries", "radicand", "resolved")
 
-    def __init__(self, field, rows, radicand=1, resolved=False):
+    def __new__(cls, field, rows, radicand=1, resolved=False):
+        """Rows of :class:`CycNumber` entries, each lifted into ``field``;
+        an entry whose field does not embed there raises ValueError."""
         if radicand < 1:
             raise ValueError("radicand must be positive")
         s, radicand = _square_part(radicand)
-        if s != 1:
-            rows = [[field.element(c.num, c.den * s) for c in row] for row in rows]
-        self.field = field
-        self.rows = tuple(tuple(row) for row in rows)
-        self.radicand = radicand
-        self.resolved = resolved
-        self._coords = None
+        rows = [[field.embed(c) for c in row] for row in rows]
+        den = math.lcm(*[c.den for row in rows for c in row])
+        entries = [tuple([tuple([(i, v * (den // c.den)) for i, v in enumerate(c.num) if v])
+                          for c in row]) for row in rows]
+        return _normalised(field, den * s, entries, radicand, resolved)
 
     @property
     def size(self) -> int:
-        return len(self.rows)
+        return len(self._entries)
+
+    @property
+    def rows(self):
+        """The entries as :class:`CycNumber` rows, before the radicand;
+        built on each access."""
+        element, den = self.field._element, self.den
+        return tuple(tuple([element(xs, den) for xs in row]) for row in self._entries)
 
     def entry(self, i: int, j: int) -> CycNumber:
         """Exact entry value; folds the radicand into the field."""
-        if self.radicand == 1:
-            return self.rows[i][j]
-        return self.canonical().rows[i][j]
+        c = self.canonical()
+        return c.field._element(c._entries[i][j], c.den)
 
     @staticmethod
     def identity(field, size) -> "UMatrix":
-        rows = [
-            [field.one if i == j else field.zero for j in range(size)]
-            for i in range(size)
-        ]
-        return UMatrix(field, rows, 1, resolved=True)
+        return _diagonal(field.one, size)
 
     def canonical(self) -> "UMatrix":
-        """Fold sqrt(radicand) into the entries (radicand becomes 1)."""
+        """Fold sqrt(radicand) into the entries (radicand becomes 1): the
+        product with sqrt(d) I / sqrt(d), which is the identity."""
         if self.radicand == 1:
             return self
-        # 1/sqrt(d) = sqrt(d)/d
-        inv = self.field.sqrt_int(self.radicand).scale(Fraction(1, self.radicand))
-        rows = [[c * inv for c in row] for row in self.rows]
-        return UMatrix(self.field, rows, 1, self.resolved)
-
-    def _sparse_rows(self):
-        """(D, rows of the entries' sparse coordinates over D), computed on
-        first use, so a cached letter power is read once per process."""
-        if self._coords is None:
-            den = math.lcm(*[c.den for row in self.rows for c in row])
-            self._coords = den, [[[(i, v * (den // c.den)) for i, v in enumerate(c.num) if v]
-                                  for c in row] for row in self.rows]
-        return self._coords
+        return _product(self, _root_identity(self.field, self.size, self.radicand), self.resolved)
 
     def __matmul__(self, other: "UMatrix") -> "UMatrix":
-        """The product, normalised once per entry.
+        """The product; unresolved.  See :func:`_product`."""
+        return _product(self, other, False)
 
-        The entries of each operand are scaled to one denominator and kept
-        as sparse nonzero coordinates, once per matrix; every k-term of
-        entry (i, j) adds its coordinate convolution into one unreduced int
-        list, so the field reduces and normalises once per entry.  Zero
-        entries cost nothing, so a diagonal or permutation factor costs one
-        convolution per nonzero entry of the result.  Squarefree radicands
-        give ra rb = g^2 (ra rb / g^2), g = gcd(ra, rb): g joins the
-        denominator, and the constructor has no square left to fold.
-        """
-        a, b = self, other
-        if a.field is not b.field:
-            big = common_field(a.field, b.field)
-            a, b = a.embed(big), b.embed(big)
-        f, size = a.field, a.size
-        da, arows = a._sparse_rows()
-        db, brows = b._sparse_rows()
-        g = math.gcd(a.radicand, b.radicand)
-        den = da * db * g
-        width = 2 * f.degree - 1
-        rows = []
-        for ca in arows:
-            sums = [None] * size
-            for xs, brow in zip(ca, brows):
-                if not xs:
-                    continue
-                for j, ys in enumerate(brow):
-                    if ys:
-                        acc = sums[j]
-                        if acc is None:
-                            acc = sums[j] = [0] * width
-                        for p, x in xs:
-                            for q, y in ys:
-                                acc[p + q] += x * y
-            rows.append([f.zero if acc is None else f.element(acc, den) for acc in sums])
-        return UMatrix(f, rows, a.radicand * b.radicand // (g * g), resolved=False)
-
-    def scale(self, c) -> "UMatrix":
-        return UMatrix(self.field, [[x * c for x in row] for row in self.rows],
-                       self.radicand, self.resolved)
+    def scale(self, c: CycNumber) -> "UMatrix":
+        """The product with the scalar matrix c I, in the field the two share."""
+        return _product(self, _diagonal(c, self.size), self.resolved)
 
     def __pow__(self, e: int) -> "UMatrix":
         """Square and multiply from the first factor, so U^1 costs no
@@ -169,30 +132,56 @@ class UMatrix:
                 break
             base = base @ base
         if out is self and self.resolved:
-            out = UMatrix(self.field, self.rows, self.radicand)
+            out = self._with(resolved=False)
         return out
 
     def conj(self) -> "UMatrix":
-        return UMatrix(self.field, [[c.conj() for c in row] for row in self.rows],
-                       self.radicand, self.resolved)
+        """Complex conjugation zeta -> zeta^{-1}, entry by entry: coordinate i
+        moves to -i mod n, then reduces.  An automorphism of Z[zeta] keeps
+        the content of the coordinates, so ``den`` stays."""
+        f = self.field
+        n, nonzero = f.n, f._nonzero
+
+        def conj(xs):
+            if not xs:
+                return xs
+            acc = [0] * n
+            for i, v in xs:
+                acc[-i % n] = v
+            return nonzero(acc)
+
+        return self._with(tuple(tuple([conj(xs) for xs in row]) for row in self._entries))
 
     def transpose(self) -> "UMatrix":
-        return UMatrix(self.field, list(zip(*self.rows)), self.radicand,
-                       self.resolved)
+        return self._with(tuple(zip(*self._entries)))
 
     def conj_transpose(self) -> "UMatrix":
         """The inverse, for the unitary matrices produced in this module."""
         return self.conj().transpose()
 
     def embed(self, field) -> "UMatrix":
-        rows = [[field.embed(c) for c in row] for row in self.rows]
-        return UMatrix(field, rows, self.radicand, self.resolved)
+        """The same matrix over ``field``, whose order the own field's divides;
+        lifting keeps the content of the coordinates, so ``den`` stays."""
+        if field is self.field:
+            return self
+        if field.n % self.field.n:
+            raise ValueError(f"no embedding Q(zeta_{self.field.n}) -> Q(zeta_{field.n})")
+        step, lift = field.n // self.field.n, field._lift
+        entries = tuple(tuple([lift(xs, step) for xs in row]) for row in self._entries)
+        return _assemble(field, self.den, entries, self.radicand, self.resolved)
+
+    def _with(self, entries=None, resolved=None) -> "UMatrix":
+        """This matrix with other entries over the same denominator, or
+        another flag."""
+        return _assemble(self.field, self.den, self._entries if entries is None else entries,
+                         self.radicand, self.resolved if resolved is None else resolved)
 
     def det2(self) -> CycNumber:
         """Determinant of a 2x2 matrix (radicand divides out rationally)."""
         if self.size != 2:
             raise ValueError("det2 needs a 2x2 matrix")
-        d = self.rows[0][0] * self.rows[1][1] - self.rows[0][1] * self.rows[1][0]
+        rows = self.rows
+        d = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
         return d / self.radicand
 
     def __eq__(self, other):
@@ -206,7 +195,7 @@ class UMatrix:
         if a.field is not b.field:
             big = common_field(a.field, b.field)
             a, b = a.embed(big), b.embed(big)
-        return a.radicand == b.radicand and a.rows == b.rows
+        return a.den == b.den and a._entries == b._entries
 
     __hash__ = None
 
@@ -228,6 +217,86 @@ class UMatrix:
         if self.radicand != 1:
             out["sqrt_radicand"] = self.radicand
         return out
+
+
+def _assemble(field, den, entries, radicand, resolved) -> UMatrix:
+    """A matrix from entries already clean: rows of coordinate tuples in
+    ``field`` over ``den`` > 0, gcd(den, every coordinate) = 1, and a
+    squarefree radicand."""
+    out = object.__new__(UMatrix)
+    out.field = field
+    out.den = den
+    out._entries = entries
+    out.radicand = radicand
+    out.resolved = resolved
+    return out
+
+
+def _normalised(field, den, entries, radicand, resolved) -> UMatrix:
+    """:func:`_assemble` for rows of coordinates over ``den`` > 0 that may
+    share a factor with it: one running gcd over the matrix, which stops
+    once it is 1."""
+    g = den
+    for row in entries:
+        if g == 1:
+            break
+        for xs in row:
+            if xs:
+                g = math.gcd(g, *[v for _i, v in xs])
+    if g != 1:
+        entries = [tuple([tuple([(i, v // g) for i, v in xs]) for xs in row]) for row in entries]
+        den //= g
+    return _assemble(field, den, tuple(entries), radicand, resolved)
+
+
+def _product(a: UMatrix, b: UMatrix, resolved: bool) -> UMatrix:
+    """a b, normalised once.
+
+    Both operands are lifted into the field they share.  Every k-term of
+    entry (i, j) adds its coordinate convolution into one unreduced int list,
+    which the field reduces once per entry; a zero entry costs nothing, so a
+    diagonal or permutation factor costs one convolution per nonzero entry of
+    the result.  The coordinates are over the product of the denominators,
+    and squarefree radicands give ra rb = g^2 (ra rb / g^2), g = gcd(ra, rb):
+    g joins the denominator, and no square is left to fold.
+    """
+    if a.field is not b.field:
+        big = common_field(a.field, b.field)
+        a, b = a.embed(big), b.embed(big)
+    f, size = a.field, a.size
+    nonzero = f._nonzero
+    brows = b._entries
+    width = 2 * f.degree - 1
+    rows = []
+    for arow in a._entries:
+        sums = [None] * size
+        for xs, brow in zip(arow, brows):
+            if not xs:
+                continue
+            for j, ys in enumerate(brow):
+                if ys:
+                    acc = sums[j]
+                    if acc is None:
+                        acc = sums[j] = [0] * width
+                    for p, x in xs:
+                        for q, y in ys:
+                            acc[p + q] += x * y
+        rows.append(tuple([() if acc is None else nonzero(acc) for acc in sums]))
+    g = math.gcd(a.radicand, b.radicand)
+    return _normalised(f, a.den * b.den * g, rows, a.radicand * b.radicand // (g * g), resolved)
+
+
+def _diagonal(c: CycNumber, size: int, radicand: int = 1) -> UMatrix:
+    """c I / sqrt(radicand), resolved."""
+    zero = c.field.zero
+    return UMatrix(c.field, [[c if i == j else zero for j in range(size)] for i in range(size)],
+                   radicand, True)
+
+
+@lru_cache(maxsize=None)
+def _root_identity(field, size: int, d: int) -> UMatrix:
+    """sqrt(d) I / sqrt(d), the identity matrix with radicand d."""
+    return _diagonal(field.sqrt_int(d), size, d)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +323,7 @@ def u_gen(m: int, g: str) -> UMatrix:
             return UMatrix(f, rows, 2, True)
         if g == "-I":
             s = u_gen(1, "S")
-            out = s @ s
-            return UMatrix(out.field, out.rows, out.radicand, True)
+            return (s @ s)._with(resolved=True)
     if m == 2:
         if g == "T":
             return UMatrix(f, [[one, zero, zero, zero],
@@ -318,7 +386,7 @@ def u_gen_general(m: int, g: str) -> UMatrix:
     if g not in spellings:
         raise ValueError(f"unsupported generator letter {g!r}")
     out = reduce(operator.matmul, [u_gen_general(m, x) for x in spellings[g].split()])
-    return UMatrix(f, out.rows, out.radicand, True)
+    return out._with(resolved=True)
 
 
 def _letter_order(m: int, name: str) -> int:
@@ -352,7 +420,7 @@ def word_product(m: int, word: GroupWord) -> UMatrix:
     if not mats:
         return UMatrix.identity(cyclotomic_field(field_order(m)), 2 * m)
     if len(mats) == 1:
-        return UMatrix(mats[0].field, mats[0].rows, mats[0].radicand)
+        return mats[0]._with(resolved=False)
     return reduce(operator.matmul, mats)
 
 
@@ -411,13 +479,10 @@ def resolve_scalar(m: int, word: GroupWord, U: UMatrix | None = None):
     """
     if U is None:
         U = word_product(m, word)
-    rows = U.rows
     if word_scalar(word) == 1:
-        scalar = CYC24.one
-    else:
-        scalar = -CYC24.one
-        rows = [[-c for c in row] for row in rows]
-    return UMatrix(U.field, rows, U.radicand, True), scalar
+        return U._with(resolved=True), CYC24.one
+    negated = tuple(tuple([tuple([(i, -v) for i, v in xs]) for xs in row]) for row in U._entries)
+    return U._with(negated, True), -CYC24.one
 
 
 def resolve(m: int, word: GroupWord) -> UMatrix:
@@ -433,19 +498,17 @@ def in_X(V: UMatrix) -> bool:
     (1,1)/(3,3) and (1,3)/(3,1) entries."""
     if V.size != 4:
         return False
-    for i in range(4):
-        for j in range(4):
-            if (i + j) % 2 == 1 and not V.rows[i][j].is_zero():
-                return False
-    return V.rows[1][1] == V.rows[3][3] and V.rows[1][3] == V.rows[3][1]
+    e = V._entries
+    if any(e[i][j] for i in range(4) for j in range(4) if (i + j) % 2):
+        return False
+    return e[1][1] == e[3][3] and e[1][3] == e[3][1]
 
 
 def r_char(V: UMatrix) -> CycNumber:
     """The character V -> v_{11} + v_{13} on the subgroup X."""
     if not in_X(V):
         raise NotInX("matrix is not in the checkerboard subgroup")
-    Vc = V.canonical()
-    return Vc.rows[1][1] + Vc.rows[1][3]
+    return V.entry(1, 1) + V.entry(1, 3)
 
 
 def rho2(word: GroupWord) -> UMatrix:
@@ -458,8 +521,7 @@ def rho2(word: GroupWord) -> UMatrix:
     r = r_char(U2)
     gamma2 = gamma_dilate(gamma, 2)
     U1 = resolve(1, sl2_word(gamma2))
-    out = U1.conj().canonical().scale(r.inverse())
-    return UMatrix(out.field, out.rows, out.radicand, True)
+    return U1.conj().canonical().scale(r.inverse())
 
 
 def omega_m(gamma: SL2Mat, m: int) -> CycNumber:
@@ -475,8 +537,8 @@ def cusp_entry_values(c: int):
     if c < 1:
         raise ValueError("c must be a positive integer")
     word = GroupWord.of(("S", 1), ("T", -c), ("S", 1))
-    U = resolve(2, word).canonical()
-    return U.rows[0][0], U.rows[2][0]
+    U = resolve(2, word)
+    return U.entry(0, 0), U.entry(2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +550,7 @@ def block_rows_vanish(m: int, W: UMatrix) -> bool:
 
     Scalar-invariant, so it applies to unresolved products.
     """
-    for i in (0, m):
-        for j in range(2 * m):
-            if j not in (0, m) and not W.rows[i][j].is_zero():
-                return False
-    return True
+    return not any(W._entries[i][j] for i in (0, m) for j in range(2 * m) if j not in (0, m))
 
 
 def submatrix_proportional(m: int, W: UMatrix, W1: UMatrix) -> bool:
@@ -503,10 +561,12 @@ def submatrix_proportional(m: int, W: UMatrix, W1: UMatrix) -> bool:
     entries are compared exactly in the compositum field.
     """
     big = common_field(W.field, W1.field)
-    sub = [[big.embed(W.rows[i][j]) for j in (0, m)] for i in (0, m)]
-    ref = [[big.embed(W1.rows[i][j]) for j in (0, 1)] for i in (0, 1)]
-    flat_a = [sub[i][j] for i in range(2) for j in range(2)]
-    flat_b = [ref[i][j] for i in range(2) for j in range(2)]
+
+    def corners(U, k):
+        element = U.field._element
+        return [big.embed(element(U._entries[i][j], U.den)) for i in (0, k) for j in (0, k)]
+
+    flat_a, flat_b = corners(W, m), corners(W1, 1)
     for i in range(4):
         for j in range(i + 1, 4):
             if flat_a[i] * flat_b[j] != flat_a[j] * flat_b[i]:

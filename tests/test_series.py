@@ -6,6 +6,7 @@ import pytest
 from jfkernel.cyclotomic import CYC24, imag_unit
 from jfkernel.series import (
     ExactDivisionError,
+    FormMeta,
     PuiseuxSeries,
     dilate,
     div_exact,
@@ -129,6 +130,28 @@ def test_div_exact_round_trip():
     a = t21 * series({0: 1, 1: 1}, 6)
     q = div_exact(a, t21)
     assert q.same_below(series({0: 1, 1: 1}, 6), min(q.valid_below, 6))
+
+
+@pytest.mark.parametrize("order", [F(1, 2), F(7, 3), F(50), F(400)])
+def test_eta_power_matches_the_repeated_product(order):
+    """Miller's recurrence against p - 1 products with eta below the order
+    they need: the same terms, bound, grid and field for p = 1..30, stored in
+    ascending order, and the same refusal of an order at or below p/24."""
+    for p in range(1, 31):
+        if order <= F(p, 24):
+            with pytest.raises(ValueError, match="order must exceed 1/24"):
+                eta_power(p, order)
+            continue
+        base = eta(order - F(p - 1, 24))
+        want = base
+        for _ in range(p - 1):
+            want = want * base
+        got = eta_power(p, order)
+        assert got._terms == want._terms, p
+        assert (got.valid_below, got.den, got.field, got.cden) == \
+            (want.valid_below, want.den, want.field, want.cden)
+        assert list(got._terms) == sorted(got._terms)
+        assert got.meta == FormMeta(weight=F(p, 2), level=1, kind="cuspidal", source=f"eta^{p}")
 
 
 def test_div_exact_eta_cube():

@@ -2,7 +2,12 @@
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import jfkernel
 
@@ -200,3 +205,18 @@ def test_every_name_the_bench_tracer_wraps_exists():
             missing.append(name)
     assert missing == []
     assert callable(importlib.import_module("jfkernel.jacobi")._theta_component_terms.cache_info)
+
+
+@pytest.mark.parametrize("workload", ["weil-deep", "kernel-deep"])
+def test_bench_outputs_match_their_recorded_digests(workload):
+    """Every output of a benchmark workload at seed 3, hashed per job by
+    ``bench/child.py``, against ``bench/digests.json``: the child fails a job
+    whose digest differs, and the digests it prints are the recorded ones."""
+    recorded = json.loads((ROOT / "bench" / "digests.json").read_text())[workload]["3"]
+    proc = subprocess.run([sys.executable, str(ROOT / "bench" / "child.py"),
+                           "--workload", workload, "--seed", "3"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["failed"] == [], out["errors"]
+    assert out["digests"] == recorded

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -53,15 +54,17 @@ def _matmul_reference(a, b):
         big = cyclotomic_field(n)
         a, b = a.embed(big), b.embed(big)
     size = a.size
+    # the CycNumber views, built once per operand
+    arows, brows = a.rows, b.rows
     rows = []
     for i in range(size):
-        arow = a.rows[i]
+        arow = arows[i]
         row = []
         for j in range(size):
             acc = a.field.zero
             for k in range(size):
-                if not arow[k].is_zero() and not b.rows[k][j].is_zero():
-                    acc = acc + arow[k] * b.rows[k][j]
+                if not arow[k].is_zero() and not brows[k][j].is_zero():
+                    acc = acc + arow[k] * brows[k][j]
             row.append(acc)
         rows.append(row)
     return UMatrix(a.field, rows, a.radicand * b.radicand, resolved=False)
@@ -307,51 +310,245 @@ def test_matmul_matches_reference_on_special_entries():
     assert (u_gen(2, "S") @ mixed).field is f120
 
 
-def test_right_operand_coordinates_are_read_once_and_stay_right():
+def _assert_layout(U):
+    """The stored form: a positive int ``den`` sharing no factor with every
+    coordinate, a squarefree radicand, and each entry the tuple of its
+    nonzero int coordinates (i, v), ascending in i below the degree, () for
+    zero; it is the form the constructor gives for ``U.rows``."""
+    assert type(U.den) is int and U.den > 0
+    assert type(U._entries) is tuple and len(U._entries) == U.size
+    g = U.den
+    for row in U._entries:
+        assert type(row) is tuple and len(row) == U.size
+        for xs in row:
+            assert type(xs) is tuple
+            index = [i for i, _v in xs]
+            assert index == sorted(set(index)) and all(0 <= i < U.field.degree for i in index)
+            assert all(type(v) is int and v for _i, v in xs)
+            g = math.gcd(g, *[v for _i, v in xs])
+    assert g == 1
+    assert _square_part(U.radicand) == (1, U.radicand)
+    again = UMatrix(U.field, U.rows, U.radicand, U.resolved)
+    assert (again.den, again._entries) == (U.den, U._entries)
+
+
+def _random_matrix(rng, field, size, radicand=1):
+    """Entries with small coordinates over small denominators, a third zero."""
+    return UMatrix(field, [[field.zero if rng.random() < 1 / 3 else
+                            field.element([rng.randint(-3, 3) for _ in range(field.degree)],
+                                          rng.randint(1, 6))
+                            for _ in range(size)] for _ in range(size)], radicand)
+
+
+def _rows_of(U):
+    return [list(row) for row in U.rows]
+
+
+def test_right_operand_layout_and_products_match_the_reference():
+    # the inputs of the former right-operand caching test
     rng = random.Random(53)
     for m in (1, 2, 5):
         b = word_product(m, GroupWord.of(("S", 1), ("T", 3), ("ST2S", -1)))
-        assert b._coords is None
         lefts = [u_gen_general(m, "S"), u_gen_general(m, "T"),
                  word_product(m, GroupWord.of(("T", -1), ("S", 1)))]
+        for U in [b, *lefts]:
+            _assert_layout(U)
         for a in lefts:
             _assert_same_product(a, b)
-        # filled by the first product and reused, unchanged, by the others
-        coords = b._coords
-        assert coords is not None
-        _assert_same_product(lefts[0], b)
-        assert b._coords is coords
-        # an embedded copy reads its own coordinates in the larger field
+            _assert_layout(a @ b)
+        # an embedded copy holds the lifted coordinates over the same den
         big = cyclotomic_field(2 * b.field.n)
         wide = b.embed(big)
-        assert wide._coords is None
+        _assert_layout(wide)
+        assert wide.field is big and wide.den == b.den
+        assert wide.rows == tuple(tuple(big.embed(c) for c in row) for row in b.rows)
+        assert wide == b
         _assert_same_product(lefts[0].embed(big), wide)
         _assert_same_product(wide, wide)
-        # a cross-field product embeds the cached operand, not its coordinates
+        _assert_layout(wide @ wide)
+        # a cross-field product embeds both operands
         f = b.field
         mixed = UMatrix(f, [[f.element([rng.randint(-3, 3) for _ in range(f.degree)],
                                        rng.randint(1, 6)) for _ in range(2 * m)]
                             for _ in range(2 * m)])
+        _assert_layout(mixed)
         _assert_same_product(mixed, b)
         _assert_same_product(mixed.embed(big), b)
-        assert b._coords is coords
+        _assert_layout(mixed.embed(big) @ b)
 
 
-def test_left_operand_coordinates_are_read_once_and_stay_right():
+def test_left_operand_layout_and_products_match_the_reference():
+    # the inputs of the former left-operand caching test
     for m in (1, 2, 5):
         a = word_product(m, GroupWord.of(("ST2S", 1), ("T", -2), ("S", 1)))
         rights = [u_gen_general(m, "T"), u_gen_general(m, "S"),
                   word_product(m, GroupWord.of(("S", -1), ("T", 1)))]
-        _assert_same_product(a, rights[0])
-        coords = a._coords
-        assert coords is not None
-        # the same left operand twice, against other right operands and itself
+        _assert_layout(a)
         for b in rights:
             _assert_same_product(a, b)
-            _assert_same_product(a, b)
+            _assert_layout(a @ b)
         _assert_same_product(a, a)
-        assert a._coords is coords
-        assert a ** 3 == _matmul_reference(_matmul_reference(a, a), a)
+        cube = a ** 3
+        _assert_layout(cube)
+        assert cube == _matmul_reference(_matmul_reference(a, a), a)
+
+
+FIELDS = (24, 40, 120)
+RADICANDS = (1, 2, 3, 6, 10)
+
+
+def _has_root(field, d):
+    """sqrt(d) lies in Q(zeta_n): 8 | n for the factor 2, p | n for odd p."""
+    return (d % 2 == 0) <= (field.n % 8 == 0) and all(field.n % p == 0 for p in (3, 5) if d % p == 0)
+
+
+@pytest.mark.parametrize("n", FIELDS)
+def test_every_operation_keeps_the_layout_and_matches_cycnumber_references(n):
+    rng = random.Random(59 + n)
+    f = cyclotomic_field(n)
+    for radicand in RADICANDS:
+        for size in (2, 3):
+            A = _random_matrix(rng, f, size, radicand)
+            B = _random_matrix(rng, f, size, rng.choice(RADICANDS))
+            rows = _rows_of(A)
+            for U in (A, B, UMatrix.identity(f, size)):
+                _assert_layout(U)
+            # products and powers, negative ones included
+            _assert_same_product(A, B)
+            _assert_layout(A @ B)
+            want = UMatrix.identity(f, size)
+            for e in range(1, 5):
+                want = _matmul_reference(want, A)
+                got = A ** e
+                _assert_layout(got)
+                assert got.rows == want.rows and got.radicand == want.radicand, e
+            inverse_power = A ** -2
+            _assert_layout(inverse_power)
+            ct = A.conj_transpose()
+            assert inverse_power == _matmul_reference(ct, ct)
+            # conjugation, transposition and their composite, entry by entry
+            conj = A.conj()
+            _assert_layout(conj)
+            assert _rows_of(conj) == [[c.conj() for c in row] for row in rows]
+            assert conj.radicand == A.radicand
+            transpose = A.transpose()
+            _assert_layout(transpose)
+            assert _rows_of(transpose) == [list(col) for col in zip(*rows)]
+            _assert_layout(ct)
+            assert _rows_of(ct) == [[c.conj() for c in col] for col in zip(*rows)]
+            # embedding into a larger field lifts each entry
+            big = cyclotomic_field(2 * n)
+            wide = A.embed(big)
+            _assert_layout(wide)
+            assert _rows_of(wide) == [[big.embed(c) for c in row] for row in rows]
+            assert A.embed(f) is A
+            # scaling by an element, one of another field, a rational and zero
+            c = f.element([rng.randint(-2, 2) for _ in range(f.degree)], rng.randint(1, 4))
+            for x in (c, CYC24.zeta(5), from_rational(Fraction(-3, 7)), f.zero):
+                scaled = A.scale(x)
+                _assert_layout(scaled)
+                assert _rows_of(scaled) == [[e * x for e in row] for row in rows], x
+                assert scaled.radicand == A.radicand
+            # the folded form, where sqrt(radicand) lies in the field
+            if _has_root(f, radicand):
+                canonical = A.canonical()
+                _assert_layout(canonical)
+                root = f.sqrt_int(radicand) / radicand
+                want_rows = [[e * root for e in row] for row in rows]
+                assert canonical.radicand == 1 and _rows_of(canonical) == want_rows
+                assert [[A.entry(i, j) for j in range(size)] for i in range(size)] == want_rows
+                assert canonical == A and A == canonical
+                assert canonical.embed(big) == A and A == canonical.embed(big)
+            # the CycNumber edge
+            assert A.to_json()["entries"] == [e.to_json() for row in rows for e in row]
+            assert A.to_json().get("sqrt_radicand", 1) == A.radicand
+            if size == 2:
+                det = (rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]) / A.radicand
+                assert A.det2() == det
+
+
+def test_constructor_reads_rows_and_folds_squares_into_the_layout():
+    rng = random.Random(61)
+    for n in FIELDS:
+        f = cyclotomic_field(n)
+        for radicand in RADICANDS:
+            rows = _rows_of(_random_matrix(rng, f, 3))
+            for s in (1, 2, 3):
+                U = UMatrix(f, rows, radicand * s * s)
+                _assert_layout(U)
+                assert U.radicand == radicand
+                assert _rows_of(U) == [[c / s for c in row] for row in rows]
+                # a factor s of every entry cancels the folded s
+                scaled = UMatrix(f, [[c * s for c in row] for row in rows], radicand * s * s)
+                _assert_layout(scaled)
+                assert (scaled.den, scaled._entries) == (UMatrix(f, rows, radicand).den,
+                                                         UMatrix(f, rows, radicand)._entries)
+    zero = UMatrix(CYC24, [[CYC24.zero] * 3 for _ in range(3)], 8)
+    _assert_layout(zero)
+    assert zero.den == 1 and zero._entries == (((),) * 3,) * 3
+
+
+def test_equality_across_fields_and_radicands():
+    rng = random.Random(67)
+    f24, f40, f120 = (cyclotomic_field(n) for n in FIELDS)
+    for radicand in (1, 2, 3, 6):
+        A = _random_matrix(rng, f24, 3, radicand)
+        # across fields: the same matrix embedded, and a changed entry
+        for big in (f120, cyclotomic_field(48)):
+            wide = A.embed(big)
+            assert wide == A and A == wide
+            rows = _rows_of(wide)
+            rows[1][2] = rows[1][2] + big.zeta(1)
+            assert UMatrix(big, rows, radicand) != A
+        # across radicands: sqrt(d)/d folded into the entries is the same matrix
+        root = f24.sqrt_int(radicand) / radicand
+        folded = UMatrix(f24, [[c * root for c in row] for row in _rows_of(A)])
+        assert folded == A and A == folded
+        assert UMatrix(f24, _rows_of(A), radicand * 4) != A
+    # radicands 2 and 10 over Q(zeta_40), and a matrix over Q(zeta_24)
+    # against one over Q(zeta_40), equal in Q(zeta_120)
+    for radicand in (2, 10):
+        A = _random_matrix(rng, f40, 2, radicand)
+        root = f40.sqrt_int(radicand) / radicand
+        assert UMatrix(f40, [[c * root for c in row] for row in _rows_of(A)]) == A
+    rational = UMatrix(f24, [[f24.one, f24.from_fraction(Fraction(1, 3))], [f24.zero, -f24.one]], 2)
+    same = UMatrix(f40, [[f40.one, f40.from_fraction(Fraction(1, 3))], [f40.zero, -f40.one]], 2)
+    assert rational == same and same == rational
+    assert rational != UMatrix(f40, _rows_of(same), 10)
+    assert rational != UMatrix.identity(f24, 3)
+
+
+def test_constructor_lifts_entries_of_a_subfield_and_refuses_others():
+    f120 = cyclotomic_field(120)
+    zero, one = CYC24.zero, CYC24.one
+    U = UMatrix(f120, [[CYC24.zeta(1), zero], [zero, one]])
+    _assert_layout(U)
+    assert U.field is f120 and U.rows[0][0] == f120.zeta(5)
+    assert (U @ U).entry(0, 0) == f120.zeta(10) == CYC24.zeta(2)
+    assert (U @ U).entry(0, 0) != f120.zeta(2)
+    assert U == UMatrix(f120, [[f120.zeta(5), f120.zero], [f120.zero, f120.one]])
+    assert U != UMatrix(f120, [[f120.zeta(1), f120.zero], [f120.zero, f120.one]])
+    with pytest.raises(ValueError, match="no embedding"):
+        UMatrix(cyclotomic_field(40), [[CYC24.zeta(1), zero], [zero, one]])
+    with pytest.raises(ValueError, match="no embedding"):
+        UMatrix(CYC24, [[f120.zeta(1)]])
+
+
+def test_resolved_sign_negates_the_coordinates():
+    rng = random.Random(71)
+    signs = set()
+    for m in (1, 2, 3, 5):
+        for _ in range(8):
+            w = random_sl2_word(rng, 6)
+            U = word_product(m, w)
+            R, scalar = resolve_scalar(m, w, U)
+            _assert_layout(R)
+            assert R.resolved and (R.den, R.radicand, R.field) == (U.den, U.radicand, U.field)
+            sign = word_scalar(w)
+            signs.add(sign)
+            assert scalar == sign
+            assert _rows_of(R) == [[c * sign for c in row] for row in U.rows]
+    assert signs == {1, -1}
 
 
 def test_word_product_flags_and_fresh_objects():
@@ -430,7 +627,7 @@ def test_a_product_folds_the_square_of_its_radicands_into_its_denominator(ra, rb
     a = UMatrix(s.field, (s @ t).rows, ra)
     b = UMatrix(s.field, s.rows, rb)
     want = _matmul_reference(a, b)
-    # the constructor, run by the product, finds no square left to fold
+    # the product runs no square-part search: it has no square to fold
     squares = []
 
     def spy(n):
@@ -440,7 +637,7 @@ def test_a_product_folds_the_square_of_its_radicands_into_its_denominator(ra, rb
 
     monkeypatch.setattr(weil, "_square_part", spy)
     got = a @ b
-    assert squares == [1]
+    assert squares == []
     assert got.field is want.field and got.rows == want.rows
     assert got.radicand == want.radicand == radicand
 
