@@ -17,9 +17,10 @@ normalised derivative D = q d/dq:
                       on the 0 and m components;
 * psi_form          = the quotient phi0/xi2 = -phi2/xi0 attached to a pair
                       killed by both restriction and heat operator;
-* psi_0m            = the projection onto the 0 and m components;
-* remark_maps       = the auxiliary isomorphisms between the vector-valued
-                      and scalar pictures.
+* psi_0m            = the projection onto the 0 and m components.
+
+The two inverse maps and the projection are theta sums sum_r h_r
+theta_j(m, r), built by :func:`~jfkernel.jacobi.recompose`.
 
 The heat operator interacts with the inverse maps through exact series
 identities (constants 8k and 4mk) which the verify module re-derives by
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import _square_part
-from .jacobi import JacobiSeries, d2_hat, theta_component, theta_decompose, theta_j
+from .jacobi import JacobiSeries, d2_hat, recompose, theta_component, theta_decompose
 from .series import FormMeta, PuiseuxSeries, _entry, _expect, dilate, div_exact, eta_power, euler_d
 
 
@@ -42,10 +43,6 @@ class InconsistentPair(ValueError):
 
 class CompatibilityFailed(ValueError):
     """phi0 xi0 + phi2 xi2 does not vanish on the common range."""
-
-
-class ConstraintFailed(ValueError):
-    """A remark-map precondition fails on the given pair."""
 
 
 class NonSquarefreeIndex(ValueError):
@@ -59,9 +56,6 @@ class VVPair:
     comp0: PuiseuxSeries
     comp2: PuiseuxSeries
     meta: FormMeta | None = None
-
-    def agreement_bound(self):
-        return min(self.comp0.valid_below, self.comp2.valid_below)
 
     def to_json(self):
         return {
@@ -144,6 +138,15 @@ def lambda2_fwd(h20: PuiseuxSeries, h22: PuiseuxSeries) -> VVPair:
     return VVPair(phi0, phi2, meta)
 
 
+def _inverse_meta(phi: PuiseuxSeries, m: int, source: str) -> FormMeta:
+    """The metadata of an inverse map's output at index m: weight + 1 at
+    phi's level when phi has a weight."""
+    if phi.meta is not None and phi.meta.weight is not None:
+        return FormMeta(weight=phi.meta.weight + 1, index=m, level=phi.meta.level,
+                        kind="unchecked", source=source)
+    return FormMeta(index=m, kind="unchecked", source=source)
+
+
 def lambda2_inv(phi0: PuiseuxSeries, phi2: PuiseuxSeries, order) -> JacobiSeries:
     """Rebuild the kernel element of a pair:
 
@@ -158,16 +161,8 @@ def lambda2_inv(phi0: PuiseuxSeries, phi2: PuiseuxSeries, order) -> JacobiSeries
     t1 = theta_component(2, 1, order)
     t2 = theta_component(2, 2, order)
     mid = (phi0 * t0 + phi2 * t2) * Fraction(-1, 2)
-    out = (
-        (phi0 * t1) * theta_j(2, 0, order)
-        + mid * (theta_j(2, 1, order) + theta_j(2, 3, order))
-        + (phi2 * t1) * theta_j(2, 2, order)
-    )
-    meta = FormMeta(index=2, kind="unchecked", source="lambda2_inv")
-    if phi0.meta is not None and phi0.meta.weight is not None:
-        meta = FormMeta(weight=phi0.meta.weight + 1, index=2,
-                        level=phi0.meta.level, kind="unchecked", source="lambda2_inv")
-    return out.with_meta(meta)
+    out = recompose({0: phi0 * t1, 1: mid, 2: phi2 * t1, 3: mid}, 2, order)
+    return out.with_meta(_inverse_meta(phi0, 2, "lambda2_inv"))
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +209,8 @@ def lambda_star_inv(phi: PuiseuxSeries, m: int, order) -> JacobiSeries:
     order = Fraction(order)
     t0 = theta_component(m, 0, order)
     tm = theta_component(m, m, order)
-    out = (phi * tm) * theta_j(m, 0, order) - (phi * t0) * theta_j(m, m, order)
-    meta = FormMeta(index=m, kind="unchecked", source=f"lambda_star_inv({m})")
-    if phi.meta is not None and phi.meta.weight is not None:
-        meta = FormMeta(weight=phi.meta.weight + 1, index=m,
-                        level=phi.meta.level, kind="unchecked",
-                        source=f"lambda_star_inv({m})")
-    return out.with_meta(meta)
+    out = recompose({0: phi * tm, m: -(phi * t0)}, m, order)
+    return out.with_meta(_inverse_meta(phi, m, f"lambda_star_inv({m})"))
 
 
 # ---------------------------------------------------------------------------
@@ -251,42 +241,8 @@ def psi_0m(phi: JacobiSeries, m: int) -> JacobiSeries:
     Idempotent on decomposable series.
     """
     comps = theta_decompose(phi, m)
-    order = phi.valid_below
-    out = comps[0] * theta_j(m, 0, order) + comps[m] * theta_j(m, m, order)
+    out = recompose({0: comps[0], m: comps[m]}, m, phi.valid_below)
     return out.with_meta(FormMeta(index=m, kind="unchecked", source=f"psi_0m({m})"))
-
-
-# ---------------------------------------------------------------------------
-# Remark maps between the two vector-valued pictures
-
-
-def remark_maps(pair: VVPair, direction: str):
-    """Auxiliary isomorphisms on component pairs.
-
-    * ``r3_fwd``: divide both components by theta_{2,1};
-    * ``r3_inv``: multiply both components by theta_{2,1};
-    * ``r4``: for a pair with phi0 th20 + phi2 th22 = 0, return
-      phi0 th21 / th22, checking it equals -phi2 th21 / th20.
-    """
-    order = pair.agreement_bound() + 2
-    t1 = theta_component(2, 1, order)
-    if direction == "r3_fwd":
-        return VVPair(div_exact(pair.comp0, t1), div_exact(pair.comp2, t1),
-                      FormMeta(source="remark_r3_fwd"))
-    if direction == "r3_inv":
-        return VVPair(pair.comp0 * t1, pair.comp2 * t1, FormMeta(source="remark_r3_inv"))
-    if direction == "r4":
-        t0 = theta_component(2, 0, order)
-        t2 = theta_component(2, 2, order)
-        combo = pair.comp0 * t0 + pair.comp2 * t2
-        if not combo.is_zero():
-            raise ConstraintFailed(
-                f"phi0 th20 + phi2 th22 has a term at q^{combo.val()}"
-            )
-        q = _common_quotient(pair.comp0 * t1, t2, -(pair.comp2 * t1), t0,
-                             lambda *_: ConstraintFailed("the two quotients disagree"))
-        return q.with_meta(FormMeta(source="remark_r4"))
-    raise ValueError(f"unknown direction {direction!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .series import (
     _normalised,
     _q_text,
     _Series,
+    _sum,
     _top,
 )
 
@@ -312,13 +313,16 @@ def theta_decompose(phi: JacobiSeries, m: int) -> list[PuiseuxSeries]:
 
 
 def recompose(components, m: int, order) -> JacobiSeries:
-    """sum_r h_r * theta_j(m, r); inverse of :func:`theta_decompose`."""
-    if len(components) != 2 * m:
-        raise ValueError("need exactly 2m components")
-    out = JacobiSeries.zero(order)
-    for r, h in enumerate(components):
-        out = out + h * theta_j(m, r, Fraction(order))
-    return out
+    """sum_r h_r theta_j(m, r) for a mapping {r: h_r}, each r in 0..2m-1,
+    the products added in one pass; inverse of :func:`theta_decompose`.  The
+    bound is the sum's own, and {} gives the zero series below ``order``."""
+    for r in components:
+        if not (_is_int(r) and 0 <= r < 2 * m):
+            raise ValueError(f"component {r!r} is not in 0..{2 * m - 1}")
+    if not components:
+        return JacobiSeries.zero(order)
+    order = Fraction(order)
+    return _sum(JacobiSeries, [h * theta_j(m, r, order) for r, h in components.items()])
 
 
 def symmetry_check(phi: JacobiSeries, m: int) -> bool:
@@ -336,12 +340,22 @@ def tau_shift(a):
     """Formal substitution tau -> tau + 1: multiply c q^e by e^{2 pi i e}.
 
     Needs every exponent denominator to divide 24 so the phase stays inside
-    Q(zeta_24).
+    Q(zeta_24).  The coefficients go into their join f with Q(zeta_24), and
+    the phase zeta_24^{24e} moves coordinate i to i + (24e mod 24) n/24,
+    reduced through f's rows; a root of unity keeps their content, so the
+    series denominator stays as it is.
     """
+    f = common_field(CYC24, a.field)
+    den, qexp, step, rows = a.den, a._qexp, f.n // 24, f._rows
     out = {}
-    for k, c in a.terms.items():
-        e = a._qexp(k)
-        if (24 * e).denominator != 1:
-            raise ValueError(f"exponent {e} leaves Q(zeta_24) under the shift")
-        out[k] = c * CYC24.zeta(int(24 * e) % 24)
-    return type(a)(out, a.valid_below, a.meta)
+    for k, xs in a._on_grid(den, f).items():
+        n = qexp(k)
+        if 24 * n % den:
+            raise ValueError(f"exponent {Fraction(n, den)} leaves Q(zeta_24) under the shift")
+        shift = (24 * n // den) % 24 * step
+        acc = [0] * f.degree
+        for i, v in xs:
+            for j, w in rows[(i + shift) % f.n]:
+                acc[j] += v * w
+        out[k] = f._nonzero(acc)
+    return _assemble(type(a), out, den, a.valid_below, a.meta, f, a.cden)

@@ -407,6 +407,7 @@ def test_pipeline_outputs_keep_their_bytes(tmp_path):
     import hashlib
 
     from jfkernel.construct import xi_pair_hat
+    from jfkernel.jacobi import theta_j
 
     def run_on(argv, text):
         src = tmp_path / "in.json"
@@ -426,6 +427,8 @@ def test_pipeline_outputs_keep_their_bytes(tmp_path):
     star_comps = run_on(["decompose", "--m", "2", "--format", "json"], star)
     hs = json.loads(star_comps)
     xi0, xi2 = xi_pair_hat(10)
+    weighted = phi0.to_json()
+    weighted["meta"] = {"weight": "2", "level": 3}
     outputs = {
         "lambda2-inv": phi,
         "lambda2": run_on(["lambda2"], comps),
@@ -437,7 +440,21 @@ def test_pipeline_outputs_keep_their_bytes(tmp_path):
         "project-0m": run_on(["project-0m", "--m", "2"], phi),
         "psi": run_on(["psi", "--format", "json"],
                       json.dumps({"phi0": xi2.to_json(), "phi2": (-xi0).to_json()})),
+        "lambda2-inv weight": run_on(["lambda2-inv", "--order", "12"],
+                                     json.dumps({"phi0": weighted, "phi2": phi2.to_json()})),
+        "lambdastar-inv weight": run_on(["lambdastar-inv", "--m", "3", "--order", "10"],
+                                        json.dumps(weighted)),
     }
+    for m in (1, 3, 5, 6):
+        outputs[f"lambdastar-inv m={m}"] = run_on(
+            ["lambdastar-inv", "--m", str(m), "--order", "10"], json.dumps((phi0 + phi2).to_json()))
+        # a theta sum with every component nonzero, added term by term
+        theta_sum = PuiseuxSeries({F(1): imag_unit()}, F(9)) * theta_j(m, 0, 12)
+        for r in range(1, 2 * m):
+            comp = PuiseuxSeries({F(0): r + 1, F(r, 3): 2 - r}, F(9))
+            theta_sum = theta_sum + comp * theta_j(m, r, 12)
+        outputs[f"project-0m m={m}"] = run_on(["project-0m", "--m", str(m)],
+                                              json.dumps(theta_sum.to_json()))
     # pinned output bytes, as sha256 prefixes: a change of output must
     # update them on purpose
     digests = {k: hashlib.sha256(v.encode()).hexdigest()[:16] for k, v in outputs.items()}
@@ -450,6 +467,16 @@ def test_pipeline_outputs_keep_their_bytes(tmp_path):
         "lambdastar object": "607e7a530bc17e63",
         "project-0m": "88d057af54921faf",
         "psi": "9af44551a338c19c",
+        "lambda2-inv weight": "670372911ca773cf",
+        "lambdastar-inv weight": "213bc67d6b976dec",
+        "lambdastar-inv m=1": "cba4edf0b4dde302",
+        "lambdastar-inv m=3": "c5534e53c17c99ac",
+        "lambdastar-inv m=5": "47d000ddc769ebc1",
+        "lambdastar-inv m=6": "3311ae224bcc142e",
+        "project-0m m=1": "640e014c1e79b0b9",
+        "project-0m m=3": "d46671388123d488",
+        "project-0m m=5": "3cbe8790dc053700",
+        "project-0m m=6": "c39c81f907476bd2",
     }
 
 
@@ -687,6 +714,16 @@ def test_eta_power_above_the_bound_exit_2_with_one_line(power, monkeypatch, caps
     assert MAX_ETA_POWER == 100
     assert _timed_refusal(["eta", "--power", power, "--order", "5"], "", monkeypatch, capsys) == (
         f"error: --power must be at most 100, got {power}\n")
+
+
+def test_eta_power_refuses_an_order_at_its_own_bound(monkeypatch, capsys):
+    # eta^30 needs an order above 30/24; an order of 1 is refused with that bound
+    assert _timed_refusal(["eta", "--power", "30", "--order", "1"], "", monkeypatch, capsys) == (
+        "error: order must exceed 5/4\n")
+    assert _timed_refusal(["eta", "--order", "1/24"], "", monkeypatch, capsys) == (
+        "error: order must exceed 1/24\n")
+    code, out = invoke(["eta", "--power", "30", "--order", "3/2"])
+    assert code == 0 and out == "q^(5/4)\n"
 
 
 def _input_valid_below(command, valid_below):

@@ -5,7 +5,6 @@ import pytest
 
 from jfkernel.construct import (
     CompatibilityFailed,
-    ConstraintFailed,
     InconsistentPair,
     NonSquarefreeIndex,
     VVPair,
@@ -18,7 +17,6 @@ from jfkernel.construct import (
     lambda_star_inv,
     psi_0m,
     psi_form,
-    remark_maps,
     xi_hat,
     xi_m_star_hat,
     xi_pair_hat,
@@ -292,31 +290,10 @@ def test_psi_0m_idempotent():
     from jfkernel.jacobi import recompose
 
     comps = [random_series(rng, 8) for _ in range(4)]
-    phi = recompose(comps, m, 10)
+    phi = recompose(dict(enumerate(comps)), m, 10)
     once = psi_0m(phi, m)
     twice = psi_0m(once, m)
     assert twice.same_below(once, min(twice.valid_below, once.valid_below))
-
-
-def test_remark_maps_round_trip():
-    rng = random.Random(61)
-    pair = VVPair(random_series(rng, 8), random_series(rng, 8))
-    fwd = remark_maps(pair, "r3_fwd")
-    back = remark_maps(fwd, "r3_inv")
-    b0 = min(back.comp0.valid_below, pair.comp0.valid_below)
-    assert back.comp0.same_below(pair.comp0, b0)
-    b2 = min(back.comp2.valid_below, pair.comp2.valid_below)
-    assert back.comp2.same_below(pair.comp2, b2)
-
-
-def test_remark_r4():
-    t0 = theta_component(2, 0, 12)
-    t2 = theta_component(2, 2, 12)
-    out = remark_maps(VVPair(t2, -t0), "r4")
-    t1 = theta_component(2, 1, 12)
-    assert out.same_below(t1, min(out.valid_below, 6))
-    with pytest.raises(ConstraintFailed):
-        remark_maps(VVPair(PuiseuxSeries.one(8), PuiseuxSeries.one(8)), "r4")
 
 
 def test_vvpair_json_round_trip():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from jfkernel.cyclotomic import CYC24, imag_unit
+from jfkernel.cyclotomic import CYC24, cyclotomic_field, imag_unit
 from jfkernel.jacobi import (
     DecompositionInconsistent,
     JacobiSeries,
@@ -163,11 +163,49 @@ def test_decompose_recompose_round_trip():
                 for _ in range(6)
             }
             comps.append(PuiseuxSeries(terms, 16))
-        phi = recompose(comps, m, 18)
+        phi = recompose(dict(enumerate(comps)), m, 18)
         back = theta_decompose(phi, m)
         for r in range(2 * m):
             a, b = back[r], comps[r]
             assert a.same_below(b, min(a.valid_below, b.valid_below)), (m, r)
+
+
+def test_recompose_refuses_a_residue_outside_0_to_2m():
+    for m in (1, 2, 3):
+        for r in (-1, 2 * m):
+            with pytest.raises(ValueError, match=f"component {r} is not in 0..{2 * m - 1}"):
+                recompose({0: PuiseuxSeries.one(4), r: PuiseuxSeries.one(4)}, m, 6)
+    zero = recompose({}, 2, 6)
+    assert type(zero) is JacobiSeries and zero.is_zero() and zero.valid_below == 6
+
+
+def test_recompose_is_the_chained_theta_sum():
+    """One pass over the products, against h_r * theta_j(m, r) added one by
+    one: the same terms and the same bound, with no cap at ``order``."""
+    rng = random.Random(41)
+    f120 = cyclotomic_field(120)
+    for m in (1, 2, 3, 6):
+        for _ in range(3):
+            comps = {}
+            for r in rng.sample(range(2 * m), rng.randint(1, 2 * m)):
+                terms = {F(rng.randint(0, 40), rng.choice((1, 2, 4))): rng.randint(-4, 4)
+                         + rng.randint(-1, 1) * imag_unit() for _ in range(5)}
+                comps[r] = PuiseuxSeries(terms, F(rng.randint(10, 20), 2))
+            r0, r1 = rng.sample(sorted(comps) * 2, 2)
+            comps[r0] = comps[r0] + PuiseuxSeries({F(-1, 3): 2, F(-2): -1}, 3)
+            wide = PuiseuxSeries({F(1, 2): f120.zeta(7), F(2): f120.zeta(1) / 3}, 9)
+            comps[r1] = comps[r1] + wide
+            order = F(rng.randint(4, 14))
+            got = recompose(comps, m, order)
+            want = None
+            for r, h in comps.items():
+                term = h * theta_j(m, r, order)
+                want = term if want is None else want + term
+            assert got == want and got.valid_below == want.valid_below, (m, sorted(comps))
+            assert got.field == want.field and got.cden == want.cden
+    # a component with no term below q^1 knows the sum beyond ``order``
+    late = recompose({1: PuiseuxSeries({F(1): 1}, 20)}, 1, 4)
+    assert late.valid_below == 5 and late.coeff(F(13, 4), -3) == 1
 
 
 def test_restrict_of_combination_is_component_sum():
@@ -177,7 +215,7 @@ def test_restrict_of_combination_is_component_sum():
         PuiseuxSeries({F(rng.randint(0, 30), 2): rng.randint(-3, 3) for _ in range(5)}, 10)
         for _ in range(4)
     ]
-    phi = recompose(comps, m, 12)
+    phi = recompose(dict(enumerate(comps)), m, 12)
     lhs = restrict_z0(phi)
     rhs = PuiseuxSeries.zero(12)
     for r in range(4):
@@ -234,6 +272,29 @@ def test_tau_shift_theta_diagonal():
             shifted = tau_shift(t)
             phase = CYC24.zeta((24 * r * r // (4 * m)) % 24)
             assert shifted.same_below(t * phase, t.valid_below), (m, r)
+    # coefficients in Q(zeta_40): the shift works in its join Q(zeta_120)
+    # with Q(zeta_24), and multiplies each c q^e by zeta_24^{24e}
+    f40 = cyclotomic_field(40)
+    rng = random.Random(29)
+    for kind in (PuiseuxSeries, JacobiSeries):
+        terms = {}
+        for _ in range(12):
+            e = F(rng.randint(-24, 72), rng.choice((1, 2, 3, 8, 12, 24)))
+            c = f40.element([rng.randint(-3, 3) for _ in range(f40.degree)], rng.choice((1, 2, 6)))
+            terms[e if kind is PuiseuxSeries else (e, rng.randint(-3, 3))] = c + f40.zeta(1)
+        terms[F(5, 6) if kind is PuiseuxSeries else (F(5, 6), 1)] = F(1, 3)
+        a = kind(terms, 4, FormMeta(source="pin"))
+        shifted = tau_shift(a)
+        assert shifted.field.n == 120 and shifted.meta == a.meta
+        assert shifted.valid_below == a.valid_below and len(shifted.terms) == len(a.terms)
+        for key in terms:
+            e = key if kind is PuiseuxSeries else key[0]
+            if e < 4:
+                args = key if kind is JacobiSeries else (key,)
+                want = a.coeff(*args) * CYC24.zeta(int(24 * e) % 24)
+                assert shifted.coeff(*args) == want, key
+    with pytest.raises(ValueError, match="exponent 1/5 leaves Q"):
+        tau_shift(PuiseuxSeries({F(0): 1, F(1, 5): f40.zeta(1)}, 2))
 
 
 def test_json_round_trip():

@@ -418,7 +418,8 @@ def test_theta_decompose_matches_reference():
     cases = [(lambda2_inv(puiseux(rng, 6), puiseux(rng, 6), 8), 2)]
     for m in (1, 3, 5):
         cases.append((lambda_star_inv(puiseux(rng, 5), m, F(13, 2)), m))
-        cases.append((recompose([puiseux(rng, 6) for _ in range(2 * m)], m, 7), m))
+        comps = dict(enumerate([puiseux(rng, 6) for _ in range(2 * m)]))
+        cases.append((recompose(comps, m, 7), m))
     for phi, m in cases:
         got = theta_decompose(phi, m)
         for g, w in zip(got, ref_theta_decompose(phi, m)):

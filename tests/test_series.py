@@ -136,10 +136,10 @@ def test_div_exact_round_trip():
 def test_eta_power_matches_the_repeated_product(order):
     """Miller's recurrence against p - 1 products with eta below the order
     they need: the same terms, bound, grid and field for p = 1..30, stored in
-    ascending order, and the same refusal of an order at or below p/24."""
+    ascending order, and a refusal of an order at or below p/24 that names p/24."""
     for p in range(1, 31):
         if order <= F(p, 24):
-            with pytest.raises(ValueError, match="order must exceed 1/24"):
+            with pytest.raises(ValueError, match=f"^order must exceed {F(p, 24)}$"):
                 eta_power(p, order)
             continue
         base = eta(order - F(p - 1, 24))

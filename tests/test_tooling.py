@@ -5,6 +5,7 @@ import importlib
 import json
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -174,6 +175,23 @@ def test_unread_constant_is_reported():
         "b.py": "from .a import LEFT\nprint(USED, _PRIVATE)\n",
     }
     assert _unread_constants(modules, ["import a\nx = a.TYPED\n"]) == [("a.py", 2, "LEFT")]
+
+
+def _stale_exports(package):
+    """The names in ``package.__all__`` that the package does not bind, in
+    the order listed: ``from package import *`` fails on the first."""
+    return [name for name in package.__all__ if not hasattr(package, name)]
+
+
+def test_every_exported_name_resolves_on_the_package():
+    assert _stale_exports(jfkernel) == []
+
+
+def test_stale_export_is_reported():
+    package = types.ModuleType("pkg")
+    package.kept = 1
+    package.__all__ = ["kept", "gone", "also_gone"]
+    assert _stale_exports(package) == ["gone", "also_gone"]
 
 
 def _tracer_tables():
