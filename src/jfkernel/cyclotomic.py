@@ -14,10 +14,10 @@ Multiplier matrices of index m need 4m-th roots of unity, so for m with
 :meth:`CyclotomicField.embed` moves elements up a tower Q(zeta_a) -> Q(zeta_b)
 for a | b.
 
-Elements are stored as integer coordinate vectors over the power basis
-1, zeta, ..., zeta^(phi(n)-1) with a single positive denominator, reduced so
-that gcd(all numerators, denominator) = 1.  The representation is canonical:
-equal field elements have identical coordinates.
+Elements hold the ascending tuple of their nonzero integer coordinates (i, v)
+over the power basis 1, zeta, ..., zeta^(phi(n)-1), as the series and Weil
+kernels do, over one positive denominator with gcd(all coordinates,
+denominator) = 1.  Equal field elements have identical coordinates.
 """
 
 from __future__ import annotations
@@ -110,29 +110,15 @@ class CyclotomicField:
                     v[j] -= lead * phi[j]
         self._rows = rows
         self._roots = [cmath.exp(2j * cmath.pi * k / n) for k in range(n)]
-        self.zero = CycNumber(self, (0,) * self.degree, 1)
-        self.one = CycNumber(self, (1,) + (0,) * (self.degree - 1), 1)
+        self.zero = CycNumber(self, (), 1)
+        self.one = CycNumber(self, ((0, 1),), 1)
 
     def __repr__(self):
         return f"CyclotomicField({self.n})"
 
     def element(self, num, den=1) -> "CycNumber":
         """Element with the given numerator vector and denominator."""
-        d = self.degree
-        if len(num) > d:
-            num = self._reduce(num)
-        elif len(num) < d:
-            num = [*num, *[0] * (d - len(num))]
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        # one gcd over all coordinates; a negative g also makes den positive
-        g = gcd(den, *num)
-        if den < 0:
-            g = -g
-        if g != 1:
-            num = [c // g for c in num]
-            den //= g
-        return CycNumber(self, tuple(num), den)
+        return self._element(self._nonzero(num), den)
 
     def _reduce(self, coeffs) -> list[int]:
         """coeffs (a vector over 1, zeta, zeta^2, ..., at least degree long)
@@ -148,9 +134,9 @@ class CyclotomicField:
         return out
 
     # -- sparse coordinates -------------------------------------------------
-    # The kernels of jfkernel.series and jfkernel.weil hold a value as the
-    # tuple of its nonzero coordinates (i, v), ascending in i, over a
-    # denominator they keep apart; () is zero.
+    # An element, and each value in the kernels of jfkernel.series and
+    # jfkernel.weil, is the tuple of its nonzero coordinates (i, v),
+    # ascending in i, over a denominator kept apart; () is zero.
 
     def _nonzero(self, acc) -> tuple:
         """The nonzero coordinates of an unreduced int list over 1, zeta,
@@ -159,37 +145,41 @@ class CyclotomicField:
             acc = self._reduce(acc)
         return tuple([(i, v) for i, v in enumerate(acc) if v])
 
-    def _lift(self, xs, step) -> tuple:
-        """Coordinates ``xs`` of an element of Q(zeta_{n/step}) as coordinates
-        here: zeta_{n/step}^i is zeta^{i step}, reduced mod Phi_n.  The content
-        of the coordinates does not change, since 1 is part of a basis of
-        Z[zeta_n] over Z[zeta_{n/step}]."""
-        if step == 1:
+    def _map(self, xs, k=1, shift=0) -> tuple:
+        """The one coordinate map: zeta^i -> zeta^(k i + shift) here, through
+        the sparse rows.  It lifts ``xs`` from Q(zeta_{n/k}), or is the Galois
+        action of a unit k, times zeta^shift.  Neither changes the content of
+        the coordinates, so their denominator stays."""
+        if not xs or (k == 1 and not shift):
             return xs
+        n, rows = self.n, self._rows
         acc = [0] * self.degree
-        rows = self._rows
         for i, v in xs:
-            for j, w in rows[i * step]:
+            for j, w in rows[(k * i + shift) % n]:
                 acc[j] += v * w
         return self._nonzero(acc)
 
     def _element(self, xs, den) -> "CycNumber":
-        """The element with coordinates ``xs`` over ``den``, normalised."""
-        num = [0] * self.degree
-        for i, v in xs:
-            num[i] = v
-        return self.element(num, den)
+        """The element with coordinates ``xs`` over ``den``, normalised: one
+        gcd over the denominator and the coordinates."""
+        if den == 0:
+            raise ZeroDivisionError("zero denominator")
+        g = gcd(den, *[v for _i, v in xs])
+        # a negative g also makes den positive
+        if den < 0:
+            g = -g
+        if g != 1:
+            xs = tuple([(i, v // g) for i, v in xs])
+            den //= g
+        return CycNumber(self, xs, den)
 
     def zeta(self, k: int = 1) -> "CycNumber":
         """The root of unity zeta_n^k."""
-        num = [0] * self.degree
-        for j, v in self._rows[k % self.n]:
-            num[j] = v
-        return CycNumber(self, tuple(num), 1)
+        return CycNumber(self, self._rows[k % self.n], 1)
 
     def from_fraction(self, q) -> "CycNumber":
         q = Fraction(q)
-        return self.element([q.numerator], q.denominator)
+        return CycNumber(self, ((0, q.numerator),) if q else (), q.denominator)
 
     def embed(self, x: "CycNumber") -> "CycNumber":
         """Map an element of Q(zeta_a) into this field, for a | n."""
@@ -197,20 +187,20 @@ class CyclotomicField:
             return x
         if self.n % x.field.n:
             raise ValueError(f"no embedding Q(zeta_{x.field.n}) -> Q(zeta_{self.n})")
-        step = self.n // x.field.n
-        num = [0] * (step * (x.field.degree - 1) + 1)
-        num[::step] = x.num
-        return self.element(num, x.den)
+        return CycNumber(self, self._map(x.xs, self.n // x.field.n), x.den)
 
     def sqrt_int(self, d: int) -> "CycNumber":
         """Exact square root of a positive squarefree integer, via Gauss sums.
 
-        Requires 8 | n for the factor sqrt(2) and p | n for each odd prime
-        p | d.
+        Requires 8 | n for the factor sqrt(2), p | n for each odd prime
+        p | d, and 4 | n for d = 3 mod 4, where sqrt(d) needs i.  The Gauss
+        sum of a p = 3 mod 4 is i sqrt(p), so t such primes give i^t sqrt(d).
         """
         if d <= 0 or _square_part(d)[0] != 1:
             raise ValueError("need a positive squarefree integer")
-        out = self.one
+        if d % 4 == 3 and self.n % 4:
+            raise ValueError(f"sqrt({d}) not in Q(zeta_{self.n})")
+        out, t = self.one, 0
         if d % 2 == 0:
             if self.n % 8:
                 raise ValueError(f"sqrt(2) not in Q(zeta_{self.n})")
@@ -222,43 +212,51 @@ class CyclotomicField:
                 d //= p
                 if self.n % p:
                     raise ValueError(f"sqrt({p}) not in Q(zeta_{self.n})")
-                g = sum((self.zeta(self.n // p * a * a) for a in range(p)), self.zero)
-                if p % 4 == 3:
-                    # Gauss sum equals i*sqrt(p); divide out i.
-                    g = g * self.zeta(-self.n // 4)
-                out = out * g
+                out = out * sum((self.zeta(self.n // p * a * a) for a in range(p)), self.zero)
+                t += p % 4 == 3
             p += 2
-        return out
+        # divide out i^t; 4 | n when t is odd
+        return out * (self.zeta(-t * self.n // 4) if t % 2 else (-1) ** (t // 2))
 
 
 class CycNumber:
-    """An element of a fixed cyclotomic field, in canonical coordinates;
-    :meth:`CyclotomicField.element` normalises, the constructor does not."""
+    """An element of a fixed cyclotomic field: its coordinates ``xs`` over
+    ``den``; :meth:`CyclotomicField._element` normalises, the constructor
+    does not.  ``num`` is a dense view, built on each access."""
 
-    __slots__ = ("field", "num", "den")
+    __slots__ = ("field", "xs", "den")
 
-    def __init__(self, field, num, den):
+    def __init__(self, field, xs, den):
         self.field = field
-        self.num = num
+        self.xs = xs
         self.den = den
+
+    @property
+    def num(self) -> tuple:
+        """The coordinates over 1, zeta, ..., zeta^(degree-1), zeros included."""
+        num = [0] * self.field.degree
+        for i, v in self.xs:
+            num[i] = v
+        return tuple(num)
 
     # -- basic predicates -------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.num)
+        return not self.xs
 
     def is_rational(self) -> bool:
-        return not any(self.num[1:])
+        xs = self.xs
+        return not xs or (len(xs) == 1 and not xs[0][0])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return Fraction(self.num[0], self.den)
+        return Fraction(self.xs[0][1] if self.xs else 0, self.den)
 
     def is_gaussian(self) -> bool:
-        """True when the element lies in Q(i) = Q + Q*zeta_n^{n/4}."""
-        j4 = self.field.n // 4
-        return all(c == 0 for k, c in enumerate(self.num) if k not in (0, j4))
+        """True when the element lies in Q(i) = Q + Q*zeta_n^{n/4}; needs 4 | n."""
+        n = self.field.n
+        return not n % 4 and all(i in (0, n // 4) for i, _v in self.xs)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -281,11 +279,14 @@ class CycNumber:
         if pair is None:
             return NotImplemented
         a, b = pair
-        if a.den == b.den:
-            return a.field.element([x + y for x, y in zip(a.num, b.num)], a.den)
-        return a.field.element(
-            [x * b.den + y * a.den for x, y in zip(a.num, b.num)], a.den * b.den
-        )
+        f = a.field
+        sa, sb = (1, 1) if a.den == b.den else (b.den, a.den)
+        acc = [0] * f.degree
+        for i, v in a.xs:
+            acc[i] = v * sa
+        for i, v in b.xs:
+            acc[i] += v * sb
+        return f._element(f._nonzero(acc), a.den * sa)
 
     __radd__ = __add__
 
@@ -300,12 +301,14 @@ class CycNumber:
         return -(self - other)
 
     def __neg__(self):
-        return CycNumber(self.field, tuple(-c for c in self.num), self.den)
+        return CycNumber(self.field, tuple([(i, -v) for i, v in self.xs]), self.den)
 
     def scale(self, q) -> "CycNumber":
         """self * q for an int or Fraction q: scales the coordinates, with no
         convolution or reduction."""
-        return self.field.element([c * q.numerator for c in self.num], self.den * q.denominator)
+        s = q.numerator
+        xs = tuple([(i, v * s) for i, v in self.xs]) if s else ()
+        return self.field._element(xs, self.den * q.denominator)
 
     def __mul__(self, other):
         pair = self._pair(other)
@@ -313,13 +316,11 @@ class CycNumber:
             return NotImplemented
         x, o = pair
         f = x.field
-        bs = [(j, bj) for j, bj in enumerate(o.num) if bj]
         conv = [0] * (2 * f.degree - 1)
-        for i, ai in enumerate(x.num):
-            if ai:
-                for j, bj in bs:
-                    conv[i + j] += ai * bj
-        return f.element(conv, x.den * o.den)
+        for i, a in x.xs:
+            for j, b in o.xs:
+                conv[i + j] += a * b
+        return f._element(f._nonzero(conv), x.den * o.den)
 
     __rmul__ = __mul__
 
@@ -331,7 +332,7 @@ class CycNumber:
             raise ZeroDivisionError("inverse of zero")
         f = self.field
         if self.is_rational():
-            return f.element([self.den], self.num[0])
+            return f._element(((0, self.den),), self.xs[0][1])
         rest = f.one
         for k in range(2, f.n):
             if gcd(k, f.n) == 1:
@@ -366,11 +367,7 @@ class CycNumber:
 
     def galois(self, k: int) -> "CycNumber":
         """The Galois automorphism zeta -> zeta^k, for k a unit mod n."""
-        f = self.field
-        out = [0] * f.n
-        for j, c in enumerate(self.num):
-            out[j * k % f.n] += c
-        return f.element(out, self.den)
+        return CycNumber(self.field, self.field._map(self.xs, k), self.den)
 
     def conj(self) -> "CycNumber":
         """Complex conjugation zeta -> zeta^{-1}."""
@@ -383,7 +380,7 @@ class CycNumber:
         if pair is None:
             return NotImplemented
         a, b = pair
-        return a.num == b.num and a.den == b.den
+        return a.xs == b.xs and a.den == b.den
 
     # Cross-field equality makes a consistent hash awkward; these values are
     # never used as dict keys, so hashing is disabled outright.
@@ -397,7 +394,7 @@ class CycNumber:
     def to_complex(self) -> complex:
         """Numeric value under zeta_n = e^{2 pi i / n}."""
         roots = self.field._roots
-        return sum((c * roots[j] for j, c in enumerate(self.num) if c), 0j) / self.den
+        return sum((v * roots[i] for i, v in self.xs), 0j) / self.den
 
     # -- rendering ----------------------------------------------------------
 
@@ -407,9 +404,9 @@ class CycNumber:
             q = self.rational_value()
             return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
         if self.is_gaussian():
-            j4 = self.field.n // 4
-            re = Fraction(self.num[0], self.den)
-            im = Fraction(self.num[j4], self.den)
+            num = self.num
+            re = Fraction(num[0], self.den)
+            im = Fraction(num[self.field.n // 4], self.den)
             rs = "" if re == 0 else str(re)
             sign = "-" if im < 0 else ("+" if rs else "")
             mag = abs(im)
@@ -433,14 +430,14 @@ class CycNumber:
     @staticmethod
     def from_json(obj) -> "CycNumber":
         """Decode :meth:`to_json` output; malformed input raises ValueError."""
-        field, num, den = _json_number(obj)
-        return field.element(num, den)
+        field, xs, den = _json_number(obj)
+        return field._element(xs, den)
 
 
 def _json_number(obj):
-    """The field, numerator list and nonzero denominator of a coefficient in
-    the JSON form of :meth:`CycNumber.to_json`, checked but not normalised;
-    malformed input raises ValueError.
+    """The field, nonzero coordinates (i, v) and nonzero denominator of a
+    coefficient in the JSON form of :meth:`CycNumber.to_json`, checked but
+    not normalised; malformed input raises ValueError.
 
     Field orders above MAX_JSON_ORDER are refused: the field's tables grow
     as order times degree.
@@ -456,7 +453,7 @@ def _json_number(obj):
             f"coefficient num must be a list of at most {field.degree} integers, got {num!r:.60}")
     if not _is_int(den) or den == 0:
         raise ValueError(f"coefficient den must be a nonzero integer, got {den!r}")
-    return field, num, den
+    return field, tuple([(i, v) for i, v in enumerate(num) if v]), den
 
 
 MAX_JSON_ORDER = 1000

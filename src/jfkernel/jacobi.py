@@ -341,21 +341,17 @@ def tau_shift(a):
 
     Needs every exponent denominator to divide 24 so the phase stays inside
     Q(zeta_24).  The coefficients go into their join f with Q(zeta_24), and
-    the phase zeta_24^{24e} moves coordinate i to i + (24e mod 24) n/24,
-    reduced through f's rows; a root of unity keeps their content, so the
-    series denominator stays as it is.
+    the phase zeta_24^{24e} is a shift by (24e mod 24) n/24 there: one
+    :meth:`~jfkernel.cyclotomic.CyclotomicField._map` lifts and shifts each
+    coefficient.  Both keep the content of the coordinates, so the series
+    denominator stays as it is.
     """
     f = common_field(CYC24, a.field)
-    den, qexp, step, rows = a.den, a._qexp, f.n // 24, f._rows
+    den, qexp, step, lift = a.den, a._qexp, f.n // 24, f.n // a.field.n
     out = {}
-    for k, xs in a._on_grid(den, f).items():
+    for k, xs in a._terms.items():
         n = qexp(k)
         if 24 * n % den:
             raise ValueError(f"exponent {Fraction(n, den)} leaves Q(zeta_24) under the shift")
-        shift = (24 * n // den) % 24 * step
-        acc = [0] * f.degree
-        for i, v in xs:
-            for j, w in rows[(i + shift) % f.n]:
-                acc[j] += v * w
-        out[k] = f._nonzero(acc)
+        out[k] = f._map(xs, lift, (24 * n // den) % 24 * step)
     return _assemble(type(a), out, den, a.valid_below, a.meta, f, a.cden)

@@ -192,7 +192,7 @@ class _Series:
         for k, c in terms.items():
             k = key(k)
             c = coerce24(c)
-            pairs.append((with_q(k, qexp(k).as_integer_ratio()), (c.field, c.num, c.den)))
+            pairs.append((with_q(k, qexp(k).as_integer_ratio()), (c.field, c.xs, c.den)))
         return _build(cls, pairs, Fraction(valid_below), meta)
 
     @classmethod
@@ -233,7 +233,7 @@ class _Series:
         terms = self._terms
         if field is not self.field:
             step = field.n // self.field.n
-            terms = {k: field._lift(xs, step) for k, xs in terms.items()}
+            terms = {k: field._map(xs, step) for k, xs in terms.items()}
         if den == self.den:
             return terms
         f = den // self.den
@@ -328,8 +328,7 @@ class _Series:
         if isinstance(other, CycNumber):
             field = common_field(self.field, other.field)
             y = field.embed(other)
-            ys = field._nonzero(y.num)
-            out = _product(self._triples(self.den, field), [(0, 0, ys)] if ys else [],
+            out = _product(self._triples(self.den, field), [(0, 0, y.xs)] if y.xs else [],
                            _top(self.valid_below, self.den), field)
             return _normalised(type(self), self._from_triples(out), self.den, self.valid_below,
                                self.meta, field, self.cden * y.den)
@@ -503,20 +502,20 @@ def _normalised(cls, terms, den, valid_below, meta, field, cden):
 
 def _build(cls, pairs, valid_below, meta):
     """The one way into the layout: a series of ``cls`` from (key, (field,
-    numerators, denominator)) pairs, each key's q-exponent the ints (p, q).
-    Keys go on the lcm of the q's, terms at or above the bound and zero terms
-    are dropped, and coordinates go over the lcm denominator, normalised once."""
+    coordinates, denominator)) pairs, each key's q-exponent the ints (p, q)
+    and the coordinates a tuple of nonzero (i, v).  Keys go on the lcm of the
+    q's, terms at or above the bound and zero terms are dropped, and
+    coordinates go over the lcm denominator, normalised once."""
     qexp, with_q = cls._qexp, cls._with_q
     den = lcm(*[qexp(k)[1] for k, _c in pairs])
     terms = {with_q(k, qexp(k)[0] * (den // qexp(k)[1])): c for k, c in pairs}
     top = _top(valid_below, den)
-    terms = {k: c for k, c in terms.items() if qexp(k) < top and any(c[1])}
-    field = _join(f for f, _num, _d in terms.values())
-    cden = lcm(*[abs(d) for _f, _num, d in terms.values()])
+    terms = {k: c for k, c in terms.items() if qexp(k) < top and c[1]}
+    field = _join(f for f, _xs, _d in terms.values())
+    cden = lcm(*[abs(d) for _f, _xs, d in terms.values()])
     # a negative d makes cden // d negative, which moves the sign
-    out = {k: field._lift(tuple([(i, v * (cden // d)) for i, v in enumerate(num) if v]),
-                          field.n // f.n)
-           for k, (f, num, d) in terms.items()}
+    out = {k: field._map(xs if d == cden else _scaled(xs, cden // d), field.n // f.n)
+           for k, (f, xs, d) in terms.items()}
     return _normalised(cls, out, den, valid_below, meta, field, cden)
 
 
@@ -684,7 +683,7 @@ def div_exact(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
     # remainder exponents from here on never reach the quotient
     top = _top(vb, L) + n_lead
     steps = [(n * fb - n_lead, tb[n]) for n in sorted(tb) if n != lead]
-    inv = [(i, v) for i, v in enumerate(lead_inv.num) if v]
+    inv = lead_inv.xs
     d = f.degree
     # remainder coordinates reach index d - 1 + (the tail's highest index),
     # a quotient's d - 1 + (the inverse's highest index)

@@ -76,8 +76,8 @@ class UMatrix:
         s, radicand = _square_part(radicand)
         rows = [[field.embed(c) for c in row] for row in rows]
         den = math.lcm(*[c.den for row in rows for c in row])
-        entries = [tuple([tuple([(i, v * (den // c.den)) for i, v in enumerate(c.num) if v])
-                          for c in row]) for row in rows]
+        entries = [tuple([tuple([(i, v * (den // c.den)) for i, v in c.xs]) for c in row])
+                   for row in rows]
         return _normalised(field, den * s, entries, radicand, resolved)
 
     @property
@@ -136,21 +136,11 @@ class UMatrix:
         return out
 
     def conj(self) -> "UMatrix":
-        """Complex conjugation zeta -> zeta^{-1}, entry by entry: coordinate i
-        moves to -i mod n, then reduces.  An automorphism of Z[zeta] keeps
-        the content of the coordinates, so ``den`` stays."""
-        f = self.field
-        n, nonzero = f.n, f._nonzero
-
-        def conj(xs):
-            if not xs:
-                return xs
-            acc = [0] * n
-            for i, v in xs:
-                acc[-i % n] = v
-            return nonzero(acc)
-
-        return self._with(tuple(tuple([conj(xs) for xs in row]) for row in self._entries))
+        """Complex conjugation zeta -> zeta^{-1}, entry by entry.  An
+        automorphism of Z[zeta] keeps the content of the coordinates, so
+        ``den`` stays."""
+        cmap = self.field._map
+        return self._with(tuple(tuple([cmap(xs, -1) for xs in row]) for row in self._entries))
 
     def transpose(self) -> "UMatrix":
         return self._with(tuple(zip(*self._entries)))
@@ -166,7 +156,7 @@ class UMatrix:
             return self
         if field.n % self.field.n:
             raise ValueError(f"no embedding Q(zeta_{self.field.n}) -> Q(zeta_{field.n})")
-        step, lift = field.n // self.field.n, field._lift
+        step, lift = field.n // self.field.n, field._map
         entries = tuple(tuple([lift(xs, step) for xs in row]) for row in self._entries)
         return _assemble(field, self.den, entries, self.radicand, self.resolved)
 

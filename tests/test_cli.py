@@ -214,6 +214,18 @@ def test_d0_and_d2(tmp_path):
     assert out.startswith("8*q + 32*q^4")
 
 
+def test_decompose_prints_a_sixth_root_of_unity_as_coordinates_not_as_i(tmp_path):
+    # zeta_6 is not i: Q(zeta_6) holds no i, though its coordinate 1 = 6//4
+    src = tmp_path / "z6.json"
+    src.write_text('{"valid_below":"3","terms":[{"n":"1","r":0,'
+                   '"coeff":{"num":[0,1],"den":1,"order":6}}],"meta":null}')
+    code, out = invoke(["decompose", "--m", "1", "--in", str(src)])
+    assert (code, out) == (0, "h[0]: (cyc6[0,1])*q\nh[1]: 0\n")
+    code, out = invoke(["decompose", "--m", "1", "--in", str(src), "--format", "json"])
+    assert code == 0
+    assert json.loads(out)[0]["terms"] == [{"exp": "1", "coeff": {"num": [0, 1], "den": 1, "order": 6}}]
+
+
 def test_lambdastar_commands(tmp_path):
     one = PuiseuxSeries.one(8)
     src = tmp_path / "one.json"

@@ -1,4 +1,5 @@
 import cmath
+import json
 import random
 import subprocess
 import sys
@@ -170,6 +171,8 @@ def test_canonical_representation():
     a = CYC24.element([2, 4, 0, 0, 0, 0, 0, 0], 6)
     b = CYC24.element([1, 2, 0, 0, 0, 0, 0, 0], 3)
     assert a.num == b.num and a.den == b.den
+    # the dense vector is a view: an element stores only its coordinates
+    assert CycNumber.__slots__ == ("field", "xs", "den") and isinstance(a.num, tuple)
     neg = CYC24.element([1, 0, 0, 0, 0, 0, 0, 0], -2)
     assert neg == from_rational(Fraction(-1, 2))
 
@@ -194,11 +197,21 @@ def test_bigger_field_and_embedding():
 
 def test_sqrt_int_gauss_sums():
     assert CYC24.sqrt_int(2) == root_of_unity(3) + root_of_unity(-3)
-    for field, d in [(CYC24, 2), (CYC24, 3), (CYC24, 6), (cyclotomic_field(120), 5), (cyclotomic_field(120), 10)]:
+    # sqrt(21) = -(i sqrt(3))(i sqrt(7)) lies in Q(zeta_42) although i does not
+    cases = [(24, 2), (24, 3), (24, 6), (120, 5), (120, 10), (12, 3), (20, 5), (60, 15),
+             (42, 21), (168, 21), (168, 42)]
+    for field, d in [(cyclotomic_field(n), d) for n, d in cases]:
         s = field.sqrt_int(d)
         assert s * s == d
         # positive real root
         assert abs(s.to_complex() - d ** 0.5) < 1e-9
+
+
+@pytest.mark.parametrize("n, d", [(6, 3), (30, 15), (42, 7), (70, 35)])
+def test_sqrt_int_refuses_a_root_that_needs_i_when_4_does_not_divide_n(n, d):
+    # sqrt(d) for d = 3 mod 4 needs i, and zeta_n^(n//4) is not i unless 4 | n
+    with pytest.raises(ValueError, match=rf"^sqrt\({d}\) not in Q\(zeta_{n}\)$"):
+        cyclotomic_field(n).sqrt_int(d)
 
 
 @pytest.mark.parametrize("d", [0, -3, 4, 8, 12, 18, 50])
@@ -242,6 +255,50 @@ def test_str_rendering():
     assert str(1 - imag_unit()) == "1-i"
     assert str(coerce24(Fraction(1, 3)) * imag_unit()) == "1/3*i"
     assert str(root_of_unity(1)).startswith("cyc24[")
+    # i lies in Q(zeta_n) only when 4 | n: zeta_n^(n//4) is not i otherwise
+    assert str(cyclotomic_field(5).zeta(1)) == "cyc5[0,1,0,0]"
+    assert str(cyclotomic_field(6).zeta(1)) == "cyc6[0,1]"
+    assert str(cyclotomic_field(6).zeta(1) / 3 + 1) == "cyc6[3,1]/3"
+    assert str(cyclotomic_field(10).zeta(2)) == "cyc10[0,0,1,0]"
+    assert not cyclotomic_field(6).zeta(1).is_gaussian()
+    assert cyclotomic_field(12).zeta(3).is_gaussian()
+
+
+# str, to_json bytes and to_complex floats of rational, Gaussian and general
+# elements (-7/3, (2 - 3i)/5 and (zeta^5 + 3 zeta^(n-7))/7 - 1/2).
+PINNED = [
+    (24, "-7/3", '{"num": [-7, 0, 0, 0, 0, 0, 0, 0], "den": 3}', -2.3333333333333335 + 0j),
+    (24, "2/5-3/5*i", '{"num": [2, 0, 0, 0, 0, 0, -3, 0], "den": 5}', 0.39999999999999997 - 0.6j),
+    (24, "cyc24[-7,0,0,0,0,-4,0,0]/14", '{"num": [-7, 0, 0, 0, 0, -4, 0, 0], "den": 14}',
+     -0.5739482986007202 - 0.2759788075111624j),
+    (40, "-7/3", '{"num": [-7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], "den": 3, "order": 40}',
+     -2.3333333333333335 + 0j),
+    (40, "2/5-3/5*i",
+     '{"num": [2, 0, 0, 0, 0, 0, 0, 0, 0, 0, -3, 0, 0, 0, 0, 0], "den": 5, "order": 40}',
+     0.39999999999999997 - 0.6j),
+    (40, "cyc40[-7,0,0,0,0,2,0,0,0,0,0,0,0,-6,0,0]/14",
+     '{"num": [-7, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, -6, 0, 0], "den": 14, "order": 40}',
+     -0.20441738851354466 - 0.28084468448265093j),
+    (120, "-7/3", '{"num": [-7' + ", 0" * 31 + '], "den": 3, "order": 120}', -2.3333333333333335 + 0j),
+    (120, "2/5-3/5*i", '{"num": [2' + ", 0" * 29 + ', -3, 0], "den": 5, "order": 120}',
+     0.3999999999999998 - 0.6j),
+    (120, "cyc120[-7,6,0,0,0,8,0,0,0,0,0,0,0,0,0,0,0,-6,0,0,0,-6,0,0,0,0,0,0,0,6,0,0]/14",
+     '{"num": [-7, 6, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -6, 0, 0, 0, -6, 0, 0, 0, 0, 0, 0, '
+     '0, 6, 0, 0], "den": 14, "order": 120}', 0.03809530082581044 - 0.11661211479048283j),
+]
+
+
+def _pinned_elements(n):
+    f = cyclotomic_field(n)
+    i = f.zeta(n // 4)
+    return [f.from_fraction(Fraction(-7, 3)), (2 - 3 * i) / 5,
+            (f.zeta(5) + 3 * f.zeta(n - 7)) / 7 - Fraction(1, 2)]
+
+
+def test_text_json_and_floats_are_pinned():
+    got = [(n, str(x), json.dumps(x.to_json()), x.to_complex())
+           for n in (24, 40, 120) for x in _pinned_elements(n)]
+    assert got == PINNED
 
 
 # Dense references for the sparse kernels: long division by Phi_n over every
@@ -321,6 +378,8 @@ def test_element_normalises_like_fractions(n):
             want = _dense_normalise(_dense_reduce(num, n), den)
             assert (x.num, x.den) == want, (num, den)
             assert x.den > 0 and gcd(x.den, *x.num) == 1
+            # the stored coordinates are the nonzero entries of the dense view
+            assert x.xs == tuple((i, v) for i, v in enumerate(want[0]) if v)
     assert f.element([0] * d, -5).den == 1
     with pytest.raises(ZeroDivisionError):
         f.element([1], 0)
@@ -347,3 +406,48 @@ def test_sparse_mul_matches_dense_convolution():
         for p, q in ((a, b), (b, a)):
             r = p * q
             assert (r.field.n, r.num, r.den) == _dense_mul(p, q)
+
+
+def _dense_galois(x, k):
+    """(numerators, denominator) of zeta -> zeta^k on x, as the dense code
+    did it: coordinate j goes to j k mod n, then the vector is reduced."""
+    n = x.field.n
+    out = [0] * n
+    for j, c in enumerate(x.num):
+        out[j * k % n] += c
+    return _dense_normalise(_dense_reduce(out, n), x.den)
+
+
+def _dense_embed(n, x):
+    """(numerators, denominator) of x lifted into Q(zeta_n), as the dense
+    code did it: coordinate j goes to j n/a, then the vector is reduced."""
+    step = n // x.field.n
+    out = [0] * (step * (len(x.num) - 1) + 1)
+    out[::step] = x.num
+    return _dense_normalise(_dense_reduce(out, n), x.den)
+
+
+@pytest.mark.parametrize("n", [24, 40, 120, 168])
+def test_coordinate_map_matches_the_dense_galois_embedding_and_product(n):
+    f = cyclotomic_field(n)
+    rng = random.Random(n + 3)
+    units = [k for k in range(1, n) if gcd(k, n) == 1]
+    for _ in range(10):
+        x = _random_element(rng, f, span=6)
+        k, shift = rng.choice(units), rng.randrange(n)
+        y = x.galois(k)
+        assert (y.num, y.den) == _dense_galois(x, k)
+        assert f._map(x.xs, k) == y.xs
+        shifted = f._element(f._map(x.xs, k, shift), x.den)
+        assert (n, shifted.num, shifted.den) == _dense_mul(y, f.zeta(shift))
+    for a in (a for a in range(1, n) if n % a == 0):
+        sub = cyclotomic_field(a)
+        x = _random_element(rng, sub, span=6)
+        y = f.embed(x)
+        assert (y.num, y.den) == _dense_embed(n, x)
+        assert f._map(x.xs, n // a) == y.xs
+        # a lift and a shift at once, as tau_shift does it
+        shift = rng.randrange(n)
+        moved = f._element(f._map(x.xs, n // a, shift), x.den)
+        assert (n, moved.num, moved.den) == _dense_mul(y, f.zeta(shift))
+    assert f._map((), 5, 7) == () and f._map(f.one.xs) is f.one.xs

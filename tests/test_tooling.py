@@ -177,6 +177,27 @@ def test_unread_constant_is_reported():
     assert _unread_constants(modules, ["import a\nx = a.TYPED\n"]) == [("a.py", 2, "LEFT")]
 
 
+def _attribute_reads(tree, attr):
+    """Lines that read the attribute ``attr`` of any object."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == attr
+                  and isinstance(node.ctx, ast.Load))
+
+
+def test_only_the_cyclotomic_module_reads_the_dense_view():
+    """``CycNumber.num`` is a dense vector built on each access; the rest of
+    the package reads the coordinate tuples ``xs``."""
+    reads = {p.name: _attribute_reads(ast.parse(p.read_text(), str(p)), "num")
+             for p in SOURCES if p.name != "cyclotomic.py"}
+    assert {k: v for k, v in reads.items() if v} == {}
+
+
+def test_dense_view_read_is_reported():
+    tree = ast.parse("def f(c, field):\n    ys = c.xs\n    num = [v for v in c.num if v]\n"
+                     "    c.num = ys\n    return field.num_terms, getattr(c, 'num')\n")
+    assert _attribute_reads(tree, "num") == [3]
+
+
 def _stale_exports(package):
     """The names in ``package.__all__`` that the package does not bind, in
     the order listed: ``from package import *`` fails on the first."""
