@@ -168,9 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp, source=False)
 
     sp = sub.add_parser("xi", help="the weight-3 theta Wronskians (divided by 2 pi i)")
-    sp.add_argument("--m", type=int, default=1, help="index for the dilated form")
+    sp.add_argument("--m", type=int, help="index for the dilated form (default 1)")
     sp.add_argument("--pair", action="store_true",
-                    help="emit the index-2 pair (xi0, xi2) instead")
+                    help="emit the index-2 pair (xi0, xi2) instead; takes no --m")
     add_common(sp, source=False)
 
     sp = sub.add_parser("decompose", help="theta components of a two-variable series")
@@ -331,8 +331,10 @@ def _series_result(args):
         return eta_power(args.power, args.order)
     if cmd == "xi":
         if args.pair:
+            if args.m is not None:
+                raise ValueError("--m does not apply with --pair")
             return dict(zip(("xi0", "xi2"), xi_pair_hat(args.order)))
-        return xi_hat(args.order) if args.m == 1 else xi_m_star_hat(args.m, args.order)
+        return xi_hat(args.order) if args.m in (None, 1) else xi_m_star_hat(args.m, args.order)
     if cmd == "lambda2":
         pair = lambda2_fwd(*_read_components(args.input, 2, "h2"))
         return {"phi0": pair.comp0, "phi2": pair.comp2}

@@ -253,10 +253,22 @@ class CycNumber:
             raise ValueError(f"{self} is not rational")
         return Fraction(self.xs[0][1] if self.xs else 0, self.den)
 
+    def _gaussian_parts(self):
+        """The rationals (a, b) with self = a + b*i, or None off Q(i): with
+        4 | n and iota = zeta_n^{n/4}, a = (x + conj x)/2 and
+        b = (conj x - x)*iota/2, both rational exactly when x is in Q(i)."""
+        f = self.field
+        if not f.n % 4:
+            c = self.conj()
+            a = (self + c).scale(Fraction(1, 2))
+            b = ((c - self) * f.zeta(f.n // 4)).scale(Fraction(1, 2))
+            if a.is_rational() and b.is_rational():
+                return a.rational_value(), b.rational_value()
+        return None
+
     def is_gaussian(self) -> bool:
-        """True when the element lies in Q(i) = Q + Q*zeta_n^{n/4}; needs 4 | n."""
-        n = self.field.n
-        return not n % 4 and all(i in (0, n // 4) for i, _v in self.xs)
+        """True when the element lies in Q(i); needs 4 | n."""
+        return self._gaussian_parts() is not None
 
     # -- arithmetic -------------------------------------------------------
 
@@ -403,10 +415,9 @@ class CycNumber:
         if self.is_rational():
             q = self.rational_value()
             return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-        if self.is_gaussian():
-            num = self.num
-            re = Fraction(num[0], self.den)
-            im = Fraction(num[self.field.n // 4], self.den)
+        parts = self._gaussian_parts()
+        if parts is not None:
+            re, im = parts
             rs = "" if re == 0 else str(re)
             sign = "-" if im < 0 else ("+" if rs else "")
             mag = abs(im)

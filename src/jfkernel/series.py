@@ -40,7 +40,7 @@ import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -660,35 +660,38 @@ def div_exact(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
     min(a.valid_below, b.valid_below + val(a) - val(b)) - val(b), which makes
     the round trip div_exact(a*b, b) = a hold term-exactly.
 
-    Long division from the lowest term up: a heap walks the remainder's
-    exponents, ints on the common grid, in increasing order.  Each remainder
-    term accumulates unreduced coordinates over its own denominator, and is
-    reduced once, when it is divided by the leading coefficient; a quotient
-    term that is not integral divides out its own gcd, since later remainder
-    terms are built from it.  A divisor with rational coefficients (the
-    theta components) has one coordinate per term, so subtracting a
-    multiple of it scales coordinates: no convolution and no reduction.
+    Long division from the lowest term up, by a monic divisor: a leading
+    coefficient c other than 1 is divided out of both operands once.  A heap
+    walks the remainder's exponents, ints on the common grid, in increasing
+    order.  Each remainder term accumulates unreduced coordinates over its
+    own denominator; reduced once and divided by one gcd, it is the quotient
+    term, kept in lowest terms since later remainder terms are built from
+    it.  A divisor with rational coefficients (the theta components) has one
+    coordinate per term, so subtracting a multiple of it scales coordinates:
+    no convolution and no reduction.
     """
     if b.is_zero():
         raise ExactDivisionError("division by a series that is zero on its valid range")
     vb_b = b.val()
     vb = min(a.valid_below, b.valid_below + a.val() - vb_b) - vb_b
     f = common_field(CYC24, a.field, b.field)
+    c = b._coeff(min(b._terms))
+    if c != 1:
+        c = c.inverse()
+        if c.is_rational():
+            c = c.rational_value()
+        a, b = a * c, b * c
     ta, tb = a._on_grid(a.den, f), b._on_grid(b.den, f)
     lead = min(tb)
-    lead_inv = f._element(tb[lead], b.cden).inverse()
     L = lcm(a.den, b.den)
     fa, fb = L // a.den, L // b.den
     n_lead = lead * fb
     # remainder exponents from here on never reach the quotient
     top = _top(vb, L) + n_lead
     steps = [(n * fb - n_lead, tb[n]) for n in sorted(tb) if n != lead]
-    inv = lead_inv.xs
     d = f.degree
-    # remainder coordinates reach index d - 1 + (the tail's highest index),
-    # a quotient's d - 1 + (the inverse's highest index)
+    # remainder coordinates reach index d - 1 + (the tail's highest index)
     size = d + max((ys[-1][0] for _s, ys in steps), default=0)
-    qsize = d + inv[-1][0]
     rem = {}
     for n, xs in ta.items():
         n *= fa
@@ -700,23 +703,15 @@ def div_exact(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
     cden = 1
     while heap:
         n = heapq.heappop(heap)
-        acc, den = rem.pop(n)
+        acc, qden = rem.pop(n)
         num = f._reduce(acc) if size > d else acc
         if not any(num):
             continue
-        prod = [0] * qsize
-        for i, x in enumerate(num):
-            if x:
-                for j, y in inv:
-                    prod[i + j] += x * y
-        if qsize > d:
-            prod = f._reduce(prod)
-        qden = den * lead_inv.den
-        g = gcd(qden, *prod)
+        g = gcd(qden, *num)
         if g != 1:
-            prod = [x // g for x in prod]
+            num = [x // g for x in num]
             qden //= g
-        xq = [(i, x) for i, x in enumerate(prod) if x]
+        xq = [(i, x) for i, x in enumerate(num) if x]
         out[n - n_lead] = xq, qden
         cden = lcm(cden, qden)
         dq = qden * b.cden
@@ -745,33 +740,20 @@ def div_exact(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
 
 
 def eta(order) -> PuiseuxSeries:
-    """Dedekind eta below ``order``, by Euler's pentagonal number theorem:
-    q^{1/24} prod_{n>=1} (1 - q^n) = sum_{n>=1} chi_12(n) q^{n^2/24}, where
-    chi_12(n) is 1 for n = +-1 mod 12, -1 for n = +-5 mod 12 and 0 otherwise.
-    """
-    order = Fraction(order)
-    if order <= Fraction(1, 24):
-        raise ValueError("order must exceed 1/24")
-    terms = {}
-    n = 1
-    while n * n < 24 * order:
-        if n % 12 in (1, 11):
-            terms[n * n] = ((0, 1),)
-        elif n % 12 in (5, 7):
-            terms[n * n] = ((0, -1),)
-        n += 1
+    """Dedekind eta below ``order``: :func:`eta_power` at p = 1."""
     meta = FormMeta(weight=Fraction(1, 2), level=1, kind="cuspidal", source="eta")
-    return _assemble(PuiseuxSeries, terms, 24, order, meta)
+    return eta_power(1, order).with_meta(meta)
 
 
 def eta_power(exponent: int, order) -> PuiseuxSeries:
     """eta^exponent below ``order`` (exponent p >= 1), by J.C.P. Miller's
     recurrence for the power of a power series.
 
-    eta = q^{1/24} P with P = sum a_k q^k, where a_0 = 1 and a_k is nonzero
-    only at the generalised pentagonal numbers.  Then P^p = sum b_n q^n with
-    b_0 = 1 and n b_n = sum_{k=1..n} ((p+1) k - n) a_k b_{n-k}, the division
-    exact; one pass costs about (terms of P^p) x (terms of P), for any p.
+    eta = q^{1/24} P with P = sum a_k q^k, where a_0 = 1 and, by Euler's
+    pentagonal number theorem, a_k = (-1)^j at k = j(3j -+ 1)/2, j >= 1, and
+    0 elsewhere.  Then P^p = sum b_n q^n with b_0 = 1 and
+    n b_n = sum_{k=1..n} ((p+1) k - n) a_k b_{n-k}, the division exact; one
+    pass costs about (terms of P^p) x (terms of P), for any p.
     The terms are stored in ascending order of exponent.
     """
     if exponent < 1:
@@ -779,12 +761,13 @@ def eta_power(exponent: int, order) -> PuiseuxSeries:
     order = Fraction(order)
     if order <= Fraction(exponent, 24):
         raise ValueError(f"order must exceed {Fraction(exponent, 24)}")
-    # (k, a_k) for k >= 1, from the terms q^{1/24 + k} of eta below the
-    # order that p - 1 products with it would need
-    base = eta(order - Fraction(exponent - 1, 24))
-    a = [((n - 1) // 24, xs[0][1]) for n, xs in base._terms.items() if n > 1]
+    # b_n for n < count, the terms q^{p/24 + n} below the order; a_k for
+    # 0 < k < count, ascending, and j(3j - 1)/2 >= j^2 bounds j
+    count = (_top(order, 24) - exponent + 23) // 24
+    a = [(k, (-1) ** j) for j in range(1, isqrt(count) + 1)
+         for k in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2) if k < count]
     b = [1]
-    for n in range(1, (_top(order, 24) - exponent + 23) // 24):
+    for n in range(1, count):
         acc = 0
         for k, v in a:
             if k > n:

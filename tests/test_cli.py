@@ -1,9 +1,11 @@
 import contextlib
 import io
 import json
+import shlex
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -55,6 +57,50 @@ def test_xi_commands():
     assert code == 0
     obj = json.loads(out)
     assert set(obj) == {"xi0", "xi2"}
+
+
+@pytest.mark.parametrize("m", ["1", "3"])
+def test_xi_pair_with_an_index_exit_2_with_one_line(m, capsys):
+    code, out = invoke(["xi", "--pair", "--m", m, "--order", "2"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: --m does not apply with --pair\n"
+
+
+def _readme_examples():
+    """(argv, shown output) for each `jfkernel ...` line of the README's CLI
+    block that reads no input file, but `verify`, whose bytes are pinned by
+    sha256 below.  Comment lines right under a command show its output."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = text.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0].splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        argv = shlex.split(line, comments=True)
+        if argv[:1] != ["jfkernel"] or argv[1] == "verify" or "--in" in argv:
+            continue
+        shown = []
+        for below in lines[i + 1:]:
+            if not below.startswith("# "):
+                break
+            shown.append(below[2:] + "\n")
+        examples.append((argv[1:], "".join(shown) or None))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_the_readme_shows_seven_examples_with_no_input_and_the_theta_output():
+    assert len(README_EXAMPLES) == 7
+    assert [shown for argv, shown in README_EXAMPLES if argv[0] == "theta"] == \
+        ["q^(1/8) + q^(9/8) + q^(25/8)\n"]
+
+
+@pytest.mark.parametrize("argv, shown", README_EXAMPLES, ids=[" ".join(a) for a, _s in README_EXAMPLES])
+def test_readme_cli_example_runs(argv, shown):
+    code, out = invoke(argv)
+    assert code == 0
+    if shown is not None:
+        assert out == shown
 
 
 def test_rational_order_parsing():

@@ -262,6 +262,16 @@ def test_str_rendering():
     assert str(cyclotomic_field(10).zeta(2)) == "cyc10[0,0,1,0]"
     assert not cyclotomic_field(6).zeta(1).is_gaussian()
     assert cyclotomic_field(12).zeta(3).is_gaussian()
+    # in Q(zeta_420) and Q(zeta_840), n/4 >= phi(n): i is not the one
+    # coordinate n/4, and the i form is read off the element itself
+    for n in (420, 840):
+        f = cyclotomic_field(n)
+        i = f.zeta(n // 4)
+        assert f.degree <= n // 4 and i * i == -1
+        assert str(i) == "i" and str(1 + 2 * i) == "1+2*i"
+        assert str((1 + 2 * i) / 3) == "1/3+2/3*i"
+        assert not f.zeta(1).is_gaussian()
+        assert str(f.zeta(1)) == f"cyc{n}[0,1" + ",0" * (f.degree - 2) + "]"
 
 
 # str, to_json bytes and to_complex floats of rational, Gaussian and general
