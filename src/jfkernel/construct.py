@@ -20,7 +20,9 @@ normalised derivative D = q d/dq:
 * psi_0m            = the projection onto the 0 and m components.
 
 The two inverse maps and the projection are theta sums sum_r h_r
-theta_j(m, r), built by :func:`~jfkernel.jacobi.recompose`.
+theta_j(m, r), built by :func:`~jfkernel.jacobi.recompose` as relabellings
+of each h_r's terms onto the theta lattice, with no product and no
+reduction.
 
 The heat operator interacts with the inverse maps through exact series
 identities (constants 8k and 4mk) which the verify module re-derives by

@@ -20,7 +20,10 @@ field over one series denominator.  The restriction and heat operator share
 integer coordinates, with one running gcd over the result.
 :func:`theta_decompose` compares coefficients as tuples.  theta_j(m, r) and
 the theta components are built on the grid 1/4m, with the coordinate tuple
-of 1 as every coefficient.
+of 1 as every coefficient.  A theta sum sum_r h_r theta_j(m, r)
+(:func:`recompose`) is a relabelling: theta_j has unit coefficients and no
+zeta-power twice, so each term of h_r moves to each lattice point with its
+coordinates unchanged, with no product and no reduction.
 """
 
 from __future__ import annotations
@@ -312,17 +315,39 @@ def theta_decompose(phi: JacobiSeries, m: int) -> list[PuiseuxSeries]:
     return comps
 
 
+def _theta_multiple(h: PuiseuxSeries, m: int, r: int, order: Fraction) -> JacobiSeries:
+    """h theta_j(m, r) below ``order``, by relabelling: theta_j has unit
+    coefficients and no zeta-power twice, so the term (e, xs) of h at the
+    lattice point (n, z) is the term (e + n, z) of the product, exponents on
+    one grid, with xs unchanged.  Bound, grid, field, denominator and term
+    order (lattice point outer, h-term inner) are those of
+    ``h * theta_j(m, r, order)``."""
+    lattice = list(_theta_lattice(m, r, order))
+    val_theta = Fraction(min(lattice)[0], 4 * m) if lattice else order
+    vb = min(order + h.val(), h.valid_below + val_theta)
+    den = math.lcm(4 * m, h.den)
+    field = common_field(CYC24, h.field)
+    top, step = _top(vb, den), den // (4 * m)
+    terms = h._on_grid(den, field).items()
+    out = {(e + n * step, z): xs for n, z in lattice for e, xs in terms if e + n * step < top}
+    # truncation may drop the terms that kept gcd(cden, coordinates) at 1
+    return _normalised(JacobiSeries, out, den, vb, None, field, h.cden)
+
+
 def recompose(components, m: int, order) -> JacobiSeries:
-    """sum_r h_r theta_j(m, r) for a mapping {r: h_r}, each r in 0..2m-1,
-    the products added in one pass; inverse of :func:`theta_decompose`.  The
-    bound is the sum's own, and {} gives the zero series below ``order``."""
+    """sum_r h_r theta_j(m, r) for a mapping {r: h_r}, each r in 0..2m-1;
+    inverse of :func:`theta_decompose`.  Each h_r theta_j(m, r) is a
+    relabelling of h_r's terms onto the theta lattice (:func:`_theta_multiple`),
+    with no product and no reduction, and the sum is one pass whose keys never
+    meet, the residues r mod 2m being distinct.  The bound is the sum's own,
+    and {} gives the zero series below ``order``."""
     for r in components:
         if not (_is_int(r) and 0 <= r < 2 * m):
             raise ValueError(f"component {r!r} is not in 0..{2 * m - 1}")
     if not components:
         return JacobiSeries.zero(order)
     order = Fraction(order)
-    return _sum(JacobiSeries, [h * theta_j(m, r, order) for r, h in components.items()])
+    return _sum(JacobiSeries, [_theta_multiple(h, m, r, order) for r, h in components.items()])
 
 
 def symmetry_check(phi: JacobiSeries, m: int) -> bool:

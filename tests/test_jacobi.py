@@ -8,6 +8,7 @@ from jfkernel.cyclotomic import CYC24, cyclotomic_field, imag_unit
 from jfkernel.jacobi import (
     DecompositionInconsistent,
     JacobiSeries,
+    _theta_multiple,
     d2_hat,
     heat_check,
     recompose,
@@ -179,11 +180,30 @@ def test_recompose_refuses_a_residue_outside_0_to_2m():
     assert type(zero) is JacobiSeries and zero.is_zero() and zero.valid_below == 6
 
 
+def _assert_chained_theta_sum(comps, m, order):
+    """recompose against h_r * theta_j(m, r) added one by one: the same
+    terms in the same storage order, bound, grid, field and denominator, and
+    so for each relabelled component on its own."""
+    got = recompose(comps, m, order)
+    want = None
+    for r, h in comps.items():
+        term = h * theta_j(m, r, order)
+        one = _theta_multiple(h, m, r, order)
+        assert (one.valid_below, one.den, one.field, one.cden) == \
+            (term.valid_below, term.den, term.field, term.cden), (m, r)
+        assert list(one._terms.items()) == list(term._terms.items()), (m, r)
+        want = term if want is None else want + term
+    assert got == want and got.valid_below == want.valid_below, (m, sorted(comps))
+    assert got.field == want.field and got.cden == want.cden and got.den == want.den
+    assert list(got._terms.items()) == list(want._terms.items())
+    return got
+
+
 def test_recompose_is_the_chained_theta_sum():
-    """One pass over the products, against h_r * theta_j(m, r) added one by
-    one: the same terms and the same bound, with no cap at ``order``."""
+    """Each h_r theta_j(m, r) relabelled onto the theta lattice, against the
+    products added one by one, with no cap at ``order``."""
     rng = random.Random(41)
-    f120 = cyclotomic_field(120)
+    f40, f120 = cyclotomic_field(40), cyclotomic_field(120)
     for m in (1, 2, 3, 6):
         for _ in range(3):
             comps = {}
@@ -195,17 +215,33 @@ def test_recompose_is_the_chained_theta_sum():
             comps[r0] = comps[r0] + PuiseuxSeries({F(-1, 3): 2, F(-2): -1}, 3)
             wide = PuiseuxSeries({F(1, 2): f120.zeta(7), F(2): f120.zeta(1) / 3}, 9)
             comps[r1] = comps[r1] + wide
-            order = F(rng.randint(4, 14))
-            got = recompose(comps, m, order)
-            want = None
-            for r, h in comps.items():
-                term = h * theta_j(m, r, order)
-                want = term if want is None else want + term
-            assert got == want and got.valid_below == want.valid_below, (m, sorted(comps))
-            assert got.field == want.field and got.cden == want.cden
+            _assert_chained_theta_sum(comps, m, F(rng.randint(4, 14)))
     # a component with no term below q^1 knows the sum beyond ``order``
     late = recompose({1: PuiseuxSeries({F(1): 1}, 20)}, 1, 4)
     assert late.valid_below == 5 and late.coeff(F(13, 4), -3) == 1
+    # truncation drops the only odd coordinate: the denominator falls to 1
+    h = PuiseuxSeries({F(0): 1, F(10): F(1, 2)}, 20)
+    assert h.cden == 2
+    assert _assert_chained_theta_sum({0: h}, 1, 4).cden == 1
+    # theta_j(2, 1) has no lattice point below 1/16: its val is the order,
+    # so 1 known below 1/32 times it is known below 1/16, and q^-1 below -15/16
+    assert theta_j(2, 1, F(1, 16)).is_zero()
+    empty = _assert_chained_theta_sum({1: PuiseuxSeries.one(F(1, 32))}, 2, F(1, 16))
+    assert empty.is_zero() and empty.valid_below == F(1, 16)
+    empty = _assert_chained_theta_sum({1: h, 3: PuiseuxSeries({F(-1): 3}, 2)}, 2, F(1, 16))
+    assert empty.is_zero() and empty.valid_below == F(-15, 16)
+    # a zero component adds nothing and keeps its own bound in the sum
+    zero = _assert_chained_theta_sum({0: PuiseuxSeries.zero(3), 1: h}, 1, 6)
+    assert zero.valid_below == 3 and zero.coeff(F(1, 4), 1) == 1
+    # negative valuation: h's own bound plus val theta_j(2, 2) = 1/2 decides
+    low = PuiseuxSeries({F(-2): 1, F(-1, 2): imag_unit()}, F(5, 2))
+    assert _assert_chained_theta_sum({2: low}, 2, 10).valid_below == 3
+    # components held in Q(zeta_40) and Q(zeta_120), alone and together
+    c40 = PuiseuxSeries({F(1, 4): f40.zeta(3), F(3, 2): f40.zeta(9) / 5}, 8)
+    c120 = PuiseuxSeries({F(0): f120.zeta(11) / 2, F(7, 4): f120.zeta(1) - 1}, 6)
+    assert _assert_chained_theta_sum({1: c40}, 3, 7).field is f120
+    for comps in ({2: c120}, {0: c40, 3: c120}, {0: c120, 5: c40, 2: h}):
+        _assert_chained_theta_sum(comps, 3, 7)
 
 
 def test_restrict_of_combination_is_component_sum():

@@ -3,14 +3,19 @@
 import ast
 import importlib
 import json
+import random
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import jfkernel
+from jfkernel import series
+from jfkernel.cyclotomic import imag_unit
+from jfkernel.jacobi import recompose, theta_j
 
 SOURCES = sorted(Path(jfkernel.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
@@ -196,6 +201,35 @@ def test_dense_view_read_is_reported():
     tree = ast.parse("def f(c, field):\n    ys = c.xs\n    num = [v for v in c.num if v]\n"
                      "    c.num = ys\n    return field.num_terms, getattr(c, 'num')\n")
     assert _attribute_reads(tree, "num") == [3]
+
+
+def test_recompose_runs_no_series_product(monkeypatch):
+    """A theta sum relabels each component onto the theta lattice: no call
+    of the general product kernel, wherever a module binds it."""
+    calls = []
+    product = series._product
+
+    def counted(*args):
+        calls.append(args)
+        return product(*args)
+
+    for module in MODULES:
+        mod = importlib.import_module(f"jfkernel.{module.stem}")
+        if getattr(mod, "_product", None) is product:
+            monkeypatch.setattr(mod, "_product", counted)
+    rng = random.Random(19)
+    for m in (1, 2, 3, 6):
+        comps = {}
+        for r in rng.sample(range(2 * m), rng.randint(1, 2 * m)):
+            terms = {Fraction(rng.randint(-4, 40), rng.choice((1, 2, 4))):
+                     rng.randint(-3, 3) + rng.randint(-1, 1) * imag_unit() for _ in range(6)}
+            comps[r] = series.PuiseuxSeries(terms, rng.randint(8, 16))
+        assert not recompose(comps, m, rng.randint(6, 12)).is_zero()
+    assert calls == []
+    # the counter sees the product that recompose no longer runs
+    r, h = next(iter(comps.items()))
+    h * theta_j(6, r, 6)
+    assert calls
 
 
 def _stale_exports(package):
