@@ -21,9 +21,10 @@ integer coordinates, with one running gcd over the result.
 :func:`theta_decompose` compares coefficients as tuples.  theta_j(m, r) and
 the theta components are built on the grid 1/4m, with the coordinate tuple
 of 1 as every coefficient.  A theta sum sum_r h_r theta_j(m, r)
-(:func:`recompose`) is a relabelling: theta_j has unit coefficients and no
-zeta-power twice, so each term of h_r moves to each lattice point with its
-coordinates unchanged, with no product and no reduction.
+(:func:`recompose`) is one relabelling pass into one series: theta_j has
+unit coefficients and no zeta-power twice, so each term of h_r moves to each
+lattice point with its coordinates only lifted and scaled to the sum's field
+and denominator, with no product, no series sum and one normalisation.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from .series import (
     _json_ratio,
     _normalised,
     _q_text,
+    _scale_terms,
     _Series,
-    _sum,
     _top,
 )
 
@@ -265,9 +266,9 @@ def d2_hat(phi: JacobiSeries, k) -> PuiseuxSeries:
 
 
 def heat_check(m: int, r: int, order) -> bool:
-    """True iff every term of theta_j(m, r) satisfies r_eff^2 = 4 m n_eff."""
-    phi = theta_j(m, r, order)
-    return all(rr * rr * phi.den == 4 * m * n for n, rr in phi._terms)
+    """True iff the heat operator at weight 1/m kills theta_j(m, r): it sends
+    each term q^{z^2/4m} zeta^z to (z^2/m - z^2/m) q^{z^2/4m} = 0."""
+    return d2_hat(theta_j(m, r, order), Fraction(1, m)).is_zero()
 
 
 def theta_decompose(phi: JacobiSeries, m: int) -> list[PuiseuxSeries]:
@@ -315,39 +316,46 @@ def theta_decompose(phi: JacobiSeries, m: int) -> list[PuiseuxSeries]:
     return comps
 
 
-def _theta_multiple(h: PuiseuxSeries, m: int, r: int, order: Fraction) -> JacobiSeries:
-    """h theta_j(m, r) below ``order``, by relabelling: theta_j has unit
-    coefficients and no zeta-power twice, so the term (e, xs) of h at the
-    lattice point (n, z) is the term (e + n, z) of the product, exponents on
-    one grid, with xs unchanged.  Bound, grid, field, denominator and term
-    order (lattice point outer, h-term inner) are those of
-    ``h * theta_j(m, r, order)``."""
-    lattice = list(_theta_lattice(m, r, order))
-    val_theta = Fraction(min(lattice)[0], 4 * m) if lattice else order
-    vb = min(order + h.val(), h.valid_below + val_theta)
-    den = math.lcm(4 * m, h.den)
-    field = common_field(CYC24, h.field)
-    top, step = _top(vb, den), den // (4 * m)
-    terms = h._on_grid(den, field).items()
-    out = {(e + n * step, z): xs for n, z in lattice for e, xs in terms if e + n * step < top}
-    # truncation may drop the terms that kept gcd(cden, coordinates) at 1
-    return _normalised(JacobiSeries, out, den, vb, None, field, h.cden)
-
-
 def recompose(components, m: int, order) -> JacobiSeries:
     """sum_r h_r theta_j(m, r) for a mapping {r: h_r}, each r in 0..2m-1;
-    inverse of :func:`theta_decompose`.  Each h_r theta_j(m, r) is a
-    relabelling of h_r's terms onto the theta lattice (:func:`_theta_multiple`),
-    with no product and no reduction, and the sum is one pass whose keys never
-    meet, the residues r mod 2m being distinct.  The bound is the sum's own,
-    and {} gives the zero series below ``order``."""
+    inverse of :func:`theta_decompose`.
+
+    A relabelling in one pass: theta_j has unit coefficients and no
+    zeta-power twice, so the term (e, xs) of h_r at the lattice point (n, z)
+    is the term (e + n, z) of the sum, written straight into one dict with xs
+    lifted to the sum's field and scaled to its denominator; the residues
+    r mod 2m are distinct, so no two keys meet.  These are the bound, grid,
+    field and denominator of the products h_r * theta_j(m, r, order) added
+    up: the bound is the least over r of min(order + val h_r,
+    bound h_r + val theta_j(m, r)), val theta being ``order`` for an empty
+    lattice; the grid is lcm(4m, every h_r.den); the field (the join with
+    Q(zeta_24), which every h_r.field must allow) and the denominator (the
+    lcm of the ``cden``) are over the components with a term below the
+    bound, normalised once.  Terms are stored by component in mapping order,
+    then lattice point, then h_r-term.  {} gives the zero series below
+    ``order``."""
     for r in components:
         if not (_is_int(r) and 0 <= r < 2 * m):
             raise ValueError(f"component {r!r} is not in 0..{2 * m - 1}")
     if not components:
         return JacobiSeries.zero(order)
     order = Fraction(order)
-    return _sum(JacobiSeries, [_theta_multiple(h, m, r, order) for r, h in components.items()])
+    hs = list(components.values())
+    lattices = [list(_theta_lattice(m, r, order)) for r in components]
+    # val theta_j(m, r): its least exponent, or ``order`` for an empty lattice
+    vals = [Fraction(min(t)[0], 4 * m) if t else order for t in lattices]
+    fields = [common_field(CYC24, h.field) for h in hs]
+    vb = min(min(order + h.val(), h.valid_below + v) for h, v in zip(hs, vals))
+    parts = [(h, t, f) for h, t, v, f in zip(hs, lattices, vals, fields) if h.val() + v < vb]
+    field = common_field(CYC24, *[f for _h, _t, f in parts])
+    cden = math.lcm(*[h.cden for h, _t, _f in parts])
+    den = math.lcm(4 * m, *[h.den for h in hs])
+    top, step = _top(vb, den), den // (4 * m)
+    grids = [(t, _scale_terms(h._on_grid(den, field), cden // h.cden).items())
+             for h, t, _f in parts]
+    out = {(e + n * step, z): xs for t, terms in grids for n, z in t
+           for e, xs in terms if e + n * step < top}
+    return _normalised(JacobiSeries, out, den, vb, None, field, cden)
 
 
 def symmetry_check(phi: JacobiSeries, m: int) -> bool:

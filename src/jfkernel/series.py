@@ -305,11 +305,41 @@ class _Series:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        """Sum, by :func:`_sum`."""
+        """The sum in one pass: ``self``'s keys first, and only sums that
+        cancel are dropped; the bound is the lesser bound.  An operand with
+        no term below it does not widen the field or denominator."""
         other = self._operand(other)
         if other is None:
             return NotImplemented
-        return _sum(type(self), (self, other))
+        vb = min(self.valid_below, other.valid_below)
+        den = lcm(self.den, other.den)
+        top, qexp = _top(vb, den), self._qexp
+        parts = [s for s in (self, other) if s.val() < vb]
+        field = _join(s.field for s in parts)
+        cden = lcm(*[s.cden for s in parts])
+        out = None
+        for s in parts:
+            terms = s._on_grid(den, field)
+            if s.valid_below != vb:
+                terms = {k: xs for k, xs in terms.items() if qexp(k) < top}
+            terms = _scale_terms(terms, cden // s.cden)
+            if out is None:
+                out = dict(terms)
+                continue
+            for k, ys in terms.items():
+                xs = out.get(k)
+                if xs is None:
+                    out[k] = ys
+                    continue
+                acc = _dense(xs, field.degree)
+                for i, v in ys:
+                    acc[i] += v
+                xs = field._nonzero(acc)
+                if xs:
+                    out[k] = xs
+                else:
+                    del out[k]
+        return _normalised(type(self), out or {}, den, vb, None, field, cden)
 
     def __sub__(self, other):
         if not isinstance(other, _Series):
@@ -542,43 +572,6 @@ def _scaled(xs, s):
 
 def _scale_terms(terms, s):
     return terms if s == 1 else {k: _scaled(xs, s) for k, xs in terms.items()}
-
-
-def _sum(cls, series):
-    """The sum of ``series`` (at least one, all of ``cls``) in one pass: the
-    first operand's keys first, and only sums that cancel are dropped; the
-    bound is the least of the bounds.  An operand with no term below the
-    result's bound does not widen its field or denominator."""
-    vb = min(s.valid_below for s in series)
-    den = lcm(*[s.den for s in series])
-    top, qexp = _top(vb, den), cls._qexp
-    parts = [s for s in series if s.val() < vb]
-    field = _join(s.field for s in parts)
-    cden = lcm(*[s.cden for s in parts])
-    size = field.degree
-    out = None
-    for s in parts:
-        terms = s._on_grid(den, field)
-        if s.valid_below != vb:
-            terms = {k: xs for k, xs in terms.items() if qexp(k) < top}
-        terms = _scale_terms(terms, cden // s.cden)
-        if out is None:
-            out = dict(terms)
-            continue
-        for k, ys in terms.items():
-            xs = out.get(k)
-            if xs is None:
-                out[k] = ys
-                continue
-            acc = _dense(xs, size)
-            for i, v in ys:
-                acc[i] += v
-            xs = field._nonzero(acc)
-            if xs:
-                out[k] = xs
-            else:
-                del out[k]
-    return _normalised(cls, out or {}, den, vb, None, field, cden)
 
 
 def _product(a, b, top, field):

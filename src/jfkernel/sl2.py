@@ -37,9 +37,6 @@ class SL2Mat:
             self.c * other.b + self.d * other.d,
         )
 
-    def __neg__(self) -> "SL2Mat":
-        return SL2Mat(-self.a, -self.b, -self.c, -self.d)
-
     def inv(self) -> "SL2Mat":
         return SL2Mat(self.d, -self.b, -self.c, self.a)
 

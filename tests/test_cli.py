@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from jfkernel.cli import run
 from jfkernel.cyclotomic import imag_unit
+from jfkernel.jacobi import theta_j
 from jfkernel.series import PuiseuxSeries
 
 
@@ -395,6 +397,41 @@ def test_malformed_json_exit_2_with_one_line(case, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# -- argument refusals ------------------------------------------------------------
+
+REFUSALS = {
+    "xi --order 1/4": "error: order must exceed 1/4",
+    "xi --m 0 --order 3": "error: index must be a positive integer",
+    "xi --pair --order 5/8": "error: order must exceed 5/8",
+    "theta --m 0 --r 0 --order 3": "error: index must be a positive integer",
+    "decompose --m 0": "error: index must be a positive integer",
+    "eta --power 0 --order 3": "error: exponent must be a positive integer",
+    "weil --m 1 --word S --tau 1": "jfkernel weil: error: argument --tau: expected x,y (got '1')",
+    "weil --m 1 --gamma 1,2,3": "jfkernel weil: error: argument --gamma: bad matrix '1,2,3': "
+                                "not enough values to unpack (expected 4, got 3)",
+    "weil --m 1 --gamma 1,1,1,1": "jfkernel weil: error: argument --gamma: bad matrix "
+                                  "'1,1,1,1': determinant is not 1: [[1,1],[1,1]]",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(REFUSALS))
+def test_invalid_arguments_exit_2_with_one_line(argv, monkeypatch, capsys):
+    # decompose reads a valid series, so only its index is at fault
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(theta_j(2, 1, 3).to_json())))
+    code, out = invoke(shlex.split(argv))
+    assert (code, out, capsys.readouterr().err) == (2, "", REFUSALS[argv] + "\n")
+
+
+def test_verify_text_timings_end_each_line():
+    argv = ["verify", "--suite", "identities", "--order", "4", "--format", "text"]
+    code, plain = invoke(argv)
+    timed_code, timed = invoke(argv + ["--timings"])
+    assert code == timed_code == 0
+    lines = timed.splitlines()
+    assert lines and all(re.search(r"  \([0-9]+\.[0-9] ms\)$", line) for line in lines), timed
+    assert [re.sub(r"  \(.* ms\)$", "", line) for line in lines] == plain.splitlines()
 
 
 _KEYS = ["terms", "valid_below", "meta", "exp", "coeff", "n", "r", "num", "den", "order",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -8,7 +9,6 @@ from jfkernel.cyclotomic import CYC24, cyclotomic_field, imag_unit
 from jfkernel.jacobi import (
     DecompositionInconsistent,
     JacobiSeries,
-    _theta_multiple,
     d2_hat,
     heat_check,
     recompose,
@@ -183,12 +183,12 @@ def test_recompose_refuses_a_residue_outside_0_to_2m():
 def _assert_chained_theta_sum(comps, m, order):
     """recompose against h_r * theta_j(m, r) added one by one: the same
     terms in the same storage order, bound, grid, field and denominator, and
-    so for each relabelled component on its own."""
+    so for each component on its own."""
     got = recompose(comps, m, order)
     want = None
     for r, h in comps.items():
         term = h * theta_j(m, r, order)
-        one = _theta_multiple(h, m, r, order)
+        one = recompose({r: h}, m, order)
         assert (one.valid_below, one.den, one.field, one.cden) == \
             (term.valid_below, term.den, term.field, term.cden), (m, r)
         assert list(one._terms.items()) == list(term._terms.items()), (m, r)
@@ -242,6 +242,67 @@ def test_recompose_is_the_chained_theta_sum():
     assert _assert_chained_theta_sum({1: c40}, 3, 7).field is f120
     for comps in ({2: c120}, {0: c40, 3: c120}, {0: c120, 5: c40, 2: h}):
         _assert_chained_theta_sum(comps, 3, 7)
+
+
+def _recompose_sweep():
+    """JSON, grid, denominator, field order and stored terms of seeded theta
+    sums: m in (1, 2, 3, 5, 6, 10), components in Q(zeta_8), Q(zeta_24),
+    Q(zeta_40) and Q(zeta_120) with coefficient denominators -4..6, grids 1
+    to 24, negative exponents, zero components, empty lattices and mappings,
+    and a Q(zeta_120) component with no term below the bound."""
+    rng = random.Random(20)
+    fields = [cyclotomic_field(n) for n in (8, 24, 40, 120)]
+
+    def coeff(f):
+        num = [rng.randint(-3, 3) if rng.random() < 0.3 else 0 for _ in range(f.degree)]
+        num[rng.randrange(f.degree)] = rng.choice((-2, -1, 1, 2, 4))
+        return f.element(num, rng.choice((-4, -3, -2, -1, 1, 2, 3, 4, 5, 6)))
+
+    def component(f, grid, bound):
+        if rng.random() < 0.1:
+            return PuiseuxSeries.zero(bound)
+        return PuiseuxSeries({F(rng.randint(-2 * grid, 12 * grid), grid): coeff(f)
+                              for _ in range(rng.randint(1, 6))}, bound)
+
+    cases = []
+    for m in (1, 2, 3, 5, 6, 10):
+        for _ in range(20):
+            order = F(rng.randint(-2, 40), rng.choice((1, 1, 1, 16)))
+            comps = {}
+            for r in rng.sample(range(2 * m), rng.randint(0, min(4, 2 * m))):
+                grid = rng.choice((1, 2, 3, 4, 6, 8, 12, 24))
+                bound = F(rng.randint(-grid, 24 * grid), grid)
+                comps[r] = component(rng.choice(fields), grid, bound)
+            cases.append((comps, m, order))
+    low = PuiseuxSeries({F(0): coeff(fields[0]), F(1, 2): coeff(fields[1])}, 3)
+    wide = PuiseuxSeries({F(20): coeff(fields[3]), F(30, 7): coeff(fields[2])}, 40)
+    cases += [({0: low, 1: wide}, 1, 3), ({1: wide, 0: low}, 1, 3), ({3: wide}, 2, 4),
+              ({0: PuiseuxSeries.zero(2), 1: low}, 1, 6)]
+    out = []
+    for comps, m, order in cases:
+        s = recompose(comps, m, order)
+        out.append(json.dumps(s.to_json(), sort_keys=True))
+        out.append(repr((s.den, s.cden, s.field.n, list(s._terms.items()))))
+    return out
+
+
+def test_recompose_keeps_its_recorded_bytes():
+    """The sweep's digest, recorded when each h_r theta_j(m, r) was still
+    built as its own series and the sums added up afterwards."""
+    out = _recompose_sweep()
+    assert len(out) == 248
+    assert hashlib.sha256("\n".join(out).encode()).hexdigest() == \
+        "2cc3dcd5a75da85983b3fdfbec663b5531a91007484094e6cb7f2ed2da9fc143"
+
+
+def test_recompose_refuses_a_wide_field_with_no_term_below_the_bound():
+    # the Q(zeta_875) component starts at q^10, far above the bound 1, and
+    # still may not join Q(zeta_24)
+    late = PuiseuxSeries({F(10): cyclotomic_field(875).zeta(1)}, 20)
+    with pytest.raises(ValueError, match=r"fields of orders \[24, 875\] join in order 21000, "
+                                         r"above 1000"):
+        recompose({0: PuiseuxSeries.one(1), 1: late}, 1, 2)
+    assert recompose({0: PuiseuxSeries.one(1)}, 1, 2).valid_below == 1
 
 
 def test_restrict_of_combination_is_component_sum():

@@ -15,7 +15,7 @@ import pytest
 import jfkernel
 from jfkernel import series
 from jfkernel.cyclotomic import imag_unit
-from jfkernel.jacobi import recompose, theta_j
+from jfkernel.jacobi import JacobiSeries, recompose, theta_j
 
 SOURCES = sorted(Path(jfkernel.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
@@ -204,32 +204,41 @@ def test_dense_view_read_is_reported():
 
 
 def test_recompose_runs_no_series_product(monkeypatch):
-    """A theta sum relabels each component onto the theta lattice: no call
-    of the general product kernel, wherever a module binds it."""
-    calls = []
-    product = series._product
-
-    def counted(*args):
-        calls.append(args)
-        return product(*args)
-
-    for module in MODULES:
-        mod = importlib.import_module(f"jfkernel.{module.stem}")
-        if getattr(mod, "_product", None) is product:
-            monkeypatch.setattr(mod, "_product", counted)
+    """A theta sum relabels each component onto the theta lattice straight
+    into one series: no call of the general product kernel or of ``+``, and
+    one normalisation per sum, wherever a module binds them."""
     rng = random.Random(19)
+    cases = []
     for m in (1, 2, 3, 6):
         comps = {}
         for r in rng.sample(range(2 * m), rng.randint(1, 2 * m)):
             terms = {Fraction(rng.randint(-4, 40), rng.choice((1, 2, 4))):
                      rng.randint(-3, 3) + rng.randint(-1, 1) * imag_unit() for _ in range(6)}
             comps[r] = series.PuiseuxSeries(terms, rng.randint(8, 16))
-        assert not recompose(comps, m, rng.randint(6, 12)).is_zero()
-    assert calls == []
-    # the counter sees the product that recompose no longer runs
+        cases.append((comps, m, rng.randint(6, 12)))
+    calls = dict.fromkeys(("_product", "_normalised", "__add__"), 0)
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    for name in ("_product", "_normalised"):
+        fn = getattr(series, name)
+        for module in MODULES:
+            mod = importlib.import_module(f"jfkernel.{module.stem}")
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counting(name, fn))
+    for cls in (series.PuiseuxSeries, JacobiSeries):
+        monkeypatch.setattr(cls, "__add__", counting("__add__", cls.__add__))
+    for comps, m, order in cases:
+        assert not recompose(comps, m, order).is_zero()
+    assert calls == {"_product": 0, "_normalised": len(cases), "__add__": 0}
+    # the counters see the product and the sum that recompose no longer runs
     r, h = next(iter(comps.items()))
-    h * theta_j(6, r, 6)
-    assert calls
+    (h * theta_j(6, r, 6)) + theta_j(6, r, 6)
+    assert calls["_product"] and calls["__add__"]
 
 
 def _stale_exports(package):

@@ -339,6 +339,17 @@ def test_heat_fails_on_a_theta_function_of_the_wrong_index(monkeypatch):
     assert _fails("heat") == "failing (m, r): [(3, 0), (3, 1), (3, 2), (3, 3), (3, 4), (3, 5)]"
 
 
+def test_heat_fails_on_a_heat_operator_at_the_wrong_weight(monkeypatch):
+    import jfkernel.jacobi as jacobi
+
+    # at weight 2/m the operator leaves z^2/m q^{z^2/4m} of each term; only
+    # theta_j(6, 0) has no zeta-power but 0 below q^6
+    exact = jacobi.d2_hat
+    monkeypatch.setattr(jacobi, "d2_hat", lambda phi, k: exact(phi, 2 * k))
+    bad = [(m, r) for m in range(1, 7) for r in range(2 * m) if (m, r) != (6, 0)]
+    assert _fails("heat") == f"failing (m, r): {bad}"
+
+
 def test_xi_bridge_fails_on_a_wrong_constant(monkeypatch):
     import jfkernel.verify as verify
 
