@@ -121,9 +121,8 @@ def xi_pair_hat(order):
 
 
 def eta6_dilated(m: int, order) -> PuiseuxSeries:
-    """eta^6(m tau), truncated below ``order``."""
-    base = eta_power(6, (Fraction(order) / m) + Fraction(1))
-    return dilate(base, m).truncate(Fraction(order) + m)
+    """eta^6(m tau), known below ``order`` + m."""
+    return dilate(eta_power(6, Fraction(order) / m + 1), m)
 
 
 # ---------------------------------------------------------------------------

@@ -361,12 +361,7 @@ def recompose(components, m: int, order) -> JacobiSeries:
 def symmetry_check(phi: JacobiSeries, m: int) -> bool:
     """True iff the components satisfy h_r = h_{2m-r} on their common range."""
     comps = theta_decompose(phi, m)
-    two_m = 2 * m
-    for r in range(1, m):
-        a, b = comps[r], comps[two_m - r]
-        if not a.same_below(b, min(a.valid_below, b.valid_below)):
-            return False
-    return True
+    return all(comps[r].same_below(comps[2 * m - r]) for r in range(1, m))
 
 
 def tau_shift(a):

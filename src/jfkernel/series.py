@@ -259,33 +259,25 @@ class _Series:
 
     # -- equality -----------------------------------------------------------
 
-    def agreement_bound(self, other) -> Fraction:
-        return min(self.valid_below, other.valid_below)
-
     def same_below(self, other, bound=None) -> bool:
-        """Term-exact agreement strictly below ``bound``.
-
-        The default bound is the common validity bound; asking for more than
-        either series knows raises.
-        """
-        if bound is None:
-            bound = self.agreement_bound(other)
-        bound = Fraction(bound)
-        if bound > self.valid_below or bound > other.valid_below:
-            raise ValueError("comparison bound exceeds a validity bound")
+        """Term-exact agreement strictly below ``bound``: no
+        :meth:`first_difference` there, with its default and refusal."""
         return self.first_difference(other, bound) is None
 
     def first_difference(self, other, bound=None):
         """Smallest key below ``bound`` where the two series differ, with its
-        q-exponent as a ``Fraction``.  Coordinates x over D_a and y over D_b
-        are the same coefficient when x D_b = y D_a."""
-        if bound is None:
-            bound = self.agreement_bound(other)
+        q-exponent as a ``Fraction``.  The default bound is the lesser
+        validity bound; asking for more than either series knows raises.
+        Coordinates x over D_a and y over D_b are the same coefficient when
+        x D_b = y D_a."""
+        bound = min(self.valid_below, other.valid_below) if bound is None else Fraction(bound)
+        if bound > self.valid_below or bound > other.valid_below:
+            raise ValueError("comparison bound exceeds a validity bound")
         den = lcm(self.den, other.den)
         field = common_field(self.field, other.field)
         a, b = self._on_grid(den, field), other._on_grid(den, field)
         da, db = self.cden, other.cden
-        top, qexp = _top(Fraction(bound), den), self._qexp
+        top, qexp = _top(bound, den), self._qexp
         for k in sorted(set(a) | set(b)):
             if qexp(k) >= top:
                 break

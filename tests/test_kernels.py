@@ -8,23 +8,45 @@ insertion order (numeric evaluation sums terms in that order).
 """
 
 import math
+import operator
 import random
 import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jfkernel.construct import lambda2_fwd, lambda2_inv, xi_hat
+from jfkernel.construct import (
+    VVPair,
+    lambda2_fwd,
+    lambda2_inv,
+    lambda_star_fwd,
+    lambda_star_inv,
+    psi_0m,
+    psi_form,
+    xi_hat,
+    xi_pair_hat,
+)
 from jfkernel.cyclotomic import CYC24, CycNumber, cyclotomic_field, imag_unit
 from jfkernel.jacobi import (
     JacobiSeries,
     d2_hat,
+    recompose,
     restrict_z0,
     theta_component,
     theta_decompose,
     theta_j,
 )
-from jfkernel.series import ExactDivisionError, PuiseuxSeries, div_exact, eta, eta_power
+from jfkernel.series import (
+    ExactDivisionError,
+    PuiseuxSeries,
+    dilate,
+    div_exact,
+    eta,
+    eta_power,
+    euler_d,
+)
 
 DENS = (24, 8, 5, 12)
 
@@ -517,3 +539,134 @@ def test_sparse_lambda2_round_trip_at_order_200_quickly():
     assert back.comp0.same_below(phi0, 200)
     assert back.comp2.same_below(phi2, F(399, 2))
     assert time.perf_counter() - start < 2.0
+
+
+# -- validity bounds -------------------------------------------------------------
+#
+# A kernel applied to inputs truncated to B claims no term it does not know:
+# below its bound it agrees with the same kernel applied to the same inputs
+# known further, and its bound is no larger than that run's.
+
+
+def _cut_series(rng, b, top, lo=0):
+    """A random series known below ``top``, on mixed grids, with a term
+    exactly at the cut ``b``."""
+    return puiseux(rng, top, lo=lo) + PuiseuxSeries({b: coeff(rng)}, top)
+
+
+def _cut_jacobi(rng, b, top):
+    return jacobi(rng, top) + JacobiSeries({(b, rng.randint(-3, 3)): coeff(rng)}, top)
+
+
+def _decomposable(rng, b, top, m):
+    """sum_r h_r theta_j(m, r) for random components h_r."""
+    return recompose({r: _cut_series(rng, b, top) for r in range(2 * m)}, m, top)
+
+
+def _lambda_star_case(m):
+    def case(rng, b, top):
+        return (lambda phi: lambda_star_inv(phi, m, top + m)), (_cut_series(rng, b, top),)
+    return case
+
+
+def _lambda_star_fwd_case(m):
+    def case(rng, b, top):
+        g = _cut_series(rng, b, top)
+        h0 = g * theta_component(m, m, top)
+        return (lambda a, c: lambda_star_fwd(a, c, m)), (h0, -(g * theta_component(m, 0, top)))
+    return case
+
+
+def _dilate_case(rng, b, top):
+    m = rng.randint(2, 4)
+    return (lambda a: dilate(a, m)), (_cut_series(rng, b, top, lo=-1),)
+
+
+def _div_eta_case(rng, b, top):
+    return div_exact, (_cut_series(rng, b, top, lo=-1), eta_power(rng.randint(1, 8), top))
+
+
+def _d2_hat_case(rng, b, top):
+    k = rng.choice((2, 4, F(5, 2), F(-1, 3)))
+    return (lambda phi: d2_hat(phi, k)), (_cut_jacobi(rng, b, top),)
+
+
+def _theta_decompose_case(rng, b, top):
+    m = rng.randint(1, 3)
+    return (lambda phi: theta_decompose(phi, m)), (_decomposable(rng, b, top, m),)
+
+
+def _psi_0m_case(rng, b, top):
+    m = rng.randint(1, 3)
+    return (lambda phi: psi_0m(phi, m)), (_decomposable(rng, b, top, m),)
+
+
+def _psi_form_case(rng, b, top):
+    g = _cut_series(rng, b, top)
+    xi0, xi2 = xi_pair_hat(top)
+    return psi_form, (g * xi2, -(g * xi0))
+
+
+BOUND_CASES = {
+    "*": lambda rng, b, top: (operator.mul, (_cut_series(rng, b, top),
+                                             _cut_series(rng, b, top, lo=-1))),
+    "* (two variables)": lambda rng, b, top: (operator.mul, (_cut_jacobi(rng, b, top),
+                                                             _cut_series(rng, b, top))),
+    "+": lambda rng, b, top: (operator.add, (_cut_series(rng, b, top),
+                                             _cut_series(rng, b, top, lo=-1))),
+    "euler_d": lambda rng, b, top: (euler_d, (_cut_series(rng, b, top, lo=-1),)),
+    "dilate": _dilate_case,
+    "div_exact by eta^p": _div_eta_case,
+    "div_exact by theta_{2,1}": lambda rng, b, top: (
+        div_exact, (_cut_series(rng, b, top), theta_component(2, 1, top))),
+    "restrict_z0": lambda rng, b, top: (restrict_z0, (_cut_jacobi(rng, b, top),)),
+    "d2_hat": _d2_hat_case,
+    "theta_decompose": _theta_decompose_case,
+    "lambda2_inv": lambda rng, b, top: (
+        (lambda a, c: lambda2_inv(a, c, top + 2)),
+        (_cut_series(rng, b, top), _cut_series(rng, b, top))),
+    "lambda2_fwd": lambda rng, b, top: (
+        lambda2_fwd, (_cut_series(rng, b, top), _cut_series(rng, b, top))),
+    **{f"lambda_star_inv m={m}": _lambda_star_case(m) for m in (1, 2, 3, 5, 6)},
+    **{f"lambda_star_fwd m={m}": _lambda_star_fwd_case(m) for m in (1, 2, 3, 5, 6)},
+    "psi_0m": _psi_0m_case,
+    "psi_form": _psi_form_case,
+}
+
+
+def _outputs(result):
+    if isinstance(result, VVPair):
+        return [result.comp0, result.comp2]
+    return result if isinstance(result, list) else [result]
+
+
+def _check_bounds(case, seed, b, top, claim=lambda s: s):
+    """The kernel of ``case`` on inputs truncated to ``b`` against the same
+    kernel on the inputs known below ``top``, each output through ``claim``."""
+    kernel, inputs = BOUND_CASES[case](random.Random(seed), b, top)
+    full = _outputs(kernel(*inputs))
+    cut = _outputs(kernel(*[s.truncate(b) for s in inputs]))
+    for t, f in zip(map(claim, cut), map(claim, full), strict=True):
+        assert t.valid_below <= f.valid_below, (case, t.valid_below, f.valid_below)
+        assert t.same_below(f), (case, t.first_difference(f))
+
+
+@pytest.mark.parametrize("case", list(BOUND_CASES))
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), b8=st.integers(24, 200), extra8=st.integers(1, 32))
+def test_a_validity_bound_never_claims_an_unknown_term(case, seed, b8, extra8):
+    b = F(b8, 8)
+    _check_bounds(case, seed, b, b + F(extra8, 8))
+
+
+# the common quotients of lambda_star_fwd and psi_form lie on the lcm of
+# their inputs' mixed grids, where one step past the bound rarely holds a term
+@pytest.mark.parametrize("case", [c for c in BOUND_CASES
+                                  if not c.startswith(("lambda_star_fwd", "psi_form"))])
+def test_a_kernel_claiming_one_grid_step_more_fails_the_bound_property(case):
+    def one_step_more(s):
+        return type(s)(s.terms, s.valid_below + F(1, s.den))
+
+    with pytest.raises(AssertionError):
+        for seed in range(10):
+            _check_bounds(case, seed, F(5), F(7), one_step_more)

@@ -401,6 +401,22 @@ def test_comparison_between_series_of_different_denominators(kind):
     assert wide.first_difference(c) == at(1) and wide.same_below(a)
 
 
+@pytest.mark.parametrize("kind", ["puiseux", "jacobi"])
+def test_first_difference_defaults_to_the_lesser_bound_and_refuses_a_larger_one(kind):
+    key = (lambda e: e) if kind == "puiseux" else (lambda e: (e, 1))
+    cls = PuiseuxSeries if kind == "puiseux" else JacobiSeries
+    a = cls({key(0): 1, key(2): 1}, 2)
+    b = cls({key(0): 1, key(2): 2, key(3): 1}, 4)
+    assert a.first_difference(b) is None and b.first_difference(a, 2) is None
+    assert a.same_below(b) and b.same_below(a)
+    assert b.first_difference(b, 4) is None and b.first_difference(b) is None
+    for bound in (F(17, 8), 3, 4):
+        for x, y in ((a, b), (b, a)):
+            for compare in (x.first_difference, x.same_below):
+                with pytest.raises(ValueError, match="comparison bound exceeds a validity bound"):
+                    compare(y, bound)
+
+
 def _reference_first_difference(a, b, bound):
     """The smallest Fraction key below ``bound`` whose CycNumbers differ."""
     for k in sorted(set(a.terms) | set(b.terms)):

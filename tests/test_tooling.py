@@ -289,7 +289,7 @@ def test_every_name_the_bench_tracer_wraps_exists():
     assert callable(importlib.import_module("jfkernel.jacobi")._theta_component_terms.cache_info)
 
 
-@pytest.mark.parametrize("workload", ["weil-deep", "kernel-deep"])
+@pytest.mark.parametrize("workload", ["weil-deep", "kernel-deep", "verify-all"])
 def test_bench_outputs_match_their_recorded_digests(workload):
     """Every output of a benchmark workload at seed 3, hashed per job by
     ``bench/child.py``, against ``bench/digests.json``: the child fails a job

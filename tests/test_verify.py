@@ -263,6 +263,17 @@ def test_xi_eta6_fails_on_a_wrong_eta_power(monkeypatch):
     assert _fails("xi-eta6").startswith("first difference at q^1/4: -1/2 vs 1/2")
 
 
+def test_xi_eta6_fails_on_a_xi_known_below_less_than_the_order(monkeypatch):
+    # a side known only below order - 1 is a failed case with its bound as
+    # the witness, not a comparison lowered to what both sides know
+    import jfkernel.verify as verify
+
+    exact = verify.xi_hat
+    monkeypatch.setattr(verify, "xi_hat", lambda order: exact(order).truncate(Fraction(order) - 1))
+    assert _fails("xi-eta6") == "known only below q^5"
+    assert _fails("xi-eta6", 30) == "known only below q^29"
+
+
 def test_d2_lambda2_fails_when_the_heat_operator_returns_zero(monkeypatch):
     import jfkernel.verify as verify
 
