@@ -10,10 +10,8 @@ determinant one, so a word can always be collapsed with
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -127,12 +125,23 @@ class GroupWord:
     def to_matrix(self) -> SL2Mat:
         out = I2
         for name, power in self.letters:
-            try:
-                g = GENERATOR_MATRICES[name]
-            except KeyError:
-                raise WordAlphabetError(f"unknown generator {name!r}") from None
-            out = out @ (g ** power)
+            out = out @ letter_matrix(name, power)
         return out
+
+
+def letter_matrix(name: str, p: int) -> SL2Mat:
+    """The matrix of the letter name^p in closed form: T^p = [[1, p], [0, 1]],
+    ST2S^p = (-1)^p [[1, 0], [-2p, 1]], S^p by p mod 4 and -I^p by p mod 2."""
+    if name == "T":
+        return SL2Mat(1, p, 0, 1)
+    if name == "ST2S":
+        s = -1 if p % 2 else 1
+        return SL2Mat(s, 0, -2 * p * s, s)
+    if name == "S":
+        return (I2, S, MINUS_I2, S.inv())[p % 4]
+    if name == "-I":
+        return MINUS_I2 if p % 2 else I2
+    raise WordAlphabetError(f"unknown generator {name!r}")
 
 
 def _arg_range(g: SL2Mat) -> tuple[int, int]:
@@ -176,12 +185,12 @@ def sl2_word(gamma: SL2Mat) -> GroupWord:
     # Reduce the first column by nearest-integer division; each step records
     # g = T^q S g', shrinking |c| at least by half.
     while g.c != 0:
-        q = math.floor(Fraction(g.a, g.c) + Fraction(1, 2))
+        q = (2 * g.a + g.c) // (2 * g.c)  # floor(a/c + 1/2)
         if q:
             letters.append(("T", q))
         letters.append(("S", 1))
         # g' = S^{-1} T^{-q} g
-        g = (S.inv()) @ (T ** (-q)) @ g
+        g = S.inv() @ letter_matrix("T", -q) @ g
     if g.a == 1:
         if g.b:
             letters.append(("T", g.b))

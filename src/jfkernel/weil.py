@@ -12,6 +12,15 @@ by the verify module.  Entries live in Q(zeta_n) with n = lcm(24, 4m); the
 1/sqrt(2m) factor is tracked as a separate positive radicand so that raw
 word products stay integral.
 
+Word products go through the local factors of the discriminant form
+(Z/2m, r^2/4m), which splits orthogonally over the prime powers q of 2m:
+label r by its local coordinates (x_q), with r = sum_q (2m/q) x_q mod 2m.
+Then U_m(T) and U_m(S) are Kronecker products of one small letter per q
+(:func:`_local_letter`), with e^{-pi i/4} on the 2-part, so every word is
+the Kronecker product of its local word products.  ``word_product``
+multiplies q x q matrices per factor and assembles the 2m x 2m matrix once;
+when 2m is a power of two its one factor is U_m itself.
+
 A word product of generator matrices equals the true multiplier matrix of
 the evaluated group element only up to a sign: the square root branch in the
 transformation law is a cocycle, not a homomorphism.  ``resolve`` computes
@@ -35,6 +44,7 @@ from .sl2 import (
     GroupWord,
     SL2Mat,
     gamma_dilate,
+    letter_matrix,
     sl2_word,
     sqrt_cocycle,
 )
@@ -346,37 +356,71 @@ def u_gen(m: int, g: str) -> UMatrix:
 
 
 @lru_cache(maxsize=None)
+def _prime_powers(m: int) -> tuple[int, ...]:
+    """The prime powers q of 2m, ascending in their primes: the 2-part first."""
+    field_order(m)  # refuses an index below 1
+    out, rest, p = [], 2 * m, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        q = 1
+        while rest % p == 0:
+            rest //= p
+            q *= p
+        if q > 1:
+            out.append(q)
+        p += 1
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _labels(m: int) -> tuple[tuple[int, ...], ...]:
+    """The label map: r in Z/2m to its local coordinates (x_q), one per prime
+    power q of 2m, with r = sum_q (2m/q) x_q mod 2m; one tuple per r."""
+    inverses = [(q, pow(2 * m // q, -1, q)) for q in _prime_powers(m)]
+    return tuple(tuple([r * v % q for q, v in inverses]) for r in range(2 * m))
+
+
+@lru_cache(maxsize=None)
+def _local_letter(m: int, q: int, name: str) -> UMatrix:
+    """The letter on the factor Z/q of the discriminant form (Z/2m, r^2/4m),
+    for q a divisor of 2m prime to c = 2m/q:
+
+        U(T) = diag(e(c x^2 / 2q)),
+        U(S) = e(-1/8) / sqrt(q) * (e(-c x x' / q)),
+
+    with e(-1/8) on an even q only, so that the factors of 2m multiply out
+    to U_m; -I = S S and ST2S = S T T S.  An even q lives in Q(zeta_n),
+    n = lcm(24, 4m), an odd one in Q(zeta_2q).  For q = 2m this is U_m
+    itself, :func:`u_gen_general`.
+    """
+    f = cyclotomic_field(2 * q if q % 2 else field_order(m))
+    n, c = f.n, 2 * m // q
+    if name == "T":
+        rows = [[f.zeta(n // (2 * q) * (c * x * x % (2 * q))) if x == y else f.zero
+                 for y in range(q)] for x in range(q)]
+        return UMatrix(f, rows, 1, True)
+    if name == "S":
+        e8 = 0 if q % 2 else n // 8
+        rows = [[f.zeta(-e8 - n // q * c * x * y) for y in range(q)] for x in range(q)]
+        return UMatrix(f, rows, q, True)
+    spellings = {"-I": "S S", "ST2S": "S T T S"}
+    if name not in spellings:
+        raise ValueError(f"unsupported generator letter {name!r}")
+    out = reduce(operator.matmul, [_local_letter(m, q, x) for x in spellings[name].split()])
+    return out._with(resolved=True)
+
+
 def u_gen_general(m: int, g: str) -> UMatrix:
-    """Generator matrices for arbitrary positive index, spelled in S and T.
+    """Generator matrices for arbitrary positive index: the local letter of
+    the whole form, q = 2m.
 
     U_m(T) is forced by the shift tau -> tau + 1 acting on exponents
     r^2/4m; the S matrix is the discrete Fourier kernel normalised by
     e^{-pi i/4}/sqrt(2m), validated numerically against the theta
-    transformation law.  The other letters are their products in S and T:
-    -I = S S and ST2S = S T T S.
+    transformation law.  The other letters are their products in S and T.
     """
-    n = field_order(m)
-    f = cyclotomic_field(n)
-    two_m = 2 * m
-    if g == "T":
-        rows = [
-            [f.zeta((n // (4 * m)) * (r * r % (4 * m))) if r == rp else f.zero
-             for rp in range(two_m)]
-            for r in range(two_m)
-        ]
-        return UMatrix(f, rows, 1, True)
-    if g == "S":
-        z8i = f.zeta(-(n // 8) % n)
-        rows = [
-            [z8i * f.zeta((-(n // two_m) * r * rp) % n) for rp in range(two_m)]
-            for r in range(two_m)
-        ]
-        return UMatrix(f, rows, two_m, True)
-    spellings = {"-I": "S S", "ST2S": "S T T S"}
-    if g not in spellings:
-        raise ValueError(f"unsupported generator letter {g!r}")
-    out = reduce(operator.matmul, [u_gen_general(m, x) for x in spellings[g].split()])
-    return out._with(resolved=True)
+    return _local_letter(m, 2 * m, g)
 
 
 def _letter_order(m: int, name: str) -> int:
@@ -394,24 +438,68 @@ def _letter_order(m: int, name: str) -> int:
 
 
 @lru_cache(maxsize=None)
-def _letter_power(m: int, name: str, power: int) -> UMatrix:
-    """U(letter)^power for 0 <= power < _letter_order(m, name)."""
-    return u_gen_general(m, name) ** power
+def _letter_power(m: int, name: str, power: int) -> tuple[UMatrix, ...]:
+    """The local factors of U(letter)^power, one per prime power of 2m, for
+    0 <= power < _letter_order(m, name).  Their Kronecker product is the
+    letter's power, so the letter's period reduces them all at once."""
+    return tuple(_local_letter(m, q, name) ** power for q in _prime_powers(m))
 
 
 def word_product(m: int, word: GroupWord) -> UMatrix:
     """Product of generator matrices; unresolved (true matrix up to a scalar).
 
-    Letter powers are reduced modulo the letter periods, so a negative or
-    huge power costs one cached power of bounded exponent.  The empty word
-    gives the identity; any other word a fresh matrix, never a cached one.
+    Each prime power of 2m multiplies its own small letters, and
+    :func:`_kronecker` assembles the 2m x 2m product once; when 2m is a
+    power of two its one factor is the product.  Letter powers are reduced
+    modulo the letter periods, so a negative or huge power costs one cached
+    power of bounded exponent.  The empty word gives the identity; any other
+    word a fresh matrix, never a cached one.
     """
-    mats = [_letter_power(m, name, power % _letter_order(m, name)) for name, power in word]
-    if not mats:
+    powers = [_letter_power(m, name, power % _letter_order(m, name)) for name, power in word]
+    if not powers:
         return UMatrix.identity(cyclotomic_field(field_order(m)), 2 * m)
-    if len(mats) == 1:
-        return mats[0]._with(resolved=False)
-    return reduce(operator.matmul, mats)
+    factors = [reduce(operator.matmul, column) for column in zip(*powers)]
+    if len(factors) == 1:
+        return factors[0]._with(resolved=False)
+    return _kronecker(m, factors)
+
+
+def _kronecker(m: int, factors) -> UMatrix:
+    """The 2m x 2m matrix of the local factors, the 2-part first: their
+    Kronecker product, indexed by the tuples (x_q), read through the label
+    map and normalised once.
+
+    The odd factors are lifted into the 2-part's field, and each entry of
+    the Kronecker product is one convolution and reduction of an entry of
+    the product so far with one of the next factor.  Denominators and
+    radicands multiply; the radicands, one per prime, stay squarefree.
+    """
+    f = factors[0].field
+    width, nonzero = 2 * f.degree - 1, f._nonzero
+
+    def times(xs, ys):
+        if not (xs and ys):
+            return ()
+        acc = [0] * width
+        for i, a in xs:
+            for j, b in ys:
+                acc[i + j] += a * b
+        return nonzero(acc)
+
+    table = factors[0]._entries
+    for A in factors[1:]:
+        step = f.n // A.field.n
+        local = [[f._map(ys, step) for ys in row] for row in A._entries]
+        table = [[times(xs, ys) for xs in arow for ys in brow] for arow in table for brow in local]
+    order = []
+    for x in _labels(m):
+        k = 0
+        for xq, A in zip(x, factors):
+            k = k * A.size + xq
+        order.append(k)
+    rows = [tuple([table[i][j] for j in order]) for i in order]
+    return _normalised(f, math.prod([A.den for A in factors]), rows,
+                       math.prod([A.radicand for A in factors]), False)
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +541,7 @@ def word_scalar(word: GroupWord) -> int:
         q = abs(power)
         period, correction = _step_signs(name, 1 if power > 0 else -1)
         cycles, rest = divmod(q - 1, 4)
-        hq = GENERATOR_MATRICES[name] ** power
+        hq = letter_matrix(name, power)
         sign *= (sqrt_cocycle(P, hq) * math.prod(period) ** cycles
                  * math.prod(period[:rest]) * correction ** q)
         P = P @ hq

@@ -66,9 +66,9 @@ def test_xi_star_hat_dilation_and_eta6():
     for m in range(1, 8):
         star = xi_m_star_hat(m, 30)
         viadil = m * dilate(xi_hat(Fraction(30, m) + 1), m)
-        assert star.same_below(viadil, min(star.valid_below, viadil.valid_below)), m
+        assert star.same_below(viadil), m
         e6 = eta6_dilated(m, 30) * F(-m, 2)
-        assert star.same_below(e6, min(star.valid_below, e6.valid_below)), m
+        assert star.same_below(e6), m
 
 
 def test_xi_star_hat_m2_leading():
@@ -97,7 +97,7 @@ def test_bridge_constant_is_one():
     t2 = theta_component(2, 2, order)
     lhs = t2 * xi0 - t0 * xi2
     rhs = t1 * xi_m_star_hat(2, order)
-    assert lhs.same_below(rhs, min(lhs.valid_below, rhs.valid_below))
+    assert lhs.same_below(rhs)
 
 
 def test_lambda2_fwd_trivial_cases():
@@ -131,10 +131,10 @@ def test_lambda2_inv_unit_pair_components():
     h = theta_decompose(phi, 2)
     t1 = theta_component(2, 1, 12)
     t0 = theta_component(2, 0, 12)
-    assert h[0].same_below(t1, min(h[0].valid_below, t1.valid_below))
-    assert h[1].same_below(t0 * F(-1, 2), min(h[1].valid_below, t0.valid_below))
+    assert h[0].same_below(t1)
+    assert h[1].same_below(t0 * F(-1, 2))
     assert h[2].is_zero()
-    assert h[3].same_below(h[1], min(h[3].valid_below, h[1].valid_below))
+    assert h[3].same_below(h[1])
     assert lambda2_inv(zero, zero, 12).is_zero()
 
 
@@ -162,7 +162,7 @@ def test_d2_of_lambda2_inv_is_8k_pairing():
             lhs = d2_hat(phi, k)
             xi0, xi2 = xi_pair_hat(11)
             rhs = (phi0 * xi0 + phi2 * xi2) * (8 * k)
-            assert lhs.same_below(rhs, min(lhs.valid_below, rhs.valid_below)), k
+            assert lhs.same_below(rhs), k
 
 
 def test_d2_of_lambda2_inv_unit_example():
@@ -174,7 +174,7 @@ def test_d2_of_lambda2_inv_unit_example():
         lhs = d2_hat(phi, k)
         _, xi2 = xi_pair_hat(12)
         rhs = xi2 * (8 * k)
-        assert lhs.same_below(rhs, min(lhs.valid_below, rhs.valid_below))
+        assert lhs.same_below(rhs)
 
 
 def test_heat_constant_derivation():
@@ -190,7 +190,7 @@ def test_d2_of_lambda_star_inv():
             jac = lambda_star_inv(phi, m, 10)
             lhs = d2_hat(jac, k)
             rhs = phi * xi_m_star_hat(m, 10) * (4 * m * k)
-            assert lhs.same_below(rhs, min(lhs.valid_below, rhs.valid_below)), (m, k)
+            assert lhs.same_below(rhs), (m, k)
 
 
 def test_lambda_star_inv_structure():
@@ -211,7 +211,7 @@ def test_lambda_star_inv_m1():
     one = PuiseuxSeries.one(10)
     jac = lambda_star_inv(one, 1, 10)
     expected = theta_component(1, 1, 10) * theta_j(1, 0, 10) - theta_component(1, 0, 10) * theta_j(1, 1, 10)
-    assert jac.same_below(expected, min(jac.valid_below, expected.valid_below))
+    assert jac.same_below(expected)
     assert restrict_z0(jac).is_zero()
 
 
@@ -279,7 +279,7 @@ def test_psi_0m_projection():
     for m in (2, 3):
         t = theta_j(m, 0, 12)
         p = psi_0m(t, m)
-        assert p.same_below(t, min(p.valid_below, t.valid_below))
+        assert p.same_below(t)
         t1 = theta_j(m, 1, 12)
         assert psi_0m(t1, m).is_zero()
 
@@ -293,7 +293,7 @@ def test_psi_0m_idempotent():
     phi = recompose(dict(enumerate(comps)), m, 10)
     once = psi_0m(phi, m)
     twice = psi_0m(once, m)
-    assert twice.same_below(once, min(twice.valid_below, once.valid_below))
+    assert twice.same_below(once)
 
 
 def test_vvpair_json_round_trip():

@@ -482,7 +482,7 @@ def test_div_exact_non_rational_leading_coefficient():
         a = p * b
         q = div_exact(a, b)
         assert_identical(q, ref_div(a, b))
-        assert q.same_below(p, min(q.valid_below, p.valid_below))
+        assert q.same_below(p)
 
 
 def test_div_exact_remainder_that_cancels():

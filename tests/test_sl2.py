@@ -1,8 +1,11 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from jfkernel.sl2 import (
+    GENERATOR_MATRICES,
     GroupWord,
     I2,
     MINUS_I2,
@@ -12,6 +15,7 @@ from jfkernel.sl2 import (
     T,
     WordAlphabetError,
     gamma_dilate,
+    letter_matrix,
     random_gamma0_2_word,
     random_gamma0_m_word,
     random_sl2_word,
@@ -118,3 +122,29 @@ def test_sqrt_cocycle_matches_principal_square_roots():
                 assert abs(val - sqrt_cocycle(A, B)) < 1e-9, (A, B, tau)
     assert sqrt_cocycle(S, S) == 1
     assert sqrt_cocycle(MINUS_I2, MINUS_I2) == -1
+
+
+def test_letter_matrix_is_the_generator_power():
+    for name, g in GENERATOR_MATRICES.items():
+        for p in list(range(-13, 14)) + [10 ** 9 + 1, -10 ** 9 - 2]:
+            assert letter_matrix(name, p) == g ** p, (name, p)
+    with pytest.raises(WordAlphabetError):
+        letter_matrix("U", 1)
+
+
+def test_sl2_word_rounds_to_the_nearest_integer_at_every_sign():
+    rng = random.Random(71)
+    for _ in range(300):
+        c = rng.choice((-1, 1)) * rng.randint(1, 10 ** 6)
+        d = rng.randint(-10 ** 6, 10 ** 6)
+        while math.gcd(c, d) != 1:
+            d += 1
+        a = pow(d, -1, abs(c)) + abs(c) * rng.randint(-3, 3)
+        gamma = SL2Mat(a, (a * d - 1) // c, c, d)
+        # the reduction with its nearest integer taken through Fractions
+        letters, g = [], gamma
+        while g.c:
+            q = math.floor(Fraction(g.a, g.c) + Fraction(1, 2))
+            letters += [("T", q)] * (q != 0) + [("S", 1)]
+            g = S.inv() @ T ** -q @ g
+        assert sl2_word(gamma).letters[:len(letters)] == tuple(letters)

@@ -378,15 +378,17 @@ def test_xistar_dilate_fails_on_a_wrong_xi(monkeypatch):
 
 
 def test_block_structure_fails_on_a_wrong_word_product(monkeypatch):
-    # every T^p letter multiplies in U(T)^(p+1): the products leave the
-    # level-m subgroup and the zero pattern breaks; no 24th root of unity
-    # fits the wrong level-2 products, which is a failed check, not an error
+    # every T^p letter multiplies in U(T)^(p+1), on every local factor of 2m:
+    # the products leave the level-m subgroup and the zero pattern breaks, at
+    # the split index 5 too; no 24th root of unity fits the wrong level-2
+    # products, which is a failed check, not an error
     import jfkernel.weil as weil
 
     exact = weil._letter_power
     monkeypatch.setattr(
         weil, "_letter_power",
         lambda m, name, p: exact(m, name, (p + 1) % weil._letter_order(m, name) if name == "T" else p))
+    assert not weil.block_rows_vanish(5, weil.word_product(5, GroupWord.parse("T S T^5 S")))
     reports = {r.name: r for r in suite_weil(7, words=2)}
     blocks = reports["weil-block-structure[m=2,3,5]"]
     assert blocks.status == "fail"

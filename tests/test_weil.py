@@ -552,7 +552,7 @@ def test_resolved_sign_negates_the_coordinates():
 
 
 def test_word_product_flags_and_fresh_objects():
-    for m in (1, 2):
+    for m in (1, 2, 3):
         identity = UMatrix.identity(cyclotomic_field(field_order(m)), 2 * m)
         empty = word_product(m, GroupWord.of())
         assert empty.resolved is True and empty == identity
@@ -564,11 +564,11 @@ def test_word_product_flags_and_fresh_objects():
             assert W.rows == want.rows and W.radicand == want.radicand, (m, text)
             for name, power in word:
                 cached = _letter_power(m, name, power % _letter_order(m, name))
-                assert W is not cached
+                assert all(W is not factor for factor in cached)
         # a zero-power word is the identity matrix, but unresolved
         assert word_product(m, GroupWord.parse("S^8")) == identity
-        # the cached letter keeps its own flag after a word has used it
-        assert _letter_power(m, "S", 0).resolved is True
+        # the cached local factors keep their own flag after a word has used them
+        assert all(factor.resolved for factor in _letter_power(m, "S", 0))
 
 
 def test_letter_orders():
@@ -879,3 +879,107 @@ def test_powers_start_from_the_first_factor(monkeypatch):
         zero = u ** 0
         assert zero.resolved is True and zero == UMatrix.identity(u.field, 2 * m)
         assert u ** -3 == (u ** 3).conj_transpose()
+
+
+# ---------------------------------------------------------------------------
+# Word products through the local factors of 2m
+
+
+def _full_word_product(m, word):
+    """The 2m x 2m product left to right through the matrix kernel, which
+    the tests above pin to :func:`_matmul_reference`: each letter's power of
+    the whole-index letter by square and multiply, never reduced by its
+    period."""
+    out = UMatrix.identity(cyclotomic_field(field_order(m)), 2 * m)
+    for name, power in word:
+        out = out @ u_gen_general(m, name) ** power
+    return out
+
+
+def _stored(U):
+    return U.field, U.den, U.radicand, U._entries, U.resolved
+
+
+def _seeded_words(rng, count):
+    """Words of one to three letters over S, T, -I and ST2S, with powers
+    from -7 to 11: negative ones, and ones past the periods of S and -I (and
+    of T and ST2S at m = 1, 2)."""
+    powers = [p for p in range(-7, 12) if p]
+    return [GroupWord(tuple((rng.choice(LETTERS), rng.choice(powers))
+                            for _ in range(rng.randint(1, 3)))) for _ in range(count)]
+
+
+# split indices, each word with an S
+SPLIT_CASES = [(m, GroupWord.parse(text)) for m in (3, 5, 6, 15)
+               for text in ("S T^2 S T^-1 S", "-I T^3", "ST2S^2 S")]
+
+
+def _mismatches(cases, wants):
+    return [(m, str(w)) for (m, w), want in zip(cases, wants)
+            if _stored(word_product(m, w)) != _stored(want)]
+
+
+def test_factored_word_product_is_the_full_product_at_every_index():
+    # every stored part agrees: field, den, radicand, entries and flag;
+    # the entry-by-entry reference where it is cheap, the kernel above it
+    rng = random.Random(61)
+    for m in range(1, 31):
+        for w in _seeded_words(rng, 6 if m <= 4 else 3 if m <= 12 else 1):
+            want = _reference_word_product(m, w) if m <= 4 else _full_word_product(m, w)
+            assert _stored(word_product(m, w)) == _stored(want), (m, str(w))
+    wants = [_full_word_product(m, w) for m, w in SPLIT_CASES]
+    assert _mismatches(SPLIT_CASES, wants) == []
+
+
+def test_label_map_is_a_bijection_of_z_mod_2m():
+    for m in range(1, 61):
+        qs = weil._prime_powers(m)
+        assert math.prod(qs) == 2 * m and qs[0] % 2 == 0
+        for q in qs:
+            p = next(d for d in range(2, q + 1) if q % d == 0)
+            assert q == p ** round(math.log(q, p)) and math.gcd(q, 2 * m // q) == 1
+        labels = weil._labels(m)
+        assert len(labels) == 2 * m and len(set(labels)) == 2 * m
+        for r, x in enumerate(labels):
+            assert all(0 <= xq < q for xq, q in zip(x, qs))
+            assert sum(2 * m // q * xq for xq, q in zip(x, qs)) % (2 * m) == r
+
+
+@pytest.mark.parametrize("m", [15, 30])
+def test_split_word_products_multiply_no_full_size_matrices(monkeypatch, m):
+    # counted like test_powers_start_from_the_first_factor: every product of
+    # two matrices, with the letter caches cold, is of local factors
+    sizes = []
+    matmul = UMatrix.__matmul__
+
+    def counting(a, b):
+        sizes.append((a.size, b.size))
+        return matmul(a, b)
+
+    monkeypatch.setattr(UMatrix, "__matmul__", counting)
+    monkeypatch.setattr(weil, "_letter_power", weil._letter_power.__wrapped__)
+    monkeypatch.setattr(weil, "_local_letter", weil._local_letter.__wrapped__)
+    for text in ("S T S T^-1 S", "ST2S^3 -I S T^5", "S^9 T^-7 S"):
+        word_product(m, GroupWord.parse(text))
+    assert sizes and max(max(pair) for pair in sizes) <= max(weil._prime_powers(m)) < 2 * m
+
+
+def _local_s_without_e8(exact):
+    def letter(m, q, name):
+        U = exact(m, q, name)
+        if name == "S" and q % 2 == 0:
+            U = U.scale(U.field.zeta(U.field.n // 8))
+        return U
+    return letter
+
+
+@pytest.mark.parametrize("mutant", ["local S without e(-1/8)", "label map shifted by one"])
+def test_factored_word_product_differs_from_the_full_product_when_broken(monkeypatch, mutant):
+    wants = [_full_word_product(m, w) for m, w in SPLIT_CASES]
+    if mutant == "local S without e(-1/8)":
+        monkeypatch.setattr(weil, "_letter_power", weil._letter_power.__wrapped__)
+        monkeypatch.setattr(weil, "_local_letter", _local_s_without_e8(weil._local_letter.__wrapped__))
+    else:
+        exact = weil._labels
+        monkeypatch.setattr(weil, "_labels", lambda m: exact(m)[1:] + exact(m)[:1])
+    assert _mismatches(SPLIT_CASES, wants) == [(m, str(w)) for m, w in SPLIT_CASES]
