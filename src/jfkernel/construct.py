@@ -31,9 +31,9 @@ brute force before asserting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value
 from .cyclotomic import _square_part
 from .jacobi import JacobiSeries, d2_hat, recompose, theta_component, theta_decompose
 from .series import FormMeta, PuiseuxSeries, _entry, _expect, dilate, div_exact, eta_power, euler_d
@@ -51,13 +51,13 @@ class NonSquarefreeIndex(ValueError):
     """The squarefree-index construction was called with a squareful index."""
 
 
-@dataclass(frozen=True)
-class VVPair:
+class VVPair(Value):
     """A two-component vector of q-series sharing a common valid range."""
 
-    comp0: PuiseuxSeries
-    comp2: PuiseuxSeries
-    meta: FormMeta | None = None
+    __slots__ = ("comp0", "comp2", "meta")
+
+    def __init__(self, comp0: PuiseuxSeries, comp2: PuiseuxSeries, meta: FormMeta | None = None):
+        self.comp0, self.comp2, self.meta = comp0, comp2, meta
 
     def to_json(self):
         return {

@@ -173,6 +173,14 @@ class CyclotomicField:
             den //= g
         return CycNumber(self, xs, den)
 
+    def _json(self, xs, den):
+        """:meth:`CycNumber.to_json` of the coordinates ``xs`` over ``den``."""
+        num = [0] * self.degree
+        for i, v in xs:
+            num[i] = v
+        return ({"num": num, "den": den} if self.n == 24
+                else {"num": num, "den": den, "order": self.n})
+
     def zeta(self, k: int = 1) -> "CycNumber":
         """The root of unity zeta_n^k."""
         return CycNumber(self, self._rows[k % self.n], 1)
@@ -433,10 +441,7 @@ class CycNumber:
 
     def to_json(self):
         """Canonical encoding {"num": [...], "den": d}; gcd(nums, den) = 1."""
-        obj = {"num": list(self.num), "den": self.den}
-        if self.field.n != 24:
-            obj["order"] = self.field.n
-        return obj
+        return self.field._json(self.xs, self.den)
 
     @staticmethod
     def from_json(obj) -> "CycNumber":
@@ -459,7 +464,7 @@ def _json_number(obj):
     if not _is_int(n) or not 1 <= n <= MAX_JSON_ORDER:
         raise ValueError(f"coefficient order must be an integer in 1..{MAX_JSON_ORDER}, got {n!r}")
     field = cyclotomic_field(n)
-    if not isinstance(num, list) or len(num) > field.degree or not all(map(_is_int, num)):
+    if not isinstance(num, list) or len(num) > field.degree or not set(map(type, num)) <= {int}:
         raise ValueError(
             f"coefficient num must be a list of at most {field.degree} integers, got {num!r:.60}")
     if not _is_int(den) or den == 0:

@@ -40,8 +40,6 @@ from .series import (
     PuiseuxSeries,
     _assemble,
     _entry,
-    _frac_str,
-    _json_ratio,
     _normalised,
     _q_text,
     _scale_terms,
@@ -126,15 +124,15 @@ class JacobiSeries(_Series):
         return "*".join(x for x in (_q_text(n), z) if x)
 
     @staticmethod
-    def _term_json(key, den, coeff):
-        return {"n": _frac_str(key[0], den), "r": key[1], "coeff": coeff}
+    def _term_json(key, n, coeff):
+        return {"n": n, "r": key[1], "coeff": coeff}
 
     @staticmethod
-    def _key_from_json(t):
+    def _key_from_json(t, ratio):
         r = _entry(t, "r", "series term")
         if not _is_int(r):
             raise ValueError(f"term r must be an integer, got {r!r}")
-        return _json_ratio(_entry(t, "n", "series term"), "term n"), r
+        return ratio(_entry(t, "n", "series term"), "term n"), r
 
     @staticmethod
     def from_json(obj) -> "JacobiSeries":

@@ -74,10 +74,12 @@ def theta_jacobi_num(m: int, r: int, tau: complex, z: complex) -> complex:
         raise ValueError("tau must lie in the upper half-plane")
     x0 = r / (2.0 * m)
     N = _theta_range(m, y, z.imag)
+    # hoisted in the grouping of 2j * math.pi * m * (...), so every float is unchanged
+    c, exp = 2j * math.pi * m, cmath.exp
     total = 0j
     for n in range(-N - 1, N + 2):
         xv = n + x0
-        total += cmath.exp(2j * math.pi * m * (xv * xv * tau + 2 * xv * z))
+        total += exp(c * (xv * xv * tau + 2 * xv * z))
     return total
 
 
@@ -97,11 +99,12 @@ def dtheta_num(m: int, r: int, tau: complex) -> complex:
         raise ValueError("tau must lie in the upper half-plane")
     x0 = r / (2.0 * m)
     N = _theta_range(m, y, 0.0) + 2
+    c, exp = 2j * math.pi, cmath.exp
     total = 0j
     for n in range(-N - 1, N + 2):
         xv = n + x0
         e = m * xv * xv
-        total += e * cmath.exp(2j * math.pi * e * tau)
+        total += e * exp(c * e * tau)
     return total
 
 
@@ -112,10 +115,11 @@ def eta_num(tau: complex) -> complex:
         raise ValueError("tau must lie in the upper half-plane")
     # exponents k(3k-1)/2 + 1/24; need 2 pi y (3k^2/2 - |k|/2) >= TAIL_LOG
     K = int(math.sqrt(2.0 * TAIL_LOG / (3.0 * TWO_PI * y)) + 2.0)
+    c, exp = 2j * math.pi, cmath.exp
     total = 0j
     for k in range(-K, K + 1):
         e = k * (3 * k - 1) / 2.0 + 1.0 / 24.0
-        total += (-1) ** k * cmath.exp(2j * math.pi * e * tau)
+        total += (-1) ** k * exp(c * e * tau)
     return total
 
 

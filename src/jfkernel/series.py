@@ -11,7 +11,8 @@ and the coefficient is sum(v zeta^i) / cden, with gcd(cden, every v) = 1.
 That form is canonical, so two coefficients of one series are equal exactly
 when their tuples are.  ``Fraction`` and :class:`CycNumber` appear only at
 the edge: the constructor, ``coeff``, ``terms`` (a Fraction-keyed view of
-CycNumbers), ``first_difference``, text and JSON.  The core class
+CycNumbers), ``first_difference`` and text; JSON is written from and read
+into the tuples.  The core class
 :class:`_Series` holds everything that does not depend on the shape of a
 key; the two-variable series of :mod:`jfkernel.jacobi` is the same core with
 (exponent, zeta-power) keys.  The kernels (:func:`_product`,
@@ -38,12 +39,12 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import itemgetter
 from types import MappingProxyType
 
+from ._value import Value
 from .cyclotomic import CYC24, CycNumber, _is_int, _json_number, coerce24, common_field
 
 
@@ -51,22 +52,22 @@ class ExactDivisionError(ArithmeticError):
     """Raised when a series division cannot be performed exactly."""
 
 
-@dataclass(frozen=True)
-class FormMeta:
+class FormMeta(Value):
     """Descriptive metadata attached to a series; never alters arithmetic.
 
+    ``weight`` is a ``Fraction``, ``index`` and ``level`` are ints;
     ``character`` is a symbolic tag such as "trivial", "omega_m",
     "omega_m_bar" or "chi*omega_m_bar"; ``kind`` is one of "modular",
     "cuspidal", "theta-component", "unchecked".  ``source`` records which
-    construction produced the series.
+    construction produced the series.  Each field may be None.
     """
 
-    weight: Fraction | None = None
-    index: int | None = None
-    level: int | None = None
-    character: str | None = None
-    kind: str | None = None
-    source: str | None = None
+    __slots__ = ("weight", "index", "level", "character", "kind", "source")
+
+    def __init__(self, weight=None, index=None, level=None, character=None, kind=None,
+                 source=None):
+        self.weight, self.index, self.level = weight, index, level
+        self.character, self.kind, self.source = character, kind, source
 
     def to_json(self):
         out = {}
@@ -395,21 +396,46 @@ class _Series:
     # -- serialization ----------------------------------------------------------
 
     def to_json(self):
-        den = self.den
+        """Each coefficient as :meth:`CycNumber.to_json` writes it, straight
+        from its tuple over one gcd with ``cden``; each q-exponent's text is
+        formatted once."""
+        den, cden, qexp, coeff = self.den, self.cden, self._qexp, self.field._json
+        texts = {}
+        terms = []
+        for k, xs in sorted(self._terms.items(), key=itemgetter(0)):
+            n = qexp(k)
+            text = texts.get(n)
+            if text is None:
+                text = texts[n] = _frac_str(n, den)
+            g = gcd(cden, *[v for _i, v in xs])
+            if g != 1:
+                xs = [(i, v // g) for i, v in xs]
+            terms.append(self._term_json(k, text, coeff(xs, cden // g)))
         return {
             "valid_below": _frac_str(*self.valid_below.as_integer_ratio()),
-            "terms": [self._term_json(k, den, self.field._element(xs, self.cden).to_json())
-                      for k, xs in sorted(self._terms.items(), key=itemgetter(0))],
+            "terms": terms,
             "meta": self.meta.to_json() if self.meta is not None else None,
         }
 
     @classmethod
     def _from_json(cls, obj, what):
         """Decode :meth:`to_json` output; malformed input raises ValueError.
-        A key's q-exponent is read as the ints (p, q), with no ``Fraction``."""
+        A key's q-exponent is read as the ints (p, q), with no ``Fraction``;
+        each distinct exponent string is parsed once."""
         items, vb, meta = _terms_json(obj, what)
-        return _build(cls, [(cls._key_from_json(t), _json_number(_entry(t, "coeff", "series term")))
-                            for t in items], vb, meta)
+        parsed = {}
+
+        def ratio(x, what):
+            if x.__class__ is not str:
+                return _json_ratio(x, what)
+            pq = parsed.get(x)
+            if pq is None:
+                pq = parsed[x] = _json_ratio(x, what)
+            return pq
+
+        return _build(cls, [(cls._key_from_json(t, ratio),
+                             _json_number(_entry(t, "coeff", "series term"))) for t in items],
+                      vb, meta)
 
 
 def _q_text(e: Fraction) -> str:
@@ -464,12 +490,12 @@ class PuiseuxSeries(_Series):
         return None
 
     @staticmethod
-    def _term_json(n, den, coeff):
-        return {"exp": _frac_str(n, den), "coeff": coeff}
+    def _term_json(_n, exp, coeff):
+        return {"exp": exp, "coeff": coeff}
 
     @staticmethod
-    def _key_from_json(t):
-        return _json_ratio(_entry(t, "exp", "series term"), "term exp")
+    def _key_from_json(t, ratio):
+        return ratio(_entry(t, "exp", "series term"), "term exp")
 
     @staticmethod
     def from_json(obj) -> "PuiseuxSeries":

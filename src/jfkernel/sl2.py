@@ -11,20 +11,18 @@ determinant one, so a word can always be collapsed with
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+
+from ._value import Value
 
 
-@dataclass(frozen=True)
-class SL2Mat:
-    """A 2x2 integer matrix with determinant 1."""
+class SL2Mat(Value):
+    """A 2x2 integer matrix [[a, b], [c, d]] with determinant 1."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
+    def __init__(self, a: int, b: int, c: int, d: int):
+        self.a, self.b, self.c, self.d = a, b, c, d
+        if a * d - b * c != 1:
             raise ValueError(f"determinant is not 1: {self}")
 
     def __matmul__(self, other: "SL2Mat") -> "SL2Mat":
@@ -84,11 +82,14 @@ class WordAlphabetError(ValueError):
     """A word uses a letter outside the supported alphabet."""
 
 
-@dataclass(frozen=True)
-class GroupWord:
-    """A product of named generators with integer powers."""
+class GroupWord(Value):
+    """A product of named generators with integer powers: ``letters`` is a
+    tuple of (name, power) pairs."""
 
-    letters: tuple[tuple[str, int], ...]
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple[tuple[str, int], ...]):
+        self.letters = letters
 
     @staticmethod
     def of(*letters) -> "GroupWord":

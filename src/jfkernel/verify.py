@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
+from ._value import Value
 from .construct import (
     bridge_sides,
     derive_bridge_constant,
@@ -38,7 +39,7 @@ from .construct import (
     xi_m_star_hat,
     xi_pair_hat,
 )
-from .cyclotomic import CycNumber, coerce24, imag_unit
+from .cyclotomic import CYC24, CycNumber, coerce24
 from .jacobi import (
     d2_hat,
     heat_check,
@@ -61,7 +62,7 @@ from .numeric import (
     transform_rhs,
     xi_star_form,
 )
-from .series import PuiseuxSeries, dilate, eta_power
+from .series import PuiseuxSeries, _build, dilate, eta_power
 from .sl2 import (
     S as S_MAT,
     GroupWord,
@@ -89,15 +90,17 @@ from .weil import (
 NUMERIC_TOL = 1e-9
 
 
-@dataclass
-class CheckReport:
-    """Outcome of one identity or transformation check."""
+class CheckReport(Value):
+    """Outcome of one identity or transformation check: ``status`` is "pass"
+    or "fail", ``bound`` the order reached or tolerance used, ``witness`` the
+    first failing term, worst residual or notes."""
 
-    name: str
-    status: str  # "pass" | "fail"
-    bound: str | float | None = None  # order reached or tolerance used
-    witness: str | None = None  # first failing term / worst residual / notes
-    runtime_ms: float | None = None
+    __slots__ = ("name", "status", "bound", "witness", "runtime_ms")
+    __hash__ = None
+
+    def __init__(self, name: str, status: str, bound=None, witness=None, runtime_ms=None):
+        self.name, self.status, self.bound = name, status, bound
+        self.witness, self.runtime_ms = witness, runtime_ms
 
     @property
     def passed(self) -> bool:
@@ -203,11 +206,16 @@ def _id_heat(order, rng):
 
 
 def _random_series(rng, vb, nterms=8, grid=8):
-    terms = {}
+    """``nterms`` draws of a term (a + b i) q^(n/grid) below ``vb``, |a| <= 5
+    and |b| <= 2; a repeated exponent keeps its first place and last value."""
+    pairs = []
     for _ in range(nterms):
-        e = Fraction(rng.randint(0, int(vb * grid) - 1), grid)
-        terms[e] = rng.randint(-5, 5) + rng.randint(-2, 2) * imag_unit()
-    return PuiseuxSeries(terms, vb)
+        n = rng.randint(0, int(vb * grid) - 1)
+        g = gcd(n, grid)
+        # i = zeta_24^6
+        xs = tuple([(j, v) for j, v in ((0, rng.randint(-5, 5)), (6, rng.randint(-2, 2))) if v])
+        pairs.append(((n // g, grid // g), (CYC24, xs, 1)))
+    return _build(PuiseuxSeries, pairs, Fraction(vb), None)
 
 
 def _id_d2_lambda2(order, rng):

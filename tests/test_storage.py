@@ -121,13 +121,17 @@ def test_terms_view_keeps_insertion_order():
 
 def _random_pair(rng, kind):
     """Two series that agree on most terms, on different grids, with some
-    coefficients held in larger cyclotomic fields."""
+    coefficients held in larger cyclotomic fields and some over the
+    denominators 3 and 5, so that the two series' denominators may differ."""
     i = imag_unit()
     fields = [cyclotomic_field(n) for n in (8, 48, 120)]
 
     def key(grid):
         n = F(rng.randint(0, 6 * grid - 1), grid)
         return n if kind == "puiseux" else (n, rng.randint(-2, 2))
+
+    def over():
+        return F(1, rng.choice((1, 1, 3, 5)))
 
     def lift(c):
         # the same Gaussian value, sometimes held in Q(zeta_48) or Q(zeta_120),
@@ -139,11 +143,11 @@ def _random_pair(rng, kind):
             return f.from_fraction(F(c.num[0], c.den)) + f.from_fraction(F(c.num[6], c.den)) * f.zeta(2)
         return c
 
-    terms = {key(rng.choice((2, 3, 4))): rng.randint(-2, 2) + rng.randint(-1, 1) * i
+    terms = {key(rng.choice((2, 3, 4))): (rng.randint(-2, 2) + rng.randint(-1, 1) * i) * over()
              for _ in range(rng.randint(0, 8))}
     other = {k: lift(coerce24(c)) for k, c in terms.items() if rng.random() < 0.9}
     for _ in range(rng.randint(0, 2)):
-        other[key(rng.choice((5, 6)))] = rng.randint(1, 3)
+        other[key(rng.choice((5, 6)))] = rng.randint(1, 3) * over()
     if other and rng.random() < 0.5:
         k = rng.choice(sorted(other))
         other[k] = coerce24(other[k]) + i
@@ -266,6 +270,78 @@ def test_every_constructor_kernel_and_decode_keeps_the_layout(n):
                     (restrict_z0(y).truncate(1), 1), (euler_d(x), 2), (x * 0, 1)):
         assert_layout(s)
         assert s.cden == cden, s
+
+
+_ONE = {"num": [1], "den": 1}
+# Terms the decoder refuses, each after a well-formed term at the same
+# exponent string, which the decoder has by then parsed: (exponent, r,
+# coefficient) with None for a missing field, and the refusal's text, where
+# {e} stands for the exponent's field name
+CODEC_REFUSALS = {
+    "missing coeff": (("1/2", 0, None), "series term has no 'coeff'"),
+    "coeff not an object": (("1/2", 0, 5), "coefficient must be an object with num and den, got 5"),
+    "coeff without den": (("1/2", 0, {"num": [1]}),
+                          "coefficient must be an object with num and den, got {'num': [1]}"),
+    "exponent in a list": ((["1/2"], 0, _ONE),
+                           "term {e} must be an integer or a string p or p/q, got ['1/2']"),
+    "exponent a bool": ((True, 0, _ONE), "term {e} must be an integer or a string p or p/q, got True"),
+    "exponent with a space": (("1/2 ", 0, _ONE),
+                              "term {e} must be an integer or a string p or p/q, got '1/2 '"),
+    "zero exponent denominator": (("1/0", 0, _ONE), "term {e}: zero denominator in '1/0'"),
+    "num holding a bool": (("1/2", 0, {"num": [1, True], "den": 1}),
+                           "coefficient num must be a list of at most 8 integers, got [1, True]"),
+    "num holding a float": (("1/2", 0, {"num": [0, 1.0], "den": 1}),
+                            "coefficient num must be a list of at most 8 integers, got [0, 1.0]"),
+    "num not a list": (("1/2", 0, {"num": "1", "den": 1}),
+                       "coefficient num must be a list of at most 8 integers, got '1'"),
+    "zero den": (("1/2", 0, {"num": [1], "den": 0}),
+                 "coefficient den must be a nonzero integer, got 0"),
+    "bool den": (("1/2", 0, {"num": [1], "den": True}),
+                 "coefficient den must be a nonzero integer, got True"),
+    "order above the bound": (("1/2", 0, {"num": [1], "den": 1, "order": 1001}),
+                              "coefficient order must be an integer in 1..1000, got 1001"),
+    "bool order": (("1/2", 0, {"num": [1], "den": 1, "order": True}),
+                   "coefficient order must be an integer in 1..1000, got True"),
+    "bool r": (("1/2", True, _ONE), "term r must be an integer, got True"),
+}
+
+
+@pytest.mark.parametrize("kind,case", [(kind, case) for kind in ("puiseux", "jacobi")
+                                       for case in sorted(CODEC_REFUSALS)
+                                       if kind == "jacobi" or case != "bool r"])
+def test_json_refusals_keep_their_text_after_a_parsed_exponent(kind, case):
+    (e, r, coeff), message = CODEC_REFUSALS[case]
+    cls, name = (PuiseuxSeries, "exp") if kind == "puiseux" else (JacobiSeries, "n")
+
+    def term(e, r, coeff):
+        t = {name: e} if kind == "puiseux" else {name: e, "r": r}
+        return t if coeff is None else {**t, "coeff": coeff}
+
+    good = term("1/2", 1, {"num": [0, 2], "den": 3})
+    for terms in ([good, term(e, r, coeff)], [good, good, term(e, r, coeff), good]):
+        with pytest.raises(ValueError) as info:
+            cls.from_json({"valid_below": "3", "terms": terms})
+        assert str(info.value) == message.replace("{e}", name)
+    # the well-formed term alone, repeated, is read
+    assert cls.from_json({"valid_below": "3", "terms": [good, good]}) == \
+        cls.from_json({"valid_below": "3", "terms": [good]})
+
+
+@pytest.mark.parametrize("kind", ["puiseux", "jacobi"])
+def test_json_writes_each_coefficient_as_its_cycnumber(kind):
+    rng = random.Random(23)
+    cases = 0
+    for _ in range(100):
+        a, b = _random_pair(rng, kind)
+        for s in (a, b, a * b, a + b, a * F(5, 6)):
+            name = "exp" if kind == "puiseux" else "n"
+            want = [{name: str(k), "coeff": c.to_json()} if kind == "puiseux" else
+                    {name: str(k[0]), "r": k[1], "coeff": c.to_json()}
+                    for k, c in sorted(s.terms.items())]
+            assert s.to_json()["terms"] == want
+            assert dump(type(s).from_json(s.to_json())) == dump(s)
+            cases += s.cden > 1 and s.field is not CYC24
+    assert cases > 20
 
 
 def test_json_decodes_straight_into_the_layout():

@@ -128,6 +128,16 @@ def test_unused_import_is_reported():
     assert _unused_imports(tree) == [(1, "os"), (2, "lcm")]
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # every command starts cold, so what the import loads is paid each time
+    code = ("import sys, jfkernel, jfkernel.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=ROOT, env={"PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_no_function_imports_a_package_module():
     inner = {p.name: _function_level_imports(ast.parse(p.read_text(), str(p))) for p in MODULES}
     assert {k: v for k, v in inner.items() if v} == {}

@@ -1,16 +1,24 @@
+import cmath
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from jfkernel.cyclotomic import imag_unit
 from jfkernel.jacobi import theta_component
 from jfkernel.numeric import (
     ETA6,
+    TAIL_LOG,
+    TWO_PI,
     NumericForm,
     TailTooLarge,
+    _theta_range,
+    dtheta_num,
     eta_num,
     eval_series,
     sample_points,
+    theta_jacobi_num,
     theta_num,
     xi_star_form,
 )
@@ -18,6 +26,7 @@ from jfkernel.series import PuiseuxSeries, eta_power
 from jfkernel.sl2 import GroupWord, S, random_gamma0_2_word
 from jfkernel.verify import (
     IDENTITIES,
+    _random_series,
     check_theta_transform,
     check_vvcf_transform,
     check_weight_char,
@@ -43,6 +52,78 @@ def test_theta_numeric_against_direct_sum():
     assert abs(got - 1.0037348854877393) < 1e-12
     # the same series at tau = i/2 gives the classical e^{-pi} theta value
     assert abs(theta_num(1, 0, 0.5j) - 1.0864348112133080) < 1e-12
+
+
+def _bits(w):
+    return w.real.hex(), w.imag.hex()
+
+
+# The sums with every invariant inside the loop: the references the hoisted
+# evaluators must match bit for bit.
+
+
+def _theta_jacobi_unhoisted(m, r, tau, z):
+    x0 = r / (2.0 * m)
+    N = _theta_range(m, tau.imag, z.imag)
+    total = 0j
+    for n in range(-N - 1, N + 2):
+        xv = n + x0
+        total += cmath.exp(2j * math.pi * m * (xv * xv * tau + 2 * xv * z))
+    return total
+
+
+def _dtheta_unhoisted(m, r, tau):
+    x0 = r / (2.0 * m)
+    N = _theta_range(m, tau.imag, 0.0) + 2
+    total = 0j
+    for n in range(-N - 1, N + 2):
+        xv = n + x0
+        e = m * xv * xv
+        total += e * cmath.exp(2j * math.pi * e * tau)
+    return total
+
+
+def _eta_unhoisted(tau):
+    K = int(math.sqrt(2.0 * TAIL_LOG / (3.0 * TWO_PI * tau.imag)) + 2.0)
+    total = 0j
+    for k in range(-K, K + 1):
+        e = k * (3 * k - 1) / 2.0 + 1.0 / 24.0
+        total += (-1) ** k * cmath.exp(2j * math.pi * e * tau)
+    return total
+
+
+def test_theta_and_eta_sums_are_bit_identical_to_the_unhoisted_sums():
+    rng = random.Random(23)
+    for _ in range(300):
+        y = rng.choice((0.02, rng.uniform(0.02, 0.2), rng.uniform(0.2, 3)))
+        tau = complex(rng.uniform(-2, 2), y)
+        z = complex(rng.uniform(-1, 1), rng.uniform(-0.3, 0.3))
+        m = rng.randint(1, 6)
+        r = rng.randrange(2 * m)
+        assert _bits(theta_jacobi_num(m, r, tau, z)) == _bits(_theta_jacobi_unhoisted(m, r, tau, z))
+        assert _bits(theta_num(m, r, tau)) == _bits(_theta_jacobi_unhoisted(m, r, tau, 0j))
+        assert _bits(dtheta_num(m, r, tau)) == _bits(_dtheta_unhoisted(m, r, tau))
+        assert _bits(eta_num(tau)) == _bits(_eta_unhoisted(tau))
+
+
+def _random_series_by_fractions(rng, vb, nterms=8, grid=8):
+    terms = {}
+    for _ in range(nterms):
+        e = F(rng.randint(0, int(vb * grid) - 1), grid)
+        terms[e] = rng.randint(-5, 5) + rng.randint(-2, 2) * imag_unit()
+    return PuiseuxSeries(terms, vb)
+
+
+def test_random_series_is_the_fraction_keyed_construction():
+    for seed in range(200):
+        for vb, nterms, grid in ((F(31), 8, 8), (F(30), 8, 8), (F(1, 2), 8, 8), (F(3), 30, 2),
+                                 (F(5, 2), 6, 4), (F(2), 3, 1)):
+            got = _random_series(random.Random(seed), vb, nterms, grid)
+            want = _random_series_by_fractions(random.Random(seed), vb, nterms, grid)
+            assert list(got._terms.items()) == list(want._terms.items())
+            assert (got.den, got.cden, got.field, got.valid_below, got.meta) == \
+                (want.den, want.cden, want.field, want.valid_below, want.meta)
+            assert got.to_json() == want.to_json()
 
 
 def test_eta_functional_equation():
