@@ -136,7 +136,8 @@ class CyclotomicField:
     # -- sparse coordinates -------------------------------------------------
     # An element, and each value in the kernels of jfkernel.series and
     # jfkernel.weil, is the tuple of its nonzero coordinates (i, v),
-    # ascending in i, over a denominator kept apart; () is zero.
+    # ascending in i, over a denominator kept apart; () is zero.  The
+    # layout's helpers: _times below, and _scaled, _dense and _content.
 
     def _nonzero(self, acc) -> tuple:
         """The nonzero coordinates of an unreduced int list over 1, zeta,
@@ -159,6 +160,16 @@ class CyclotomicField:
                 acc[j] += v * w
         return self._nonzero(acc)
 
+    def _times(self, xs, ys) -> tuple:
+        """The reduced product of the coordinates ``xs`` and ``ys``."""
+        if not (xs and ys):
+            return ()
+        acc = [0] * (2 * self.degree - 1)
+        for i, a in xs:
+            for j, b in ys:
+                acc[i + j] += a * b
+        return self._nonzero(acc)
+
     def _element(self, xs, den) -> "CycNumber":
         """The element with coordinates ``xs`` over ``den``, normalised: one
         gcd over the denominator and the coordinates."""
@@ -175,9 +186,7 @@ class CyclotomicField:
 
     def _json(self, xs, den):
         """:meth:`CycNumber.to_json` of the coordinates ``xs`` over ``den``."""
-        num = [0] * self.degree
-        for i, v in xs:
-            num[i] = v
+        num = _dense(xs, self.degree)
         return ({"num": num, "den": den} if self.n == 24
                 else {"num": num, "den": den, "order": self.n})
 
@@ -227,6 +236,28 @@ class CyclotomicField:
         return out * (self.zeta(-t * self.n // 4) if t % 2 else (-1) ** (t // 2))
 
 
+def _scaled(xs, s) -> tuple:
+    """Coordinates multiplied by the int s."""
+    return tuple([(i, v * s) for i, v in xs])
+
+
+def _dense(xs, size) -> list:
+    """Coordinates ``xs`` as a list of ``size`` ints."""
+    acc = [0] * size
+    for i, v in xs:
+        acc[i] = v
+    return acc
+
+
+def _content(g, tuples) -> int:
+    """The gcd of ``g`` and every coordinate in ``tuples``; stops at 1."""
+    for xs in tuples:
+        if g == 1:
+            break
+        g = gcd(g, *[v for _i, v in xs])
+    return g
+
+
 class CycNumber:
     """An element of a fixed cyclotomic field: its coordinates ``xs`` over
     ``den``; :meth:`CyclotomicField._element` normalises, the constructor
@@ -242,10 +273,7 @@ class CycNumber:
     @property
     def num(self) -> tuple:
         """The coordinates over 1, zeta, ..., zeta^(degree-1), zeros included."""
-        num = [0] * self.field.degree
-        for i, v in self.xs:
-            num[i] = v
-        return tuple(num)
+        return tuple(_dense(self.xs, self.field.degree))
 
     # -- basic predicates -------------------------------------------------
 
@@ -273,10 +301,6 @@ class CycNumber:
             if a.is_rational() and b.is_rational():
                 return a.rational_value(), b.rational_value()
         return None
-
-    def is_gaussian(self) -> bool:
-        """True when the element lies in Q(i); needs 4 | n."""
-        return self._gaussian_parts() is not None
 
     # -- arithmetic -------------------------------------------------------
 
@@ -321,26 +345,20 @@ class CycNumber:
         return -(self - other)
 
     def __neg__(self):
-        return CycNumber(self.field, tuple([(i, -v) for i, v in self.xs]), self.den)
+        return CycNumber(self.field, _scaled(self.xs, -1), self.den)
 
     def scale(self, q) -> "CycNumber":
         """self * q for an int or Fraction q: scales the coordinates, with no
         convolution or reduction."""
-        s = q.numerator
-        xs = tuple([(i, v * s) for i, v in self.xs]) if s else ()
-        return self.field._element(xs, self.den * q.denominator)
+        return self.field._element(_scaled(self.xs, q.numerator) if q else (),
+                                   self.den * q.denominator)
 
     def __mul__(self, other):
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
         x, o = pair
-        f = x.field
-        conv = [0] * (2 * f.degree - 1)
-        for i, a in x.xs:
-            for j, b in o.xs:
-                conv[i + j] += a * b
-        return f._element(f._nonzero(conv), x.den * o.den)
+        return x.field._element(x.field._times(x.xs, o.xs), x.den * o.den)
 
     __rmul__ = __mul__
 

@@ -39,10 +39,10 @@ def eval_series(series, tau: complex, min_im: float = 0.3) -> complex:
     """Sum a truncated PuiseuxSeries at a point.
 
     Requires Im tau >= min_im and a negligible tail:
-    |q|^valid_below * (term count + 1) < 1e-14.
+    |q|^valid_below * (term count + 1) < 1e-14.  That bounds the tail only
+    when every |coefficient| <= 1: it is not scaled by the largest one.
     The default floor of 0.3 suits generic series; the cusp sampler relaxes
-    it because heights y map to Im = 1/y, and the tail bound still protects
-    the result there.
+    it because heights y map to Im = 1/y.
     """
     y = tau.imag
     if y < min_im:

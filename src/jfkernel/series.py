@@ -45,7 +45,8 @@ from operator import itemgetter
 from types import MappingProxyType
 
 from ._value import Value
-from .cyclotomic import CYC24, CycNumber, _is_int, _json_number, coerce24, common_field
+from .cyclotomic import (CYC24, CycNumber, _content, _dense, _is_int, _json_number, _scaled,
+                         coerce24, common_field)
 
 
 class ExactDivisionError(ArithmeticError):
@@ -70,19 +71,10 @@ class FormMeta(Value):
         self.character, self.kind, self.source = character, kind, source
 
     def to_json(self):
-        out = {}
-        if self.weight is not None:
-            out["weight"] = _frac_str(*Fraction(self.weight).as_integer_ratio())
-        if self.index is not None:
-            out["index"] = self.index
-        if self.level is not None:
-            out["level"] = self.level
-        if self.character is not None:
-            out["character"] = self.character
-        if self.kind is not None:
-            out["kind"] = self.kind
-        if self.source is not None:
-            out["source"] = self.source
+        """The fields that are not None, in slot order."""
+        out = {k: v for k, v in zip(self.__slots__, self._fields()) if v is not None}
+        if "weight" in out:
+            out["weight"] = _frac_str(*Fraction(out["weight"]).as_integer_ratio())
         return out
 
     @staticmethod
@@ -536,12 +528,8 @@ def _assemble(cls, terms, den, valid_below, meta, field=CYC24, cden=1):
 
 def _normalised(cls, terms, den, valid_below, meta, field, cden):
     """:func:`_assemble` for coordinates over ``cden`` that may share a factor
-    with it: one running gcd over the series, which stops once it is 1."""
-    g = cden
-    for xs in terms.values():
-        if g == 1:
-            break
-        g = gcd(g, *[v for _i, v in xs])
+    with it: one running gcd over the series (:func:`_content`)."""
+    g = _content(cden, terms.values())
     if g != 1:
         terms = {k: tuple([(i, v // g) for i, v in xs]) for k, xs in terms.items()}
         cden //= g
@@ -567,25 +555,12 @@ def _build(cls, pairs, valid_below, meta):
     return _normalised(cls, out, den, valid_below, meta, field, cden)
 
 
-def _dense(xs, size):
-    """Coordinates ``xs`` as a list of ``size`` ints."""
-    acc = [0] * size
-    for i, v in xs:
-        acc[i] = v
-    return acc
-
-
 def _join(fields):
     """The field of a series whose coefficients lie in ``fields``: their one
     field, or, when they differ, their join with Q(zeta_24), the field every
     kernel would compute in; Q(zeta_24) for none."""
     fields = set(fields)
     return fields.pop() if len(fields) == 1 else common_field(CYC24, *fields)
-
-
-def _scaled(xs, s):
-    """Coordinates multiplied by the int s."""
-    return tuple([(i, v * s) for i, v in xs])
 
 
 def _scale_terms(terms, s):
@@ -648,7 +623,7 @@ def _product(a, b, top, field):
 
 def euler_d(a: PuiseuxSeries) -> PuiseuxSeries:
     """The normalised derivative D = q d/dq: c q^e -> e c q^e."""
-    terms = {n: tuple([(i, v * n) for i, v in xs]) for n, xs in a._terms.items() if n}
+    terms = {n: _scaled(xs, n) for n, xs in a._terms.items() if n}
     return _normalised(PuiseuxSeries, terms, a.den, a.valid_below, a.meta, a.field,
                        a.cden * a.den)
 

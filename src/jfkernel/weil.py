@@ -36,8 +36,10 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache, reduce
+from itertools import chain
 
-from .cyclotomic import CYC24, CycNumber, _square_part, common_field, cyclotomic_field
+from .cyclotomic import (CYC24, CycNumber, _content, _scaled, _square_part, common_field,
+                         cyclotomic_field)
 from .sl2 import (
     GENERATOR_MATRICES,
     I2,
@@ -71,9 +73,10 @@ class UMatrix:
     positive matrix denominator ``den``, with gcd(den, every coordinate) = 1.
     That form is canonical, so equal matrices over one field and radicand
     have equal ``den`` and tuples.  :class:`CycNumber` appears only at the
-    edge: the constructor, which takes rows of them, and ``rows``, ``entry``,
-    ``det2``, ``to_complex`` and ``to_json``.  Instances are treated as
-    immutable.
+    edge: the constructor, which takes rows of them, ``scale``, which takes
+    one, and ``rows``, ``entry``, ``det2``, ``to_complex`` and ``to_json``;
+    scalars are applied entry by entry to the tuples.  Instances are treated
+    as immutable.
     """
 
     __slots__ = ("field", "den", "_entries", "radicand", "resolved")
@@ -86,8 +89,7 @@ class UMatrix:
         s, radicand = _square_part(radicand)
         rows = [[field.embed(c) for c in row] for row in rows]
         den = math.lcm(*[c.den for row in rows for c in row])
-        entries = [tuple([tuple([(i, v * (den // c.den)) for i, v in c.xs]) for c in row])
-                   for row in rows]
+        entries = [tuple([_scaled(c.xs, den // c.den) for c in row]) for row in rows]
         return _normalised(field, den * s, entries, radicand, resolved)
 
     @property
@@ -108,22 +110,24 @@ class UMatrix:
 
     @staticmethod
     def identity(field, size) -> "UMatrix":
-        return _diagonal(field.one, size)
+        rows = tuple(tuple([field.one.xs if i == j else () for j in range(size)])
+                     for i in range(size))
+        return _assemble(field, 1, rows, 1, True)
 
     def canonical(self) -> "UMatrix":
-        """Fold sqrt(radicand) into the entries (radicand becomes 1): the
-        product with sqrt(d) I / sqrt(d), which is the identity."""
+        """Fold sqrt(radicand) into the entries (radicand becomes 1): each
+        entry times sqrt(radicand)/radicand."""
         if self.radicand == 1:
             return self
-        return _product(self, _root_identity(self.field, self.size, self.radicand), self.resolved)
+        return _times_scalar(self, self.field.sqrt_int(self.radicand), self.radicand)
 
     def __matmul__(self, other: "UMatrix") -> "UMatrix":
         """The product; unresolved.  See :func:`_product`."""
         return _product(self, other, False)
 
     def scale(self, c: CycNumber) -> "UMatrix":
-        """The product with the scalar matrix c I, in the field the two share."""
-        return _product(self, _diagonal(c, self.size), self.resolved)
+        """The product with the scalar c, in the field the two share."""
+        return _times_scalar(self, c, 1)
 
     def __pow__(self, e: int) -> "UMatrix":
         """Square and multiply from the first factor, so U^1 costs no
@@ -234,15 +238,8 @@ def _assemble(field, den, entries, radicand, resolved) -> UMatrix:
 
 def _normalised(field, den, entries, radicand, resolved) -> UMatrix:
     """:func:`_assemble` for rows of coordinates over ``den`` > 0 that may
-    share a factor with it: one running gcd over the matrix, which stops
-    once it is 1."""
-    g = den
-    for row in entries:
-        if g == 1:
-            break
-        for xs in row:
-            if xs:
-                g = math.gcd(g, *[v for _i, v in xs])
+    share a factor with it: one running gcd over the matrix (:func:`_content`)."""
+    g = _content(den, chain.from_iterable(entries))
     if g != 1:
         entries = [tuple([tuple([(i, v // g) for i, v in xs]) for xs in row]) for row in entries]
         den //= g
@@ -286,17 +283,13 @@ def _product(a: UMatrix, b: UMatrix, resolved: bool) -> UMatrix:
     return _normalised(f, a.den * b.den * g, rows, a.radicand * b.radicand // (g * g), resolved)
 
 
-def _diagonal(c: CycNumber, size: int, radicand: int = 1) -> UMatrix:
-    """c I / sqrt(radicand), resolved."""
-    zero = c.field.zero
-    return UMatrix(c.field, [[c if i == j else zero for j in range(size)] for i in range(size)],
-                   radicand, True)
-
-
-@lru_cache(maxsize=None)
-def _root_identity(field, size: int, d: int) -> UMatrix:
-    """sqrt(d) I / sqrt(d), the identity matrix with radicand d."""
-    return _diagonal(field.sqrt_int(d), size, d)
+def _times_scalar(a: UMatrix, c: CycNumber, d: int) -> UMatrix:
+    """a c / d entry by entry in the field the two share, keeping the flag;
+    d divides the radicand and moves from it into the denominator."""
+    f = common_field(a.field, c.field)
+    a, times, ys = a.embed(f), f._times, f.embed(c).xs
+    rows = [tuple([times(xs, ys) for xs in row]) for row in a._entries]
+    return _normalised(f, a.den * c.den * d, rows, a.radicand // d, a.resolved)
 
 
 # ---------------------------------------------------------------------------
@@ -475,17 +468,7 @@ def _kronecker(m: int, factors) -> UMatrix:
     radicands multiply; the radicands, one per prime, stay squarefree.
     """
     f = factors[0].field
-    width, nonzero = 2 * f.degree - 1, f._nonzero
-
-    def times(xs, ys):
-        if not (xs and ys):
-            return ()
-        acc = [0] * width
-        for i, a in xs:
-            for j, b in ys:
-                acc[i + j] += a * b
-        return nonzero(acc)
-
+    times = f._times
     table = factors[0]._entries
     for A in factors[1:]:
         step = f.n // A.field.n
@@ -559,7 +542,7 @@ def resolve_scalar(m: int, word: GroupWord, U: UMatrix | None = None):
         U = word_product(m, word)
     if word_scalar(word) == 1:
         return U._with(resolved=True), CYC24.one
-    negated = tuple(tuple([tuple([(i, -v) for i, v in xs]) for xs in row]) for row in U._entries)
+    negated = tuple(tuple([_scaled(xs, -1) for xs in row]) for row in U._entries)
     return U._with(negated, True), -CYC24.one
 
 
@@ -636,18 +619,15 @@ def submatrix_proportional(m: int, W: UMatrix, W1: UMatrix) -> bool:
     the corresponding index-1 product of the dilated word.
 
     Proportionality is scalar- and radicand-invariant: cross products of
-    entries are compared exactly in the compositum field.
+    the corner coordinates are compared exactly in the compositum field.
     """
     big = common_field(W.field, W1.field)
 
     def corners(U, k):
-        element = U.field._element
-        return [big.embed(element(U._entries[i][j], U.den)) for i in (0, k) for j in (0, k)]
+        return [big._map(U._entries[i][j], big.n // U.field.n) for i in (0, k) for j in (0, k)]
 
-    flat_a, flat_b = corners(W, m), corners(W1, 1)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if flat_a[i] * flat_b[j] != flat_a[j] * flat_b[i]:
-                return False
-    # rule out the degenerate all-zero pairing
-    return any(not x.is_zero() for x in flat_a) and any(not x.is_zero() for x in flat_b)
+    a, b = corners(W, m), corners(W1, 1)
+    times = big._times
+    # equal cross products, and not the degenerate all-zero pairing
+    return (all(times(a[i], b[j]) == times(a[j], b[i]) for i in range(4) for j in range(i + 1, 4))
+            and any(a) and any(b))

@@ -251,6 +251,30 @@ def test_recompose_runs_no_series_product(monkeypatch):
     assert calls["_product"] and calls["__add__"]
 
 
+def _definitions(sources, names):
+    """{name: [module, ...]} of every function or method named in ``names``
+    that ``sources`` (a {module name: text} dict) defines, nested ones too."""
+    out = {name: [] for name in names}
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text, module)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in out:
+                out[node.name].append(module)
+    return out
+
+
+def test_coordinate_tuple_helpers_are_defined_once_in_the_field_module():
+    names = ("_times", "_scaled", "_dense", "_content")
+    found = _definitions({p.name: p.read_text() for p in SOURCES}, names)
+    assert found == {name: ["cyclotomic.py"] for name in names}
+
+
+def test_second_definition_is_reported():
+    sources = {"a.py": "def _scaled(xs, s):\n    return xs\n",
+               "b.py": "class C:\n    def _scaled(self):\n        def _dense():\n            pass\n"}
+    assert _definitions(sources, ("_scaled", "_dense", "_times")) == {
+        "_scaled": ["a.py", "b.py"], "_dense": ["b.py"], "_times": []}
+
+
 def _stale_exports(package):
     """The names in ``package.__all__`` that the package does not bind, in
     the order listed: ``from package import *`` fails on the first."""

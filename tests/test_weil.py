@@ -983,3 +983,78 @@ def test_factored_word_product_differs_from_the_full_product_when_broken(monkeyp
         exact = weil._labels
         monkeypatch.setattr(weil, "_labels", lambda m: exact(m)[1:] + exact(m)[:1])
     assert _mismatches(SPLIT_CASES, wants) == [(m, str(w)) for m, w in SPLIT_CASES]
+
+
+# ---------------------------------------------------------------------------
+# Scalars applied entry by entry
+
+
+def _root_product(U):
+    """canonical() by the product route: U times sqrt(d) I / sqrt(d), the
+    identity matrix with radicand d, through the matrix kernel."""
+    f, d = U.field, U.radicand
+    r = f.sqrt_int(d)
+    D = UMatrix(f, [[r if i == j else f.zero for j in range(U.size)] for i in range(U.size)], d)
+    return (U @ D)._with(resolved=U.resolved)
+
+
+def test_canonical_is_the_product_with_the_root_identity():
+    rng = random.Random(83)
+    # an odd local letter lies in Q(zeta_2q), which may lack sqrt(q): it is
+    # lifted into the index's field, as the Kronecker assembly lifts it
+    cases = [weil._local_letter(m, q, name).embed(cyclotomic_field(field_order(m)))
+             for m in range(1, 31) for q in weil._prime_powers(m) for name in LETTERS]
+    cases += [word_product(m, GroupWord.parse("S") + w) for m in range(1, 31)
+              for w in _seeded_words(rng, 1)]
+    assert {U.radicand for U in cases} >= {1, 2, 3, 5, 6, 10, 15, 30}
+    for U in cases:
+        got, want = U.canonical(), _root_product(U)
+        assert got.radicand == want.radicand == 1
+        assert got == want and got.to_json() == want.to_json(), (U.size, U.radicand)
+
+
+def test_scalars_apply_entry_by_entry_without_matrix_products(monkeypatch):
+    """canonical(), scale() and identity() write their entries from the
+    coordinate tuples: no matrix product and no constructor call."""
+    rng = random.Random(89)
+    cases = [word_product(m, w) for m in (1, 2, 3, 5) for w in _seeded_words(rng, 3)]
+    assert any(U.radicand > 1 for U in cases)
+    scalars = [CYC24.zeta(5), from_rational(Fraction(-3, 7)) + I, cyclotomic_field(40).zeta(3),
+               CYC24.zero]
+    calls = []
+    product, new = weil._product, UMatrix.__new__
+
+    def counting_product(*args):
+        calls.append("_product")
+        return product(*args)
+
+    def counting_new(*args):
+        calls.append("__new__")
+        return new(*args)
+
+    monkeypatch.setattr(weil, "_product", counting_product)
+    monkeypatch.setattr(UMatrix, "__new__", staticmethod(counting_new))
+    for U in cases:
+        assert U.canonical().radicand == 1
+        for c in scalars:
+            assert U.scale(c).resolved is U.resolved
+        assert UMatrix.identity(U.field, U.size).resolved is True
+    assert calls == []
+    # the counters see a constructor call and a product
+    one = UMatrix(CYC24, [[CYC24.one]])
+    one @ one
+    assert calls == ["__new__", "_product"]
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 6, 10, 15, 30])
+def test_submatrix_proportional_fails_on_wrong_or_zero_corners(m):
+    rng = random.Random(97 + m)
+    w, wm = random_gamma0_m_word(rng, m)
+    W, W1 = word_product(m, w), word_product(1, wm)
+    assert submatrix_proportional(m, W, W1)
+    assert submatrix_proportional(m, W, W1.scale(CYC24.zeta(5)))
+    assert not submatrix_proportional(m, W, word_product(1, wm + GroupWord.parse("T")))
+    corners = {(0, 0), (0, m), (m, 0), (m, m)}
+    zeroed = W._with(tuple(tuple([() if (i, j) in corners else xs for j, xs in enumerate(row)])
+                           for i, row in enumerate(W._entries)))
+    assert not submatrix_proportional(m, zeroed, W1)
