@@ -268,7 +268,7 @@ def _constant_quotient(lhs, rhs, message):
     return q.coeff(0)
 
 
-def derive_bridge_constant(order=12):
+def derive_bridge_constant(order):
     """The constant c in th22 xi0 - th20 xi2 = c * th21 xi_star_hat(2), by exact division."""
     return _constant_quotient(*bridge_sides(order), "bridge sides are not proportional")
 

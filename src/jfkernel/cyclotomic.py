@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 
 @lru_cache(maxsize=None)
@@ -72,16 +72,33 @@ def common_field(*fields) -> "CyclotomicField":
     return cyclotomic_field(n)
 
 
-def _square_part(n: int):
-    """(s, f) with n = s^2 f and f squarefree, by trial division."""
-    s, f = 1, n
-    p = 2
-    while p * p <= f:
-        while f % (p * p) == 0:
-            f //= p * p
-            s *= p
+def _factor(n: int) -> list[tuple[int, int]]:
+    """The prime factorisation of n, [] for n <= 1: ascending (p, e) pairs,
+    by trial division that stops at the square root of what is left."""
+    out, p = [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
         p += 1
-    return s, f
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def _square_part(n: int):
+    """(s, f) with n = s^2 f and f squarefree."""
+    s = prod([p ** (e // 2) for p, e in _factor(n)])
+    return s, n // (s * s)
+
+
+def _sqrt_order(d: int) -> int:
+    """The conductor of Q(sqrt(d)), d squarefree: the least n with sqrt(d)
+    in Q(zeta_n), d for d = 1 mod 4 and 4d otherwise."""
+    return d if d % 4 == 1 else 4 * d
 
 
 class CyclotomicField:
@@ -207,31 +224,24 @@ class CyclotomicField:
         return CycNumber(self, self._map(x.xs, self.n // x.field.n), x.den)
 
     def sqrt_int(self, d: int) -> "CycNumber":
-        """Exact square root of a positive squarefree integer, via Gauss sums.
+        """Exact square root of a positive squarefree integer, via Gauss sums;
+        in Q(zeta_n) exactly when its conductor :func:`_sqrt_order` divides n.
 
-        Requires 8 | n for the factor sqrt(2), p | n for each odd prime
-        p | d, and 4 | n for d = 3 mod 4, where sqrt(d) needs i.  The Gauss
-        sum of a p = 3 mod 4 is i sqrt(p), so t such primes give i^t sqrt(d).
+        The Gauss sum of a p = 3 mod 4 is i sqrt(p), so t such primes give
+        i^t sqrt(d).
         """
-        if d <= 0 or _square_part(d)[0] != 1:
+        primes = _factor(d)
+        if d <= 0 or any(e > 1 for _p, e in primes):
             raise ValueError("need a positive squarefree integer")
-        if d % 4 == 3 and self.n % 4:
+        if self.n % _sqrt_order(d):
             raise ValueError(f"sqrt({d}) not in Q(zeta_{self.n})")
         out, t = self.one, 0
-        if d % 2 == 0:
-            if self.n % 8:
-                raise ValueError(f"sqrt(2) not in Q(zeta_{self.n})")
-            out = out * (self.zeta(self.n // 8) + self.zeta(-self.n // 8))
-            d //= 2
-        p = 3
-        while d > 1:
-            if d % p == 0:
-                d //= p
-                if self.n % p:
-                    raise ValueError(f"sqrt({p}) not in Q(zeta_{self.n})")
+        for p, _e in primes:
+            if p == 2:
+                out = out * (self.zeta(self.n // 8) + self.zeta(-self.n // 8))
+            else:
                 out = out * sum((self.zeta(self.n // p * a * a) for a in range(p)), self.zero)
                 t += p % 4 == 3
-            p += 2
         # divide out i^t; 4 | n when t is odd
         return out * (self.zeta(-t * self.n // 4) if t % 2 else (-1) ** (t // 2))
 

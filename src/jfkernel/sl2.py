@@ -49,11 +49,8 @@ class SL2Mat(Value):
                 base = base @ base
         return out
 
-    def entries(self):
-        return (self.a, self.b, self.c, self.d)
-
     def max_entry(self) -> int:
-        return max(abs(x) for x in self.entries())
+        return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
 
     def act(self, tau: complex) -> complex:
         return (self.a * tau + self.b) / (self.c * tau + self.d)

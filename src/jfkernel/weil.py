@@ -38,8 +38,8 @@ import operator
 from functools import lru_cache, reduce
 from itertools import chain
 
-from .cyclotomic import (CYC24, CycNumber, _content, _scaled, _square_part, common_field,
-                         cyclotomic_field)
+from .cyclotomic import (CYC24, MAX_JSON_ORDER, CycNumber, _content, _factor, _scaled,
+                         _sqrt_order, _square_part, common_field, cyclotomic_field)
 from .sl2 import (
     GENERATOR_MATRICES,
     I2,
@@ -116,14 +116,18 @@ class UMatrix:
 
     def canonical(self) -> "UMatrix":
         """Fold sqrt(radicand) into the entries (radicand becomes 1): each
-        entry times sqrt(radicand)/radicand."""
+        entry times sqrt(radicand)/radicand, in the least field holding both;
+        a lift above MAX_JSON_ORDER is refused before it is built."""
         if self.radicand == 1:
             return self
-        return _times_scalar(self, self.field.sqrt_int(self.radicand), self.radicand)
+        n = math.lcm(self.field.n, _sqrt_order(self.radicand))
+        if n > max(MAX_JSON_ORDER, self.field.n):
+            raise ValueError(f"sqrt({self.radicand}) needs Q(zeta_{n}), above {MAX_JSON_ORDER}")
+        return _times_scalar(self, cyclotomic_field(n).sqrt_int(self.radicand), self.radicand)
 
     def __matmul__(self, other: "UMatrix") -> "UMatrix":
         """The product; unresolved.  See :func:`_product`."""
-        return _product(self, other, False)
+        return _product(self, other)
 
     def scale(self, c: CycNumber) -> "UMatrix":
         """The product with the scalar c, in the field the two share."""
@@ -246,8 +250,8 @@ def _normalised(field, den, entries, radicand, resolved) -> UMatrix:
     return _assemble(field, den, tuple(entries), radicand, resolved)
 
 
-def _product(a: UMatrix, b: UMatrix, resolved: bool) -> UMatrix:
-    """a b, normalised once.
+def _product(a: UMatrix, b: UMatrix) -> UMatrix:
+    """a b, normalised once and unresolved.
 
     Both operands are lifted into the field they share.  Every k-term of
     entry (i, j) adds its coordinate convolution into one unreduced int list,
@@ -280,7 +284,7 @@ def _product(a: UMatrix, b: UMatrix, resolved: bool) -> UMatrix:
                             acc[p + q] += x * y
         rows.append(tuple([() if acc is None else nonzero(acc) for acc in sums]))
     g = math.gcd(a.radicand, b.radicand)
-    return _normalised(f, a.den * b.den * g, rows, a.radicand * b.radicand // (g * g), resolved)
+    return _normalised(f, a.den * b.den * g, rows, a.radicand * b.radicand // (g * g), False)
 
 
 def _times_scalar(a: UMatrix, c: CycNumber, d: int) -> UMatrix:
@@ -352,18 +356,7 @@ def u_gen(m: int, g: str) -> UMatrix:
 def _prime_powers(m: int) -> tuple[int, ...]:
     """The prime powers q of 2m, ascending in their primes: the 2-part first."""
     field_order(m)  # refuses an index below 1
-    out, rest, p = [], 2 * m, 2
-    while rest > 1:
-        if p * p > rest:
-            p = rest
-        q = 1
-        while rest % p == 0:
-            rest //= p
-            q *= p
-        if q > 1:
-            out.append(q)
-        p += 1
-    return tuple(out)
+    return tuple([p ** e for p, e in _factor(2 * m)])
 
 
 @lru_cache(maxsize=None)

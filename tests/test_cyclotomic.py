@@ -3,6 +3,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -12,6 +13,7 @@ from jfkernel.cyclotomic import (
     CYC24,
     MAX_JSON_ORDER,
     CycNumber,
+    _factor,
     coerce24,
     common_field,
     cyclotomic_field,
@@ -219,6 +221,51 @@ def test_sqrt_int_refuses_what_is_not_a_positive_squarefree_integer(d):
     # 8 used to loop for ever: the factor 2 left 4, which no odd prime divides
     with pytest.raises(ValueError):
         cyclotomic_field(120).sqrt_int(d)
+
+
+def test_sqrt_int_succeeds_exactly_where_the_rules_per_prime_allow():
+    # the rules the one conductor test replaces: 8 | n for the factor 2,
+    # p | n for each odd prime p | d, and 4 | n for d = 3 mod 4
+    ds = [d for d in range(1, 61) if all(d % (p * p) for p in range(2, 8))]
+    for n in range(1, 121):
+        f = cyclotomic_field(n)
+        for d in ds:
+            odd = [p for p in range(3, d + 1, 2) if d % p == 0 and all(p % k for k in range(3, p))]
+            if ((d % 2 or not n % 8) and all(not n % p for p in odd)
+                    and (d % 4 != 3 or not n % 4)):
+                s = f.sqrt_int(d)
+                assert s * s == d and abs(s.to_complex() - d ** 0.5) < 1e-9, (n, d)
+            else:
+                with pytest.raises(ValueError, match=rf"^sqrt\({d}\) not in Q\(zeta_{n}\)$"):
+                    f.sqrt_int(d)
+
+
+def test_sqrt_int_refuses_a_large_prime_in_bounded_time():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^sqrt\(1000000000039\) not in Q\(zeta_24\)$"):
+        CYC24.sqrt_int(10 ** 12 + 39)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_factor_agrees_with_a_sieve_and_on_large_primes():
+    spf = list(range(5001))  # the smallest prime factor of each k
+    for p in range(2, 71):
+        if spf[p] == p:
+            for k in range(p * p, 5001, p):
+                spf[k] = min(spf[k], p)
+    for n in range(1, 5001):
+        want, k = {}, n
+        while k > 1:
+            want[spf[k]] = want.get(spf[k], 0) + 1
+            k //= spf[k]
+        assert _factor(n) == sorted(want.items()), n
+    big = {10 ** 12 + 39: [(10 ** 12 + 39, 1)],
+           999983 * 1000003: [(999983, 1), (1000003, 1)],
+           1000003 ** 2: [(1000003, 2)],
+           2 ** 31 - 1: [(2 ** 31 - 1, 1)],
+           2 ** 40 * 3 ** 5 * 999983: [(2, 40), (3, 5), (999983, 1)]}
+    for n, want in big.items():
+        assert _factor(n) == want, n
 
 
 def test_common_field_is_the_lcm_of_the_orders():

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import json
+import os
 import random
 import subprocess
 import sys
@@ -133,7 +134,7 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     code = ("import sys, jfkernel, jfkernel.cli\n"
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          cwd=ROOT, env={"PYTHONPATH": str(ROOT / "src")})
+                          cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 

@@ -945,6 +945,15 @@ def test_label_map_is_a_bijection_of_z_mod_2m():
             assert sum(2 * m // q * xq for xq, q in zip(x, qs)) % (2 * m) == r
 
 
+def test_prime_powers_of_2m_are_coprime_and_ascending_in_their_primes():
+    for m in range(1, 1001):
+        qs = weil._prime_powers(m)
+        primes = [next(p for p in range(2, q + 1) if q % p == 0) for q in qs]
+        assert math.prod(qs) == 2 * m and qs[0] == 2 * m & -(2 * m)
+        assert primes == sorted(set(primes))
+        assert all(q == p ** round(math.log(q, p)) for p, q in zip(primes, qs))
+
+
 @pytest.mark.parametrize("m", [15, 30])
 def test_split_word_products_multiply_no_full_size_matrices(monkeypatch, m):
     # counted like test_powers_start_from_the_first_factor: every product of
@@ -990,19 +999,22 @@ def test_factored_word_product_differs_from_the_full_product_when_broken(monkeyp
 
 
 def _root_product(U):
-    """canonical() by the product route: U times sqrt(d) I / sqrt(d), the
-    identity matrix with radicand d, through the matrix kernel."""
-    f, d = U.field, U.radicand
-    r = f.sqrt_int(d)
+    """canonical() by the product route: U, lifted into the least field
+    holding sqrt(d) (its conductor is d for d = 1 mod 4, else 4d), times
+    sqrt(d) I / sqrt(d), the identity matrix with radicand d, through the
+    matrix kernel."""
+    d = U.radicand
+    f = cyclotomic_field(math.lcm(U.field.n, d if d % 4 == 1 else 4 * d))
+    U, r = U.embed(f), f.sqrt_int(d)
     D = UMatrix(f, [[r if i == j else f.zero for j in range(U.size)] for i in range(U.size)], d)
     return (U @ D)._with(resolved=U.resolved)
 
 
 def test_canonical_is_the_product_with_the_root_identity():
     rng = random.Random(83)
-    # an odd local letter lies in Q(zeta_2q), which may lack sqrt(q): it is
-    # lifted into the index's field, as the Kronecker assembly lifts it
-    cases = [weil._local_letter(m, q, name).embed(cyclotomic_field(field_order(m)))
+    # each local letter in its own field: an odd one lies in Q(zeta_2q),
+    # which lacks sqrt(q) for q = 3 mod 4, so canonical() lifts it
+    cases = [weil._local_letter(m, q, name)
              for m in range(1, 31) for q in weil._prime_powers(m) for name in LETTERS]
     cases += [word_product(m, GroupWord.parse("S") + w) for m in range(1, 31)
               for w in _seeded_words(rng, 1)]
@@ -1011,6 +1023,26 @@ def test_canonical_is_the_product_with_the_root_identity():
         got, want = U.canonical(), _root_product(U)
         assert got.radicand == want.radicand == 1
         assert got == want and got.to_json() == want.to_json(), (U.size, U.radicand)
+
+
+def test_canonical_of_a_public_matrix_lifts_into_the_field_of_its_root():
+    f6 = cyclotomic_field(6)
+    U = UMatrix(f6, [[f6.one]], 3)
+    e = U.entry(0, 0)
+    assert e.field is cyclotomic_field(12)
+    assert e * e == Fraction(1, 3) and abs(e.to_complex() - 3 ** -0.5) < 1e-12
+    assert U == U.canonical() and U.canonical() == U
+
+
+def test_canonical_refuses_a_lift_above_the_json_bound_before_building_a_field():
+    # 10^12 + 39 is prime and 3 mod 4: sqrt of it needs Q(zeta_(24 (10^12 + 39)))
+    fields = cyclotomic_field.cache_info().currsize
+    start = time.perf_counter()
+    U = UMatrix(CYC24, [[CYC24.one]], 10 ** 12 + 39)
+    with pytest.raises(ValueError, match=r"^sqrt\(1000000000039\) needs Q\(zeta_24000000000936\)"):
+        U.canonical()
+    assert time.perf_counter() - start < 1.0
+    assert cyclotomic_field.cache_info().currsize == fields
 
 
 def test_scalars_apply_entry_by_entry_without_matrix_products(monkeypatch):
