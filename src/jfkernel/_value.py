@@ -1,5 +1,20 @@
 """The base of the package's small value classes (``SL2Mat``, ``GroupWord``,
-``FormMeta``, ``VVPair``, ``CheckReport``)."""
+``FormMeta``, ``VVPair``, ``CheckReport``), and :func:`power`, the one
+square-and-multiply behind ``SL2Mat``, ``CycNumber`` and ``UMatrix`` powers."""
+
+
+def power(x, e: int, mul):
+    """x^e for e >= 1 by square and multiply from the first factor, with
+    ``mul`` the product: x^1 is x itself, and no product is spent on an
+    identity or on a last squaring."""
+    out = None
+    while True:
+        if e & 1:
+            out = x if out is None else mul(out, x)
+        e >>= 1
+        if not e:
+            return out
+        x = mul(x, x)
 
 
 class Value:

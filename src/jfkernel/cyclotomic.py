@@ -23,9 +23,12 @@ denominator) = 1.  Equal field elements have identical coordinates.
 from __future__ import annotations
 
 import cmath
+import operator
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm, prod
+from functools import lru_cache, wraps
+from math import gcd, isqrt, lcm, prod
+
+from ._value import power
 
 
 @lru_cache(maxsize=None)
@@ -72,26 +75,33 @@ def common_field(*fields) -> "CyclotomicField":
     return cyclotomic_field(n)
 
 
-def _factor(n: int) -> list[tuple[int, int]]:
+def _factor(n: int, bound: int | None = None) -> list[tuple[int, int]]:
     """The prime factorisation of n, [] for n <= 1: ascending (p, e) pairs,
-    by trial division that stops at the square root of what is left."""
-    out, p = [], 2
-    while p * p <= n:
+    by trial division that stops at the square root of what is left, or
+    past ``bound``: what is left then must be a square r^2, the last pair
+    (r, 2) with r not necessarily prime, and anything else raises ValueError."""
+    out, p, rest = [], 2, n
+    while p * p <= rest and (bound is None or p <= bound):
         e = 0
-        while n % p == 0:
-            n //= p
+        while rest % p == 0:
+            rest //= p
             e += 1
         if e:
             out.append((p, e))
         p += 1
-    if n > 1:
-        out.append((n, 1))
+    if p * p <= rest:
+        r = isqrt(rest)
+        if r * r != rest:
+            raise ValueError(f"{n} leaves {rest} after the primes up to {bound}, not a square")
+        out.append((r, 2))
+    elif rest > 1:
+        out.append((rest, 1))
     return out
 
 
-def _square_part(n: int):
-    """(s, f) with n = s^2 f and f squarefree."""
-    s = prod([p ** (e // 2) for p, e in _factor(n)])
+def _square_part(n: int, bound: int | None = None):
+    """(s, f) with n = s^2 f and f squarefree, through :func:`_factor`."""
+    s = prod([p ** (e // 2) for p, e in _factor(n, bound)])
     return s, n // (s * s)
 
 
@@ -268,6 +278,17 @@ def _content(g, tuples) -> int:
     return g
 
 
+def _lifted(formula):
+    """A binary operator of :class:`CycNumber`: ``formula`` on the operands
+    lifted into one field by :meth:`CycNumber._pair`, self first, or
+    NotImplemented for an operand that does not coerce."""
+    @wraps(formula)
+    def op(self, other):
+        pair = self._pair(other)
+        return NotImplemented if pair is None else formula(*pair)
+    return op
+
+
 class CycNumber:
     """An element of a fixed cyclotomic field: its coordinates ``xs`` over
     ``den``; :meth:`CyclotomicField._element` normalises, the constructor
@@ -328,11 +349,8 @@ class CycNumber:
         big = common_field(self.field, other.field)
         return big.embed(self), big.embed(other)
 
-    def __add__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
+    @_lifted
+    def __add__(a, b):
         f = a.field
         sa, sb = (1, 1) if a.den == b.den else (b.den, a.den)
         acc = [0] * f.degree
@@ -344,15 +362,13 @@ class CycNumber:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
+    @_lifted
+    def __sub__(a, b):
         return a + (-b)
 
-    def __rsub__(self, other):
-        return -(self - other)
+    @_lifted
+    def __rsub__(a, b):
+        return b - a
 
     def __neg__(self):
         return CycNumber(self.field, _scaled(self.xs, -1), self.den)
@@ -363,12 +379,9 @@ class CycNumber:
         return self.field._element(_scaled(self.xs, q.numerator) if q else (),
                                    self.den * q.denominator)
 
-    def __mul__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        x, o = pair
-        return x.field._element(x.field._times(x.xs, o.xs), x.den * o.den)
+    @_lifted
+    def __mul__(a, b):
+        return a.field._element(a.field._times(a.xs, b.xs), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -387,31 +400,18 @@ class CycNumber:
                 rest = rest * self.galois(k)
         return rest.scale(1 / (self * rest).rational_value())
 
-    def __truediv__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
+    @_lifted
+    def __truediv__(a, b):
         return a * b.inverse()
 
-    def __rtruediv__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
+    @_lifted
+    def __rtruediv__(a, b):
         return b * a.inverse()
 
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        out = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return power(self, e, operator.mul) if e else self.field.one
 
     def galois(self, k: int) -> "CycNumber":
         """The Galois automorphism zeta -> zeta^k, for k a unit mod n."""
@@ -423,11 +423,8 @@ class CycNumber:
 
     # -- comparisons / hashing --------------------------------------------
 
-    def __eq__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
+    @_lifted
+    def __eq__(a, b):
         return a.xs == b.xs and a.den == b.den
 
     # Cross-field equality makes a consistent hash awkward; these values are

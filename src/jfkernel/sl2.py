@@ -10,9 +10,10 @@ determinant one, so a word can always be collapsed with
 
 from __future__ import annotations
 
+import operator
 import random
 
-from ._value import Value
+from ._value import Value, power
 
 
 class SL2Mat(Value):
@@ -39,15 +40,7 @@ class SL2Mat(Value):
     def __pow__(self, n: int) -> "SL2Mat":
         if n < 0:
             return self.inv() ** (-n)
-        out = I2
-        base = self
-        while n:
-            if n & 1:
-                out = out @ base
-            n >>= 1
-            if n:
-                base = base @ base
-        return out
+        return power(self, n, operator.matmul) if n else I2
 
     def max_entry(self) -> int:
         return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))

@@ -38,6 +38,7 @@ import operator
 from functools import lru_cache, reduce
 from itertools import chain
 
+from ._value import power
 from .cyclotomic import (CYC24, MAX_JSON_ORDER, CycNumber, _content, _factor, _scaled,
                          _sqrt_order, _square_part, common_field, cyclotomic_field)
 from .sl2 import (
@@ -83,10 +84,12 @@ class UMatrix:
 
     def __new__(cls, field, rows, radicand=1, resolved=False):
         """Rows of :class:`CycNumber` entries, each lifted into ``field``;
-        an entry whose field does not embed there raises ValueError."""
+        an entry whose field does not embed there raises ValueError, and so
+        does a radicand with a non-square part free of the primes up to
+        MAX_JSON_ORDER, whose root :meth:`canonical` could never build."""
         if radicand < 1:
             raise ValueError("radicand must be positive")
-        s, radicand = _square_part(radicand)
+        s, radicand = _square_part(radicand, MAX_JSON_ORDER)
         rows = [[field.embed(c) for c in row] for row in rows]
         den = math.lcm(*[c.den for row in rows for c in row])
         entries = [tuple([_scaled(c.xs, den // c.den) for c in row]) for row in rows]
@@ -134,24 +137,14 @@ class UMatrix:
         return _times_scalar(self, c, 1)
 
     def __pow__(self, e: int) -> "UMatrix":
-        """Square and multiply from the first factor, so U^1 costs no
-        product; like every product, a positive power is unresolved."""
+        """Square and multiply (:func:`jfkernel._value.power`), so U^1 costs
+        no product; like every product, a positive power is unresolved."""
         if e < 0:
             return self.conj_transpose() ** (-e)
         if e == 0:
             return UMatrix.identity(self.field, self.size)
-        out = None
-        base = self
-        while True:
-            if e & 1:
-                out = base if out is None else out @ base
-            e >>= 1
-            if not e:
-                break
-            base = base @ base
-        if out is self and self.resolved:
-            out = self._with(resolved=False)
-        return out
+        out = power(self, e, operator.matmul)
+        return out._with(resolved=False) if out.resolved else out
 
     def conj(self) -> "UMatrix":
         """Complex conjugation zeta -> zeta^{-1}, entry by entry.  An

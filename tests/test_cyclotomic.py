@@ -1,5 +1,6 @@
 import cmath
 import json
+import operator
 import random
 import subprocess
 import sys
@@ -162,6 +163,56 @@ def test_embedding_homomorphism_on_units():
         assert abs(lhs - rhs) < 1e-12
 
 
+@pytest.mark.parametrize("n", [24, 120])
+def test_reflected_division_is_the_inverse_times_the_numerator(n):
+    rng = random.Random(n)
+    f = cyclotomic_field(n)
+    for x in [f.zeta(7), f.one - f.zeta(1), *(_random_element(rng, f, span=5) for _ in range(4))]:
+        assert 2 / x == x.inverse() * 2
+        assert Fraction(1, 3) / x == x.inverse() / 3
+        assert (2 / x).field is f
+
+
+@pytest.mark.parametrize("n", [24, 120])
+def test_powers_match_the_repeated_product(n):
+    rng = random.Random(n + 1)
+    f = cyclotomic_field(n)
+    for x in [f.zeta(5), from_rational(Fraction(-2, 3)), _random_element(rng, f, span=3)]:
+        assert x ** 0 == 1
+        up, down = f.one, f.one
+        for e in range(1, 13):
+            up, down = up * x, down * x.inverse()
+            assert x ** e == up, e
+            if e <= 4:
+                assert x ** -e == down, -e
+
+
+def test_operators_refuse_an_operand_that_does_not_coerce():
+    x = CYC24.zeta(5) + 2
+    for op, sign in [(operator.add, r"\+"), (operator.sub, "-"), (operator.truediv, "/")]:
+        with pytest.raises(TypeError, match=rf"unsupported operand type\(s\) for {sign}: "
+                                            r"'CycNumber' and 'object'"):
+            op(x, object())
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for /: 'object' and 'CycNumber'"):
+        object() / x
+    assert (x == "a") is False and (x != "a") is True
+
+
+def test_reflected_subtraction_goes_through_the_one_coercion():
+    x = CYC24.zeta(5) + 2
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -: 'object' and 'CycNumber'"):
+        object() - x
+    assert 3 - x == -(x - 3) and Fraction(1, 2) - x == -(x - Fraction(1, 2))
+    assert (3 - cyclotomic_field(40).zeta(1)).field.n == 40
+
+
+def test_refusals_of_the_field_module():
+    with pytest.raises(ValueError, match=r"^order must be positive$"):
+        cyclotomic_poly(0)
+    with pytest.raises(ValueError, match=r"^cyc24\[0,1,0,0,0,0,0,0\] is not rational$"):
+        CYC24.zeta(1).rational_value()
+
+
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         from_rational(1) / from_rational(0)
@@ -266,6 +317,23 @@ def test_factor_agrees_with_a_sieve_and_on_large_primes():
            2 ** 40 * 3 ** 5 * 999983: [(2, 40), (3, 5), (999983, 1)]}
     for n, want in big.items():
         assert _factor(n) == want, n
+
+
+def test_bounded_factor_folds_a_square_cofactor_and_refuses_any_other():
+    # below 1001^2 the bound changes nothing
+    rng = random.Random(1001)
+    for n in [*range(1, 2000), *rng.sample(range(2000, 1002001), 500), 1002000, 1001 ** 2]:
+        assert _factor(n, 1000) == _factor(n), n
+    p, q = 10 ** 12 + 39, 10 ** 12 + 61
+    assert _factor(12 * p * p, 1000) == [(2, 2), (3, 1), (p, 2)]
+    assert _factor(1009 ** 2 * 1013 ** 2, 1000) == [(1009 * 1013, 2)]
+    # what is left past the bound and not a square could not be made canonical
+    for n, rest in [(p * q, p * q), (6 * p, p), (1009 * 1013, 1009 * 1013), (10 ** 8 + 7, 10 ** 8 + 7)]:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"^{n} leaves {rest} after the primes up to 1000, "
+                                             r"not a square$"):
+            _factor(n, 1000)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_common_field_is_the_lcm_of_the_orders():

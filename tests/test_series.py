@@ -96,6 +96,12 @@ def test_dilate():
     assert dilate(eta(F(3)), 2).val() == F(1, 12)
 
 
+@pytest.mark.parametrize("m", [0, -2])
+def test_dilate_refuses_a_factor_below_one(m):
+    with pytest.raises(ValueError, match=r"^dilation factor must be a positive integer$"):
+        dilate(theta10(F(10)), m)
+
+
 def test_eta_pentagonal_oracle():
     # Euler: prod(1-q^n) = sum_k (-1)^k q^{k(3k-1)/2} over all integers k
     e = eta(F(40))

@@ -132,6 +132,19 @@ def test_letter_matrix_is_the_generator_power():
         letter_matrix("U", 1)
 
 
+def test_powers_match_the_repeated_product():
+    rng = random.Random(13)
+    for g in [S, T, ST2S, MINUS_I2, sl2_word(SL2Mat(5, 2, 7, 3)).to_matrix(),
+              random_sl2_word(rng, 4).to_matrix()]:
+        assert g ** 0 == I2
+        up, down = I2, I2
+        for e in range(1, 13):
+            up, down = up @ g, down @ g.inv()
+            assert g ** e == up, (g, e)
+            if e <= 6:
+                assert g ** -e == down, (g, -e)
+
+
 def test_sl2_word_rounds_to_the_nearest_integer_at_every_sign():
     rng = random.Random(71)
     for _ in range(300):

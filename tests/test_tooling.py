@@ -276,6 +276,48 @@ def test_second_definition_is_reported():
         "_scaled": ["a.py", "b.py"], "_dense": ["b.py"], "_times": []}
 
 
+def _is_one(node):
+    return isinstance(node, ast.Constant) and node.value == 1
+
+
+def _square_and_multiply_loops(sources):
+    """(module, function) of each function or method in ``sources`` (a
+    {module name: text} dict) with a loop that tests a bit with ``& 1`` and
+    shifts with ``>>= 1``; a function around a nested one is reported too."""
+    found = set()
+    for module, text in sources.items():
+        for fn in ast.walk(ast.parse(text, module)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for loop in ast.walk(fn):
+                if not isinstance(loop, (ast.While, ast.For)):
+                    continue
+                nodes = list(ast.walk(loop))
+                if (any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.BitAnd)
+                        and _is_one(n.right) for n in nodes)
+                        and any(isinstance(n, ast.AugAssign) and isinstance(n.op, ast.RShift)
+                                and _is_one(n.value) for n in nodes)):
+                    found.add((module, fn.name))
+    return sorted(found)
+
+
+def test_one_square_and_multiply_serves_every_power():
+    assert _square_and_multiply_loops({p.name: p.read_text() for p in SOURCES}) == [
+        ("_value.py", "power")]
+
+
+def test_second_square_and_multiply_is_reported():
+    sources = {
+        "a.py": "def power(x, e, mul):\n    while e:\n        if e & 1:\n            pass\n"
+                "        e >>= 1\n",
+        "b.py": ("class M:\n    def __pow__(self, n):\n        out = 1\n        while n:\n"
+                 "            out = out * self if n & 1 else out\n            n >>= 1\n"
+                 "        return out\n\n    def halve(self, n):\n        while n & 3:\n"
+                 "            n >>= 1\n\n    def odd(self, n):\n        return n & 1\n"),
+    }
+    assert _square_and_multiply_loops(sources) == [("a.py", "power"), ("b.py", "__pow__")]
+
+
 def _stale_exports(package):
     """The names in ``package.__all__`` that the package does not bind, in
     the order listed: ``from package import *`` fails on the first."""

@@ -7,7 +7,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from jfkernel._value import power
 from jfkernel.construct import VVPair
+from jfkernel.cyclotomic import CYC24
 from jfkernel.series import FormMeta, PuiseuxSeries
 from jfkernel.sl2 import I2, GroupWord, SL2Mat
 from jfkernel.verify import CheckReport
@@ -107,3 +109,20 @@ def test_check_report_is_an_unhashable_record():
     assert CheckReport("x", "fail") == CheckReport("x", "fail", None, None, None)
     assert CheckReport.__hash__ is None and type(twin).__hash__ is None
     assert r.passed and CheckReport("x", "fail", witness="w").failure == "w"
+
+
+def test_power_squares_and_multiplies_from_the_first_factor():
+    """One product per bit after the first and one per set bit after the
+    first; x^1 is x itself, for every class whose ``**`` goes through it."""
+    products = []
+
+    def mul(a, b):
+        products.append((a, b))
+        return a * b
+
+    for e in range(1, 70):
+        products.clear()
+        assert power(3, e, mul) == 3 ** e
+        assert len(products) == e.bit_length() - 1 + bin(e).count("1") - 1, e
+    g, x = SL2Mat(2, 1, 1, 1), CYC24.zeta(5) + 1
+    assert power(g, 1, None) is g and g ** 1 is g and x ** 1 is x

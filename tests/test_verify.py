@@ -141,6 +141,14 @@ def test_eta_num_matches_series():
         assert abs(eval_series(e, tau) - eta_num(tau)) < 1e-13
 
 
+@pytest.mark.parametrize("tau", [0.3 + 0j, -0.1 - 1j])
+def test_theta_and_eta_sums_refuse_a_point_off_the_upper_half_plane(tau):
+    for evaluate in (lambda: theta_jacobi_num(1, 0, tau, 0.1j), lambda: dtheta_num(2, 1, tau),
+                     lambda: eta_num(tau)):
+        with pytest.raises(ValueError, match=r"^tau must lie in the upper half-plane$"):
+            evaluate()
+
+
 def test_eval_series_constant():
     one = PuiseuxSeries.one(30)
     assert abs(eval_series(one, 0.37 + 2.1j) - 1.0) < 1e-15

@@ -1035,14 +1035,55 @@ def test_canonical_of_a_public_matrix_lifts_into_the_field_of_its_root():
 
 
 def test_canonical_refuses_a_lift_above_the_json_bound_before_building_a_field():
-    # 10^12 + 39 is prime and 3 mod 4: sqrt of it needs Q(zeta_(24 (10^12 + 39)))
+    # 997 is prime and 1 mod 4: sqrt of it is in Q(zeta_997), so the lift needs
+    # Q(zeta_lcm(24, 997))
     fields = cyclotomic_field.cache_info().currsize
     start = time.perf_counter()
-    U = UMatrix(CYC24, [[CYC24.one]], 10 ** 12 + 39)
-    with pytest.raises(ValueError, match=r"^sqrt\(1000000000039\) needs Q\(zeta_24000000000936\)"):
+    U = UMatrix(CYC24, [[CYC24.one]], 997)
+    with pytest.raises(ValueError, match=r"^sqrt\(997\) needs Q\(zeta_23928\), above 1000$"):
         U.canonical()
     assert time.perf_counter() - start < 1.0
     assert cyclotomic_field.cache_info().currsize == fields
+
+
+def test_a_radicand_is_factored_by_the_primes_up_to_the_json_bound():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^1000000000100000000002379 leaves 1000000000100000000002379 "
+                                         r"after the primes up to 1000, not a square$"):
+        UMatrix(CYC24, [[CYC24.one]], (10 ** 12 + 39) * (10 ** 12 + 61))
+    assert time.perf_counter() - start < 1.0
+    # refused at construction now, where canonical() refused them before
+    for radicand in (10 ** 8 + 7, 10 ** 12 + 39, 2 * 1009 * 1013):
+        with pytest.raises(ValueError, match=r"after the primes up to 1000, not a square$"):
+            UMatrix(CYC24, [[CYC24.one]], radicand)
+    # a square left past the bound folds into the denominator
+    p = 10 ** 12 + 39
+    U = UMatrix(CYC24, [[CYC24.one, CYC24.zeta(1)]] * 2, 6 * p * p)
+    assert U.radicand == 6 and U.den == p
+    assert U == UMatrix(CYC24, [[CYC24.one / p, CYC24.zeta(1) / p]] * 2, 6)
+    # a prime above the bound that the square-root stop leaves is kept
+    assert UMatrix(CYC24, [[CYC24.one]], 2 * 1009).radicand == 2018
+
+
+def test_refusals_of_the_weil_module():
+    U = word_product(3, GroupWord.of(("S", 1), ("T", 2)))
+    refusals = [
+        (lambda: UMatrix(CYC24, [[CYC24.one]], 0), r"radicand must be positive"),
+        (lambda: u_gen(1, "S").embed(cyclotomic_field(40)),
+         r"no embedding Q\(zeta_24\) -> Q\(zeta_40\)"),
+        (U.det2, r"det2 needs a 2x2 matrix"),
+        (lambda: u_gen(3, "S"), r"no displayed generator for index 3, letter 'S'"),
+        (lambda: u_gen_general(2, "X"), r"unsupported generator letter 'X'"),
+        (lambda: word_product(2, GroupWord.of(("X", 1))), r"unsupported generator letter 'X'"),
+        (lambda: rho2(GroupWord.of(("S", 1))), r"word does not evaluate into the level-2 subgroup"),
+        (lambda: cusp_entry_values(0), r"c must be a positive integer"),
+        (lambda: fit_scalar(1, GroupWord.of(("T", 1)), u_gen(1, "T"), 0.2 + 0.49j),
+         r"resolution point needs Im tau >= 0.5"),
+    ]
+    for call, message in refusals:
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            call()
+    assert (U == "a") is False and (U != "a") is True
 
 
 def test_scalars_apply_entry_by_entry_without_matrix_products(monkeypatch):
