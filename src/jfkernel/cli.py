@@ -31,7 +31,7 @@ from .construct import (
 )
 from .jacobi import JacobiSeries, d2_hat, restrict_z0, theta_decompose, theta_j
 from .numeric import ORACLE_TAU, ORACLE_Z, SnapFailed, fit_scalar
-from .series import PuiseuxSeries, eta_power
+from .series import PuiseuxSeries, _Series, eta_power
 from .sl2 import GroupWord, SL2Mat, sl2_word
 from .verify import ORDER_SUITES, SUITES
 from .weil import resolve_scalar, word_product
@@ -112,6 +112,16 @@ def _gamma(text: str):
 
 
 def _dump(obj) -> str:
+    """The one JSON text of the CLI, one line with no whitespace.  A series
+    writes its own (:meth:`~jfkernel.series._Series.to_json_text`), and so
+    does each series of a list (decompose's components) or of a dict (named
+    series), whose keys json.dumps quotes; any other value is json.dumps'."""
+    if isinstance(obj, _Series):
+        return obj.to_json_text()
+    if isinstance(obj, list) and obj and isinstance(obj[0], _Series):
+        return "[" + ",".join([s.to_json_text() for s in obj]) + "]"
+    if isinstance(obj, dict) and obj and isinstance(next(iter(obj.values())), _Series):
+        return "{" + ",".join([f"{json.dumps(k)}:{s.to_json_text()}" for k, s in obj.items()]) + "}"
     return json.dumps(obj, separators=(",", ":"), sort_keys=False)
 
 
@@ -367,12 +377,10 @@ def _series_result(args):
 def _write(result, fmt: str, out):
     """Print a command's result, a series, a list of series (labelled h[r]
     in text) or a dict of named series, as one line of JSON or as text."""
-    if not isinstance(result, (list, dict)):
-        out.write((_dump(result.to_json()) if fmt == "json" else result.to_text()) + "\n")
-    elif fmt == "json":
-        obj = ([s.to_json() for s in result] if isinstance(result, list)
-               else {k: s.to_json() for k, s in result.items()})
-        out.write(_dump(obj) + "\n")
+    if fmt == "json":
+        out.write(_dump(result) + "\n")
+    elif not isinstance(result, (list, dict)):
+        out.write(result.to_text() + "\n")
     else:
         named = {f"h[{r}]": s for r, s in enumerate(result)} if isinstance(result, list) else result
         out.write("".join(f"{k}: {s.to_text()}\n" for k, s in named.items()))

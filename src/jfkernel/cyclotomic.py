@@ -212,8 +212,13 @@ class CyclotomicField:
         return CycNumber(self, xs, den)
 
     def _json(self, xs, den):
-        """:meth:`CycNumber.to_json` of the coordinates ``xs`` over ``den``."""
+        """:meth:`CycNumber.to_json` of the coordinates ``xs`` over ``den`` > 0,
+        in lowest terms: one gcd over the denominator and the coordinates."""
         num = _dense(xs, self.degree)
+        g = gcd(den, *num)
+        if g != 1:
+            num = [v // g for v in num]
+            den //= g
         return ({"num": num, "den": den} if self.n == 24
                 else {"num": num, "den": den, "order": self.n})
 
@@ -237,11 +242,22 @@ class CyclotomicField:
         """Exact square root of a positive squarefree integer, via Gauss sums;
         in Q(zeta_n) exactly when its conductor :func:`_sqrt_order` divides n.
 
-        The Gauss sum of a p = 3 mod 4 is i sqrt(p), so t such primes give
-        i^t sqrt(d).
+        d is factored by the primes up to n only, as every prime of an
+        admissible d divides n.  What is left past them, when it is not a
+        square, has a prime that does not divide n: d is refused as not in
+        the field, or as not squarefree when the square of a prime up to n
+        divides it.  The Gauss sum of a p = 3 mod 4 is i sqrt(p), so t such
+        primes give i^t sqrt(d).
         """
-        primes = _factor(d)
-        if d <= 0 or any(e > 1 for _p, e in primes):
+        if d <= 0:
+            raise ValueError("need a positive squarefree integer")
+        try:
+            primes = _factor(d, self.n)
+        except ValueError:
+            primes = [(p, 2) for p in range(2, self.n + 1) if d % (p * p) == 0]
+            if not primes:
+                raise ValueError(f"sqrt({d}) not in Q(zeta_{self.n})") from None
+        if any(e > 1 for _p, e in primes):
             raise ValueError("need a positive squarefree integer")
         if self.n % _sqrt_order(d):
             raise ValueError(f"sqrt({d}) not in Q(zeta_{self.n})")

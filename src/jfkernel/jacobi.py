@@ -125,7 +125,8 @@ class JacobiSeries(_Series):
 
     @staticmethod
     def _term_json(key, n, coeff):
-        return {"n": n, "r": key[1], "coeff": coeff}
+        """The JSON text of a term from its exponent's and coefficient's."""
+        return f'{{"n":"{n}","r":{key[1]},"coeff":{coeff}}}'
 
     @staticmethod
     def _key_from_json(t, ratio):

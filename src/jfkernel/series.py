@@ -11,8 +11,12 @@ and the coefficient is sum(v zeta^i) / cden, with gcd(cden, every v) = 1.
 That form is canonical, so two coefficients of one series are equal exactly
 when their tuples are.  ``Fraction`` and :class:`CycNumber` appear only at
 the edge: the constructor, ``coeff``, ``terms`` (a Fraction-keyed view of
-CycNumbers), ``first_difference`` and text; JSON is written from and read
-into the tuples.  The core class
+CycNumbers), ``first_difference`` and text.  JSON is written from and read
+into the tuples at the cost of the distinct coefficients, which a series
+mostly repeats: one writer, ``to_json_text``, encodes each distinct
+coefficient once and is what the CLI prints, ``to_json`` is its parse, and
+the reader checks each distinct coefficient once and :func:`_build` lifts it
+once.  The core class
 :class:`_Series` holds everything that does not depend on the shape of a
 key; the two-variable series of :mod:`jfkernel.jacobi` is the same core with
 (exponent, zeta-power) keys.  The kernels (:func:`_product`,
@@ -108,6 +112,9 @@ def _frac_str(n: int, d: int) -> str:
 # -- JSON input checks ---------------------------------------------------------
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+# the types of a coefficient's den, order and num entries when it may be
+# found again in a series' reader
+_INT = {int}
 
 
 def _expect(x, kind, what):
@@ -143,8 +150,9 @@ def _terms_json(obj, what):
     _expect(obj, dict, what)
     terms = _entry(obj, "terms", what)
     _expect(terms, list, f"{what} terms")
+    where = f"{what} term"
     for t in terms:
-        _expect(t, dict, f"{what} term")
+        _expect(t, dict, where)
     meta = FormMeta.from_json(obj.get("meta"))
     return terms, _json_rational(_entry(obj, "valid_below", what), f"{what} valid_below"), meta
 
@@ -387,47 +395,79 @@ class _Series:
 
     # -- serialization ----------------------------------------------------------
 
-    def to_json(self):
-        """Each coefficient as :meth:`CycNumber.to_json` writes it, straight
-        from its tuple over one gcd with ``cden``; each q-exponent's text is
-        formatted once."""
-        den, cden, qexp, coeff = self.den, self.cden, self._qexp, self.field._json
-        texts = {}
-        terms = []
+    def to_json_text(self) -> str:
+        """The series as one line of JSON with no whitespace: the one writer,
+        which the CLI prints and :meth:`to_json` parses.  It costs per distinct
+        coefficient and exponent: each distinct coefficient tuple is encoded
+        once, as :meth:`CycNumber.to_json` writes it over its gcd with
+        ``cden``, and each q-exponent's text formatted once; the terms and
+        the bound are written around them, and ``meta``, whose strings may
+        need escaping, through :func:`json.dumps`.  The bytes are those of
+        ``json.dumps(self.to_json(), separators=(",", ":"))``."""
+        # imported here, as in to_json: import jfkernel does not load json
+        import json
+        dump = json.JSONEncoder(separators=(",", ":")).encode
+        den, cden, qexp, term = self.den, self.cden, self._qexp, self._term_json
+        coeff = self.field._json
+        exps, coeffs, parts = {}, {}, []
         for k, xs in sorted(self._terms.items(), key=itemgetter(0)):
             n = qexp(k)
-            text = texts.get(n)
-            if text is None:
-                text = texts[n] = _frac_str(n, den)
-            g = gcd(cden, *[v for _i, v in xs])
-            if g != 1:
-                xs = [(i, v // g) for i, v in xs]
-            terms.append(self._term_json(k, text, coeff(xs, cden // g)))
-        return {
-            "valid_below": _frac_str(*self.valid_below.as_integer_ratio()),
-            "terms": terms,
-            "meta": self.meta.to_json() if self.meta is not None else None,
-        }
+            e = exps.get(n)
+            if e is None:
+                e = exps[n] = _frac_str(n, den)
+            c = coeffs.get(xs)
+            if c is None:
+                c = coeffs[xs] = dump(coeff(xs, cden))
+            parts.append(term(k, e, c))
+        meta = "null" if self.meta is None else dump(self.meta.to_json())
+        vb = _frac_str(*self.valid_below.as_integer_ratio())
+        return f'{{"valid_below":"{vb}","terms":[{",".join(parts)}],"meta":{meta}}}'
+
+    def to_json(self):
+        """The parse of :meth:`to_json_text`, so the object and the text
+        cannot differ: "valid_below", each term with its exponent as a
+        string "p" or "p/q" and its coefficient as :meth:`CycNumber.to_json`
+        writes it, ascending in the key, and "meta"."""
+        import json
+        return json.loads(self.to_json_text())
 
     @classmethod
     def _from_json(cls, obj, what):
         """Decode :meth:`to_json` output; malformed input raises ValueError.
-        A key's q-exponent is read as the ints (p, q), with no ``Fraction``;
-        each distinct exponent string is parsed once."""
+
+        After the checks of ``_terms_json``, one pass over the terms with
+        the checks and messages of ``_key_from_json``, :func:`_json_ratio`
+        and :func:`~jfkernel.cyclotomic._json_number`, term by term, at the
+        cost of the distinct coefficients: a key's q-exponent is read as the
+        ints (p, q), each distinct exponent string parsed once, and each
+        distinct coefficient checked and read once.  A coefficient is found
+        again only when its den, order and num entries are exact ints equal
+        to a checked one's: True == 1 == 1.0 and they hash alike."""
         items, vb, meta = _terms_json(obj, what)
-        parsed = {}
+        ratios, numbers = {}, {}
 
         def ratio(x, what):
             if x.__class__ is not str:
                 return _json_ratio(x, what)
-            pq = parsed.get(x)
+            pq = ratios.get(x)
             if pq is None:
-                pq = parsed[x] = _json_ratio(x, what)
+                pq = ratios[x] = _json_ratio(x, what)
             return pq
 
-        return _build(cls, [(cls._key_from_json(t, ratio),
-                             _json_number(_entry(t, "coeff", "series term"))) for t in items],
-                      vb, meta)
+        def number(c):
+            if c.__class__ is dict:
+                num = c.get("num")
+                if num.__class__ is list:
+                    key = (c.get("den"), c.get("order", 24), *num)
+                    if set(map(type, key)) == _INT:
+                        out = numbers.get(key)
+                        if out is None:
+                            out = numbers[key] = _json_number(c)
+                        return out
+            return _json_number(c)
+
+        return _build(cls, [(cls._key_from_json(t, ratio), number(_entry(t, "coeff", "series term")))
+                            for t in items], vb, meta)
 
 
 def _q_text(e: Fraction) -> str:
@@ -483,7 +523,8 @@ class PuiseuxSeries(_Series):
 
     @staticmethod
     def _term_json(_n, exp, coeff):
-        return {"exp": exp, "coeff": coeff}
+        """The JSON text of a term from its exponent's and coefficient's."""
+        return f'{{"exp":"{exp}","coeff":{coeff}}}'
 
     @staticmethod
     def _key_from_json(t, ratio):
@@ -540,19 +581,27 @@ def _build(cls, pairs, valid_below, meta):
     """The one way into the layout: a series of ``cls`` from (key, (field,
     coordinates, denominator)) pairs, each key's q-exponent the ints (p, q)
     and the coordinates a tuple of nonzero (i, v).  Keys go on the lcm of the
-    q's, terms at or above the bound and zero terms are dropped, and
-    coordinates go over the lcm denominator, normalised once."""
+    q's, terms at or above the bound and zero terms are dropped (a repeated
+    key keeps its first place and last value), and coordinates go over the
+    lcm denominator, normalised once.  Each distinct (field, coordinates,
+    denominator) triple is lifted and rescaled once, and equal coefficients
+    share their tuple."""
     qexp, with_q = cls._qexp, cls._with_q
-    den = lcm(*[qexp(k)[1] for k, _c in pairs])
-    terms = {with_q(k, qexp(k)[0] * (den // qexp(k)[1])): c for k, c in pairs}
+    den = lcm(*{qexp(k)[1] for k, _c in pairs})
+    terms = {}
+    for k, c in pairs:
+        p, q = qexp(k)
+        terms[with_q(k, p * (den // q))] = c
     top = _top(valid_below, den)
     terms = {k: c for k, c in terms.items() if qexp(k) < top and c[1]}
-    field = _join(f for f, _xs, _d in terms.values())
-    cden = lcm(*[abs(d) for _f, _xs, d in terms.values()])
+    distinct = set(terms.values())
+    field = _join(f for f, _xs, _d in distinct)
+    cden = lcm(*{abs(d) for _f, _xs, d in distinct})
     # a negative d makes cden // d negative, which moves the sign
-    out = {k: field._map(xs if d == cden else _scaled(xs, cden // d), field.n // f.n)
-           for k, (f, xs, d) in terms.items()}
-    return _normalised(cls, out, den, valid_below, meta, field, cden)
+    lifted = {(f, xs, d): field._map(xs if d == cden else _scaled(xs, cden // d), field.n // f.n)
+              for f, xs, d in distinct}
+    return _normalised(cls, {k: lifted[c] for k, c in terms.items()}, den, valid_below, meta,
+                       field, cden)
 
 
 def _join(fields):

@@ -75,9 +75,9 @@ class UMatrix:
     That form is canonical, so equal matrices over one field and radicand
     have equal ``den`` and tuples.  :class:`CycNumber` appears only at the
     edge: the constructor, which takes rows of them, ``scale``, which takes
-    one, and ``rows``, ``entry``, ``det2``, ``to_complex`` and ``to_json``;
-    scalars are applied entry by entry to the tuples.  Instances are treated
-    as immutable.
+    one, and ``rows``, ``entry``, ``det2`` and ``to_complex``; ``to_json``
+    writes the tuples, and scalars are applied entry by entry to them.
+    Instances are treated as immutable.
     """
 
     __slots__ = ("field", "den", "_entries", "radicand", "resolved")
@@ -126,7 +126,7 @@ class UMatrix:
         n = math.lcm(self.field.n, _sqrt_order(self.radicand))
         if n > max(MAX_JSON_ORDER, self.field.n):
             raise ValueError(f"sqrt({self.radicand}) needs Q(zeta_{n}), above {MAX_JSON_ORDER}")
-        return _times_scalar(self, cyclotomic_field(n).sqrt_int(self.radicand), self.radicand)
+        return _times_scalar(self, _root(n, self.radicand), self.radicand)
 
     def __matmul__(self, other: "UMatrix") -> "UMatrix":
         """The product; unresolved.  See :func:`_product`."""
@@ -209,10 +209,13 @@ class UMatrix:
         return f"<UMatrix {self.size}x{self.size} over Q(zeta_{self.field.n}), {tag}>"
 
     def to_json(self):
+        """Each entry as :meth:`CycNumber.to_json` writes it, straight from its
+        tuple over one gcd with ``den``."""
+        den, coeff = self.den, self.field._json
         out = {
             "size": self.size,
             "order": self.field.n,
-            "entries": [c.to_json() for row in self.rows for c in row],
+            "entries": [coeff(xs, den) for row in self._entries for xs in row],
             "resolved": self.resolved,
         }
         if self.radicand != 1:
@@ -287,6 +290,12 @@ def _times_scalar(a: UMatrix, c: CycNumber, d: int) -> UMatrix:
     a, times, ys = a.embed(f), f._times, f.embed(c).xs
     rows = [tuple([times(xs, ys) for xs in row]) for row in a._entries]
     return _normalised(f, a.den * c.den * d, rows, a.radicand // d, a.resolved)
+
+
+@lru_cache(maxsize=None)
+def _root(n: int, d: int) -> CycNumber:
+    """sqrt(d) in Q(zeta_n), built from Gauss sums once per (n, d)."""
+    return cyclotomic_field(n).sqrt_int(d)
 
 
 # ---------------------------------------------------------------------------

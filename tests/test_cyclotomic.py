@@ -298,6 +298,42 @@ def test_sqrt_int_refuses_a_large_prime_in_bounded_time():
     assert time.perf_counter() - start < 1.0
 
 
+def test_sqrt_int_refuses_a_large_squarefree_cofactor_in_bounded_time():
+    # only the primes up to n are tried: the product of two primes near
+    # 10^12 used to take about 10^12 trial divisions
+    d = (10 ** 12 + 39) * (10 ** 12 + 61)
+    for f, extra in ((CYC24, 1), (cyclotomic_field(120), 30)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"^sqrt\({extra * d}\) not in Q\(zeta_{f.n}\)$"):
+            f.sqrt_int(extra * d)
+        assert time.perf_counter() - start < 1.0
+    # a square past n with a non-square cofactor is refused as not in the
+    # field too, where the unbounded rule said "need a positive squarefree
+    # integer"; 29^2 31 is the least such d for Q(zeta_24)
+    with pytest.raises(ValueError, match=r"^sqrt\(26071\) not in Q\(zeta_24\)$"):
+        CYC24.sqrt_int(29 ** 2 * 31)
+
+
+def test_sqrt_int_keeps_its_refusal_text_up_to_10_to_the_4():
+    # the text of the unbounded rule (factor d completely, refuse a square
+    # factor, then test the conductor), kept on every field of order n >= 24:
+    # a square past n with a non-square cofactor is then above 10^4
+    for n in (24, 40, 120):
+        f = cyclotomic_field(n)
+        for d in range(-2, 10 ** 4 + 1):
+            primes = _factor(d)
+            if d <= 0 or any(e > 1 for _p, e in primes):
+                want = "need a positive squarefree integer"
+            elif n % (d if d % 4 == 1 else 4 * d):
+                want = f"sqrt({d}) not in Q(zeta_{n})"
+            else:
+                assert f.sqrt_int(d) ** 2 == d
+                continue
+            with pytest.raises(ValueError) as info:
+                f.sqrt_int(d)
+            assert str(info.value) == want, (n, d)
+
+
 def test_factor_agrees_with_a_sieve_and_on_large_primes():
     spf = list(range(5001))  # the smallest prime factor of each k
     for p in range(2, 71):

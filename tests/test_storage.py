@@ -3,13 +3,18 @@ as a tuple of integer coordinates in one field over one series denominator
 ``cden``; ``terms`` is the Fraction-keyed view.  Results must not depend on
 which grid holds a series, and every series keeps the canonical layout."""
 
+import io
 import json
 import random
+import re
 from fractions import Fraction as F
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from jfkernel import cli, series
 from jfkernel.construct import lambda2_fwd, lambda2_inv, lambda_star_fwd, lambda_star_inv, xi_hat
 from jfkernel.cyclotomic import CYC24, coerce24, cyclotomic_field, imag_unit
 from jfkernel.jacobi import (
@@ -22,6 +27,7 @@ from jfkernel.jacobi import (
     theta_j,
 )
 from jfkernel.series import (
+    FormMeta,
     PuiseuxSeries,
     _assemble,
     _top,
@@ -41,6 +47,18 @@ def regrid(s, den):
 
 def dump(s):
     return json.dumps(s.to_json())
+
+
+def _reference_json(s):
+    """The JSON object of a series built from its public views, apart from
+    the writer: the terms ascending in key, each coefficient as its
+    CycNumber writes it."""
+    name = "exp" if isinstance(s, PuiseuxSeries) else "n"
+    terms = [{name: str(k), "coeff": c.to_json()} if name == "exp" else
+             {name: str(k[0]), "r": k[1], "coeff": c.to_json()}
+             for k, c in sorted(s.terms.items())]
+    return {"valid_below": str(s.valid_below), "terms": terms,
+            "meta": None if s.meta is None else s.meta.to_json()}
 
 
 def test_regrid_holds_the_same_terms():
@@ -334,11 +352,7 @@ def test_json_writes_each_coefficient_as_its_cycnumber(kind):
     for _ in range(100):
         a, b = _random_pair(rng, kind)
         for s in (a, b, a * b, a + b, a * F(5, 6)):
-            name = "exp" if kind == "puiseux" else "n"
-            want = [{name: str(k), "coeff": c.to_json()} if kind == "puiseux" else
-                    {name: str(k[0]), "r": k[1], "coeff": c.to_json()}
-                    for k, c in sorted(s.terms.items())]
-            assert s.to_json()["terms"] == want
+            assert s.to_json() == _reference_json(s)
             assert dump(type(s).from_json(s.to_json())) == dump(s)
             cases += s.cden > 1 and s.field is not CYC24
     assert cases > 20
@@ -532,3 +546,107 @@ def test_first_difference_matches_the_coefficient_reference(kind):
             assert x.same_below(y) == (want is None)
             assert (x == y) == (x.valid_below == y.valid_below
                                 and _reference_first_difference(x, y, F(10 ** 6)) is None)
+
+
+# -- the one writer and the one-pass reader --------------------------------------
+
+_FIELDS = (CYC24, cyclotomic_field(120))
+# a meta whose strings json.dumps must escape
+_METAS = (None, FormMeta(weight=F(7, 2), index=2, level=4, character='chi*"omega"\\bar',
+                         kind="modular", source="ξ_2 ⊗ θ"))
+
+
+@st.composite
+def _series(draw, kind):
+    field = draw(st.sampled_from(_FIELDS))
+    grid = draw(st.sampled_from((1, 2, 8, 24)))
+    top = draw(st.integers(0, 6 * grid))
+    # nonzero coefficients below the bound, so that den is the least grid
+    # of the stored exponents, as the reader finds it
+    coords = st.lists(st.integers(-9, 9), min_size=1, max_size=field.degree).filter(any)
+    # few distinct coefficients, so that most repeat, over dens 1..12
+    pool = draw(st.lists(st.tuples(coords, st.integers(1, 12)), min_size=1, max_size=4))
+    terms = {}
+    for _ in range(draw(st.integers(0, 24))):
+        e = F(draw(st.integers(-grid, top - 1)), grid)
+        num, den = draw(st.sampled_from(pool))
+        key = e if kind == "puiseux" else (e, draw(st.integers(-4, 4)))
+        terms[key] = field.element(num, den)
+    cls = PuiseuxSeries if kind == "puiseux" else JacobiSeries
+    return cls(terms, F(top, grid), draw(st.sampled_from(_METAS)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("puiseux", "jacobi")).flatmap(
+    lambda kind: st.lists(_series(kind), min_size=1, max_size=3)))
+def test_cli_json_text_is_the_dump_of_to_json_and_reads_back(group):
+    compact = {"separators": (",", ":")}
+    named = {f"phi{2 * i}": s for i, s in enumerate(group)}
+    for result, want in ((group[0], _reference_json(group[0])),
+                         (group, [_reference_json(s) for s in group]),
+                         (named, {k: _reference_json(s) for k, s in named.items()})):
+        out = io.StringIO()
+        cli._write(result, "json", out)
+        assert out.getvalue() == json.dumps(want, **compact) + "\n"
+    for s in group:
+        text = cli._dump(s)
+        assert text == s.to_json_text() == json.dumps(s.to_json(), **compact)
+        back = type(s).from_json(json.loads(text))
+        assert (back._terms, back.den, back.cden, back.field) == (s._terms, s.den, s.cden, s.field)
+        assert (back.valid_below, back.meta) == (s.valid_below, s.meta)
+        assert cli._dump(back) == text
+
+
+def test_the_zero_series_writes_and_reads_back():
+    for s in (PuiseuxSeries.zero(F(5, 2)), JacobiSeries.zero(3, _METAS[1])):
+        assert json.loads(cli._dump(s)) == _reference_json(s)
+        back = type(s).from_json(s.to_json())
+        assert back.is_zero() and (back.den, back.cden, back.field) == (1, 1, CYC24)
+        assert (back.valid_below, back.meta) == (s.valid_below, s.meta)
+
+
+# A coefficient that equals a checked one in value but not in type: a memo
+# keyed on values alone would vouch for it, since True == 1 == 1.0 and they
+# hash alike
+MEMO_TRAPS = {
+    "num true after 1": ({"num": [1], "den": 1}, {"num": [True], "den": 1},
+                         "coefficient num must be a list of at most 8 integers, got [True]"),
+    "num false after 0": ({"num": [0, 1], "den": 1}, {"num": [False, 1], "den": 1},
+                          "coefficient num must be a list of at most 8 integers, got [False, 1]"),
+    "num 1.0 after 1": ({"num": [1], "den": 1}, {"num": [1.0], "den": 1},
+                        "coefficient num must be a list of at most 8 integers, got [1.0]"),
+    "den true after 1": ({"num": [1], "den": 1}, {"num": [1], "den": True},
+                         "coefficient den must be a nonzero integer, got True"),
+    "order true after 1": ({"num": [], "den": 1, "order": 1}, {"num": [], "den": 1, "order": True},
+                           "coefficient order must be an integer in 1..1000, got True"),
+}
+
+
+@pytest.mark.parametrize("kind", ["puiseux", "jacobi"])
+@pytest.mark.parametrize("case", sorted(MEMO_TRAPS))
+def test_a_checked_coefficient_does_not_vouch_for_an_equal_one_of_another_type(kind, case):
+    first, second, message = MEMO_TRAPS[case]
+    cls = PuiseuxSeries if kind == "puiseux" else JacobiSeries
+
+    def term(e, coeff):
+        return {"exp": e, "coeff": coeff} if kind == "puiseux" else {"n": e, "r": 0, "coeff": coeff}
+
+    with pytest.raises(ValueError) as info:
+        cls.from_json({"valid_below": "3", "terms": [term("0", first), term("1", second)]})
+    assert str(info.value) == message
+    # the second alone is refused with the same text
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cls.from_json({"valid_below": "3", "terms": [term("1", second)]})
+
+
+def test_equal_coefficients_are_read_and_lifted_once(monkeypatch):
+    calls = []
+    real = series._json_number
+    monkeypatch.setattr(series, "_json_number", lambda c: calls.append(c) or real(c))
+    coeffs = [{"num": [1, 2], "den": 3}, {"num": [0, 0, 5], "den": 2, "order": 40}]
+    obj = {"valid_below": "9", "terms": [{"exp": str(k), "coeff": coeffs[k % 2]} for k in range(8)]}
+    s = PuiseuxSeries.from_json(obj)
+    assert len(calls) == 2
+    assert s.field.n == 120 and s.cden == 6
+    # equal coefficients share one lifted tuple
+    assert len({id(xs) for xs in s._terms.values()}) == 2

@@ -139,6 +139,17 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout == "[]\n"
 
 
+def test_import_loads_neither_json_nor_argparse():
+    # setup_s is mostly what the import pays; only writing, reading and the
+    # command line need these
+    code = ("import sys, jfkernel\n"
+            "print(sorted({'json', 'argparse'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_no_function_imports_a_package_module():
     inner = {p.name: _function_level_imports(ast.parse(p.read_text(), str(p))) for p in MODULES}
     assert {k: v for k, v in inner.items() if v} == {}

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from jfkernel import weil
-from jfkernel.cyclotomic import CYC24, _square_part, cyclotomic_field, from_rational, imag_unit
+from jfkernel.cyclotomic import (CYC24, CyclotomicField, _square_part, cyclotomic_field, from_rational,
+                                imag_unit)
 from jfkernel.numeric import SnapFailed, fit_scalar
 from jfkernel.sl2 import (
     GENERATOR_MATRICES,
@@ -1131,3 +1132,25 @@ def test_submatrix_proportional_fails_on_wrong_or_zero_corners(m):
     zeroed = W._with(tuple(tuple([() if (i, j) in corners else xs for j, xs in enumerate(row)])
                            for i, row in enumerate(W._entries)))
     assert not submatrix_proportional(m, zeroed, W1)
+
+
+def test_canonical_builds_each_root_once(monkeypatch):
+    """sqrt(radicand) is built from Gauss sums once per (field order, d),
+    however often canonical() folds it in."""
+    built = []
+    sqrt_int = CyclotomicField.sqrt_int
+
+    def counting(field, d):
+        built.append((field.n, d))
+        return sqrt_int(field, d)
+
+    weil._root.cache_clear()
+    monkeypatch.setattr(CyclotomicField, "sqrt_int", counting)
+    f120 = cyclotomic_field(120)
+    cases = [UMatrix(CYC24, [[CYC24.one, I], [I, CYC24.one]], 2),
+             UMatrix(f120, [[f120.zeta(7)]], 10), UMatrix(CYC24, [[I]], 5)]
+    first = [U.canonical() for U in cases]
+    for _ in range(3):
+        assert [U.canonical() for U in cases] == first
+    # sqrt 5 needs Q(zeta_120): the lift of the Q(zeta_24) matrix shares it
+    assert built == [(24, 2), (120, 10), (120, 5)]
