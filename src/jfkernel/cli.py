@@ -38,13 +38,15 @@ from .weil import resolve_scalar, word_product
 
 
 # The largest index `weil --m` accepts.  A word product multiplies one q x q
-# matrix per prime power q of 2m and assembles the 2m x 2m matrix once, so
-# its cost follows the largest factor.  The word "S T S T^-1 S" with
-# --resolve takes 0.09 s at m = 30 (factors 4, 3, 5) and 0.11 s at m = 16,
-# where 2m = 32 does not split; the slowest shape under the cap is m = 29,
-# whose 29 x 29 factor over Q(zeta_58) takes it to 0.22 s.  Past the cap the
-# same word takes 0.2 s at m = 60 but 2.3 s at m = 64, and "S T" 1.7 s at
-# m = 100 (whole command, fresh process, 2-vCPU KVM guest, Python 3.11).
+# matrix per prime power q of 2m, each over the least field holding its
+# letters, and assembles the 2m x 2m matrix once, so its cost follows the
+# largest factor.  The word "S T S T^-1 S" with --resolve takes 0.19 s at
+# m = 30 (factors 4, 3, 5) and 0.20 s at m = 16, where 2m = 32 does not
+# split but multiplies over Q(zeta_64); the slowest shape under the cap is
+# m = 29, whose 29 x 29 factor over Q(zeta_58) takes it to 0.34 s.  Past the
+# cap the same word takes 0.26 s at m = 60 but 2.5 s at m = 64, and "S T"
+# 2.4 s at m = 100 (whole command, fresh process, median of 5 in the
+# reference seconds of bench/refclock.py, 2-vCPU KVM guest, Python 3.11).
 # The library functions take any positive m.
 MAX_WEIL_INDEX = 30
 

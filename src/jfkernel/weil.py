@@ -8,9 +8,9 @@ the reference; ``u_gen_general`` builds the general-index generators
 
 and every other letter as a product of these (-I = S S, ST2S = S T T S),
 whose correctness is pinned numerically against the theta transformation law
-by the verify module.  Entries live in Q(zeta_n) with n = lcm(24, 4m); the
-1/sqrt(2m) factor is tracked as a separate positive radicand so that raw
-word products stay integral.
+by the verify module.  Every matrix these functions return has its entries
+in Q(zeta_n) with n = lcm(24, 4m); the 1/sqrt(2m) factor is tracked as a
+separate positive radicand so that raw word products stay integral.
 
 Word products go through the local factors of the discriminant form
 (Z/2m, r^2/4m), which splits orthogonally over the prime powers q of 2m:
@@ -18,8 +18,10 @@ label r by its local coordinates (x_q), with r = sum_q (2m/q) x_q mod 2m.
 Then U_m(T) and U_m(S) are Kronecker products of one small letter per q
 (:func:`_local_letter`), with e^{-pi i/4} on the 2-part, so every word is
 the Kronecker product of its local word products.  ``word_product``
-multiplies q x q matrices per factor and assembles the 2m x 2m matrix once;
-when 2m is a power of two its one factor is U_m itself.
+multiplies q x q matrices per factor, each in the least field holding its
+letters (Q(zeta_lcm(8, 2q)) for the 2-part, Q(zeta_2q) for an odd q), lifts
+them into Q(zeta_n) and assembles the 2m x 2m matrix once; when 2m is a
+power of two its one factor is U_m itself.
 
 A word product of generator matrices equals the true multiplier matrix of
 the evaluated group element only up to a sign: the square root branch in the
@@ -247,23 +249,29 @@ def _normalised(field, den, entries, radicand, resolved) -> UMatrix:
 
 
 def _product(a: UMatrix, b: UMatrix) -> UMatrix:
-    """a b, normalised once and unresolved.
+    """a b, normalised once and unresolved: the one product kernel.
 
-    Both operands are lifted into the field they share.  Every k-term of
-    entry (i, j) adds its coordinate convolution into one unreduced int list,
-    which the field reduces once per entry; a zero entry costs nothing, so a
-    diagonal or permutation factor costs one convolution per nonzero entry of
-    the result.  The coordinates are over the product of the denominators,
-    and squarefree radicands give ra rb = g^2 (ra rb / g^2), g = gcd(ra, rb):
-    g joins the denominator, and no square is left to fold.
+    Both operands are lifted into the field Q(zeta_n) they share.  Every
+    k-term of entry (i, j) adds its coordinate convolution into one int list
+    over Z[x]/(x^(n/2) + 1), as zeta^(n/2) = -1, or over Z[x]/(x^n - 1) for
+    an odd n; coordinate indices stay below the degree, at most n/2, so a
+    sum of two wraps at most once.  The field reduces the list mod Phi_n
+    once per entry, which for a power of two n, where that ring already is
+    Z[zeta_n], leaves it as it is.  The shorter tuple of a k-term runs in
+    the outer loop, so a dense entry times a root of unity costs one inner
+    loop.  A zero entry costs nothing, so a diagonal or permutation factor
+    costs one convolution per nonzero entry of the result.  The coordinates
+    are over the product of the denominators, and squarefree radicands give
+    ra rb = g^2 (ra rb / g^2), g = gcd(ra, rb): g joins the denominator, and
+    no square is left to fold.
     """
     if a.field is not b.field:
         big = common_field(a.field, b.field)
         a, b = a.embed(big), b.embed(big)
     f, size = a.field, a.size
     nonzero = f._nonzero
+    width, sign = (f.n // 2, -1) if f.n % 2 == 0 else (f.n, 1)
     brows = b._entries
-    width = 2 * f.degree - 1
     rows = []
     for arow in a._entries:
         sums = [None] * size
@@ -275,9 +283,14 @@ def _product(a: UMatrix, b: UMatrix) -> UMatrix:
                     acc = sums[j]
                     if acc is None:
                         acc = sums[j] = [0] * width
-                    for p, x in xs:
-                        for q, y in ys:
-                            acc[p + q] += x * y
+                    short, long = (xs, ys) if len(xs) <= len(ys) else (ys, xs)
+                    for p, x in short:
+                        for q, y in long:
+                            k = p + q
+                            if k < width:
+                                acc[k] += x * y
+                            else:
+                                acc[k - width] += sign * x * y
         rows.append(tuple([() if acc is None else nonzero(acc) for acc in sums]))
     g = math.gcd(a.radicand, b.radicand)
     return _normalised(f, a.den * b.den * g, rows, a.radicand * b.radicand // (g * g), False)
@@ -378,11 +391,12 @@ def _local_letter(m: int, q: int, name: str) -> UMatrix:
         U(S) = e(-1/8) / sqrt(q) * (e(-c x x' / q)),
 
     with e(-1/8) on an even q only, so that the factors of 2m multiply out
-    to U_m; -I = S S and ST2S = S T T S.  An even q lives in Q(zeta_n),
-    n = lcm(24, 4m), an odd one in Q(zeta_2q).  For q = 2m this is U_m
-    itself, :func:`u_gen_general`.
+    to U_m; -I = S S and ST2S = S T T S.  Each letter lives in the least
+    field holding its entries: Q(zeta_lcm(8, 2q)) for an even q, Q(zeta_2q)
+    for an odd one, so that its products are taken there.  For q = 2m this
+    is U_m itself, which :func:`u_gen_general` lifts into Q(zeta_lcm(24, 4m)).
     """
-    f = cyclotomic_field(2 * q if q % 2 else field_order(m))
+    f = cyclotomic_field(2 * q if q % 2 else math.lcm(8, 2 * q))
     n, c = f.n, 2 * m // q
     if name == "T":
         rows = [[f.zeta(n // (2 * q) * (c * x * x % (2 * q))) if x == y else f.zero
@@ -401,14 +415,15 @@ def _local_letter(m: int, q: int, name: str) -> UMatrix:
 
 def u_gen_general(m: int, g: str) -> UMatrix:
     """Generator matrices for arbitrary positive index: the local letter of
-    the whole form, q = 2m.
+    the whole form, q = 2m, over Q(zeta_n), n = lcm(24, 4m).
 
     U_m(T) is forced by the shift tau -> tau + 1 acting on exponents
     r^2/4m; the S matrix is the discrete Fourier kernel normalised by
     e^{-pi i/4}/sqrt(2m), validated numerically against the theta
     transformation law.  The other letters are their products in S and T.
     """
-    return _local_letter(m, 2 * m, g)
+    big = cyclotomic_field(field_order(m))  # refuses an index below 1
+    return _local_letter(m, 2 * m, g).embed(big)
 
 
 def _letter_order(m: int, name: str) -> int:
@@ -436,39 +451,39 @@ def _letter_power(m: int, name: str, power: int) -> tuple[UMatrix, ...]:
 def word_product(m: int, word: GroupWord) -> UMatrix:
     """Product of generator matrices; unresolved (true matrix up to a scalar).
 
-    Each prime power of 2m multiplies its own small letters, and
-    :func:`_kronecker` assembles the 2m x 2m product once; when 2m is a
-    power of two its one factor is the product.  Letter powers are reduced
-    modulo the letter periods, so a negative or huge power costs one cached
-    power of bounded exponent.  The empty word gives the identity; any other
-    word a fresh matrix, never a cached one.
+    Each prime power of 2m multiplies its own small letters in its own
+    field, and the factors are lifted into Q(zeta_n), n = lcm(24, 4m), once
+    per word: :func:`_kronecker` assembles the 2m x 2m product from them, and
+    when 2m is a power of two its one factor is the product.  Letter powers
+    are reduced modulo the letter periods, so a negative or huge power costs
+    one cached power of bounded exponent.  The empty word gives the
+    identity; any other word a fresh matrix, never a cached one.
     """
+    big = cyclotomic_field(field_order(m))
     powers = [_letter_power(m, name, power % _letter_order(m, name)) for name, power in word]
     if not powers:
-        return UMatrix.identity(cyclotomic_field(field_order(m)), 2 * m)
-    factors = [reduce(operator.matmul, column) for column in zip(*powers)]
+        return UMatrix.identity(big, 2 * m)
+    factors = [reduce(operator.matmul, column).embed(big) for column in zip(*powers)]
     if len(factors) == 1:
         return factors[0]._with(resolved=False)
     return _kronecker(m, factors)
 
 
 def _kronecker(m: int, factors) -> UMatrix:
-    """The 2m x 2m matrix of the local factors, the 2-part first: their
-    Kronecker product, indexed by the tuples (x_q), read through the label
-    map and normalised once.
+    """The 2m x 2m matrix of the local factors, the 2-part first, all over
+    one field: their Kronecker product, indexed by the tuples (x_q), read
+    through the label map and normalised once.
 
-    The odd factors are lifted into the 2-part's field, and each entry of
-    the Kronecker product is one convolution and reduction of an entry of
-    the product so far with one of the next factor.  Denominators and
-    radicands multiply; the radicands, one per prime, stay squarefree.
+    Each entry of the Kronecker product is one convolution and reduction of
+    an entry of the product so far with one of the next factor.
+    Denominators and radicands multiply; the radicands, one per prime, stay
+    squarefree.
     """
     f = factors[0].field
     times = f._times
     table = factors[0]._entries
     for A in factors[1:]:
-        step = f.n // A.field.n
-        local = [[f._map(ys, step) for ys in row] for row in A._entries]
-        table = [[times(xs, ys) for xs in arow for ys in brow] for arow in table for brow in local]
+        table = [[times(xs, ys) for xs in arow for ys in brow] for arow in table for brow in A._entries]
     order = []
     for x in _labels(m):
         k = 0

@@ -329,6 +329,62 @@ def test_second_square_and_multiply_is_reported():
     assert _square_and_multiply_loops(sources) == [("a.py", "power"), ("b.py", "__pow__")]
 
 
+def _pair_value(loop):
+    """The second name a ``for a, b in ...`` loop binds, else None."""
+    target = loop.target if isinstance(loop, ast.For) else None
+    if (isinstance(target, ast.Tuple) and len(target.elts) == 2
+            and all(isinstance(e, ast.Name) for e in target.elts)):
+        return target.elts[1].id
+    return None
+
+
+def _convolution_loops(sources):
+    """(module, function) of each entry-convolution loop in ``sources`` (a
+    {module name: text} dict), once per loop: a ``for p, x`` loop with a
+    ``for q, y`` loop among its statements, under which a product of x and
+    y is added into a subscript."""
+    found = []
+    for module, text in sources.items():
+        stack = [(node, None) for node in ast.parse(text, module).body]
+        while stack:
+            node, function = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            x = _pair_value(node)
+            if x is not None:
+                for inner in node.body:
+                    y = _pair_value(inner)
+                    if y is not None and any(
+                            isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Subscript)
+                            and isinstance(n.value, ast.BinOp) and isinstance(n.value.op, ast.Mult)
+                            and {x, y} <= {name.id for name in ast.walk(n.value)
+                                           if isinstance(name, ast.Name)}
+                            for n in ast.walk(inner)):
+                        found.append((module, function))
+            stack.extend((child, function) for child in ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_one_convolution_loop_serves_every_weil_product():
+    weil = next(p for p in SOURCES if p.name == "weil.py")
+    assert _convolution_loops({weil.name: weil.read_text()}) == [("weil.py", "_product")]
+
+
+def test_second_convolution_loop_is_reported():
+    sources = {
+        "a.py": ("def product(xs, ys, acc):\n    for p, x in xs:\n        for q, y in ys:\n"
+                 "            k = p + q\n            if k < 4:\n                acc[k] += x * y\n"),
+        "b.py": ("class M:\n    def kron(self, xs, ys, acc):\n        for p, x in xs:\n"
+                 "            for q, y in ys:\n                acc[p + q] += 2 * x * y\n"
+                 "        for i, v in xs:\n            for j, w in ys:\n"
+                 "                acc[i + j] += v * w\n\n"
+                 "    def shift(self, xs, acc):\n        for i, v in xs:\n            acc[i] += v * v\n\n"
+                 "    def pairs(self, xs, ys, acc):\n        for p, x in xs:\n"
+                 "            for q, y in ys:\n                acc[p] += x * q\n"),
+    }
+    assert _convolution_loops(sources) == [("a.py", "product"), ("b.py", "kron"), ("b.py", "kron")]
+
+
 def _stale_exports(package):
     """The names in ``package.__all__`` that the package does not bind, in
     the order listed: ``from package import *`` fails on the first."""

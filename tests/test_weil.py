@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from jfkernel import weil
-from jfkernel.cyclotomic import (CYC24, CyclotomicField, _square_part, cyclotomic_field, from_rational,
-                                imag_unit)
+from jfkernel.cyclotomic import (CYC24, CyclotomicField, _sqrt_order, _square_part, cyclotomic_field,
+                                from_rational, imag_unit)
 from jfkernel.numeric import SnapFailed, fit_scalar
 from jfkernel.sl2 import (
     GENERATOR_MATRICES,
@@ -27,6 +27,8 @@ from jfkernel.weil import (
     UMatrix,
     _letter_order,
     _letter_power,
+    _local_letter,
+    _prime_powers,
     block_rows_vanish,
     cusp_entry_values,
     field_order,
@@ -394,13 +396,15 @@ def test_left_operand_layout_and_products_match_the_reference():
         assert cube == _matmul_reference(_matmul_reference(a, a), a)
 
 
-FIELDS = (24, 40, 120)
+# an odd order, whose products wrap in Z[x]/(x^n - 1), a power of two, where
+# Z[x]/(x^(n/2) + 1) needs no reduction, and the fields of the word products
+FIELDS = (5, 8, 15, 24, 40, 120)
 RADICANDS = (1, 2, 3, 6, 10)
 
 
 def _has_root(field, d):
-    """sqrt(d) lies in Q(zeta_n): 8 | n for the factor 2, p | n for odd p."""
-    return (d % 2 == 0) <= (field.n % 8 == 0) and all(field.n % p == 0 for p in (3, 5) if d % p == 0)
+    """sqrt(d) lies in Q(zeta_n): the conductor of Q(sqrt(d)) divides n."""
+    return field.n % _sqrt_order(d) == 0
 
 
 @pytest.mark.parametrize("n", FIELDS)
@@ -491,7 +495,7 @@ def test_constructor_reads_rows_and_folds_squares_into_the_layout():
 
 def test_equality_across_fields_and_radicands():
     rng = random.Random(67)
-    f24, f40, f120 = (cyclotomic_field(n) for n in FIELDS)
+    f24, f40, f120 = (cyclotomic_field(n) for n in (24, 40, 120))
     for radicand in (1, 2, 3, 6):
         A = _random_matrix(rng, f24, 3, radicand)
         # across fields: the same matrix embedded, and a changed entry
@@ -777,6 +781,24 @@ def test_field_orders():
     assert field_order(3) == 24
     assert field_order(5) == 120
     assert field_order(6) == 24
+    # each local factor in the least field holding its letters: the 2-part
+    # in Q(zeta_lcm(8, 2q)), an odd q in Q(zeta_2q); the matrices of index m
+    # that the module returns still in Q(zeta_lcm(24, 4m))
+    for m, q, n in ((1, 2, 8), (2, 4, 8), (3, 2, 8), (3, 3, 6), (5, 2, 8), (5, 5, 10),
+                    (6, 4, 8), (12, 8, 16), (16, 32, 64), (29, 29, 58), (30, 4, 8)):
+        for g in LETTERS:
+            assert _local_letter(m, q, g).field.n == n, (m, q, g)
+    for m in range(1, 31):
+        for q in _prime_powers(m):
+            want = 2 * q if q % 2 else math.lcm(8, 2 * q)
+            assert all(_local_letter(m, q, g).field.n == want for g in ("S", "T")), (m, q)
+    word = GroupWord.of(("T", 1), ("S", -1))
+    for m in (1, 2, 3, 4, 5, 6, 12, 16):
+        for U in [u_gen_general(m, g) for g in LETTERS] + [word_product(m, word),
+                                                          word_product(m, GroupWord.of())]:
+            assert U.field.n == U.to_json()["order"] == field_order(m), m
+    with pytest.raises(ValueError, match="index must be a positive integer"):
+        u_gen_general(0, "S")
 
 
 def test_umatrix_json():
