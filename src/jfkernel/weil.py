@@ -19,9 +19,11 @@ Then U_m(T) and U_m(S) are Kronecker products of one small letter per q
 (:func:`_local_letter`), with e^{-pi i/4} on the 2-part, so every word is
 the Kronecker product of its local word products.  ``word_product``
 multiplies q x q matrices per factor, each in the least field holding its
-letters (Q(zeta_lcm(8, 2q)) for the 2-part, Q(zeta_2q) for an odd q), lifts
-them into Q(zeta_n) and assembles the 2m x 2m matrix once; when 2m is a
-power of two its one factor is U_m itself.
+letters (Q(zeta_lcm(8, 2q)) for the 2-part, Q(zeta_2q) for an odd q), two
+letters at a time: each block of one or two letter powers, reduced by the
+letter periods, comes from one bounded cache (:func:`_block`).  It lifts
+the local products into Q(zeta_n) and assembles the 2m x 2m matrix once;
+when 2m is a power of two its one factor is U_m itself.
 
 A word product of generator matrices equals the true multiplier matrix of
 the evaluated group element only up to a sign: the square root branch in the
@@ -440,7 +442,12 @@ def _letter_order(m: int, name: str) -> int:
     return orders[name]
 
 
-@lru_cache(maxsize=None)
+# The most blocks :func:`_block` keeps: ``verify --suite all`` and a
+# weil-deep run each build at most about 220.  A block holds a few KB at
+# m <= 5; at m = 29 a dense one holds about 160 KB.
+_BLOCKS = 256
+
+
 def _letter_power(m: int, name: str, power: int) -> tuple[UMatrix, ...]:
     """The local factors of U(letter)^power, one per prime power of 2m, for
     0 <= power < _letter_order(m, name).  Their Kronecker product is the
@@ -448,22 +455,37 @@ def _letter_power(m: int, name: str, power: int) -> tuple[UMatrix, ...]:
     return tuple(_local_letter(m, q, name) ** power for q in _prime_powers(m))
 
 
+@lru_cache(maxsize=_BLOCKS)
+def _block(m: int, *letters: tuple[str, int]) -> tuple[UMatrix, ...]:
+    """The local factors of one or two reduced letter powers (name, power),
+    multiplied out factor by factor.  A pair multiplies its two one-letter
+    blocks, which come from this same cache, so a missed pair costs one
+    product per factor once its letters are warm."""
+    if len(letters) == 1:
+        return _letter_power(m, *letters[0])
+    left, right = [_block(m, letter) for letter in letters]
+    return tuple(map(operator.matmul, left, right))
+
+
 def word_product(m: int, word: GroupWord) -> UMatrix:
     """Product of generator matrices; unresolved (true matrix up to a scalar).
 
     Each prime power of 2m multiplies its own small letters in its own
-    field, and the factors are lifted into Q(zeta_n), n = lcm(24, 4m), once
-    per word: :func:`_kronecker` assembles the 2m x 2m product from them, and
-    when 2m is a power of two its one factor is the product.  Letter powers
-    are reduced modulo the letter periods, so a negative or huge power costs
-    one cached power of bounded exponent.  The empty word gives the
-    identity; any other word a fresh matrix, never a cached one.
+    field, two letters at a time: letter powers are reduced modulo the
+    letter periods, so a negative or huge power costs no more than a small
+    one, and each pair of reduced letters (the last one alone for an odd
+    length) is one block of :func:`_block`'s bounded cache.  The factors
+    are lifted into Q(zeta_n), n = lcm(24, 4m), once per word:
+    :func:`_kronecker` assembles the 2m x 2m product from them, and when 2m
+    is a power of two its one factor is the product.  The empty word gives
+    the identity; any other word a fresh matrix, never a cached one.
     """
     big = cyclotomic_field(field_order(m))
-    powers = [_letter_power(m, name, power % _letter_order(m, name)) for name, power in word]
-    if not powers:
+    letters = [(name, power % _letter_order(m, name)) for name, power in word]
+    if not letters:
         return UMatrix.identity(big, 2 * m)
-    factors = [reduce(operator.matmul, column).embed(big) for column in zip(*powers)]
+    blocks = [_block(m, *letters[i:i + 2]) for i in range(0, len(letters), 2)]
+    factors = [reduce(operator.matmul, column).embed(big) for column in zip(*blocks)]
     if len(factors) == 1:
         return factors[0]._with(resolved=False)
     return _kronecker(m, factors)

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import io
 import json
 import os
 import random
@@ -431,6 +432,25 @@ def test_every_name_the_bench_tracer_wraps_exists():
             missing.append(name)
     assert missing == []
     assert callable(importlib.import_module("jfkernel.jacobi")._theta_component_terms.cache_info)
+
+
+def test_weil_commands_print_the_same_bytes_from_a_warm_block_cache():
+    """Each command run twice in one process, the first time after the
+    Weil block cache is cleared: the second run reads every block from the
+    cache and prints the bytes of the first."""
+    from jfkernel import cli, weil
+
+    for argv in (["verify", "--suite", "weil", "--seed", "7"],
+                 ["weil", "--m", "5", "--word", "S T S T^-1 S", "--resolve"]):
+        weil._block.cache_clear()
+        outs, misses = [], []
+        for _ in range(2):
+            out = io.StringIO()
+            assert cli.run(argv, out=out) == 0
+            outs.append(out.getvalue())
+            misses.append(weil._block.cache_info().misses)
+        assert misses[0] == misses[1] > 0, argv
+        assert outs[0] == outs[1] and outs[0], argv
 
 
 @pytest.mark.parametrize("workload", ["weil-deep", "kernel-deep", "verify-all"])

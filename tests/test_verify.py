@@ -477,6 +477,8 @@ def test_block_structure_fails_on_a_wrong_word_product(monkeypatch):
     monkeypatch.setattr(
         weil, "_letter_power",
         lambda m, name, p: exact(m, name, (p + 1) % weil._letter_order(m, name) if name == "T" else p))
+    # the blocks built before the patch would hide it
+    monkeypatch.setattr(weil, "_block", weil._block.__wrapped__)
     assert not weil.block_rows_vanish(5, weil.word_product(5, GroupWord.parse("T S T^5 S")))
     reports = {r.name: r for r in suite_weil(7, words=2)}
     blocks = reports["weil-block-structure[m=2,3,5]"]
@@ -497,6 +499,7 @@ def test_generator_displays_fail_on_a_wrong_level2_letter_power(monkeypatch, let
     monkeypatch.setattr(
         weil, "_letter_power",
         lambda m, name, p: exact(m, name, (p + 1) % weil._letter_order(m, name) if name == letter else p))
+    monkeypatch.setattr(weil, "_block", weil._block.__wrapped__)
     reports = {r.name: r for r in suite_weil(7, words=2)}
     displays = reports["weil-generator-displays"]
     assert displays.status == "fail"
@@ -508,6 +511,22 @@ def _weil_fails(*names):
     for name in names:
         assert reports[name].status == "fail", (name, reports[name].witness)
     return [reports[name].witness for name in names]
+
+
+def test_weil_checks_fail_on_blocks_multiplied_in_the_wrong_order(monkeypatch):
+    # each two-letter block multiplies its letters right to left, so the
+    # level-2 word S T^4 S multiplies out as T^4 S S; the cold builder, as a
+    # warm cache would serve the right blocks
+    import jfkernel.weil as weil
+
+    exact = weil._block.__wrapped__
+    monkeypatch.setattr(weil, "_block", lambda m, *letters: exact(m, *letters[::-1]))
+    assert _weil_fails("weil-rho2-multiplicative[50 pairs]", "weil-block-structure[m=2,3,5]",
+                       "weil-cusp-entries[c<=20]") == [
+        "pair 2: rho2 not multiplicative",
+        "m=2, word S T^4 S: submatrix not proportional",
+        "c=1: entry vanishes",
+    ]
 
 
 def test_weil_in_x_fails_on_a_matrix_outside_x(monkeypatch):

@@ -25,8 +25,8 @@ from jfkernel.sl2 import (
 from jfkernel.weil import (
     NotInX,
     UMatrix,
+    _block,
     _letter_order,
-    _letter_power,
     _local_letter,
     _prime_powers,
     block_rows_vanish,
@@ -556,6 +556,30 @@ def test_resolved_sign_negates_the_coordinates():
     assert signs == {1, -1}
 
 
+def _letterwise_word_product(m, word):
+    """The product of the local factors without blocks and without periods:
+    on each prime power q of 2m, the letter powers of the word by square
+    and multiply, multiplied one at a time left to right; then the factors
+    are lifted and assembled once."""
+    big = cyclotomic_field(field_order(m))
+    factors = []
+    for q in _prime_powers(m):
+        out = UMatrix.identity(_local_letter(m, q, "T").field, q)
+        for name, power in word:
+            out = out @ _local_letter(m, q, name) ** power
+        factors.append(out.embed(big))
+    return weil._kronecker(m, factors) if len(factors) > 1 else factors[0]
+
+
+def _cached_blocks(m, word):
+    """Every block the word's product reads from the block cache: its
+    one-letter blocks and its pairs, the last letter alone for an odd
+    length."""
+    letters = [(name, power % _letter_order(m, name)) for name, power in word]
+    pairs = [letters[i:i + 2] for i in range(0, len(letters), 2)]
+    return [U for block in [*([x] for x in letters), *pairs] for U in _block(m, *block)]
+
+
 def test_word_product_flags_and_fresh_objects():
     for m in (1, 2, 3):
         identity = UMatrix.identity(cyclotomic_field(field_order(m)), 2 * m)
@@ -567,13 +591,32 @@ def test_word_product_flags_and_fresh_objects():
             assert W.resolved is False, (m, text)
             want = _reference_word_product(m, word)
             assert W.rows == want.rows and W.radicand == want.radicand, (m, text)
-            for name, power in word:
-                cached = _letter_power(m, name, power % _letter_order(m, name))
-                assert all(W is not factor for factor in cached)
+            assert all(W is not factor for factor in _cached_blocks(m, word))
         # a zero-power word is the identity matrix, but unresolved
         assert word_product(m, GroupWord.parse("S^8")) == identity
         # the cached local factors keep their own flag after a word has used them
-        assert all(factor.resolved for factor in _letter_power(m, "S", 0))
+        assert all(factor.resolved for factor in _block(m, ("S", 0)))
+    # words of every length 0-13, odd and even, at unsplit and split indices,
+    # with zero and negative powers, some 10^6 periods away from the small
+    # power the reference multiplies out; each word cold (the block cache
+    # cleared) and warm.  Above m = 6, where the entry-by-entry reference
+    # takes seconds a word, the reference is the letter-by-letter product of
+    # the local factors.
+    rng = random.Random(89)
+    for m in (1, 2, 3, 5, 6, 15, 16, 30):
+        reference = _reference_word_product if m <= 6 else _letterwise_word_product
+        for length in range(14):
+            small = [(rng.choice(LETTERS), rng.choice((0, -2, -1, 1, 2, 3))) for _ in range(length)]
+            word = GroupWord(tuple((name, p + rng.choice((0, 1, -1)) * 10 ** 6 * _letter_order(m, name))
+                                   for name, p in small))
+            want = _stored(reference(m, GroupWord(tuple(small))))[:4]
+            _block.cache_clear()
+            cold = word_product(m, word)
+            warm = word_product(m, word)
+            for W in (cold, warm):
+                assert _stored(W)[:4] == want and W.resolved is (not word), (m, str(word))
+                assert all(W is not factor for factor in _cached_blocks(m, word)), (m, str(word))
+            assert cold is not warm
 
 
 def test_letter_orders():
@@ -989,7 +1032,7 @@ def test_split_word_products_multiply_no_full_size_matrices(monkeypatch, m):
         return matmul(a, b)
 
     monkeypatch.setattr(UMatrix, "__matmul__", counting)
-    monkeypatch.setattr(weil, "_letter_power", weil._letter_power.__wrapped__)
+    monkeypatch.setattr(weil, "_block", weil._block.__wrapped__)
     monkeypatch.setattr(weil, "_local_letter", weil._local_letter.__wrapped__)
     for text in ("S T S T^-1 S", "ST2S^3 -I S T^5", "S^9 T^-7 S"):
         word_product(m, GroupWord.parse(text))
@@ -1009,7 +1052,7 @@ def _local_s_without_e8(exact):
 def test_factored_word_product_differs_from_the_full_product_when_broken(monkeypatch, mutant):
     wants = [_full_word_product(m, w) for m, w in SPLIT_CASES]
     if mutant == "local S without e(-1/8)":
-        monkeypatch.setattr(weil, "_letter_power", weil._letter_power.__wrapped__)
+        monkeypatch.setattr(weil, "_block", weil._block.__wrapped__)
         monkeypatch.setattr(weil, "_local_letter", _local_s_without_e8(weil._local_letter.__wrapped__))
     else:
         exact = weil._labels
