@@ -3,10 +3,9 @@
 Everything is built from the one-variable theta components and the
 normalised derivative D = q d/dq:
 
-* xi_hat            = theta_{1,1} D theta_{1,0} - theta_{1,0} D theta_{1,1}
-                      (equals -eta^6/2);
-* xi_m_star_hat     = the same Wronskian at index m, equal to
-                      m * xi_hat(m tau) and -(m/2) eta^6(m tau);
+* xi_m_star_hat     = theta_{m,m} D theta_{m,0} - theta_{m,0} D theta_{m,m},
+                      equal to m * xi_hat(m tau) and -(m/2) eta^6(m tau);
+* xi_hat            = its index-1 case (equals -eta^6/2);
 * xi_pair_hat       = (xi0, xi2), the index-2 Wronskians against
                       theta_{2,1};
 * lambda2_fwd/inv   = the index-2 kernel isomorphism: divide the 0- and
@@ -16,7 +15,8 @@ normalised derivative D = q d/dq:
 * lambda_star_fwd/inv = the squarefree-index analogue on series supported
                       on the 0 and m components;
 * psi_form          = the quotient phi0/xi2 = -phi2/xi0 attached to a pair
-                      killed by both restriction and heat operator;
+                      killed by both restriction and heat operator, whose
+                      agreement is the pair's compatibility check;
 * psi_0m            = the projection onto the 0 and m components.
 
 The two inverse maps and the projection are theta sums sum_r h_r
@@ -91,20 +91,20 @@ def _wronskian(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
 
 
 def xi_hat(order) -> PuiseuxSeries:
-    """theta_{1,1} D theta_{1,0} - theta_{1,0} D theta_{1,1}; equals -eta^6/2."""
-    order = Fraction(order)
-    if order <= Fraction(1, 4):
+    """:func:`xi_m_star_hat` at index 1, theta_{1,1} D theta_{1,0} -
+    theta_{1,0} D theta_{1,1}, which equals -eta^6/2; ``order`` must exceed
+    1/4, the exponent of its first term."""
+    if Fraction(order) <= Fraction(1, 4):
         raise ValueError("order must exceed 1/4")
-    out = _wronskian(theta_component(1, 1, order), theta_component(1, 0, order))
-    return out.with_meta(FormMeta(weight=Fraction(3), level=1, character="omega_m",
-                                  kind="cuspidal", source="xi_hat"))
+    return xi_m_star_hat(1, order).with_meta(FormMeta(weight=Fraction(3), level=1,
+                                                      character="omega_m", kind="cuspidal",
+                                                      source="xi_hat"))
 
 
 def xi_m_star_hat(m: int, order) -> PuiseuxSeries:
     """The index-m Wronskian theta_{m,m} D theta_{m,0} - theta_{m,0} D theta_{m,m}."""
     if m < 1:
         raise ValueError("index must be a positive integer")
-    order = Fraction(order)
     out = _wronskian(theta_component(m, m, order), theta_component(m, 0, order))
     return out.with_meta(FormMeta(weight=Fraction(3), level=m, character="omega_m",
                                   kind="cuspidal", source=f"xi_star_hat({m})"))
@@ -112,8 +112,7 @@ def xi_m_star_hat(m: int, order) -> PuiseuxSeries:
 
 def xi_pair_hat(order):
     """(xi0, xi2): Wronskians of theta_{2,0}, theta_{2,2} against theta_{2,1}."""
-    order = Fraction(order)
-    if order <= Fraction(5, 8):
+    if Fraction(order) <= Fraction(5, 8):
         raise ValueError("order must exceed 5/8")
     t1 = theta_component(2, 1, order)
     meta = FormMeta(weight=Fraction(3), level=2, kind="cuspidal", source="xi_pair_hat")
@@ -219,20 +218,19 @@ def lambda_star_inv(phi: PuiseuxSeries, m: int, order) -> JacobiSeries:
 
 
 def psi_form(phi0: PuiseuxSeries, phi2: PuiseuxSeries) -> PuiseuxSeries:
-    """The common quotient phi0/xi2 = -phi2/xi0.
+    """The common quotient phi0/xi2 = -phi2/xi0, in one checked quotient.
 
-    Requires phi0 xi0 + phi2 xi2 = 0 on the common range
-    (:class:`CompatibilityFailed` otherwise).  The 2 pi i normalisation of
-    the Wronskians cancels in the quotient.
+    Since phi0 xi0 + phi2 xi2 = xi0 xi2 (phi0/xi2 - (-phi2/xi0)), the pair
+    is compatible exactly when the two quotients agree below the lesser of
+    their bounds.  Otherwise :class:`CompatibilityFailed` names the least
+    term of phi0 xi0 + phi2 xi2: the quotients' first difference plus
+    val xi0 + val xi2.  The 2 pi i normalisation of the Wronskians cancels
+    in the quotient.
     """
     xi0, xi2 = xi_pair_hat(max(phi0.valid_below, phi2.valid_below) + 2)
-    combo = phi0 * xi0 + phi2 * xi2
-    if not combo.is_zero():
-        raise CompatibilityFailed(
-            f"phi0 xi0 + phi2 xi2 has a term at q^{combo.val()}"
-        )
-    q = _common_quotient(phi0, xi2, -phi2, xi0,
-                         lambda *_: CompatibilityFailed("the two psi quotients disagree"))
+    shift = xi0.val() + xi2.val()
+    q = _common_quotient(phi0, xi2, -phi2, xi0, lambda at: CompatibilityFailed(
+        f"phi0 xi0 + phi2 xi2 has a term at q^{at + shift}"))
     return q.with_meta(FormMeta(kind="unchecked", source="psi_form"))
 
 

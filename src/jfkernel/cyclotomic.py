@@ -33,7 +33,11 @@ from ._value import power
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients (ascending, monic) of the n-th cyclotomic polynomial."""
+    """Coefficients (ascending, monic) of the n-th cyclotomic polynomial.
+
+    Cached for the orders of the fields built, which :func:`cyclotomic_field`
+    keeps for the life of the process, and for their divisors, as each
+    polynomial is built from its divisors' polynomials."""
     if n < 1:
         raise ValueError("order must be positive")
     # x^n - 1 divided by Phi_d for every proper divisor d of n.
@@ -61,6 +65,9 @@ def _poly_divexact(a: list[int], b: list[int]) -> list[int]:
 
 @lru_cache(maxsize=None)
 def cyclotomic_field(n: int) -> "CyclotomicField":
+    """The one field of order n, never evicted: fields are compared by
+    identity, so an order must map to one instance for the life of the
+    process."""
     return CyclotomicField(n)
 
 

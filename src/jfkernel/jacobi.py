@@ -190,8 +190,13 @@ def theta_j(m: int, r: int, order) -> JacobiSeries:
     return _assemble(JacobiSeries, terms, 4 * m, order, meta)
 
 
-@lru_cache(maxsize=None)
+# The key holds the caller's order, so only a bound caps this cache; at
+# seed 3 a kernel-deep run builds 85 keys and ``verify --suite all`` 74, so
+# a bound of 256 evicts nothing.
+@lru_cache(maxsize=256)
 def _theta_component_terms(m: int, r: int, order: Fraction):
+    """The terms of theta_{m,r} below ``order`` on the grid 1/4m: each
+    exponent with its count of lattice points as the coordinate tuple."""
     acc = {}
     for n, _z in _theta_lattice(m, r, order):
         acc[n] = acc.get(n, 0) + 1

@@ -60,6 +60,14 @@ def eval_series(series, tau: complex, min_im: float = 0.3) -> complex:
     return total
 
 
+def _height(tau: complex) -> float:
+    """Im tau, refused (ValueError) off the upper half-plane."""
+    y = tau.imag
+    if y <= 0:
+        raise ValueError("tau must lie in the upper half-plane")
+    return y
+
+
 def _theta_range(m: int, y: float, zim: float) -> int:
     # need 2 pi m y t^2 - 4 pi m |Im z| t >= TAIL_LOG for all |t| >= T
     b = 2.0 * abs(zim) / y
@@ -69,9 +77,7 @@ def _theta_range(m: int, y: float, zim: float) -> int:
 
 def theta_jacobi_num(m: int, r: int, tau: complex, z: complex) -> complex:
     """theta_j(m, r)(tau, z) by direct adaptive summation."""
-    y = tau.imag
-    if y <= 0:
-        raise ValueError("tau must lie in the upper half-plane")
+    y = _height(tau)
     x0 = r / (2.0 * m)
     N = _theta_range(m, y, z.imag)
     # hoisted in the grouping of 2j * math.pi * m * (...), so every float is unchanged
@@ -94,9 +100,7 @@ def theta_num(m: int, r: int, tau: complex) -> complex:
 
 def dtheta_num(m: int, r: int, tau: complex) -> complex:
     """(q d/dq) theta_{m,r} at tau: sum of m(n + r/2m)^2 q^{m(n+r/2m)^2}."""
-    y = tau.imag
-    if y <= 0:
-        raise ValueError("tau must lie in the upper half-plane")
+    y = _height(tau)
     x0 = r / (2.0 * m)
     N = _theta_range(m, y, 0.0) + 2
     c, exp = 2j * math.pi, cmath.exp
@@ -110,9 +114,7 @@ def dtheta_num(m: int, r: int, tau: complex) -> complex:
 
 def eta_num(tau: complex) -> complex:
     """Dedekind eta via the pentagonal-number series, adaptive range."""
-    y = tau.imag
-    if y <= 0:
-        raise ValueError("tau must lie in the upper half-plane")
+    y = _height(tau)
     # exponents k(3k-1)/2 + 1/24; need 2 pi y (3k^2/2 - |k|/2) >= TAIL_LOG
     K = int(math.sqrt(2.0 * TAIL_LOG / (3.0 * TWO_PI * y)) + 2.0)
     c, exp = 2j * math.pi, cmath.exp

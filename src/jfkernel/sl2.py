@@ -64,6 +64,10 @@ ST2S = S @ (T ** 2) @ S  # [[-1,0],[2,-1]], generator of the level-2 subgroup
 
 GENERATOR_MATRICES = {"S": S, "T": T, "-I": MINUS_I2, "ST2S": ST2S}
 
+# The letters beyond S and T, spelled in them: -I = S S and ST2S = S T T S.
+# The Weil layer builds these letters' matrices as these products.
+LETTER_SPELLINGS = {"-I": ("S", "S"), "ST2S": ("S", "T", "T", "S")}
+
 GAMMA0_2_ALPHABET = ("-I", "T", "ST2S")
 SL2_ALPHABET = ("S", "T")
 

@@ -170,20 +170,12 @@ def _id_eta3(order, rng):
     yield None, _series_equal(order, lhs, rhs)
 
 
-def _dilation_case(m, order):
-    """xi*_m to ``order`` and the case that it is m xi(m tau)."""
-    star = xi_m_star_hat(m, Fraction(order))
-    viadil = m * dilate(xi_hat(Fraction(order, m) + 1), m)
-    return star, (f"m={m}", _series_equal(order, star, viadil))
-
-
 def _id_xi_eta6(order, rng):
     order = Fraction(order)
     yield None, _series_equal(order, xi_hat(order), eta_power(6, order) * Fraction(-1, 2))
     for m in range(1, 8):
-        star, case = _dilation_case(m, 30)
-        yield case
-        yield f"m={m} (eta route)", _series_equal(30, star, eta6_dilated(m, 30) * Fraction(-m, 2))
+        yield f"m={m} (eta route)", _series_equal(30, xi_m_star_hat(m, 30),
+                                                  eta6_dilated(m, 30) * Fraction(-m, 2))
 
 
 def _id_theta23(order, rng):
@@ -260,7 +252,8 @@ def _id_xi_bridge(order, rng):
 
 def _id_xistar_dilate(order, rng):
     for m in range(1, 8):
-        yield _dilation_case(m, order)[1]
+        viadil = m * dilate(xi_hat(Fraction(order) / m + 1), m)
+        yield f"m={m}", _series_equal(order, xi_m_star_hat(m, order), viadil)
 
 
 def _id_lambda2_roundtrip(order, rng):

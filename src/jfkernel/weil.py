@@ -6,11 +6,12 @@ the reference; ``u_gen_general`` builds the general-index generators
     U_m(T) = diag(e^{2 pi i r^2 / 4m}),
     U_m(S) = e^{-pi i/4} / sqrt(2m) * (e^{-2 pi i r r' / 2m}),
 
-and every other letter as a product of these (-I = S S, ST2S = S T T S),
-whose correctness is pinned numerically against the theta transformation law
-by the verify module.  Every matrix these functions return has its entries
-in Q(zeta_n) with n = lcm(24, 4m); the 1/sqrt(2m) factor is tracked as a
-separate positive radicand so that raw word products stay integral.
+and the letters -I and ST2S as the products of these that
+:data:`jfkernel.sl2.LETTER_SPELLINGS` spells, whose correctness is pinned
+numerically against the theta transformation law by the verify module.
+Every matrix these functions return has its entries in Q(zeta_n) with
+n = lcm(24, 4m); the 1/sqrt(2m) factor is tracked as a separate positive
+radicand so that raw word products stay integral.
 
 Word products go through the local factors of the discriminant form
 (Z/2m, r^2/4m), which splits orthogonally over the prime powers q of 2m:
@@ -21,9 +22,9 @@ the Kronecker product of its local word products.  ``word_product``
 multiplies q x q matrices per factor, each in the least field holding its
 letters (Q(zeta_lcm(8, 2q)) for the 2-part, Q(zeta_2q) for an odd q), two
 letters at a time: each block of one or two letter powers, reduced by the
-letter periods, comes from one bounded cache (:func:`_block`).  It lifts
-the local products into Q(zeta_n) and assembles the 2m x 2m matrix once;
-when 2m is a power of two its one factor is U_m itself.
+letter periods, is built and kept by one bounded cache (:func:`_block`).
+It lifts the local products into Q(zeta_n) and assembles the 2m x 2m
+matrix once; when 2m is a power of two its one factor is U_m itself.
 
 A word product of generator matrices equals the true multiplier matrix of
 the evaluated group element only up to a sign: the square root branch in the
@@ -46,8 +47,8 @@ from ._value import power
 from .cyclotomic import (CYC24, MAX_JSON_ORDER, CycNumber, _content, _factor, _scaled,
                          _sqrt_order, _square_part, common_field, cyclotomic_field)
 from .sl2 import (
-    GENERATOR_MATRICES,
     I2,
+    LETTER_SPELLINGS,
     GroupWord,
     SL2Mat,
     gamma_dilate,
@@ -309,7 +310,11 @@ def _times_scalar(a: UMatrix, c: CycNumber, d: int) -> UMatrix:
 
 @lru_cache(maxsize=None)
 def _root(n: int, d: int) -> CycNumber:
-    """sqrt(d) in Q(zeta_n), built from Gauss sums once per (n, d)."""
+    """sqrt(d) in Q(zeta_n), built from Gauss sums once per (n, d).
+
+    The keys are finite for each field order: d is squarefree with sqrt(d)
+    in Q(zeta_n), so d <= n, and :meth:`UMatrix.canonical` refuses an n
+    above MAX_JSON_ORDER other than the matrix's own field order."""
     return cyclotomic_field(n).sqrt_int(d)
 
 
@@ -323,6 +328,8 @@ def u_gen(m: int, g: str) -> UMatrix:
 
     Scalars: sqrt(i) = zeta_8, e^{-pi i/4} = zeta_8^{-1}, both inside
     Q(zeta_24).  The index-1 matrix for -I is the square of the one for S.
+    The seven displayed (m, g) are the only keys kept: any other raises,
+    and a raise is not cached.
     """
     f = CYC24
     i = f.zeta(6)
@@ -369,14 +376,22 @@ def u_gen(m: int, g: str) -> UMatrix:
     raise ValueError(f"no displayed generator for index {m}, letter {g!r}")
 
 
-@lru_cache(maxsize=None)
+# The most entries each per-index cache keeps (_prime_powers, _labels and
+# _local_letter).  Their keys grow with the indices a process uses: one
+# each per index for the first two, and up to four letters per prime power
+# of 2m and for 2m itself for the last.  ``verify --suite all`` and a
+# weil-deep run each keep at most 15 local letters.
+_PER_INDEX = 256
+
+
+@lru_cache(maxsize=_PER_INDEX)
 def _prime_powers(m: int) -> tuple[int, ...]:
     """The prime powers q of 2m, ascending in their primes: the 2-part first."""
     field_order(m)  # refuses an index below 1
     return tuple([p ** e for p, e in _factor(2 * m)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PER_INDEX)
 def _labels(m: int) -> tuple[tuple[int, ...], ...]:
     """The label map: r in Z/2m to its local coordinates (x_q), one per prime
     power q of 2m, with r = sum_q (2m/q) x_q mod 2m; one tuple per r."""
@@ -384,7 +399,7 @@ def _labels(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple([r * v % q for q, v in inverses]) for r in range(2 * m))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PER_INDEX)
 def _local_letter(m: int, q: int, name: str) -> UMatrix:
     """The letter on the factor Z/q of the discriminant form (Z/2m, r^2/4m),
     for q a divisor of 2m prime to c = 2m/q:
@@ -393,7 +408,8 @@ def _local_letter(m: int, q: int, name: str) -> UMatrix:
         U(S) = e(-1/8) / sqrt(q) * (e(-c x x' / q)),
 
     with e(-1/8) on an even q only, so that the factors of 2m multiply out
-    to U_m; -I = S S and ST2S = S T T S.  Each letter lives in the least
+    to U_m; -I and ST2S are their products in S and T, spelled by
+    :data:`jfkernel.sl2.LETTER_SPELLINGS`.  Each letter lives in the least
     field holding its entries: Q(zeta_lcm(8, 2q)) for an even q, Q(zeta_2q)
     for an odd one, so that its products are taken there.  For q = 2m this
     is U_m itself, which :func:`u_gen_general` lifts into Q(zeta_lcm(24, 4m)).
@@ -408,10 +424,9 @@ def _local_letter(m: int, q: int, name: str) -> UMatrix:
         e8 = 0 if q % 2 else n // 8
         rows = [[f.zeta(-e8 - n // q * c * x * y) for y in range(q)] for x in range(q)]
         return UMatrix(f, rows, q, True)
-    spellings = {"-I": "S S", "ST2S": "S T T S"}
-    if name not in spellings:
+    if name not in LETTER_SPELLINGS:
         raise ValueError(f"unsupported generator letter {name!r}")
-    out = reduce(operator.matmul, [_local_letter(m, q, x) for x in spellings[name].split()])
+    out = reduce(operator.matmul, [_local_letter(m, q, x) for x in LETTER_SPELLINGS[name]])
     return out._with(resolved=True)
 
 
@@ -443,26 +458,24 @@ def _letter_order(m: int, name: str) -> int:
 
 
 # The most blocks :func:`_block` keeps: ``verify --suite all`` and a
-# weil-deep run each build at most about 220.  A block holds a few KB at
-# m <= 5; at m = 29 a dense one holds about 160 KB.
+# weil-deep run each build at most about 220.  The bound counts blocks, not
+# bytes: a full cache holds 0.54 MB at m <= 5, but 97.5 MB at m = 29, where
+# a dense pair holds about 380 KB.
 _BLOCKS = 256
-
-
-def _letter_power(m: int, name: str, power: int) -> tuple[UMatrix, ...]:
-    """The local factors of U(letter)^power, one per prime power of 2m, for
-    0 <= power < _letter_order(m, name).  Their Kronecker product is the
-    letter's power, so the letter's period reduces them all at once."""
-    return tuple(_local_letter(m, q, name) ** power for q in _prime_powers(m))
 
 
 @lru_cache(maxsize=_BLOCKS)
 def _block(m: int, *letters: tuple[str, int]) -> tuple[UMatrix, ...]:
-    """The local factors of one or two reduced letter powers (name, power),
-    multiplied out factor by factor.  A pair multiplies its two one-letter
-    blocks, which come from this same cache, so a missed pair costs one
-    product per factor once its letters are warm."""
+    """The local factors, one per prime power of 2m, of one or two reduced
+    letter powers (name, power), 0 <= power < _letter_order(m, name): their
+    Kronecker product is the product of the letter powers.  One letter
+    raises each of its local letters to the power, so the letter's period
+    reduces every factor at once; a pair multiplies its two one-letter
+    blocks, which come from this same cache, factor by factor, so a missed
+    pair costs one product per factor once its letters are warm."""
     if len(letters) == 1:
-        return _letter_power(m, *letters[0])
+        name, power = letters[0]
+        return tuple(_local_letter(m, q, name) ** power for q in _prime_powers(m))
     left, right = [_block(m, letter) for letter in letters]
     return tuple(map(operator.matmul, left, right))
 
@@ -526,11 +539,12 @@ def _step_signs(name: str, direction: int) -> tuple[tuple[int, ...], int]:
     """(period, correction) for h = g^direction: period[k-1] = sigma(h^k, h),
     k = 1..4, which repeats for all k >= 1 (sigma reads the signs of c, and
     of d where c = 0, and ST2S^k = (-1)^k [[1, 0], [-2k, 1]]); correction
-    is sigma(g, g^-1) for direction -1, else 1."""
-    g = GENERATOR_MATRICES[name]
-    h = g ** direction
-    period = tuple(sqrt_cocycle(h ** k, h) for k in range(1, 5))
-    return period, (sqrt_cocycle(g, h) if direction < 0 else 1)
+    is sigma(g, g^-1) for direction -1, else 1.  The powers of g are the
+    closed forms of :func:`jfkernel.sl2.letter_matrix`, which refuses any
+    other letter, so the keys are the four letters in two directions."""
+    h = letter_matrix(name, direction)
+    period = tuple(sqrt_cocycle(letter_matrix(name, k * direction), h) for k in range(1, 5))
+    return period, (sqrt_cocycle(letter_matrix(name, 1), h) if direction < 0 else 1)
 
 
 def word_scalar(word: GroupWord) -> int:

@@ -30,7 +30,7 @@ from jfkernel.jacobi import (
     theta_decompose,
     theta_j,
 )
-from jfkernel.series import PuiseuxSeries, dilate, eta_power
+from jfkernel.series import PuiseuxSeries, dilate, div_exact, eta_power
 
 F = Fraction
 
@@ -273,6 +273,55 @@ def test_psi_form():
     assert psi2.same_below(q, min(psi2.valid_below, 5))
     with pytest.raises(CompatibilityFailed):
         psi_form(xi2, xi0)
+
+
+def _psi_pair(rng):
+    """A pair (phi0, phi2) drawn as one of four kinds: compatible,
+    (g xi2, -g xi0) for a random g; one of those with a term added at one
+    exponent; unrelated; or compatible and truncated.  Valuations go down
+    to -3 and bounds to multiples of 1/8."""
+    lo = rng.randint(-3, 1)
+    top = max(F(rng.randint(2, 10), rng.choice((1, 2, 4, 8))), F(lo + 2))
+
+    def series(nterms):
+        return PuiseuxSeries({F(rng.randint(8 * lo, int(8 * top) - 1), 8):
+                              rng.randint(-4, 4) + rng.randint(-2, 2) * imag_unit()
+                              for _ in range(nterms)}, top)
+
+    kind = rng.choice(("compatible", "perturbed", "unrelated", "truncated"))
+    if kind == "unrelated":
+        return series(5), series(5)
+    g = series(rng.randint(1, 6))
+    xi0, xi2 = xi_pair_hat(top + 2)
+    phi0, phi2 = g * xi2, -(g * xi0)
+    if kind == "perturbed":
+        bump = PuiseuxSeries.monomial(1, F(rng.randint(8 * lo, int(8 * top)), 8), top + 2)
+        return (phi0 + bump, phi2) if rng.random() < 0.5 else (phi0, phi2 + bump)
+    if kind == "truncated":
+        def cut(s):
+            return s.truncate(F(rng.randint(max(8 * lo, -7), int(8 * s.valid_below)), 8))
+        return cut(phi0), cut(phi2)
+    return phi0, phi2
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_psi_form_refuses_exactly_when_phi0_xi0_plus_phi2_xi2_has_a_term(seed):
+    # the sum is built here, against xi0, xi2 to the order psi_form takes
+    rng = random.Random(seed)
+    refused = 0
+    for _ in range(60):
+        phi0, phi2 = _psi_pair(rng)
+        xi0, xi2 = xi_pair_hat(max(phi0.valid_below, phi2.valid_below) + 2)
+        combo = phi0 * xi0 + phi2 * xi2
+        if combo.is_zero():
+            psi = psi_form(phi0, phi2)
+            assert psi.same_below(div_exact(phi0, xi2), psi.valid_below)
+            continue
+        refused += 1
+        with pytest.raises(CompatibilityFailed) as err:
+            psi_form(phi0, phi2)
+        assert str(err.value) == f"phi0 xi0 + phi2 xi2 has a term at q^{combo.val()}"
+    assert 15 < refused < 45
 
 
 def test_psi_0m_projection():

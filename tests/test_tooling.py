@@ -18,6 +18,7 @@ import jfkernel
 from jfkernel import series
 from jfkernel.cyclotomic import imag_unit
 from jfkernel.jacobi import JacobiSeries, recompose, theta_j
+from jfkernel.sl2 import LETTER_SPELLINGS
 
 SOURCES = sorted(Path(jfkernel.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
@@ -286,6 +287,51 @@ def test_second_definition_is_reported():
                "b.py": "class C:\n    def _scaled(self):\n        def _dense():\n            pass\n"}
     assert _definitions(sources, ("_scaled", "_dense", "_times")) == {
         "_scaled": ["a.py", "b.py"], "_dense": ["b.py"], "_times": []}
+
+
+def _letter_copies(text):
+    """(line, what) of each mention of the name GENERATOR_MATRICES in
+    ``text``, imported or read, and of each string, or tuple or list of
+    strings, that spells a letter of :data:`jfkernel.sl2.LETTER_SPELLINGS`
+    (what is then the letter: "S S" or ("S", "S") for -I)."""
+    spelled = {tuple(word): name for name, word in LETTER_SPELLINGS.items()}
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.name) for a in node.names if a.name == "GENERATOR_MATRICES"]
+        elif (isinstance(node, ast.Name) and node.id == "GENERATOR_MATRICES"
+              or isinstance(node, ast.Attribute) and node.attr == "GENERATOR_MATRICES"):
+            found.append((node.lineno, "GENERATOR_MATRICES"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            word = tuple(node.value.split())
+            if word in spelled:
+                found.append((node.lineno, spelled[word]))
+        elif isinstance(node, (ast.Tuple, ast.List)) and all(
+                isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts):
+            word = tuple(e.value for e in node.elts)
+            if word in spelled:
+                found.append((node.lineno, spelled[word]))
+    return sorted(found)
+
+
+def test_weil_spells_no_letter_and_names_no_generator_matrices():
+    """-I = S S and ST2S = S T T S are spelled once, in the sl2 table, and
+    weil reads them there and takes its SL2 powers from letter_matrix."""
+    spellings = {p.name: [what for _, what in _letter_copies(p.read_text())
+                          if what != "GENERATOR_MATRICES"] for p in SOURCES}
+    assert {name: found for name, found in spellings.items() if found} == {
+        "sl2.py": ["-I", "ST2S"]}
+    weil = next(p for p in SOURCES if p.name == "weil.py")
+    assert _letter_copies(weil.read_text()) == []
+
+
+def test_a_planted_letter_copy_is_reported():
+    text = ('from .sl2 import GENERATOR_MATRICES, I2\n'
+            'spellings = {"-I": "S S", "ST2S": ["S", "T", "T", "S"], "T": "T"}\n'
+            'g = sl2.GENERATOR_MATRICES["S"] ** 2\n'
+            'doc = "-I = S S"\n')
+    assert _letter_copies(text) == [(1, "GENERATOR_MATRICES"), (2, "-I"), (2, "ST2S"),
+                                    (3, "GENERATOR_MATRICES")]
 
 
 def _is_one(node):

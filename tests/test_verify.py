@@ -466,6 +466,24 @@ def test_xistar_dilate_fails_on_a_wrong_xi(monkeypatch):
     assert _fails("xistar-dilate") == "m=1: first difference at q^1/4: -1/2 vs 1/2"
 
 
+def _bump_letter_power(monkeypatch, letter):
+    """Serve every one-letter block of ``letter`` as U(letter)^(p+1) in place
+    of U(letter)^p, and every block uncached: the blocks built before the
+    patch would hide it.  A pair multiplies the one-letter blocks it reads
+    through the patched name, so it carries the bump too."""
+    import jfkernel.weil as weil
+
+    exact = weil._block.__wrapped__
+
+    def block(m, *letters):
+        if len(letters) == 1 and letters[0][0] == letter:
+            name, p = letters[0]
+            return exact(m, (name, (p + 1) % weil._letter_order(m, name)))
+        return exact(m, *letters)
+
+    monkeypatch.setattr(weil, "_block", block)
+
+
 def test_block_structure_fails_on_a_wrong_word_product(monkeypatch):
     # every T^p letter multiplies in U(T)^(p+1), on every local factor of 2m:
     # the products leave the level-m subgroup and the zero pattern breaks, at
@@ -473,12 +491,7 @@ def test_block_structure_fails_on_a_wrong_word_product(monkeypatch):
     # products, which is a failed check, not an error
     import jfkernel.weil as weil
 
-    exact = weil._letter_power
-    monkeypatch.setattr(
-        weil, "_letter_power",
-        lambda m, name, p: exact(m, name, (p + 1) % weil._letter_order(m, name) if name == "T" else p))
-    # the blocks built before the patch would hide it
-    monkeypatch.setattr(weil, "_block", weil._block.__wrapped__)
+    _bump_letter_power(monkeypatch, "T")
     assert not weil.block_rows_vanish(5, weil.word_product(5, GroupWord.parse("T S T^5 S")))
     reports = {r.name: r for r in suite_weil(7, words=2)}
     blocks = reports["weil-block-structure[m=2,3,5]"]
@@ -493,13 +506,7 @@ def test_block_structure_fails_on_a_wrong_word_product(monkeypatch):
 def test_generator_displays_fail_on_a_wrong_level2_letter_power(monkeypatch, letter):
     # U(letter)^(p+1) in place of U(letter)^p: the only exact check that sees
     # it compares word products with the letter multiplied out
-    import jfkernel.weil as weil
-
-    exact = weil._letter_power
-    monkeypatch.setattr(
-        weil, "_letter_power",
-        lambda m, name, p: exact(m, name, (p + 1) % weil._letter_order(m, name) if name == letter else p))
-    monkeypatch.setattr(weil, "_block", weil._block.__wrapped__)
+    _bump_letter_power(monkeypatch, letter)
     reports = {r.name: r for r in suite_weil(7, words=2)}
     displays = reports["weil-generator-displays"]
     assert displays.status == "fail"
