@@ -24,6 +24,9 @@ theta_j(m, r), built by :func:`~jfkernel.jacobi.recompose` as relabellings
 of each h_r's terms onto the theta lattice, with no product and no
 reduction.
 
+The Wronskians are fixed forms: each is built once per (index, order), from
+one bounded cache, and every caller shares it.
+
 The heat operator interacts with the inverse maps through exact series
 identities (constants 8k and 4mk) which the verify module re-derives by
 brute force before asserting.
@@ -32,6 +35,7 @@ brute force before asserting.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from ._value import Value
 from .cyclotomic import _square_part
@@ -90,6 +94,21 @@ def _wronskian(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
     return a * euler_d(b) - b * euler_d(a)
 
 
+# The most Wronskians :func:`_fixed_form` keeps.  A key holds the caller's
+# order, so only a bound caps the cache.  At seed 3 a kernel-deep run builds
+# 24 keys and ``verify --suite all`` 28, so a bound of 64 evicts nothing.  At
+# order 400, the largest either uses, the pair (xi0, xi2) holds 92 KB and
+# xi*_1 48 KB, so a full cache holds at most 5.9 MB.
+_WRONSKIANS = 64
+
+
+@lru_cache(maxsize=_WRONSKIANS)
+def _fixed_form(build, *key):
+    """``build(*key)``, built once per key.  The Wronskians are fixed forms,
+    and no caller modifies a series it is given, so every caller shares one."""
+    return build(*key)
+
+
 def xi_hat(order) -> PuiseuxSeries:
     """:func:`xi_m_star_hat` at index 1, theta_{1,1} D theta_{1,0} -
     theta_{1,0} D theta_{1,1}, which equals -eta^6/2; ``order`` must exceed
@@ -101,22 +120,33 @@ def xi_hat(order) -> PuiseuxSeries:
                                                       source="xi_hat"))
 
 
-def xi_m_star_hat(m: int, order) -> PuiseuxSeries:
-    """The index-m Wronskian theta_{m,m} D theta_{m,0} - theta_{m,0} D theta_{m,m}."""
-    if m < 1:
-        raise ValueError("index must be a positive integer")
+def _xi_m_star(m: int, order: Fraction) -> PuiseuxSeries:
     out = _wronskian(theta_component(m, m, order), theta_component(m, 0, order))
     return out.with_meta(FormMeta(weight=Fraction(3), level=m, character="omega_m",
                                   kind="cuspidal", source=f"xi_star_hat({m})"))
 
 
-def xi_pair_hat(order):
-    """(xi0, xi2): Wronskians of theta_{2,0}, theta_{2,2} against theta_{2,1}."""
-    if Fraction(order) <= Fraction(5, 8):
-        raise ValueError("order must exceed 5/8")
+def xi_m_star_hat(m: int, order) -> PuiseuxSeries:
+    """The index-m Wronskian theta_{m,m} D theta_{m,0} - theta_{m,0} D theta_{m,m},
+    built once per (m, order)."""
+    if m < 1:
+        raise ValueError("index must be a positive integer")
+    return _fixed_form(_xi_m_star, m, Fraction(order))
+
+
+def _xi_pair(order: Fraction):
     t1 = theta_component(2, 1, order)
     meta = FormMeta(weight=Fraction(3), level=2, kind="cuspidal", source="xi_pair_hat")
     return tuple(_wronskian(t1, theta_component(2, r, order)).with_meta(meta) for r in (0, 2))
+
+
+def xi_pair_hat(order):
+    """(xi0, xi2): Wronskians of theta_{2,0}, theta_{2,2} against theta_{2,1},
+    built once per order."""
+    order = Fraction(order)
+    if order <= Fraction(5, 8):
+        raise ValueError("order must exceed 5/8")
+    return _fixed_form(_xi_pair, order)
 
 
 def eta6_dilated(m: int, order) -> PuiseuxSeries:

@@ -222,31 +222,36 @@ def _collapse(phi: JacobiSeries, k, meta) -> PuiseuxSeries:
     """Sum each q-exponent's coefficients over the zeta-powers, weighted by
     the heat factor k r^2 - 4n when ``k`` is given.
 
-    On phi's grid n = N/L, the factor is the int k_num r^2 L - 4 N k_den
-    over k_den L, so the sums stay unreduced integer coordinates over
-    phi's denominator times k_den L, with one running gcd over the result.
-    The result is on phi's grid, its keys in order of first occurrence.
+    The restriction (``k`` None) carries no weight: each term's coordinates
+    add straight into its exponent's sum.  On phi's grid n = N/L, the heat
+    factor is the int k_num r^2 L - 4 N k_den over k_den L, so the sums stay
+    unreduced integer coordinates over phi's denominator times k_den L, with
+    one running gcd over the result.  The result is on phi's grid, its keys
+    in order of first occurrence; an exponent whose sum vanishes, as every
+    one does for a kernel element's restriction, is dropped.
     """
     f = common_field(CYC24, phi.field)
     L = phi.den
-    if k is None:
-        a, b, c, scale = 0, 0, 1, 1
-    else:
-        a, b, c, scale = k.numerator * L, -4 * k.denominator, 0, k.denominator * L
     sums = {}
-    for (n, r), xs in phi._on_grid(L, f).items():
-        w = a * r * r + b * n + c
-        if w:
+    if k is None:
+        scale = 1
+        for (n, _r), xs in phi._on_grid(L, f).items():
             acc = sums.get(n)
             if acc is None:
                 acc = sums[n] = [0] * f.degree
             for i, x in xs:
-                acc[i] += w * x
-    out = {}
-    for n, acc in sums.items():
-        xs = f._nonzero(acc)
-        if xs:
-            out[n] = xs
+                acc[i] += x
+    else:
+        a, b, scale = k.numerator * L, -4 * k.denominator, k.denominator * L
+        for (n, r), xs in phi._on_grid(L, f).items():
+            w = a * r * r + b * n
+            if w:
+                acc = sums.get(n)
+                if acc is None:
+                    acc = sums[n] = [0] * f.degree
+                for i, x in xs:
+                    acc[i] += w * x
+    out = {n: f._nonzero(acc) for n, acc in sums.items() if any(acc)}
     return _normalised(PuiseuxSeries, out, L, phi.valid_below, meta, f, phi.cden * scale)
 
 
@@ -362,10 +367,14 @@ def recompose(components, m: int, order) -> JacobiSeries:
     return _normalised(JacobiSeries, out, den, vb, None, field, cden)
 
 
-def symmetry_check(phi: JacobiSeries, m: int) -> bool:
-    """True iff the components satisfy h_r = h_{2m-r} on their common range."""
-    comps = theta_decompose(phi, m)
+def _symmetric(comps, m: int) -> bool:
+    """True iff the 2m components satisfy h_r = h_{2m-r} on their common range."""
     return all(comps[r].same_below(comps[2 * m - r]) for r in range(1, m))
+
+
+def symmetry_check(phi: JacobiSeries, m: int) -> bool:
+    """True iff the components of phi satisfy h_r = h_{2m-r} on their common range."""
+    return _symmetric(theta_decompose(phi, m), m)
 
 
 def tau_shift(a):

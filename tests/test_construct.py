@@ -1,13 +1,17 @@
+import io
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import jfkernel.construct as construct
 from jfkernel.construct import (
     CompatibilityFailed,
     InconsistentPair,
     NonSquarefreeIndex,
     VVPair,
+    bridge_sides,
     derive_bridge_constant,
     derive_heat_constant,
     eta6_dilated,
@@ -377,3 +381,108 @@ def test_lambda_star_fwd_refuses_an_index_that_is_not_squarefree(m):
 def test_theta_component_refuses_a_non_positive_index(m):
     with pytest.raises(ValueError, match="index must be a positive integer"):
         theta_component(m, 0, 4)
+
+
+# -- the Wronskian cache ---------------------------------------------------------
+
+
+@pytest.fixture
+def cold_wronskians():
+    """An empty Wronskian cache before the test and after it, so that no
+    series built under a patch outlives the test."""
+    construct._fixed_form.cache_clear()
+    yield construct._fixed_form
+    construct._fixed_form.cache_clear()
+
+
+def _bare(s):
+    return s.with_meta(None).to_json_text()
+
+
+@pytest.mark.parametrize("clear", [False, True])
+def test_a_cached_wronskian_equals_a_fresh_one(clear):
+    if clear:
+        construct._fixed_form.cache_clear()
+    for order in (F(3), F(10), F(61, 4)):
+        for m in range(1, 8):
+            got = xi_m_star_hat(m, order)
+            fresh = construct._wronskian(theta_component(m, m, order),
+                                         theta_component(m, 0, order))
+            assert _bare(got) == _bare(fresh), (m, order)
+            assert xi_m_star_hat(m, str(order)) is got
+        t1 = theta_component(2, 1, order)
+        pair = xi_pair_hat(order)
+        assert [_bare(x) for x in pair] == [
+            _bare(construct._wronskian(t1, theta_component(2, r, order))) for r in (0, 2)]
+        assert xi_pair_hat(float(order)) is pair
+
+
+@pytest.mark.parametrize("first", ["xi_hat", "xi_m_star_hat"])
+def test_xi_hat_and_xi_star_1_keep_their_own_metadata(cold_wronskians, first):
+    calls = {"xi_hat": lambda: xi_hat(12), "xi_m_star_hat": lambda: xi_m_star_hat(1, 12)}
+    for name in (first, *(n for n in calls if n != first)):
+        calls[name]()
+    xi, star = xi_hat(12), xi_m_star_hat(1, 12)
+    assert xi.meta.source == "xi_hat" and star.meta.source == "xi_star_hat(1)"
+    assert xi is not star and xi._terms is star._terms
+    assert cold_wronskians.cache_info().currsize == 1
+
+
+def test_no_caller_modifies_a_cached_wronskian(cold_wronskians, monkeypatch):
+    import jfkernel.cli as cli
+    from jfkernel.verify import run_identity
+
+    built = []
+    for name in ("_xi_m_star", "_xi_pair"):
+        def record(*key, _build=getattr(construct, name)):
+            out = _build(*key)
+            built.extend((s, s.to_json_text()) for s in (out if isinstance(out, tuple) else (out,)))
+            return out
+        monkeypatch.setattr(construct, name, record)
+    rng = random.Random(31)
+    for name in ("lambda2-roundtrip", "lambdastar-roundtrip", "d2-lambda2", "d2-lambdastar",
+                 "xi-bridge", "xi-eta6"):
+        assert run_identity(name, 8, seed=3).passed, name
+    xi0, xi2 = xi_pair_hat(10)
+    phi = random_series(rng, 8)
+    psi_form(phi * xi2, -phi * xi0)
+    bridge_sides(10)
+    for argv in (["xi", "--pair", "--order", "10"], ["xi", "--m", "3", "--order", "10"]):
+        assert cli.run(argv, out=io.StringIO()) == 0
+    assert len(built) > 10
+    assert [s.to_json_text() for s, _text in built] == [text for _s, text in built]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: xi_m_star_hat(0, 10), "index must be a positive integer"),
+    (lambda: xi_m_star_hat(-3, 10), "index must be a positive integer"),
+    (lambda: xi_pair_hat(F(5, 8)), "order must exceed 5/8"),
+    (lambda: xi_pair_hat(0), "order must exceed 5/8"),
+    (lambda: xi_hat(F(1, 4)), "order must exceed 1/4"),
+])
+def test_a_refused_wronskian_leaves_no_cache_entry(cold_wronskians, call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+    info = cold_wronskians.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+def test_a_patched_theta_component_reaches_a_cleared_cache(cold_wronskians, monkeypatch):
+    exact = construct.theta_component
+    monkeypatch.setattr(construct, "theta_component", lambda m, r, order: exact(m, r, order) * 2)
+    # the Wronskian is bilinear, so doubling both theta components gives 4 xi*
+    star = xi_m_star_hat(2, 10)
+    monkeypatch.undo()
+    assert star.same_below(construct._wronskian(exact(2, 2, 10), exact(2, 0, 10)) * 4)
+
+
+def test_the_kernel_deep_job_list_evicts_no_wronskian(cold_wronskians, monkeypatch):
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    import workloads
+
+    results, _wall, _ref = workloads.run_jobs(workloads.build("kernel-deep", 3))
+    assert [r.error for r in results if r.error] == []
+    info = cold_wronskians.cache_info()
+    assert info.currsize == info.misses == 24 <= info.maxsize
+    assert info.hits == 52

@@ -408,11 +408,34 @@ def test_d2_hat_matches_reference(k):
         assert_identical(d2_hat(phi, k), ref_d2_hat(phi, k))
 
 
+def kernel_elements(rng, field=None):
+    """lambda2_inv and lambda_star_inv outputs, m = 1, 2, 3, 5, from random
+    inputs in Q(zeta_24) or, given ``field``, in that field."""
+    vb = F(rng.randint(3, 6))
+
+    def make():
+        return puiseux(rng, vb) if field is None else field_series(rng, field, vb)
+
+    yield lambda2_inv(make(), make(), vb + 2)
+    for m in (1, 2, 3, 5):
+        yield lambda_star_inv(make(), m, vb + m)
+
+
 def test_restrict_matches_reference():
     rng = random.Random(127)
     for _ in range(25):
         phi = jacobi(rng, F(rng.randint(3, 8)), nterms=20)
         assert_identical(restrict_z0(phi), ref_restrict(phi))
+    # kernel elements restrict to zero identically, with Q(zeta_24) and
+    # Q(zeta_120) coefficients: the zero series in Q(zeta_24) over 1, on
+    # phi's grid and below phi's bound
+    for field in (None, cyclotomic_field(120)):
+        for _ in range(3):
+            for phi in kernel_elements(rng, field):
+                got = restrict_z0(phi)
+                assert_identical(got, ref_restrict(phi))
+                assert got.is_zero() and got.field is CYC24 and got.cden == 1
+                assert (got.den, got.valid_below) == (phi.den, phi.valid_below)
 
 
 def test_collapse_cancellation_and_zero_series():
@@ -427,6 +450,13 @@ def test_collapse_cancellation_and_zero_series():
     z = JacobiSeries.zero(5)
     assert_identical(d2_hat(z, 2), ref_d2_hat(z, 2))
     assert_identical(restrict_z0(z), ref_restrict(z))
+    # the heat operator on kernel elements, whose restriction vanishes, with
+    # Q(zeta_24) and Q(zeta_120) coefficients and weights over 1, 2 and 3
+    rng = random.Random(131)
+    for field in (None, cyclotomic_field(120)):
+        for phi in kernel_elements(rng, field):
+            for k in (2, F(5, 2), F(-7, 3)):
+                assert_identical(d2_hat(phi, k), ref_d2_hat(phi, k))
 
 
 # -- theta decomposition ---------------------------------------------------------

@@ -432,6 +432,67 @@ def test_second_convolution_loop_is_reported():
     assert _convolution_loops(sources) == [("a.py", "product"), ("b.py", "kron"), ("b.py", "kron")]
 
 
+# The caches with no bound, each with the reason its keys are finite.
+UNBOUNDED_CACHES = {
+    ("cyclotomic.py", "cyclotomic_field"): "fields are compared by identity, so an order "
+                                          "must keep its one instance",
+    ("cyclotomic.py", "cyclotomic_poly"): "the orders of the fields built and their divisors",
+    ("weil.py", "_root"): "d is squarefree with sqrt(d) in Q(zeta_n), so d <= n",
+    ("weil.py", "u_gen"): "the seven displayed generator matrices; any other key raises",
+    ("weil.py", "_step_signs"): "a generator name and a direction of +-1",
+    ("cli.py", "build_parser"): "no arguments: the one parser",
+}
+
+
+def _unbounded_caches(sources):
+    """(module, function) of each function in ``sources`` (a {module name:
+    text} dict) wrapped by a functools cache with no bound given: ``cache``,
+    or ``lru_cache`` with no ``maxsize`` or with ``maxsize=None``, whether as
+    a decorator or called on the function."""
+    def name(node):
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    def unbounded(wrapper):
+        if not isinstance(wrapper, ast.Call):
+            return name(wrapper) in ("cache", "lru_cache")
+        size = ([kw.value for kw in wrapper.keywords if kw.arg == "maxsize"] + wrapper.args)[:1]
+        return name(wrapper.func) == "lru_cache" and (
+            not size or isinstance(size[0], ast.Constant) and size[0].value is None)
+
+    found = []
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text, module)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [(module, node.name) for d in node.decorator_list if unbounded(d)]
+            elif (isinstance(node, ast.Call) and node.args and unbounded(node.func)
+                  and (isinstance(node.func, ast.Call) or name(node.func) == "cache")):
+                found.append((module, name(node.args[0])))
+    return sorted(found)
+
+
+def test_every_cache_is_bounded_or_says_why_its_keys_are_finite():
+    found = _unbounded_caches({p.name: p.read_text() for p in MODULES})
+    assert found == sorted(UNBOUNDED_CACHES)
+    assert all(UNBOUNDED_CACHES.values())
+
+
+def test_a_planted_unbounded_cache_is_reported():
+    sources = {
+        "a.py": ("import functools\nfrom functools import cache, lru_cache\n\n"
+                 "@lru_cache(maxsize=64)\ndef bounded(n):\n    return n\n\n"
+                 "@lru_cache(64)\ndef also_bounded(n):\n    return n\n\n"
+                 "@lru_cache(maxsize=None)\ndef grows(n):\n    return n\n\n"
+                 "@functools.cache\ndef grows_too(n):\n    return n\n\n"
+                 "@lru_cache\ndef default_bound(n):\n    return n\n\n"
+                 "def plain(n):\n    return n\n\n"
+                 "wrapped = lru_cache(None)(plain)\nkept = lru_cache(maxsize=8)(plain)\n"
+                 "memo = cache(plain)\n"),
+    }
+    assert _unbounded_caches(sources) == [
+        ("a.py", "default_bound"), ("a.py", "grows"), ("a.py", "grows_too"),
+        ("a.py", "plain"), ("a.py", "plain")]
+
+
 def _stale_exports(package):
     """The names in ``package.__all__`` that the package does not bind, in
     the order listed: ``from package import *`` fails on the first."""

@@ -363,6 +363,17 @@ def test_xi_eta6_fails_on_a_xi_known_below_less_than_the_order(monkeypatch):
     assert _fails("xi-eta6", 30) == "known only below q^29"
 
 
+def test_xi_eta6_checks_its_eta_route_up_to_the_order_asked(monkeypatch):
+    # a wrong term at q^35 lies above the order-30 cases, so only a check
+    # that honours --order 40 sees it
+    import jfkernel.verify as verify
+
+    exact = verify.eta6_dilated
+    monkeypatch.setattr(verify, "eta6_dilated", lambda m, order: exact(m, order)
+                        + PuiseuxSeries.monomial(1, 35, Fraction(order) + m))
+    assert _fails("xi-eta6", 40).startswith("m=1 (eta route): first difference at q^35: ")
+
+
 def test_d2_lambda2_fails_when_the_heat_operator_returns_zero(monkeypatch):
     import jfkernel.verify as verify
 
@@ -402,6 +413,26 @@ def test_lambdastar_roundtrip_fails_on_a_wrong_quotient(monkeypatch):
     exact = verify.lambda_star_fwd
     monkeypatch.setattr(verify, "lambda_star_fwd", lambda h0, hm, m: exact(h0, hm, m) * 2)
     assert _fails("lambdastar-roundtrip") == "phi 0, m=1: round trip differs"
+
+
+@pytest.mark.parametrize("name, witness", [
+    ("lambda2-roundtrip", "pair 0: component symmetry fails"),
+    ("lambdastar-roundtrip", "phi 1, m=2: component symmetry fails"),
+])
+def test_roundtrips_fail_on_components_that_break_the_symmetry(monkeypatch, name, witness):
+    # h_1 moved by one term where m > 1, so that h_1 != h_{2m-1}
+    import jfkernel.verify as verify
+
+    exact = verify.theta_decompose
+
+    def wrong(phi, m):
+        comps = exact(phi, m)
+        if m > 1:
+            comps[1] = comps[1] + PuiseuxSeries.monomial(1, 0, comps[1].valid_below)
+        return comps
+
+    monkeypatch.setattr(verify, "theta_decompose", wrong)
+    assert _fails(name) == witness
 
 
 def _shifted_components(monkeypatch):
