@@ -23,7 +23,9 @@ key; the two-variable series of :mod:`jfkernel.jacobi` is the same core with
 :func:`div_exact`, and the heat operator and restriction in
 :mod:`jfkernel.jacobi`) add up unreduced integer coordinates and write the
 result's tuples directly; a series divides out its denominator's common
-factor with one running gcd.
+factor with one running gcd, and a product by an int k only its gcd with k.
+Division by an integer multiple of a monic series over Z (a theta component)
+runs in int remainders, one coordinate index at a time.
 
 A series carries a validity bound ``valid_below``: all terms with exponent
 strictly below the bound are exactly known, nothing is asserted at or above
@@ -344,10 +346,15 @@ class _Series:
                          self.meta, self.field, self.cden)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            terms = _scale_terms(self._terms, other.numerator) if other else {}
-            return _normalised(type(self), terms, self.den, self.valid_below, self.meta,
-                               self.field, self.cden * other.denominator)
+        if isinstance(other, int):
+            # with g = gcd(k, cden), gcd(cden/g, k/g) = 1: no content to find
+            g = gcd(other, self.cden)
+            return _assemble(type(self), _scale_terms(self._terms, other // g) if other else {},
+                             self.den, self.valid_below, self.meta, self.field, self.cden // g)
+        if isinstance(other, Fraction):
+            return _normalised(type(self), _scale_terms(self._terms, other.numerator) if other
+                               else {}, self.den, self.valid_below, self.meta, self.field,
+                               self.cden * other.denominator)
         if isinstance(other, CycNumber):
             field = common_field(self.field, other.field)
             y = field.embed(other)
@@ -693,36 +700,75 @@ def div_exact(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
     The divisor must have a nonzero leading coefficient inside its valid
     range.  The quotient bound is
     min(a.valid_below, b.valid_below + val(a) - val(b)) - val(b), which makes
-    the round trip div_exact(a*b, b) = a hold term-exactly.
+    the round trip div_exact(a*b, b) = a hold term-exactly.  The quotient is
+    on the grid lcm(a.den, b.den), in the join of Q(zeta_24) with both
+    fields, its keys ascending.
 
-    Long division from the lowest term up, by a monic divisor: a leading
-    coefficient c other than 1 is divided out of both operands once.  A heap
-    walks the remainder's exponents, ints on the common grid, in increasing
-    order.  Each remainder term accumulates unreduced coordinates over its
-    own denominator; reduced once and divided by one gcd, it is the quotient
-    term, kept in lowest terms since later remainder terms are built from
-    it.  A divisor with rational coefficients (the theta components) has one
-    coordinate per term, so subtracting a multiple of it scales coordinates:
-    no convolution and no reduction.
+    Long division from the lowest term up, by a monic divisor; a heap walks
+    the remainder's exponents, ints on the common grid, in increasing order.
+    A divisor whose coefficients are rational and integer multiples of its
+    leading one, c/b.cden (the theta components), is (c/b.cden) B with B
+    monic over Z.  Then each coordinate index of a is divided by B on its
+    own, in int remainders, and each quotient coordinate is its remainder:
+    the quotient scales by b.cden/c and is normalised once.  Any other
+    divisor is divided out of both operands by its leading coefficient
+    first; each remainder term accumulates unreduced coordinates over its
+    own denominator, and reduced once and divided by one gcd it is the
+    quotient term, kept in lowest terms since later remainder terms are
+    built from it.
     """
     if b.is_zero():
         raise ExactDivisionError("division by a series that is zero on its valid range")
     vb_b = b.val()
     vb = min(a.valid_below, b.valid_below + a.val() - vb_b) - vb_b
     f = common_field(CYC24, a.field, b.field)
-    c = b._coeff(min(b._terms))
+    L = lcm(a.den, b.den)
+    fa, fb = L // a.den, L // b.den
+    lead = min(b._terms)
+    n_lead = lead * fb
+    # remainder exponents from here on never reach the quotient
+    top = _top(vb, L) + n_lead
+    c = b._terms[lead][0][1]
+    if all(len(ys) == 1 and not ys[0][0] and not ys[0][1] % c for ys in b._terms.values()):
+        steps = [(n * fb - n_lead, ys[0][1] // c) for n, ys in sorted(b._terms.items())
+                 if n != lead]
+        cols = {}
+        for n, xs in a._on_grid(L, f).items():
+            if n < top:
+                for i, v in xs:
+                    cols.setdefault(i, {})[n] = v
+        out = {}
+        pop, push = heapq.heappop, heapq.heappush
+        for i in sorted(cols):
+            rem = cols[i]
+            heap = list(rem)
+            heapq.heapify(heap)
+            while heap:
+                n = pop(heap)
+                v = rem.pop(n)
+                if not v:
+                    continue
+                out.setdefault(n - n_lead, []).append((i, v))
+                for step, y in steps:
+                    t = n + step
+                    if t >= top:
+                        break
+                    if t in rem:
+                        rem[t] -= v * y
+                    else:
+                        rem[t] = -v * y
+                        push(heap, t)
+        g = gcd(b.cden, c) if c > 0 else -gcd(b.cden, c)
+        s = b.cden // g
+        return _normalised(PuiseuxSeries, {n: _scaled(out[n], s) for n in sorted(out)},
+                           L, vb, None, f, a.cden * c // g)
+    c = b._coeff(lead)
     if c != 1:
         c = c.inverse()
         if c.is_rational():
             c = c.rational_value()
         a, b = a * c, b * c
     ta, tb = a._on_grid(a.den, f), b._on_grid(b.den, f)
-    lead = min(tb)
-    L = lcm(a.den, b.den)
-    fa, fb = L // a.den, L // b.den
-    n_lead = lead * fb
-    # remainder exponents from here on never reach the quotient
-    top = _top(vb, L) + n_lead
     steps = [(n * fb - n_lead, tb[n]) for n in sorted(tb) if n != lead]
     d = f.degree
     # remainder coordinates reach index d - 1 + (the tail's highest index)

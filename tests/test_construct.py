@@ -25,7 +25,7 @@ from jfkernel.construct import (
     xi_m_star_hat,
     xi_pair_hat,
 )
-from jfkernel.cyclotomic import imag_unit
+from jfkernel.cyclotomic import CycNumber, imag_unit
 from jfkernel.jacobi import (
     d2_hat,
     restrict_z0,
@@ -266,6 +266,25 @@ def test_lambda_star_round_trip():
             back = lambda_star_fwd(comps[0], comps[m], m)
             b = min(back.valid_below, phi.valid_below)
             assert back.same_below(phi, b), m
+
+
+def test_the_kernel_maps_divide_with_no_field_inverse(cold_wronskians, monkeypatch):
+    # theta_{m,m} leads with 2 and the heat probes with -1, -2, -3, -5: every
+    # divisor is an integer multiple of a monic series over Z
+    def refuse(self):
+        raise AssertionError(f"inverse of {self}")
+    monkeypatch.setattr(CycNumber, "inverse", refuse)
+    rng = random.Random(59)
+    phi0, phi2 = random_series(rng, 8), random_series(rng, 8)
+    comps = theta_decompose(lambda2_inv(phi0, phi2, 10), 2)
+    pair = lambda2_fwd(comps[0], comps[2])
+    assert pair.comp0.same_below(phi0, 8) and pair.comp2.same_below(phi2, F(15, 2))
+    for m in (1, 2, 3, 5):
+        phi = random_series(rng, 8)
+        comps = theta_decompose(lambda_star_inv(phi, m, 10), m)
+        back = lambda_star_fwd(comps[0], comps[m], m)
+        assert back.same_below(phi, min(back.valid_below, 8)), m
+        assert derive_heat_constant(m) == 4 * m, m
 
 
 def test_psi_form():

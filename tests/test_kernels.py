@@ -295,6 +295,18 @@ def test_scalar_products():
         assert (a * x).terms == want and (x * a).terms == want
         jwant = {k: c * cx for k, c in phi.terms.items() if not (c * cx).is_zero()}
         assert (phi * x).terms == jwant
+    # an int k scales the coordinates by k/g over cden/g, g = gcd(k, cden):
+    # the layout of the Fraction route, normalised with no content scan
+    xi0 = xi_pair_hat(12)[0]
+    assert xi0.cden == 8
+    for s in (xi0, phi, a):
+        for k in (8, -12, 0, 3, -1):
+            got, want = s * k, s * F(k)
+            assert got._terms == want._terms and list(got._terms) == list(want._terms)
+            assert ((got.den, got.cden, got.field, got.valid_below, got.meta)
+                    == (want.den, want.cden, want.field, want.valid_below, want.meta))
+            assert (k * s)._terms == got._terms
+            assert math.gcd(got.cden, *[v for xs in got._terms.values() for _i, v in xs]) == 1
 
 
 def test_product_across_coefficient_fields():
@@ -493,16 +505,6 @@ def test_div_exact_matches_reference():
         assert_identical(div_exact(a, b), ref_div(a, b))
 
 
-def test_div_exact_by_theta_components_matches_reference():
-    from jfkernel.jacobi import theta_component
-
-    rng = random.Random(137)
-    for m, r in ((2, 1), (2, 2), (3, 3), (5, 0), (1, 1)):
-        t = theta_component(m, r, 12)
-        a = puiseux(rng, 10) * t
-        assert_identical(div_exact(a, t), ref_div(a, t))
-
-
 def test_div_exact_non_rational_leading_coefficient():
     lead = CYC24.element([1, 1, 0, 0, 0, 0, 1, 0], 2)
     b = PuiseuxSeries({F(1, 8): lead, F(9, 8): imag_unit(), F(5, 3): 3}, 9)
@@ -524,6 +526,61 @@ def test_div_exact_remainder_that_cancels():
     assert_identical(div_exact(PuiseuxSeries.zero(4), b), ref_div(PuiseuxSeries.zero(4), b))
     with pytest.raises(ExactDivisionError):
         div_exact(b, PuiseuxSeries.zero(4))
+
+
+def _dividends(rng):
+    """Dividends in Q(zeta_24), Q(zeta_40) and Q(zeta_120), with and
+    without a coefficient denominator."""
+    for f in (CYC24, cyclotomic_field(40), cyclotomic_field(120)):
+        for _ in range(2):
+            yield field_series(rng, f, F(rng.randint(5, 9)), lo=rng.choice((0, 1)))
+        # the coefficients' denominators divide 12
+        yield field_series(rng, f, 7) * 12
+    yield puiseux(rng, 8) * F(1, 6)
+
+
+# Every theta component at m <= 6, and integer or rational multiples of
+# monic series over Z, divide one integer coordinate at a time with no field
+# inverse; 2 + q and 3 + q^2 have a lead that does not divide their tail, so
+# they take the cyclotomic long division, which inverts the lead.
+@pytest.mark.parametrize("divisor, inverts", [
+    *[pytest.param(lambda m=m, r=r: theta_component(m, r, 10), False, id=f"theta_{m},{r}")
+      for m in range(1, 7) for r in range(m + 1)],
+    pytest.param(lambda: theta_component(2, 1, 10) * -3, False, id="-3 theta_2,1"),
+    pytest.param(lambda: theta_component(2, 1, 10) * F(1, 3), False, id="theta_2,1 / 3"),
+    pytest.param(lambda: PuiseuxSeries({0: -5, F(1, 2): 10, 3: -15}, 9), False,
+                 id="-5 + 10q^(1/2) - 15q^3"),
+    pytest.param(lambda: PuiseuxSeries({0: 2, 1: 1}, 9), True, id="2 + q"),
+    pytest.param(lambda: PuiseuxSeries({0: 3, 2: 1}, 9), True, id="3 + q^2"),
+])
+def test_div_exact_matches_reference_on_both_sides_of_the_integer_branch(
+        request, divisor, inverts, monkeypatch):
+    b = divisor()
+    rng = random.Random(request.node.callspec.id)
+    cdens = set()
+    for p in _dividends(rng):
+        for a in (p, p * b):
+            q = div_exact(a, b)
+            assert_identical(q, ref_div(a, b))
+            assert q.den == math.lcm(a.den, b.den)
+            assert q.is_zero() or q.field.n == math.lcm(24, a.field.n, b.field.n)
+            cdens.add(a.cden > 1)
+    assert cdens == {False, True}
+    # the reference inverts the lead itself: count the kernel's calls only
+    inverses = []
+    monkeypatch.setattr(CycNumber, "inverse",
+                        lambda x, _inverse=CycNumber.inverse: inverses.append(x) or _inverse(x))
+    div_exact(p, b)
+    assert bool(inverses) == inverts
+
+
+def test_div_exact_drops_the_terms_past_the_quotient_bound():
+    # below q^(11/4) = 3 - 2/8: the dividend's terms at q^3 and q^5 are cut
+    for b in (theta_component(2, 1, 3), PuiseuxSeries({F(1, 8): 2, F(9, 8): 1}, 3)):
+        a = PuiseuxSeries({0: 1, 1: F(-2, 3), 3: 7, 5: imag_unit()}, 10)
+        q = div_exact(a, b)
+        assert q.valid_below == F(11, 4) and q.val() == F(-1, 8)
+        assert_identical(q, ref_div(a, b))
 
 
 # -- eta -----------------------------------------------------------------------
