@@ -23,7 +23,9 @@ key; the two-variable series of :mod:`jfkernel.jacobi` is the same core with
 :func:`div_exact`, and the heat operator and restriction in
 :mod:`jfkernel.jacobi`) add up unreduced integer coordinates and write the
 result's tuples directly; a series divides out its denominator's common
-factor with one running gcd, and a product by an int k only its gcd with k.
+factor with one running gcd.  A product by a rational p/q (an int or a
+``Fraction``, -1 for a negation) divides out only g = gcd(p, cden), and
+looks for a common factor only when q > 1.
 Division by an integer multiple of a monic series over Z (a theta component)
 runs in int remainders, one coordinate index at a time.
 
@@ -342,19 +344,17 @@ class _Series:
         return self + (-other)
 
     def __neg__(self):
-        return _assemble(type(self), _scale_terms(self._terms, -1), self.den, self.valid_below,
-                         self.meta, self.field, self.cden)
+        return self * -1
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            # with g = gcd(k, cden), gcd(cden/g, k/g) = 1: no content to find
-            g = gcd(other, self.cden)
-            return _assemble(type(self), _scale_terms(self._terms, other // g) if other else {},
-                             self.den, self.valid_below, self.meta, self.field, self.cden // g)
-        if isinstance(other, Fraction):
-            return _normalised(type(self), _scale_terms(self._terms, other.numerator) if other
-                               else {}, self.den, self.valid_below, self.meta, self.field,
-                               self.cden * other.denominator)
+        if isinstance(other, (int, Fraction)):
+            # with g = gcd(p, cden), gcd(cden/g, p/g) = 1: only q > 1 can
+            # share a factor with the coordinates
+            p, q = other.as_integer_ratio()
+            g = gcd(p, self.cden)
+            return (_normalised if q > 1 else _assemble)(
+                type(self), _scale_terms(self._terms, p // g) if p else {}, self.den,
+                self.valid_below, self.meta, self.field, self.cden // g * q)
         if isinstance(other, CycNumber):
             field = common_field(self.field, other.field)
             y = field.embed(other)
@@ -711,11 +711,11 @@ def div_exact(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
     monic over Z.  Then each coordinate index of a is divided by B on its
     own, in int remainders, and each quotient coordinate is its remainder:
     the quotient scales by b.cden/c and is normalised once.  Any other
-    divisor is divided out of both operands by its leading coefficient
-    first; each remainder term accumulates unreduced coordinates over its
-    own denominator, and reduced once and divided by one gcd it is the
-    quotient term, kept in lowest terms since later remainder terms are
-    built from it.
+    divisor and the dividend are multiplied by the inverse of the divisor's
+    leading coefficient first; each remainder term accumulates unreduced
+    coordinates over its own denominator, and reduced once and divided by
+    one gcd it is the quotient term, kept in lowest terms since later
+    remainder terms are built from it.
     """
     if b.is_zero():
         raise ExactDivisionError("division by a series that is zero on its valid range")
@@ -762,12 +762,8 @@ def div_exact(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
         s = b.cden // g
         return _normalised(PuiseuxSeries, {n: _scaled(out[n], s) for n in sorted(out)},
                            L, vb, None, f, a.cden * c // g)
-    c = b._coeff(lead)
-    if c != 1:
-        c = c.inverse()
-        if c.is_rational():
-            c = c.rational_value()
-        a, b = a * c, b * c
+    c = b._coeff(lead).inverse()
+    a, b = a * c, b * c
     ta, tb = a._on_grid(a.den, f), b._on_grid(b.den, f)
     steps = [(n * fb - n_lead, tb[n]) for n in sorted(tb) if n != lead]
     d = f.degree

@@ -322,14 +322,12 @@ def _root(n: int, d: int) -> CycNumber:
 # Generators
 
 
-@lru_cache(maxsize=None)
 def u_gen(m: int, g: str) -> UMatrix:
     """The explicitly known index-1 / index-2 generator matrices.
 
     Scalars: sqrt(i) = zeta_8, e^{-pi i/4} = zeta_8^{-1}, both inside
     Q(zeta_24).  The index-1 matrix for -I is the square of the one for S.
-    The seven displayed (m, g) are the only keys kept: any other raises,
-    and a raise is not cached.
+    Only the seven displayed (m, g) exist: any other raises.
     """
     f = CYC24
     i = f.zeta(6)
@@ -376,27 +374,24 @@ def u_gen(m: int, g: str) -> UMatrix:
     raise ValueError(f"no displayed generator for index {m}, letter {g!r}")
 
 
-# The most entries each per-index cache keeps (_prime_powers, _labels and
-# _local_letter).  Their keys grow with the indices a process uses: one
-# each per index for the first two, and up to four letters per prime power
-# of 2m and for 2m itself for the last.  ``verify --suite all`` and a
-# weil-deep run each keep at most 15 local letters.
-_PER_INDEX = 256
-
-
-@lru_cache(maxsize=_PER_INDEX)
 def _prime_powers(m: int) -> tuple[int, ...]:
     """The prime powers q of 2m, ascending in their primes: the 2-part first."""
     field_order(m)  # refuses an index below 1
     return tuple([p ** e for p, e in _factor(2 * m)])
 
 
-@lru_cache(maxsize=_PER_INDEX)
 def _labels(m: int) -> tuple[tuple[int, ...], ...]:
     """The label map: r in Z/2m to its local coordinates (x_q), one per prime
     power q of 2m, with r = sum_q (2m/q) x_q mod 2m; one tuple per r."""
     inverses = [(q, pow(2 * m // q, -1, q)) for q in _prime_powers(m)]
     return tuple(tuple([r * v % q for q, v in inverses]) for r in range(2 * m))
+
+
+# The most local letters :func:`_local_letter` keeps.  Its keys grow with
+# the indices a process uses: up to four letters per prime power of 2m and
+# for 2m itself.  ``verify --suite all`` and a weil-deep run each keep at
+# most 15.
+_PER_INDEX = 256
 
 
 @lru_cache(maxsize=_PER_INDEX)

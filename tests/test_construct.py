@@ -298,6 +298,21 @@ def test_psi_form():
         psi_form(xi2, xi0)
 
 
+def test_psi_form_on_a_gaussian_pair_keeps_its_bytes_at_order_30():
+    # phi0/xi2 takes the long division by a lead 3/4 whose inverse is rational
+    i = imag_unit()
+    g = PuiseuxSeries({F(-1, 8): 1 + i, 0: -2, F(5, 2): (1 - 3 * i) / 4, 7: 2 - i}, 30)
+    xi0, xi2 = xi_pair_hat(32)
+    assert xi2.coeff(xi2.val()) == F(3, 4)
+    assert psi_form(g * xi2, -(g * xi0)).to_json_text() == (
+        '{"valid_below":"30","terms":['
+        '{"exp":"-1/8","coeff":{"num":[1,0,0,0,0,0,1,0],"den":1}},'
+        '{"exp":"0","coeff":{"num":[-2,0,0,0,0,0,0,0],"den":1}},'
+        '{"exp":"5/2","coeff":{"num":[1,0,0,0,0,0,-3,0],"den":4}},'
+        '{"exp":"7","coeff":{"num":[2,0,0,0,0,0,-1,0],"den":1}}],'
+        '"meta":{"kind":"unchecked","source":"psi_form"}}')
+
+
 def _psi_pair(rng):
     """A pair (phi0, phi2) drawn as one of four kinds: compatible,
     (g xi2, -g xi0) for a random g; one of those with a term added at one

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jfkernel import series
 from jfkernel.construct import (
     VVPair,
     lambda2_fwd,
@@ -284,6 +285,33 @@ def test_jacobi_product_cancellation_to_zero():
     assert_identical(p, ref_jmul(a, b))
 
 
+def ref_scalar(s, x):
+    """s * x for a rational x = p/q by the normalising route: every
+    coordinate times p, over cden q, then one content scan."""
+    p, q = F(x).as_integer_ratio()
+    terms = {k: tuple([(i, v * p) for i, v in xs]) for k, xs in s._terms.items()} if p else {}
+    return series._normalised(type(s), terms, s.den, s.valid_below, s.meta, s.field, s.cden * q)
+
+
+def scalar_operands():
+    """Puiseux and Jacobi series in Q(zeta_24) and Q(zeta_40) over cden 1
+    and 8, and xi0, which carries a meta."""
+    rng = random.Random(163)
+    for f in (CYC24, cyclotomic_field(40)):
+        for d in (1, 8):
+            def c():
+                xs = [rng.randint(-9, 9) for _ in range(f.degree)]
+                xs[0] |= 1  # an odd coordinate keeps the denominator d
+                return f.element(xs, d)
+
+            for s in (PuiseuxSeries({exponent(rng, 0, 6): c() for _ in range(8)}, 6),
+                      JacobiSeries({(exponent(rng, 0, 6), rng.randint(-4, 4)): c()
+                                    for _ in range(10)}, 6)):
+                assert (s.field, s.cden) == (f, d)
+                yield s
+    yield xi_pair_hat(12)[0]
+
+
 def test_scalar_products():
     rng = random.Random(109)
     a = puiseux(rng, 6)
@@ -295,18 +323,35 @@ def test_scalar_products():
         assert (a * x).terms == want and (x * a).terms == want
         jwant = {k: c * cx for k, c in phi.terms.items() if not (c * cx).is_zero()}
         assert (phi * x).terms == jwant
-    # an int k scales the coordinates by k/g over cden/g, g = gcd(k, cden):
-    # the layout of the Fraction route, normalised with no content scan
-    xi0 = xi_pair_hat(12)[0]
-    assert xi0.cden == 8
-    for s in (xi0, phi, a):
-        for k in (8, -12, 0, 3, -1):
-            got, want = s * k, s * F(k)
-            assert got._terms == want._terms and list(got._terms) == list(want._terms)
+    # an int or Fraction p/q scales the coordinates by p/g over (cden/g) q,
+    # g = gcd(p, cden): the bytes of the normalising route; the scalars are
+    # zero, signs, a power of two above cden 8, an int sharing 4 with it,
+    # and Fractions over 1, 2 and 4.  Negation is the route at -1.
+    for s in scalar_operands():
+        for x in (0, 1, -1, 16, -12, F(2), F(-1, 2), F(3, 4), F(-7, 2)):
+            got, want = s * x, ref_scalar(s, x)
+            assert got.to_json_text() == want.to_json_text() == (x * s).to_json_text(), x
             assert ((got.den, got.cden, got.field, got.valid_below, got.meta)
                     == (want.den, want.cden, want.field, want.valid_below, want.meta))
-            assert (k * s)._terms == got._terms
             assert math.gcd(got.cden, *[v for xs in got._terms.values() for _i, v in xs]) == 1
+        neg = -s
+        assert neg.to_json_text() == (s * -1).to_json_text() == ref_scalar(s, -1).to_json_text()
+        assert (neg.field, neg.cden, neg.meta) == (s.field, s.cden, s.meta)
+
+
+def test_a_rational_scalar_looks_for_content_only_over_a_denominator(monkeypatch):
+    xi0 = xi_pair_hat(12)[0]
+    assert xi0.cden == 8
+    scans = []
+    monkeypatch.setattr(series, "_content",
+                        lambda *args, _content=series._content: scans.append(1) or _content(*args))
+    for x, want in ((2, 0), (F(2), 0), (-1, 0), (F(-4, 1), 0), (F(3, 4), 1), (F(-1, 2), 1)):
+        scans.clear()
+        xi0 * x
+        assert len(scans) == want, x
+    scans.clear()
+    -xi0
+    assert not scans
 
 
 def test_product_across_coefficient_fields():
@@ -541,8 +586,11 @@ def _dividends(rng):
 
 # Every theta component at m <= 6, and integer or rational multiples of
 # monic series over Z, divide one integer coordinate at a time with no field
-# inverse; 2 + q and 3 + q^2 have a lead that does not divide their tail, so
-# they take the cyclotomic long division, which inverts the lead.
+# inverse.  Every other divisor takes the cyclotomic long division, which
+# multiplies both operands by the inverse of the lead, whatever it is: 2 + q
+# and 3 + q^2, whose lead does not divide their tail, a monic divisor with
+# cyclotomic coefficients, a lead zeta_24^3, and xi2, whose lead 3/4 has a
+# rational inverse.
 @pytest.mark.parametrize("divisor, inverts", [
     *[pytest.param(lambda m=m, r=r: theta_component(m, r, 10), False, id=f"theta_{m},{r}")
       for m in range(1, 7) for r in range(m + 1)],
@@ -552,6 +600,11 @@ def _dividends(rng):
                  id="-5 + 10q^(1/2) - 15q^3"),
     pytest.param(lambda: PuiseuxSeries({0: 2, 1: 1}, 9), True, id="2 + q"),
     pytest.param(lambda: PuiseuxSeries({0: 3, 2: 1}, 9), True, id="3 + q^2"),
+    pytest.param(lambda: PuiseuxSeries({0: 1, F(1, 2): CYC24.zeta(1), 2: imag_unit()}, 9), True,
+                 id="1 + zeta_24 q^(1/2) + i q^2"),
+    pytest.param(lambda: PuiseuxSeries({F(1, 8): CYC24.zeta(3), 1: 2, F(3, 2): CYC24.zeta(5)}, 9),
+                 True, id="zeta_24^3 q^(1/8) + 2q + zeta_24^5 q^(3/2)"),
+    pytest.param(lambda: xi_pair_hat(10)[1], True, id="xi2"),
 ])
 def test_div_exact_matches_reference_on_both_sides_of_the_integer_branch(
         request, divisor, inverts, monkeypatch):

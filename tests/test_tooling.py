@@ -438,7 +438,6 @@ UNBOUNDED_CACHES = {
                                           "must keep its one instance",
     ("cyclotomic.py", "cyclotomic_poly"): "the orders of the fields built and their divisors",
     ("weil.py", "_root"): "d is squarefree with sqrt(d) in Q(zeta_n), so d <= n",
-    ("weil.py", "u_gen"): "the seven displayed generator matrices; any other key raises",
     ("weil.py", "_step_signs"): "a generator name and a direction of +-1",
     ("cli.py", "build_parser"): "no arguments: the one parser",
 }
