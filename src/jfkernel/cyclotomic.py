@@ -195,10 +195,13 @@ class CyclotomicField:
         return self._nonzero(acc)
 
     def _times(self, xs, ys) -> tuple:
-        """The reduced product of the coordinates ``xs`` and ``ys``."""
+        """The reduced product of the coordinates ``xs`` and ``ys``, as the
+        series product accumulates it: in a list as wide as the highest index
+        of ``xs`` plus that of ``ys``, plus one, reduced mod Phi_n only when it
+        is wider than the degree, so a rational operand costs no reduction."""
         if not (xs and ys):
             return ()
-        acc = [0] * (2 * self.degree - 1)
+        acc = [0] * (xs[-1][0] + ys[-1][0] + 1)
         for i, a in xs:
             for j, b in ys:
                 acc[i + j] += a * b

@@ -19,12 +19,16 @@ field over one series denominator.  The restriction and heat operator share
 :func:`_collapse`: it keeps the grid, and coefficients add up as unreduced
 integer coordinates, with one running gcd over the result.
 :func:`theta_decompose` compares coefficients as tuples.  theta_j(m, r) and
-the theta components are built on the grid 1/4m, with the coordinate tuple
-of 1 as every coefficient.  A theta sum sum_r h_r theta_j(m, r)
-(:func:`recompose`) is one relabelling pass into one series: theta_j has
-unit coefficients and no zeta-power twice, so each term of h_r moves to each
-lattice point with its coordinates only lifted and scaled to the sum's field
-and denominator, with no product, no series sum and one normalisation.
+the theta components share one helper, :func:`_theta`, for the index
+refusal, the ``Fraction`` order and the metadata, and are built on the grid
+1/4m: theta_j with the coordinate tuple of 1 as every coefficient, a
+component with its count of lattice points, from one cached terms dict that
+every call with the same (m, r mod 2m, order) shares.  A theta sum
+sum_r h_r theta_j(m, r) (:func:`recompose`) is one relabelling pass into one
+series: theta_j has unit coefficients and no zeta-power twice, so each term
+of h_r moves to each lattice point with its coordinates only lifted and
+scaled to the sum's field and denominator, with no product, no series sum
+and one normalisation.
 """
 
 from __future__ import annotations
@@ -176,17 +180,23 @@ def _theta_lattice(m: int, r: int, order: Fraction):
         n += 1
 
 
+def _theta(m: int, order, source: str):
+    """The order as a ``Fraction`` and the metadata of an index-m theta
+    function from ``source``; the index must be positive.  Both builders put
+    their terms on the grid 1/4m."""
+    if m < 1:
+        raise ValueError("index must be a positive integer")
+    return Fraction(order), FormMeta(weight=Fraction(1, 2), index=m, kind="theta-component",
+                                     source=source)
+
+
 def theta_j(m: int, r: int, order) -> JacobiSeries:
     """The index-m theta function with residue r, truncated below ``order``.
 
     Terms are q^{m(n + r/2m)^2} zeta^{2mn + r} with unit coefficients.
     """
-    if m < 1:
-        raise ValueError("index must be a positive integer")
-    order = Fraction(order)
+    order, meta = _theta(m, order, f"theta_j({m},{r})")
     terms = dict.fromkeys(_theta_lattice(m, r, order), ((0, 1),))
-    meta = FormMeta(weight=Fraction(1, 2), index=m, kind="theta-component",
-                    source=f"theta_j({m},{r})")
     return _assemble(JacobiSeries, terms, 4 * m, order, meta)
 
 
@@ -195,23 +205,22 @@ def theta_j(m: int, r: int, order) -> JacobiSeries:
 # a bound of 256 evicts nothing.
 @lru_cache(maxsize=256)
 def _theta_component_terms(m: int, r: int, order: Fraction):
-    """The terms of theta_{m,r} below ``order`` on the grid 1/4m: each
-    exponent with its count of lattice points as the coordinate tuple."""
+    """The terms dict of theta_{m,r} below ``order`` on the grid 1/4m: each
+    exponent, ascending, with its count of lattice points as the coordinate
+    tuple.  Every series built from one key shares the dict: series are
+    immutable."""
     acc = {}
     for n, _z in _theta_lattice(m, r, order):
         acc[n] = acc.get(n, 0) + 1
-    return tuple((n, ((0, c),)) for n, c in sorted(acc.items()))
+    return {n: ((0, c),) for n, c in sorted(acc.items())}
 
 
 def theta_component(m: int, r: int, order) -> PuiseuxSeries:
-    """theta_{m,r}(tau) = theta_j(m, r)(tau, 0), as a one-variable series."""
-    if m < 1:
-        raise ValueError("index must be a positive integer")
-    order = Fraction(order)
-    terms = dict(_theta_component_terms(m, r % (2 * m), order))
-    meta = FormMeta(weight=Fraction(1, 2), index=m, kind="theta-component",
-                    source=f"theta({m},{r})")
-    return _assemble(PuiseuxSeries, terms, 4 * m, order, meta)
+    """theta_{m,r}(tau) = theta_j(m, r)(tau, 0), as a one-variable series;
+    every call with one (m, r mod 2m, order) shares one cached terms dict."""
+    order, meta = _theta(m, order, f"theta({m},{r})")
+    return _assemble(PuiseuxSeries, _theta_component_terms(m, r % (2 * m), order), 4 * m,
+                     order, meta)
 
 
 # ---------------------------------------------------------------------------

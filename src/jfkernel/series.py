@@ -25,9 +25,11 @@ key; the two-variable series of :mod:`jfkernel.jacobi` is the same core with
 result's tuples directly; a series divides out its denominator's common
 factor with one running gcd.  A product by a rational p/q (an int or a
 ``Fraction``, -1 for a negation) divides out only g = gcd(p, cden), and
-looks for a common factor only when q > 1.
-Division by an integer multiple of a monic series over Z (a theta component)
-runs in int remainders, one coordinate index at a time.
+looks for a common factor only when q > 1.  A product by a field element
+multiplies each coordinate tuple with one
+:meth:`~jfkernel.cyclotomic.CyclotomicField._times`, in the join of the two
+fields.  Division by an integer multiple of a monic series over Z (a theta
+component) runs in int remainders, one coordinate index at a time.
 
 A series carries a validity bound ``valid_below``: all terms with exponent
 strictly below the bound are exactly known, nothing is asserted at or above
@@ -358,10 +360,9 @@ class _Series:
         if isinstance(other, CycNumber):
             field = common_field(self.field, other.field)
             y = field.embed(other)
-            out = _product(self._triples(self.den, field), [(0, 0, y.xs)] if y.xs else [],
-                           _top(self.valid_below, self.den), field)
-            return _normalised(type(self), self._from_triples(out), self.den, self.valid_below,
-                               self.meta, field, self.cden * y.den)
+            terms = self._on_grid(self.den, field) if y.xs else {}
+            return _normalised(type(self), {k: field._times(xs, y.xs) for k, xs in terms.items()},
+                               self.den, self.valid_below, self.meta, field, self.cden * y.den)
         other = self._operand(other)
         if other is None:
             return NotImplemented

@@ -569,6 +569,36 @@ def test_sparse_mul_matches_dense_convolution():
             assert (r.field.n, r.num, r.den) == _dense_mul(p, q)
 
 
+def _full_width_times(f, xs, ys):
+    """The product of two coordinate tuples through a list of width
+    2 degree - 1, whatever the operands' highest indices."""
+    acc = [0] * (2 * f.degree - 1)
+    for i, a in xs:
+        for j, b in ys:
+            acc[i + j] += a * b
+    return f._nonzero(acc)
+
+
+@pytest.mark.parametrize("n", [24, 40, 58, 64, 120])
+def test_times_sized_by_its_operands_matches_the_full_width_product(n):
+    f = cyclotomic_field(n)
+    d = f.degree
+    rng = random.Random(n + 7)
+
+    def coords(density, top=d):
+        return tuple((i, rng.choice((-9, -2, -1, 1, 3, 8))) for i in range(top)
+                     if rng.random() < density)
+
+    # empty, rational, top-index and monomial operands, sparse and dense
+    # ones, and ones in the lower half, whose index sums stay below the degree
+    operands = [(), ((0, 1),), ((0, -3),), ((d - 1, 2),), f.zeta(1).xs, f.zeta(n // 2 - 1).xs]
+    operands += [coords(0.15) for _ in range(6)] + [coords(0.9) for _ in range(3)]
+    operands += [coords(0.6, d // 2) for _ in range(4)]
+    for xs in operands:
+        for ys in operands:
+            assert f._times(xs, ys) == _full_width_times(f, xs, ys), (xs, ys)
+
+
 def _dense_galois(x, k):
     """(numerators, denominator) of zeta -> zeta^k on x, as the dense code
     did it: coordinate j goes to j k mod n, then the vector is reduced."""

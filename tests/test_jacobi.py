@@ -485,3 +485,19 @@ def test_jacobi_truncate_and_first_difference_match_the_one_variable_series():
     assert j.first_difference(k) == (1, -1)
     assert j.first_difference(k, 1) is None
     assert j.truncate(2) == JacobiSeries({(1, 2): 1, (1, -1): 2}, 2)
+
+
+def test_theta_components_of_one_residue_share_their_terms():
+    for m, r, order in ((1, 0, 12), (2, 1, 30), (3, 5, F(41, 2)), (5, -3, 9)):
+        a, b = theta_component(m, r, order), theta_component(m, r + 2 * m, order)
+        assert a._terms is b._terms
+        assert a.meta.source == f"theta({m},{r})"
+        assert b.meta.source == f"theta({m},{r + 2 * m})"
+        assert a == b and a.to_json_text() != b.to_json_text()
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_both_theta_builders_refuse_an_index_below_one(m):
+    for build in (theta_j, theta_component):
+        with pytest.raises(ValueError, match="index must be a positive integer"):
+            build(m, 0, 5)

@@ -29,7 +29,7 @@ from jfkernel.construct import (
     xi_hat,
     xi_pair_hat,
 )
-from jfkernel.cyclotomic import CYC24, CycNumber, cyclotomic_field, imag_unit
+from jfkernel.cyclotomic import CYC24, CycNumber, common_field, cyclotomic_field, imag_unit
 from jfkernel.jacobi import (
     JacobiSeries,
     d2_hat,
@@ -337,6 +337,33 @@ def test_scalar_products():
         neg = -s
         assert neg.to_json_text() == (s * -1).to_json_text() == ref_scalar(s, -1).to_json_text()
         assert (neg.field, neg.cden, neg.meta) == (s.field, s.cden, s.meta)
+
+
+def ref_field_scalar(s, x):
+    """s * x for a field element x through the series product kernel, with
+    x as a one-term operand at exponent 0."""
+    field = common_field(s.field, x.field)
+    y = field.embed(x)
+    out = series._product(s._triples(s.den, field), [(0, 0, y.xs)] if y.xs else [],
+                          series._top(s.valid_below, s.den), field)
+    return series._normalised(type(s), s._from_triples(out), s.den, s.valid_below, s.meta,
+                              field, s.cden * y.den)
+
+
+def test_a_field_scalar_multiplies_each_coefficient_once(monkeypatch):
+    # zeta_24^3 + 2, i/3, zeta_40 (which lifts a Q(zeta_24) series into
+    # Q(zeta_120)) and zero, against the product kernel with a one-term operand
+    scalars = (CYC24.zeta(3) + 2, imag_unit().scale(F(1, 3)), cyclotomic_field(40).zeta(1),
+               CYC24.zero)
+    cases = [(s, x, ref_field_scalar(s, x)) for s in scalar_operands() for x in scalars]
+    monkeypatch.setattr(series, "_product", None)
+    for s, x, want in cases:
+        for got in (s * x, x * s):
+            assert got.to_json_text() == want.to_json_text()
+            assert ((got.den, got.cden, got.field, got.valid_below, got.meta)
+                    == (want.den, want.cden, want.field, want.valid_below, want.meta))
+            assert list(got._terms) == list(want._terms)
+    assert {want.field.n for _s, _x, want in cases} == {24, 40, 120}
 
 
 def test_a_rational_scalar_looks_for_content_only_over_a_denominator(monkeypatch):

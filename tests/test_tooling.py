@@ -572,3 +572,30 @@ def test_bench_outputs_match_their_recorded_digests(workload):
     out = json.loads(proc.stdout)
     assert out["failed"] == [], out["errors"]
     assert out["digests"] == recorded
+
+
+_SNIPPET = '''"""A module docstring
+over two lines."""
+
+import math
+
+
+def f(x):
+    """A function docstring."""
+    # a comment
+    return math.gcd(
+        x,
+        6)
+'''
+
+
+def test_code_line_counter_skips_docstrings_comments_and_blanks(tmp_path):
+    """``tools/code_lines.py`` on one module: the import, the def and the
+    three lines of the call; and on a second, a string that is not a
+    docstring counts each line it spans."""
+    (tmp_path / "a.py").write_text(_SNIPPET)
+    (tmp_path / "b.py").write_text('X = """one\ntwo"""  # a comment\n')
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "code_lines.py"), str(tmp_path)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "     5  a.py\n     2  b.py\n     7  total\n"
